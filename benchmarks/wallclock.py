@@ -8,7 +8,9 @@ and at xlarge only its *run-length* emission — can touch; a repeated-join
 entry for the memoized sort permutations; the whole run-length A&R
 pipeline; a builder-path ``count(*)`` over the large band join that
 *asserts* the aggregate-only fast path never materializes a pair), a
-TPC-H Q6-shaped A&R run at ≥ 1M lineitem rows, and the
+TPC-H Q6-shaped A&R run at ≥ 1M lineitem rows, TPC-H Q1 on the same
+session (the one grouped query: 8 aggregates over 4 groups of ~1M
+candidates, every column device-resident), and the
 ``serve.throughput.*`` family: the same mixed selection-query set pushed
 through the multi-query scheduler at batch widths 1/4/16, so
 ``b1 / b16`` is the measured batching speedup (PR 5's acceptance
@@ -84,7 +86,7 @@ from repro.storage.bitpack import gather_codes, pack_codes, unpack_codes
 from repro.storage.column import IntType
 from repro.storage.decompose import decompose_values
 from repro.workloads.microbench import unique_shuffled_ints
-from repro.workloads.tpch import TpchConfig, build_tpch_session, q6_sql
+from repro.workloads.tpch import TpchConfig, build_tpch_session, q1_sql, q6_sql
 
 #: Rows for the micro / scan benchmarks (acceptance floor: 1M).
 N_ROWS = int(os.environ.get("REPRO_WALLCLOCK_N", 1_000_000))
@@ -133,7 +135,7 @@ INGEST_WRITE_ROWS = 256
 
 #: Per-PR trajectory file; older PRs' files (BENCH_PR1..PR9) are kept as
 #: recorded history and compared against via ``--compare``.
-_RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
+_RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR13.json"
 
 #: The opt.pick.theta fixture's small right side: under the heuristic's
 #: sort cutoff, so "before" (the heuristic) brute-forces while "after"
@@ -228,6 +230,7 @@ class _Fixtures:
 
         self.tpch = build_tpch_session(TpchConfig(scale_factor=self.tpch_sf, seed=7))
         self.q6 = q6_sql()
+        self.q1 = q1_sql()
 
         self._quick = quick
         self._serve: tuple | None = None
@@ -452,6 +455,10 @@ def _run_tpch_q6(fx: _Fixtures) -> None:
     fx.tpch.execute(fx.q6, mode="ar")
 
 
+def _run_tpch_q1(fx: _Fixtures) -> None:
+    fx.tpch.execute(fx.q1, mode="ar")
+
+
 def _run_opt_scan(fx: _Fixtures, optimizer: str) -> None:
     """Two-predicate selection through the (optionally cost-based) planner."""
     session = fx.opt_workload()
@@ -573,6 +580,7 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         "join.theta.count.large": lambda: _run_theta_count_large(fx),
         "join.theta.pipeline.large": lambda: _run_theta_pipeline_large(fx),
         "tpch.q6.ar": lambda: _run_tpch_q6(fx),
+        "tpch.q1.ar": lambda: _run_tpch_q1(fx),
         # Deliberately last + lazily built: see _Fixtures.serve_workload.
         "serve.throughput.b1": lambda: run_once(*fx.serve_workload(), max_batch=1),
         "serve.throughput.b4": lambda: run_once(*fx.serve_workload(), max_batch=4),

@@ -22,69 +22,87 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
+from .grouping import GroupAssignment
 from .intervals import Interval, IntervalColumn
 
+#: What every grouped kernel runs on: a :class:`GroupAssignment` —
+#: range-checked once when it was built, trusted here — or bare group ids
+#: followed by ``n_groups``, which are checked on every call.
+Groups = GroupAssignment | np.ndarray
+_INT64 = np.iinfo(np.int64)
 
-def grouped_sum(values: np.ndarray, gids: np.ndarray, n_groups: int) -> np.ndarray:
+
+def grouped_sum(
+    values: np.ndarray, groups: Groups, n_groups: int | None = None
+) -> np.ndarray:
     """Exact per-group int64 sums."""
-    _check_aligned(values, gids, n_groups)
-    out = np.zeros(n_groups, dtype=np.int64)
-    np.add.at(out, gids, np.asarray(values, dtype=np.int64))
-    return out
+    return _scatter(np.add, 0, values, groups, n_groups)
 
 
-def grouped_count(gids: np.ndarray, n_groups: int) -> np.ndarray:
+def grouped_min(
+    values: np.ndarray, groups: Groups, n_groups: int | None = None
+) -> np.ndarray:
+    return _scatter(np.minimum, _INT64.max, values, groups, n_groups)
+
+
+def grouped_max(
+    values: np.ndarray, groups: Groups, n_groups: int | None = None
+) -> np.ndarray:
+    return _scatter(np.maximum, _INT64.min, values, groups, n_groups)
+
+
+def grouped_count(groups: Groups, n_groups: int | None = None) -> np.ndarray:
     """Exact per-group row counts."""
-    gids = np.asarray(gids, dtype=np.int64)
-    return np.bincount(gids, minlength=n_groups).astype(np.int64)
+    return _assignment(groups, n_groups).counts.astype(np.int64)
 
 
-def grouped_min(values: np.ndarray, gids: np.ndarray, n_groups: int) -> np.ndarray:
-    _check_aligned(values, gids, n_groups)
-    out = np.full(n_groups, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(out, gids, np.asarray(values, dtype=np.int64))
-    return out
-
-
-def grouped_max(values: np.ndarray, gids: np.ndarray, n_groups: int) -> np.ndarray:
-    _check_aligned(values, gids, n_groups)
-    out = np.full(n_groups, np.iinfo(np.int64).min, dtype=np.int64)
-    np.maximum.at(out, gids, np.asarray(values, dtype=np.int64))
-    return out
-
-
-def grouped_avg(values: np.ndarray, gids: np.ndarray, n_groups: int) -> np.ndarray:
+def grouped_avg(
+    values: np.ndarray, groups: Groups, n_groups: int | None = None
+) -> np.ndarray:
     """Exact per-group means as float64."""
-    sums = grouped_sum(values, gids, n_groups).astype(np.float64)
-    counts = grouped_count(gids, n_groups)
-    if bool((counts == 0).any()):
+    groups = _assignment(groups, n_groups)
+    sums = grouped_sum(values, groups).astype(np.float64)
+    if bool((groups.counts == 0).any()):
         raise ExecutionError("avg over an empty group")
-    return sums / counts
+    return sums / groups.counts
 
 
 def grouped_sum_interval(
-    bounds: IntervalColumn, gids: np.ndarray, n_groups: int
+    bounds: IntervalColumn, groups: Groups, n_groups: int | None = None
 ) -> list[Interval]:
     """Per-group strict sum bounds from per-row intervals (approximate sum)."""
-    lo = grouped_sum(bounds.lo, gids, n_groups)
-    hi = grouped_sum(bounds.hi, gids, n_groups)
+    groups = _assignment(groups, n_groups)
+    lo = grouped_sum(bounds.lo, groups)
+    # degenerate bounds: one array, one sum
+    hi = lo if bounds.hi is bounds.lo else grouped_sum(bounds.hi, groups)
     return [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
 
 
 def grouped_count_interval(
-    certain_mask: np.ndarray, gids: np.ndarray, n_groups: int
+    certain_mask: np.ndarray, groups: Groups, n_groups: int | None = None
 ) -> list[Interval]:
     """Per-group count bounds: certain rows ≤ count ≤ candidate rows."""
-    total = grouped_count(gids, n_groups)
-    certain = np.zeros(n_groups, dtype=np.int64)
-    np.add.at(certain, np.asarray(gids, dtype=np.int64)[certain_mask], 1)
+    groups = _assignment(groups, n_groups)
+    total = groups.counts
+    if certain_mask.all():
+        certain = total
+    else:
+        certain = np.bincount(groups.gids[certain_mask], minlength=groups.n_groups)
     return [Interval(float(a), float(b)) for a, b in zip(certain, total)]
 
 
-def _check_aligned(values: np.ndarray, gids: np.ndarray, n_groups: int) -> None:
-    values = np.asarray(values)
-    gids = np.asarray(gids)
-    if values.shape != gids.shape:
+def _assignment(groups: Groups, n_groups: int | None) -> GroupAssignment:
+    if n_groups is None:
+        return groups
+    return GroupAssignment(groups, n_groups, exact=True)
+
+
+def _scatter(ufunc, start: int, values, groups: Groups, n_groups) -> np.ndarray:
+    """``ufunc.at`` of ``values`` into one ``start``-valued slot per group."""
+    groups = _assignment(groups, n_groups)
+    values = np.asarray(values, dtype=np.int64)
+    if values.shape != groups.gids.shape:
         raise ExecutionError("values and group ids misaligned")
-    if gids.size and (int(gids.min()) < 0 or int(gids.max()) >= n_groups):
-        raise ExecutionError("group id out of range")
+    out = np.full(groups.n_groups, start, dtype=np.int64)
+    ufunc.at(out, groups.gids, values)
+    return out

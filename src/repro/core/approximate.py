@@ -87,17 +87,27 @@ def select_approx_narrow(
     surviving candidate ids (random access on the device).  Preserves the
     incoming candidate order, so translucent-join preconditions stay intact.
     """
-    lo_code, hi_code = relax_to_code_range(vrange, column.decomposition)
+    dec = column.decomposition
+    lo_code, hi_code = relax_to_code_range(vrange, dec)
+    # A second bound on a column the candidates already carry (``a >= x and
+    # a < y``): its codes are the major bits of the carried payload — no
+    # second random gather.
+    carried = candidates.payloads.get(label)
     keep_mask, codes = gpu.refine_positions_code_range(
         column, candidates.ids, lo_code, hi_code, timeline,
         op=f"select.approx.probe({label})",
+        precomputed_codes=(
+            None if carried is None
+            else (carried.lo - dec.base) >> dec.residual_bits
+        ),
     )
     # The probe's keep-mask narrows the candidates directly (no membership
     # recomputation) and its gathered codes feed the payload (one gather
-    # per conjunct, not two).
+    # per conjunct, not two); a carried payload was narrowed with the rest.
     narrowed = candidates.narrowed(keep_mask)
-    narrowed.payloads[label] = _payload_from_codes(column, codes[keep_mask])
-    narrowed.exact = narrowed.exact and column.decomposition.residual_bits == 0
+    if carried is None:
+        narrowed.payloads[label] = _payload_from_codes(column, codes[keep_mask])
+    narrowed.exact = narrowed.exact and dec.residual_bits == 0
     return narrowed
 
 

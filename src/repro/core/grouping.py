@@ -15,6 +15,7 @@ approximate group by the residual bits on the host.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from ..device.model import AccessPattern, OpClass
 from ..device.timeline import Timeline
 from ..errors import ExecutionError
 from ..storage.decompose import BwdColumn
+from ..util import unique_inverse
 from .candidates import Approximation
 
 _OID_BYTES = 8
@@ -32,7 +34,11 @@ _COMBINE_LIMIT = 1 << 62
 
 @dataclass
 class GroupAssignment:
-    """Group ids positionally aligned with a candidate set."""
+    """Group ids positionally aligned with a candidate set.
+
+    Both ends of the id range are checked here, once; the grouped kernels
+    of :mod:`repro.core.aggregates` take an assignment on trust.
+    """
 
     gids: np.ndarray
     n_groups: int
@@ -40,17 +46,24 @@ class GroupAssignment:
 
     def __post_init__(self) -> None:
         self.gids = np.asarray(self.gids, dtype=np.int64)
-        if self.gids.size and int(self.gids.max()) >= self.n_groups:
+        if self.gids.size and (
+            int(self.gids.min()) < 0 or int(self.gids.max()) >= self.n_groups
+        ):
             raise ExecutionError("group id out of range")
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Rows per group — counted once however many averages divide by it."""
+        return np.bincount(self.gids, minlength=self.n_groups)
 
 
 def combine_keys(gids: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, int]:
     """Fold one more key column into composite group ids.
 
-    Pairs ``(gid, code)`` are renumbered densely with ``np.unique``; the
-    intermediate pairing key must fit in 62 bits, which holds for any
-    realistic grouping (the paper argues high-cardinality groupings are
-    rare precisely because they are useless).
+    Pairs ``(gid, code)`` are renumbered densely in sorted-pair order
+    (:func:`~repro.util.unique_inverse`); the intermediate pairing key must
+    fit in 62 bits, which holds for any realistic grouping (the paper argues
+    high-cardinality groupings are rare precisely because they are useless).
     """
     codes = np.asarray(codes, dtype=np.int64)
     if codes.size == 0:
@@ -58,9 +71,8 @@ def combine_keys(gids: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, int]:
     span = int(codes.max()) + 1
     if int(gids.max(initial=0) + 1) * span >= _COMBINE_LIMIT:
         raise ExecutionError("composite grouping key exceeds 62 bits")
-    paired = gids * span + codes
-    uniques, new_gids = np.unique(paired, return_inverse=True)
-    return new_gids.astype(np.int64), len(uniques)
+    uniques, new_gids = unique_inverse(gids * span + codes)
+    return new_gids, len(uniques)
 
 
 def group_approx(
@@ -141,8 +153,8 @@ def group_refine(
     """Sub-divide approximate groups by host-resident residual bits.
 
     Rows sharing an approximate group id but differing in residuals belong
-    to different exact groups; one ``np.unique`` pass per residual column
-    renumbers them densely.  A no-op when the pre-grouping was exact.
+    to different exact groups; one :func:`combine_keys` pass per residual
+    column renumbers them densely.  A no-op when the pre-grouping was exact.
     """
     if assignment.exact:
         return assignment

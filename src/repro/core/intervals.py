@@ -59,35 +59,51 @@ class IntervalColumn:
     * an exact column → degenerate intervals (``lo == hi``),
     * a decomposed column's approximation codes → bucket bounds,
     * arithmetic on other interval columns → propagated bounds.
+
+    A column built from one array for both ends (``hi is lo``) is
+    *degenerate*: the ends share a single read-only array, so they cannot
+    come to disagree, exactness is known without looking at a value, and
+    arithmetic on such operands is one array operation (:meth:`_lift`).
+    Degeneracy is only ever read off that identity — two separate arrays
+    that happen to hold equal values take the general path.
     """
 
-    __slots__ = ("lo", "hi", "refinable")
+    __slots__ = ("lo", "hi", "refinable", "_exact")
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, *, refinable: bool) -> None:
+        degenerate = hi is lo
         lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        if lo.shape != hi.shape:
-            raise ExecutionError("interval bounds misaligned")
-        if lo.size and bool((lo > hi).any()):
-            raise ExecutionError("interval with lo > hi")
+        if degenerate:
+            lo = lo.view()
+            lo.flags.writeable = False
+            hi = lo
+        else:
+            hi = np.asarray(hi, dtype=np.int64)
+            if lo.shape != hi.shape:
+                raise ExecutionError("interval bounds misaligned")
+            if lo.size and bool((lo > hi).any()):
+                raise ExecutionError("interval with lo > hi")
         self.lo = lo
         self.hi = hi
         #: True while every row is error-free; multiplying two inexact
         #: columns is the destructive-distributivity case of §IV-G.
         self.refinable = refinable
+        self._exact = True if degenerate else None
 
     # ------------------------------------------------------------------
     @classmethod
     def exact(cls, values: np.ndarray) -> "IntervalColumn":
-        values = np.asarray(values, dtype=np.int64)
-        return cls(values, values.copy(), refinable=True)
+        return cls(values, values, refinable=True)
 
     @classmethod
     def from_bounds(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalColumn":
         lo = np.asarray(lo, dtype=np.int64)
         hi = np.asarray(hi, dtype=np.int64)
-        refinable = bool(np.array_equal(lo, hi))
-        return cls(lo, hi, refinable=refinable)
+        if np.array_equal(lo, hi):
+            return cls(lo, lo, refinable=True)
+        column = cls(lo, hi, refinable=False)
+        column._exact = False
+        return column
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -95,7 +111,9 @@ class IntervalColumn:
 
     @property
     def is_exact(self) -> bool:
-        return bool(np.array_equal(self.lo, self.hi))
+        if self._exact is None:
+            self._exact = bool(np.array_equal(self.lo, self.hi))
+        return self._exact
 
     @property
     def max_error(self) -> int:
@@ -105,27 +123,44 @@ class IntervalColumn:
 
     def take(self, positions: np.ndarray) -> "IntervalColumn":
         """Row subset by integer positions or a boolean keep-mask."""
-        return IntervalColumn(
-            self.lo[positions], self.hi[positions], refinable=self.refinable
-        )
+        lo = self.lo[positions]
+        hi = lo if self.hi is self.lo else self.hi[positions]
+        return IntervalColumn(lo, hi, refinable=self.refinable)
 
     # ------------------------------------------------------------------
     # Arithmetic (paper §IV-B: add/sub/mul/div, sqrt/power)
     # ------------------------------------------------------------------
+    def _lift(
+        self, point, bounds, *others: "IntervalColumn", refinable: bool
+    ) -> "IntervalColumn":
+        """Lift an operator on values to one on intervals.
+
+        Degenerate operands need no bounding: ``point`` applied to their
+        shared arrays is both ends of the result, which is degenerate
+        again.  Anything else evaluates ``bounds()`` → ``(lo, hi)``.
+        """
+        operands = (self, *others)
+        if all(c.hi is c.lo for c in operands):
+            value = point(*(c.lo for c in operands))
+            return IntervalColumn(value, value, refinable=refinable)
+        return IntervalColumn(*bounds(), refinable=refinable)
+
     def add(self, other: "IntervalColumn") -> "IntervalColumn":
-        return IntervalColumn(
-            self.lo + other.lo, self.hi + other.hi,
+        return self._lift(
+            np.add, lambda: (self.lo + other.lo, self.hi + other.hi), other,
             refinable=self.refinable and other.refinable,
         )
 
     def sub(self, other: "IntervalColumn") -> "IntervalColumn":
-        return IntervalColumn(
-            self.lo - other.hi, self.hi - other.lo,
+        return self._lift(
+            np.subtract, lambda: (self.lo - other.hi, self.hi - other.lo), other,
             refinable=self.refinable and other.refinable,
         )
 
     def neg(self) -> "IntervalColumn":
-        return IntervalColumn(-self.hi, -self.lo, refinable=self.refinable)
+        return self._lift(
+            np.negative, lambda: (-self.hi, -self.lo), refinable=self.refinable
+        )
 
     def mul(self, other: "IntervalColumn") -> "IntervalColumn":
         """Interval product: min/max over the four corner products.
@@ -134,15 +169,20 @@ class IntervalColumn:
         device-side data — the cross terms ``a_ap·b_re`` etc. need both
         operands on one device (destructive distributivity, §IV-G).
         """
-        p1 = self.lo * other.lo
-        p2 = self.lo * other.hi
-        p3 = self.hi * other.lo
-        p4 = self.hi * other.hi
-        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+        def corners() -> tuple[np.ndarray, np.ndarray]:
+            p1 = self.lo * other.lo
+            p2 = self.lo * other.hi
+            p3 = self.hi * other.lo
+            p4 = self.hi * other.hi
+            return (
+                np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
+                np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)),
+            )
+
         exact_inputs = self.is_exact and other.is_exact
-        return IntervalColumn(
-            lo, hi, refinable=exact_inputs and self.refinable and other.refinable
+        return self._lift(
+            np.multiply, corners, other,
+            refinable=exact_inputs and self.refinable and other.refinable,
         )
 
     def floordiv(self, other: "IntervalColumn") -> "IntervalColumn":
@@ -185,16 +225,18 @@ class IntervalColumn:
         )
 
     def add_scalar(self, value: int) -> "IntervalColumn":
-        return IntervalColumn(self.lo + value, self.hi + value, refinable=self.refinable)
+        return self._lift(
+            lambda lo: lo + value,
+            lambda: (self.lo + value, self.hi + value),
+            refinable=self.refinable,
+        )
 
     def mul_scalar(self, value: int) -> "IntervalColumn":
-        if value >= 0:
-            return IntervalColumn(
-                self.lo * value, self.hi * value, refinable=self.refinable
-            )
-        return IntervalColumn(
-            self.hi * value, self.lo * value, refinable=self.refinable
-        )
+        def bounds() -> tuple[np.ndarray, np.ndarray]:
+            ends = (self.lo * value, self.hi * value)
+            return ends if value >= 0 else ends[::-1]
+
+        return self._lift(lambda lo: lo * value, bounds, refinable=self.refinable)
 
     # ------------------------------------------------------------------
     # Aggregate bounds (used by approximate sum/avg/min/max)
@@ -202,7 +244,8 @@ class IntervalColumn:
     def sum_interval(self) -> Interval:
         if len(self) == 0:
             return Interval(0, 0)
-        return Interval(float(self.lo.sum()), float(self.hi.sum()))
+        lo = float(self.lo.sum())
+        return Interval(lo, lo if self.hi is self.lo else float(self.hi.sum()))
 
     def min_interval(self) -> Interval:
         if len(self) == 0:

@@ -18,6 +18,7 @@ import numpy as np
 from ..errors import DataNotResident
 from ..storage.bitpack import packed_nbytes
 from ..storage.decompose import BwdColumn
+from ..util import unique_inverse
 from .memory import MemoryPool
 from .model import AccessPattern, DeviceSpec, GTX_680, OpClass
 from .timeline import Timeline
@@ -49,12 +50,11 @@ def scrambled_like_parallel_scatter(positions: np.ndarray) -> np.ndarray:
     if n <= 1:
         return positions
     # Stable argsort of ``arange(n) % lanes`` enumerates each lane's rows in
-    # order — which is directly constructible as one strided slice per lane,
-    # O(n) instead of O(n log n).
-    order = np.concatenate(
-        [np.arange(lane, n, _SCATTER_LANES) for lane in range(min(_SCATTER_LANES, n))]
+    # order — which is one strided slice of the input per lane: O(n), and
+    # no index array to build and gather through.
+    return np.concatenate(
+        [positions[lane::_SCATTER_LANES] for lane in range(min(_SCATTER_LANES, n))]
     )
-    return positions[order]
 
 
 class SimulatedGPU:
@@ -186,6 +186,7 @@ class SimulatedGPU:
         hi_code: int,
         timeline: Timeline,
         op: str = "select.approx.probe",
+        precomputed_codes: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Secondary relaxed selection restricted to candidate ``positions``.
 
@@ -194,9 +195,17 @@ class SimulatedGPU:
         positional boolean keep-mask aligned with ``positions`` plus the
         gathered codes — callers narrow with the mask and reuse the codes
         instead of re-intersecting id arrays and re-gathering.
+
+        ``precomputed_codes`` (the column's codes at ``positions``, from a
+        caller that already holds them) skips the NumPy gather only; the
+        charge is a function of ``positions.size`` and the keep count, as
+        with :meth:`scan_code_range`'s ``precomputed_hits``.
         """
         self._require_resident(column)
-        codes = column.approx_at(positions).astype(np.int64)
+        if precomputed_codes is None:
+            codes = column.approx_at(positions).astype(np.int64)
+        else:
+            codes = precomputed_codes
         keep = (codes >= lo_code) & (codes <= hi_code)
         read = positions.size * _OID_BYTES
         self._charge(
@@ -251,7 +260,7 @@ class SimulatedGPU:
         aligned to the input.  The conflict model charges extra time when
         few groups force many parallel writers onto the same table entries.
         """
-        unique_codes, group_ids = np.unique(codes, return_inverse=True)
+        unique_codes, group_ids = unique_inverse(codes)
         n = codes.size
         groups = max(1, unique_codes.size)
         conflict_multiplier = 1.0 + _CONFLICT_SCALE / groups
@@ -260,7 +269,7 @@ class SimulatedGPU:
             AccessPattern.RANDOM, multiplier=conflict_multiplier,
             tuples=n, op_class=OpClass.HASH,
         )
-        return group_ids.astype(np.int64), unique_codes
+        return group_ids, unique_codes
 
     def minmax_candidates(
         self,

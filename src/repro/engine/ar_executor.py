@@ -55,7 +55,7 @@ from ..device.model import AccessPattern, OpClass
 from ..device.timeline import Timeline
 from ..errors import ExecutionError, PlanError
 from ..core.candidates import PairCandidates, RunPairCandidates
-from ..plan.expr import ColRef, Predicate
+from ..plan.expr import ColRef, Expr, Predicate
 from ..plan.logical import Aggregate, Query, ThetaJoin
 from ..plan.physical import (
     AllRows,
@@ -86,9 +86,14 @@ from ..plan.physical import (
 )
 from ..storage.catalog import Catalog
 from ..storage.decompose import BwdColumn
+from ..util import unique_inverse
 from .result import ApproximateAnswer, Result
 
 _OID_BYTES = 8
+_VALUE_KERNELS = {
+    "sum": agg_kernels.grouped_sum, "avg": agg_kernels.grouped_avg,
+    "min": agg_kernels.grouped_min, "max": agg_kernels.grouped_max,
+}
 
 
 class _ExecState:
@@ -98,7 +103,7 @@ class _ExecState:
         self.query = query
         self.catalog = catalog
         self.machine = machine
-        self.candidates: Approximation | None = None
+        self.candidates = None
         self.groups: GroupAssignment | None = None
         self.approximate = ApproximateAnswer()
         self.exact_aggregates: dict[str, np.ndarray] = {}
@@ -118,6 +123,27 @@ class _ExecState:
         # (starts, stops, order, order_key) from a fused sweep over the
         # shared right side.
         self.theta_runs: dict[int, tuple] | None = None
+
+    # Every operator hands its output back through the ``candidates`` setter,
+    # which drops what the aggregates memoized over the previous candidate
+    # set, so a memo never outlives the candidates it was computed from.
+    @property
+    def candidates(self) -> Approximation | None:
+        return self._candidates
+
+    @candidates.setter
+    def candidates(self, value: Approximation | None) -> None:
+        self._candidates = value
+        #: interval bounds of (sub-)expressions over the payloads
+        self.interval_memo: dict[Expr, IntervalColumn] = {}
+        #: rows certainly satisfying every predicate (``_certainty``)
+        self.certain: np.ndarray | None = None
+        #: the pre-grouping re-aligned by narrowing (``_candidate_groups``)
+        self.aligned_groups: GroupAssignment | None = None
+
+    def eval_interval(self, expr: Expr) -> IntervalColumn:
+        """Interval bounds of ``expr`` over the candidates' payloads."""
+        return expr.eval_interval(self.interval_resolver, self.interval_memo)
 
     # ------------------------------------------------------------------
     def pair_left_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +222,9 @@ class _ExecState:
             timeline, f"cpu.project({name})",
             items=len(values), item_bytes=width, source_rows=len(rel),
         )
-        self.candidates.payloads[name] = IntervalColumn.exact(values)
+        self.candidates = self.candidates.with_payload(
+            name, IntervalColumn.exact(values)
+        )
         return values
 
     def _fk_for(self, name: str) -> str:
@@ -332,8 +360,8 @@ class ArExecutor:
             state.groups = group_approx_from_keys(machine.gpu, tl, keyed)
             # Group ids ride along as a payload so that every subsequent
             # candidate narrowing (a translucent join) re-aligns them.
-            state.candidates.payloads["@gids"] = IntervalColumn.exact(
-                state.groups.gids
+            state.candidates = state.candidates.with_payload(
+                "@gids", IntervalColumn.exact(state.groups.gids)
             )
         elif isinstance(op, ApproxMinMaxPrune):
             self._minmax_prune(op.aggregate, state)
@@ -466,16 +494,6 @@ class ArExecutor:
     # ------------------------------------------------------------------
     # Aggregation (approximate side)
     # ------------------------------------------------------------------
-    def _device_predicates(self, state: _ExecState) -> list:
-        preds = []
-        for pred in state.query.where:
-            if all(
-                c in (state.candidates.payloads if state.candidates else {})
-                for c in pred.columns()
-            ):
-                preds.append(pred)
-        return preds
-
     def _certainty(self, state: _ExecState) -> np.ndarray:
         """Rows certainly satisfying every predicate, judged on the device.
 
@@ -483,14 +501,34 @@ class ArExecutor:
         uncertainty — their rows may yet be eliminated in refinement.
         """
         assert state.candidates is not None
-        n = len(state.candidates)
-        mask = np.ones(n, dtype=bool)
-        device_preds = self._device_predicates(state)
-        if len(device_preds) != len(state.query.where):
-            return np.zeros(n, dtype=bool)
-        for pred in device_preds:
-            mask &= pred.certain_mask(state.interval_resolver)
-        return mask
+        if state.certain is None:
+            payloads = state.candidates.payloads
+            where = state.query.where
+            decidable = all(c in payloads for pred in where for c in pred.columns())
+            state.certain = np.full(len(state.candidates), decidable)
+            if decidable:
+                for pred in where:
+                    state.certain &= pred.certain_mask(state.interval_resolver)
+        return state.certain
+
+    @staticmethod
+    def _candidate_groups(state: _ExecState) -> GroupAssignment:
+        """The pre-grouping aligned with the current candidates.
+
+        Group ids ride along as the ``@gids`` payload, so every narrowing
+        since the pre-grouping re-aligned them; a narrowed subset of checked
+        ids is checked once more here, then trusted by every kernel.
+        """
+        assert state.candidates is not None and state.groups is not None
+        if "@gids" not in state.candidates.payloads:
+            return state.groups
+        if state.aligned_groups is None:
+            state.aligned_groups = GroupAssignment(
+                gids=state.candidates.payload("@gids").lo,
+                n_groups=state.groups.n_groups,
+                exact=state.groups.exact,
+            )
+        return state.aligned_groups
 
     def _approx_aggregate(self, agg: Aggregate, state: _ExecState) -> None:
         assert state.candidates is not None
@@ -504,26 +542,24 @@ class ArExecutor:
             if not all(c in candidates.payloads for c in needed):
                 state.approximate.aggregates[agg.alias] = None
                 return
-            bounds = agg.expr.eval_interval(state.interval_resolver)
+            bounds = state.eval_interval(agg.expr)
         else:
             bounds = None  # counting needs no value bounds
         certain = self._certainty(state)
 
         grouped = state.groups is not None and state.query.group_by
         if grouped:
-            if "@gids" in candidates.payloads:
-                gids = candidates.payload("@gids").lo
-            else:
-                gids = state.groups.gids
-            n_groups = state.groups.n_groups
-            state.approximate.n_groups = n_groups
+            groups = self._candidate_groups(state)
+            state.approximate.n_groups = groups.n_groups
             if agg.func == "count":
-                out = agg_kernels.grouped_count_interval(certain, gids, n_groups)
+                out = agg_kernels.grouped_count_interval(certain, groups)
             elif agg.func == "sum":
-                out = self._grouped_sum_bounds(bounds, certain, gids, n_groups)
+                out = agg_kernels.grouped_sum_interval(
+                    self._vanishing(bounds, certain), groups
+                )
             elif agg.func in ("avg", "min", "max"):
-                lo = agg_kernels.grouped_min(bounds.lo, gids, n_groups)
-                hi = agg_kernels.grouped_max(bounds.hi, gids, n_groups)
+                lo = agg_kernels.grouped_min(bounds.lo, groups)
+                hi = agg_kernels.grouped_max(bounds.hi, groups)
                 out = [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
             else:  # pragma: no cover
                 raise ExecutionError(f"unknown aggregate {agg.func!r}")
@@ -535,7 +571,7 @@ class ArExecutor:
         elif n == 0:
             iv = Interval(0.0, 0.0) if agg.func == "sum" else None
         elif agg.func == "sum":
-            iv = self._sum_bounds(bounds, certain)
+            iv = self._vanishing(bounds, certain).sum_interval()
         elif agg.func == "avg":
             iv = Interval(float(bounds.lo.min()), float(bounds.hi.max()))
         elif agg.func == "min":
@@ -549,23 +585,21 @@ class ArExecutor:
         state.approximate.aggregates[agg.alias] = iv
 
     @staticmethod
-    def _sum_bounds(bounds: IntervalColumn, certain: np.ndarray) -> Interval:
-        """Sum bounds under candidacy uncertainty: uncertain rows may vanish."""
-        lo = bounds.lo.copy()
-        hi = bounds.hi.copy()
-        lo[~certain] = np.minimum(lo[~certain], 0)
-        hi[~certain] = np.maximum(hi[~certain], 0)
-        return Interval(float(lo.sum()), float(hi.sum()))
+    def _vanishing(bounds: IntervalColumn, certain: np.ndarray) -> IntervalColumn:
+        """Per-row sum contributions under candidacy uncertainty.
 
-    @staticmethod
-    def _grouped_sum_bounds(bounds, certain, gids, n_groups) -> list[Interval]:
+        An uncertain row may yet vanish in refinement, so its contribution
+        is hulled with 0; when every row is certain the bounds stand as
+        they are (and stay degenerate if they were).
+        """
+        if certain.all():
+            return bounds
+        uncertain = ~certain
         lo = bounds.lo.copy()
         hi = bounds.hi.copy()
-        lo[~certain] = np.minimum(lo[~certain], 0)
-        hi[~certain] = np.maximum(hi[~certain], 0)
-        lo_sums = agg_kernels.grouped_sum(lo, gids, n_groups)
-        hi_sums = agg_kernels.grouped_sum(hi, gids, n_groups)
-        return [Interval(float(a), float(b)) for a, b in zip(lo_sums, hi_sums)]
+        lo[uncertain] = np.minimum(lo[uncertain], 0)
+        hi[uncertain] = np.maximum(hi[uncertain], 0)
+        return IntervalColumn(lo, hi, refinable=False)
 
     def _minmax_prune(self, agg: Aggregate, state: _ExecState) -> None:
         assert state.candidates is not None and agg.expr is not None
@@ -575,7 +609,7 @@ class ArExecutor:
             return
         if len(state.candidates) == 0:
             return
-        bounds = agg.expr.eval_interval(state.interval_resolver)
+        bounds = state.eval_interval(agg.expr)
         certain = self._certainty(state)
         machine.gpu.reduce(len(state.candidates), tl, op=f"agg.minmax.prune({agg.alias})")
         if not certain.any():
@@ -787,17 +821,25 @@ class ArExecutor:
     def _refine_group(self, columns: tuple[str, ...], state: _ExecState) -> None:
         assert state.candidates is not None
         machine, tl = self._machine, state.timeline
-        n = len(state.candidates)
         device_grouped = (
             state.groups is not None and "@gids" in state.candidates.payloads
         )
+
+        def fold(site: str, c: str, gids: np.ndarray) -> np.ndarray:
+            """Sub-divide the groups by one more exact key column."""
+            keys = state.exact_resolver(c)
+            machine.cpu.charge(
+                tl, f"group.refine.{site}({c})",
+                len(keys) * (_OID_BYTES + _OID_BYTES),
+                tuples=len(keys), op_class=OpClass.HASH,
+                pattern=AccessPattern.RANDOM,
+            )
+            shifted = keys - int(keys.min()) if len(keys) else keys
+            return combine_keys(gids, shifted)[0]
+
         if device_grouped:
             # The pre-grouping's ids, re-aligned by the narrowing joins.
-            aligned = GroupAssignment(
-                gids=state.candidates.payload("@gids").lo,
-                n_groups=state.groups.n_groups,
-                exact=state.groups.exact,
-            )
+            aligned = self._candidate_groups(state)
             # Fact columns with residual bits sub-group via the residual
             # stream; dimension columns cannot (their residual lives at
             # dim positions) and are folded from their exact payloads below.
@@ -817,46 +859,25 @@ class ArExecutor:
             groups = group_refine(
                 machine.cpu, tl, aligned, residual_cols, state.candidates
             )
-            gids, n_groups = groups.gids, groups.n_groups
+            gids = groups.gids
             for c in exact_fold:
-                keys = state.exact_resolver(c)
-                machine.cpu.charge(
-                    tl, f"group.refine.dim({c})",
-                    len(keys) * (_OID_BYTES + _OID_BYTES),
-                    tuples=len(keys), op_class=OpClass.HASH,
-                    pattern=AccessPattern.RANDOM,
-                )
-                shifted = keys - int(keys.min()) if len(keys) else keys
-                gids, n_groups = combine_keys(gids, shifted)
+                gids = fold("dim", c, gids)
             device_cols = {c for c, _ in residual_cols} | {
                 c for c in columns if c in state.candidates.payloads
             }
         else:
-            gids = np.zeros(n, dtype=np.int64)
-            n_groups = min(1, n)
+            gids = np.zeros(len(state.candidates), dtype=np.int64)
             device_cols = set()
         # Fold in host-only grouping columns.
         for c in columns:
             if c in device_cols:
                 continue
-            keys = state.exact_resolver(c)
-            machine.cpu.charge(
-                tl, f"group.refine.host({c})",
-                len(keys) * (_OID_BYTES + _OID_BYTES),
-                tuples=len(keys), op_class=OpClass.HASH,
-                pattern=AccessPattern.RANDOM,
-            )
-            shifted = keys - int(keys.min()) if len(keys) else keys
-            gids, n_groups = combine_keys(gids, shifted)
+            gids = fold("host", c, gids)
         # Refinement may have emptied approximate groups: re-densify so the
-        # result has exactly the surviving groups.
-        if n:
-            _, gids = np.unique(gids, return_inverse=True)
-            gids = gids.astype(np.int64)
-            n_groups = int(gids.max()) + 1
-        else:
-            n_groups = 0  # nothing survived refinement: no groups at all
-        state.groups = GroupAssignment(gids=gids, n_groups=n_groups, exact=True)
+        # result has exactly the surviving groups (none at all when nothing
+        # survived).
+        uniques, gids = unique_inverse(gids)
+        state.groups = GroupAssignment(gids=gids, n_groups=len(uniques), exact=True)
 
     def _refine_aggregate(self, agg: Aggregate, state: _ExecState) -> None:
         assert state.candidates is not None
@@ -864,25 +885,22 @@ class ArExecutor:
         n = len(state.candidates)
         if state.query.group_by:
             assert state.groups is not None and state.groups.exact
-            gids, n_groups = state.groups.gids, state.groups.n_groups
+            groups = state.groups
         else:
-            gids = np.zeros(n, dtype=np.int64)
-            n_groups = min(1, n) if n else 1
+            groups = GroupAssignment(np.zeros(n, dtype=np.int64), 1, exact=True)
 
         if agg.func == "count":
             machine.cpu.charge(
                 tl, f"agg.count.refine({agg.alias})", n * _OID_BYTES,
                 tuples=n, op_class=OpClass.AGG,
             )
-            state.exact_aggregates[agg.alias] = agg_kernels.grouped_count(
-                gids, n_groups
-            )
+            state.exact_aggregates[agg.alias] = agg_kernels.grouped_count(groups)
             return
 
         assert agg.expr is not None
         bounds = None
         if all(c in state.candidates.payloads for c in agg.expr.columns()):
-            bounds = agg.expr.eval_interval(state.interval_resolver)
+            bounds = state.eval_interval(agg.expr)
         if bounds is not None and bounds.is_exact and state.candidates.exact:
             # All-device fast path: the approximate result is already exact
             # (no residuals anywhere); reuse it instead of recomputing.
@@ -899,24 +917,15 @@ class ArExecutor:
                 max(len(agg.expr.columns()), 1) * n * _OID_BYTES,
                 tuples=n * (1 + agg.expr.op_count()), op_class=OpClass.AGG,
             )
-        if n_groups == 0:
+        if groups.n_groups == 0:
             state.exact_aggregates[agg.alias] = np.array([], dtype=np.int64)
             return
-        if agg.func == "sum":
-            out = agg_kernels.grouped_sum(values, gids, n_groups)
-        elif agg.func == "avg":
-            out = agg_kernels.grouped_avg(values, gids, n_groups)
-        elif agg.func == "min":
-            if n == 0:
-                raise ExecutionError("min of an empty result")
-            out = agg_kernels.grouped_min(values, gids, n_groups)
-        elif agg.func == "max":
-            if n == 0:
-                raise ExecutionError("max of an empty result")
-            out = agg_kernels.grouped_max(values, gids, n_groups)
-        else:  # pragma: no cover
+        if agg.func in ("min", "max") and n == 0:
+            raise ExecutionError(f"{agg.func} of an empty result")
+        kernel = _VALUE_KERNELS.get(agg.func)
+        if kernel is None:  # pragma: no cover
             raise ExecutionError(f"unknown aggregate {agg.func!r}")
-        state.exact_aggregates[agg.alias] = out
+        state.exact_aggregates[agg.alias] = kernel(values, groups)
 
     # ------------------------------------------------------------------
     def _finalize(self, state: _ExecState) -> Result:
@@ -935,21 +944,15 @@ class ArExecutor:
                 approximate=state.approximate,
             )
 
+        n_groups = 1  # an ungrouped block is one row, even over no candidates
+        columns: dict[str, np.ndarray] = {}
         if query.group_by:
             assert state.groups is not None
             n_groups = state.groups.n_groups
-            gids = state.groups.gids
-        else:
-            n_groups = min(1, len(state.candidates)) if state.query.aggregates else 0
-            n_groups = 1
-            gids = np.zeros(len(state.candidates), dtype=np.int64)
-
-        columns: dict[str, np.ndarray] = {}
-        for name in query.group_by:
-            keys = state.exact_resolver(name)
-            out = np.zeros(n_groups, dtype=np.int64)
-            out[gids] = keys
-            columns[name] = out
+            for name in query.group_by:
+                out = np.zeros(n_groups, dtype=np.int64)
+                out[state.groups.gids] = state.exact_resolver(name)
+                columns[name] = out
         for agg in query.aggregates:
             columns[agg.alias] = state.exact_aggregates[agg.alias]
         return Result(

@@ -39,7 +39,23 @@ class Expr:
     def eval_exact(self, resolve: ExactResolver) -> np.ndarray:
         raise NotImplementedError
 
-    def eval_interval(self, resolve: IntervalResolver) -> IntervalColumn:
+    def eval_interval(
+        self, resolve: IntervalResolver, memo: dict | None = None
+    ) -> IntervalColumn:
+        """Error bounds of the expression over ``resolve``'s columns.
+
+        ``memo`` (expression → bounds) belongs to a caller that evaluates
+        several expressions over the *same* columns; every sub-expression
+        is then computed once and shared (nodes are value-hashable).
+        """
+        if memo is None:
+            return self._interval(resolve, None)
+        bounds = memo.get(self)
+        if bounds is None:
+            bounds = memo[self] = self._interval(resolve, memo)
+        return bounds
+
+    def _interval(self, resolve: IntervalResolver, memo: dict | None) -> IntervalColumn:
         raise NotImplementedError
 
     def columns(self) -> set[str]:
@@ -79,7 +95,7 @@ class ColRef(Expr):
     def eval_exact(self, resolve: ExactResolver) -> np.ndarray:
         return np.asarray(resolve(self.name), dtype=np.int64)
 
-    def eval_interval(self, resolve: IntervalResolver) -> IntervalColumn:
+    def _interval(self, resolve: IntervalResolver, memo: dict | None) -> IntervalColumn:
         return resolve(self.name)
 
     def columns(self) -> set[str]:
@@ -98,7 +114,7 @@ class Const(Expr):
     def eval_exact(self, resolve: ExactResolver) -> np.ndarray:
         return np.int64(self.value)  # broadcasting scalar
 
-    def eval_interval(self, resolve: IntervalResolver) -> IntervalColumn:
+    def _interval(self, resolve: IntervalResolver, memo: dict | None) -> IntervalColumn:
         # Length is unknown here; BinOp broadcasts scalars, so represent the
         # constant as a one-element exact column used via scalar ops.
         return IntervalColumn.exact(np.array([self.value]))
@@ -120,8 +136,8 @@ class Neg(Expr):
     def eval_exact(self, resolve: ExactResolver) -> np.ndarray:
         return -self.operand.eval_exact(resolve)
 
-    def eval_interval(self, resolve: IntervalResolver) -> IntervalColumn:
-        return self.operand.eval_interval(resolve).neg()
+    def _interval(self, resolve: IntervalResolver, memo: dict | None) -> IntervalColumn:
+        return self.operand.eval_interval(resolve, memo).neg()
 
     def columns(self) -> set[str]:
         return self.operand.columns()
@@ -154,10 +170,10 @@ class BinOp(Expr):
             return lhs - rhs
         return lhs * rhs
 
-    def eval_interval(self, resolve: IntervalResolver) -> IntervalColumn:
+    def _interval(self, resolve: IntervalResolver, memo: dict | None) -> IntervalColumn:
         # Constants fold into scalar operations to keep lengths aligned.
         if isinstance(self.right, Const):
-            lhs = self.left.eval_interval(resolve)
+            lhs = self.left.eval_interval(resolve, memo)
             c = self.right.value
             if self.op == "+":
                 return lhs.add_scalar(c)
@@ -165,15 +181,15 @@ class BinOp(Expr):
                 return lhs.add_scalar(-c)
             return lhs.mul_scalar(c)
         if isinstance(self.left, Const):
-            rhs = self.right.eval_interval(resolve)
+            rhs = self.right.eval_interval(resolve, memo)
             c = self.left.value
             if self.op == "+":
                 return rhs.add_scalar(c)
             if self.op == "-":
                 return rhs.neg().add_scalar(c)
             return rhs.mul_scalar(c)
-        lhs = self.left.eval_interval(resolve)
-        rhs = self.right.eval_interval(resolve)
+        lhs = self.left.eval_interval(resolve, memo)
+        rhs = self.right.eval_interval(resolve, memo)
         if self.op == "+":
             return lhs.add(rhs)
         if self.op == "-":
@@ -204,11 +220,11 @@ class Case(Expr):
         else_v = np.broadcast_to(self.otherwise.eval_exact(resolve), mask.shape)
         return np.where(mask, then_v, else_v).astype(np.int64)
 
-    def eval_interval(self, resolve: IntervalResolver) -> IntervalColumn:
+    def _interval(self, resolve: IntervalResolver, memo: dict | None) -> IntervalColumn:
         candidate = self.when.candidate_mask(resolve)
         certain = self.when.certain_mask(resolve)
-        then_iv = self.then.eval_interval(resolve)
-        else_iv = self.otherwise.eval_interval(resolve)
+        then_iv = self.then.eval_interval(resolve, memo)
+        else_iv = self.otherwise.eval_interval(resolve, memo)
         n = len(candidate)
         then_lo = np.broadcast_to(then_iv.lo, (n,)) if len(then_iv) != n else then_iv.lo
         then_hi = np.broadcast_to(then_iv.hi, (n,)) if len(then_iv) != n else then_iv.hi

@@ -74,3 +74,30 @@ def as_index_array(values: np.ndarray | list[int]) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"index array must be 1-D, got shape {arr.shape}")
     return arr
+
+
+def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` over int64 keys, sort-free
+    when it can be.
+
+    Group numbering everywhere is "rank among the sorted distinct keys".
+    When the keys span no more values than there are keys — dictionary
+    codes, dates and composite group ids always do — that rank is a running
+    count over a presence table, O(n + span); sparse keys are sorted,
+    O(n log n).  The switch reads only the keys, and both sides return the
+    same ``(sorted uniques, int64 inverse)``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.size == 0:
+        return keys, np.empty(0, dtype=np.int64)
+    lo = int(keys.min())
+    span = int(keys.max()) - lo + 1  # Python ints: a 2**64 span cannot wrap
+    if span > keys.size:
+        uniques, inverse = np.unique(keys, return_inverse=True)
+        return uniques, inverse.astype(np.int64, copy=False)
+    offsets = keys - lo
+    present = np.bincount(offsets, minlength=span) > 0
+    uniques = np.flatnonzero(present)
+    if uniques.size == span:  # every value occurs: offsets are the ranks
+        return uniques + lo, offsets
+    return uniques + lo, (np.cumsum(present) - 1)[offsets]

@@ -25,6 +25,7 @@ from repro.core.intervals import IntervalColumn
 from repro.device.machine import Machine
 from repro.errors import ExecutionError
 from repro.storage.decompose import decompose_values
+from repro.util import unique_inverse
 
 
 @pytest.fixture()
@@ -154,6 +155,60 @@ class TestGroupAssignmentValidation:
     def test_gid_range_checked(self):
         with pytest.raises(ExecutionError):
             GroupAssignment(gids=np.array([0, 3]), n_groups=2, exact=True)
+
+    def test_negative_gid_rejected(self):
+        """A negative id would index from the far end inside the kernels."""
+        with pytest.raises(ExecutionError, match="group id out of range"):
+            GroupAssignment(gids=np.array([1, -1]), n_groups=2, exact=True)
+        with pytest.raises(ExecutionError, match="group id out of range"):
+            grouped_count(np.array([-1]), 2)
+
+    def test_kernels_take_a_checked_assignment(self):
+        groups = GroupAssignment(gids=np.array([0, 1, 0]), n_groups=2, exact=True)
+        values = np.array([4, 5, 6])
+        assert np.array_equal(grouped_sum(values, groups), grouped_sum(values, groups.gids, 2))
+        assert np.array_equal(grouped_count(groups), [2, 1])
+        assert np.allclose(grouped_avg(values, groups), [5.0, 5.0])
+        with pytest.raises(ExecutionError, match="misaligned"):
+            grouped_min(values[:2], groups)
+
+
+_KEY_CASES = {
+    "empty": [],
+    "single": [42],
+    "all-equal": [7] * 9,
+    "negative": [-5, 3, -5, 0, -9, 3],
+    "span == n": [10, 13, 10, 12],  # 10..13 over 4 keys: presence table
+    "span == n + 1": [10, 14, 10, 12],  # 10..14 over 4 keys: sorted
+    "span 2**61": [0, 1 << 61, 5, 0],
+    "int64 ends": [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0],
+}
+
+
+class TestUniqueInverse:
+    @pytest.mark.parametrize("case", list(_KEY_CASES))
+    def test_equals_np_unique(self, case):
+        keys = np.array(_KEY_CASES[case], dtype=np.int64)
+        uniques, inverse = unique_inverse(keys)
+        want_u, want_i = np.unique(keys, return_inverse=True)
+        assert np.array_equal(uniques, want_u) and np.array_equal(inverse, want_i)
+        assert uniques.dtype == np.int64 and inverse.dtype == np.int64
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(0, 60),
+        spread=st.sampled_from([1, 3, 60, 61, 200, 1 << 40]),
+        offset=st.integers(-(1 << 40), 1 << 40),
+    )
+    def test_property_equals_np_unique_either_side_of_the_switch(
+        self, seed, n, spread, offset
+    ):
+        keys = np.random.default_rng(seed).integers(0, spread, n) + offset
+        uniques, inverse = unique_inverse(keys)
+        want_u, want_i = np.unique(keys, return_inverse=True)
+        assert np.array_equal(uniques, want_u) and np.array_equal(inverse, want_i)
+        assert np.array_equal(uniques[inverse], keys)
 
 
 class TestGroupedAggregates:

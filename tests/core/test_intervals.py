@@ -194,3 +194,119 @@ def test_property_sum_bounds_contain_concrete_sum(pairs, seed):
     )
     iv = c.sum_interval()
     assert iv.lo <= float(concrete.sum()) <= iv.hi
+
+
+# ----------------------------------------------------------------------
+# Degenerate columns: one shared array, same answers (PR 13)
+# ----------------------------------------------------------------------
+_INT64 = np.iinfo(np.int64)
+
+
+def _trees(n_leaves):
+    leaf = st.integers(0, n_leaves - 1).map(lambda i: ("leaf", i))
+    scalar = st.integers(-1000, 1000)
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(["add", "sub", "mul"]), children, children),
+            st.tuples(st.just("neg"), children),
+            st.tuples(st.sampled_from(["add_scalar", "mul_scalar"]), children, scalar),
+            st.tuples(st.just("take"), children, st.integers(0, 2**31 - 1)),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=6)
+
+
+def _evaluate(tree, leaves):
+    kind = tree[0]
+    if kind == "leaf":
+        return leaves[tree[1]]
+    operand = _evaluate(tree[1], leaves)
+    if kind in ("add", "sub", "mul"):
+        return getattr(operand, kind)(_evaluate(tree[2], leaves))
+    if kind == "neg":
+        return operand.neg()
+    if kind == "take":
+        n = len(operand)
+        return operand.take(np.random.default_rng(tree[2]).integers(0, n, n))
+    return getattr(operand, kind)(tree[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 16), tree=_trees(3))
+def test_property_aliased_and_unaliased_twins_agree(seed, n, tree):
+    """``hi is lo`` is a representation, not a different arithmetic: over the
+    whole int64 range (wrap-around included) it gives what two equal arrays
+    give through the general corner rules."""
+    values = np.random.default_rng(seed).integers(
+        _INT64.min, _INT64.max, size=(3, n), endpoint=True
+    )
+    aliased = _evaluate(tree, [IntervalColumn.exact(v) for v in values])
+    twin = _evaluate(
+        tree, [IntervalColumn(v, v.copy(), refinable=True) for v in values]
+    )
+    assert aliased.hi is aliased.lo and twin.hi is not twin.lo
+    assert not aliased.lo.flags.writeable
+    assert np.array_equal(aliased.lo, twin.lo)
+    assert np.array_equal(aliased.hi, twin.hi)
+    assert aliased.refinable == twin.refinable
+    assert aliased.is_exact and twin.is_exact
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 16),
+    op=st.sampled_from(["add", "sub", "mul"]),
+    degenerate_first=st.booleans(),
+)
+def test_property_degenerate_with_inexact_takes_the_corner_rules(
+    seed, n, op, degenerate_first
+):
+    rng = np.random.default_rng(seed)
+    point = IntervalColumn.exact(rng.integers(-10**6, 10**6, n))
+    lo = rng.integers(-10**6, 10**6, n)
+    wide = IntervalColumn.from_bounds(lo, lo + rng.integers(0, 1000, n))
+    a, b = (point, wide) if degenerate_first else (wide, point)
+    got = getattr(a, op)(b)
+    if op == "add":
+        want = (a.lo + b.lo, a.hi + b.hi)
+    elif op == "sub":
+        want = (a.lo - b.hi, a.hi - b.lo)
+    else:
+        corners = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
+        want = (np.minimum.reduce(corners), np.maximum.reduce(corners))
+    assert np.array_equal(got.lo, want[0]) and np.array_equal(got.hi, want[1])
+    assert got.refinable == wide.is_exact
+    assert got.is_exact == bool(np.array_equal(*want))
+
+
+class TestDegenerateRepresentation:
+    def test_exact_shares_one_read_only_array_and_leaves_the_source_alone(self):
+        source = np.array([3, 1, 2])
+        c = IntervalColumn.exact(source)
+        assert c.hi is c.lo and c.is_exact
+        with pytest.raises(ValueError):
+            c.lo[0] = 9
+        source[0] = 7  # the caller's array is not frozen, only our view of it
+        assert source.flags.writeable
+
+    def test_take_and_equal_bounds_stay_degenerate(self):
+        taken = IntervalColumn.exact(np.array([5, 6, 7])).take(np.array([True, False, True]))
+        assert taken.hi is taken.lo and not taken.lo.flags.writeable
+        equal = column([(4, 4), (9, 9)])
+        assert equal.hi is equal.lo and equal.refinable
+
+    def test_separate_arrays_are_still_validated(self):
+        c = IntervalColumn(np.array([1, 2]), np.array([1, 2]), refinable=True)
+        assert c.hi is not c.lo and c.is_exact
+        with pytest.raises(ExecutionError):
+            IntervalColumn(np.array([2]), np.array([1]), refinable=False)
+
+    def test_degenerate_sum_reads_one_array(self):
+        iv = IntervalColumn.exact(np.array([1, 2, 3])).sum_interval()
+        assert (iv.lo, iv.hi) == (6.0, 6.0)
+
+    def test_empty_column(self):
+        c = IntervalColumn.exact(np.empty(0, dtype=np.int64))
+        assert len(c) == 0 and c.is_exact and len(c.neg().mul(c)) == 0

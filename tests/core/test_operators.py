@@ -118,6 +118,35 @@ class TestSelectPair:
         refined = select_refine(machine.cpu, tl, col_b, "b", vr_b, refined)
         assert set(refined.ids) == set(truth)
 
+    @pytest.mark.parametrize("residual_bits", [0, 5])
+    def test_second_bound_on_a_carried_column_skips_the_gather_only(
+        self, machine, residual_bits
+    ):
+        """``a >= x and a < y``: the probe reads its codes off the payload the
+        candidates already carry; candidates, payload and charge are what a
+        gather (here: the same probe without the payload) produces."""
+        values = np.random.default_rng(3).integers(-300, 4_000, 3_000)
+        col = load(machine, values, residual_bits=residual_bits)
+        first, second = ValueRange(500, None), ValueRange(None, 2_000)
+
+        def probe(carry: bool):
+            tl = machine.new_timeline()
+            cand = select_approx(machine.gpu, tl, col, "a", first)
+            if not carry:
+                cand = Approximation(ids=cand.ids, exact=cand.exact)
+            return select_approx_narrow(machine.gpu, tl, col, "a", second, cand), tl
+
+        (carried, tl_carried), (gathered, tl_gathered) = probe(True), probe(False)
+        assert np.array_equal(carried.ids, gathered.ids)
+        for end in ("lo", "hi"):
+            assert np.array_equal(
+                getattr(carried.payload("a"), end), getattr(gathered.payload("a"), end)
+            )
+        assert carried.exact == gathered.exact == (residual_bits == 0)
+        assert tl_carried.span_tuples() == tl_gathered.span_tuples()
+        payload = carried.payload("a")
+        assert (payload.hi is payload.lo) == (residual_bits == 0)
+
     def test_empty_result(self, machine):
         values = np.arange(100)
         col = load(machine, values, residual_bits=3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.device.gpu import SimulatedGPU
+from repro.device.gpu import SimulatedGPU, scrambled_like_parallel_scatter
 from repro.device.machine import Machine
 from repro.device.model import DeviceSpec
 from repro.device.timeline import Timeline
@@ -111,6 +111,18 @@ class TestScanKernels:
         col = loaded_column(gpu, values, residual_bits=3)
         t = Timeline()
         assert np.array_equal(gpu.full_scan_codes(col, t), col.approx_codes())
+
+
+class TestScatterOrder:
+    @pytest.mark.parametrize("n", [0, 1, 2, 60, 61, 62, 122, 1000])
+    def test_lane_major_permutation(self, n):
+        """Rows come out lane by lane (61 lanes), each lane in input order —
+        the stable sort of ``arange(n) % 61`` the scatter model is defined by."""
+        positions = np.arange(n, dtype=np.int64) * 3 + 1
+        order = np.argsort(np.arange(n) % 61, kind="stable")
+        assert np.array_equal(
+            scrambled_like_parallel_scatter(positions), positions[order]
+        )
 
 
 class TestGroupingKernel:

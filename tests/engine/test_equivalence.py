@@ -156,6 +156,23 @@ class TestSelectionEquivalence:
         ar, classic = assert_equivalent(session, q)
         assert classic.scalar("n") == 0
 
+    @pytest.mark.parametrize("bits", [24, 32])
+    def test_ungrouped_aggregates_over_zero_candidates(self, bits):
+        """No candidate survives, yet an ungrouped block still has its one row."""
+        session = make_session(decompose_bits=(bits, bits, 32))
+        q = Query(
+            table="fact",
+            where=(Predicate(ColRef("a"), ValueRange(10**6, None)),),
+            aggregates=(
+                Aggregate("count", None, "n"),
+                Aggregate("sum", ColRef("b"), "s"),
+            ),
+        )
+        ar, classic = assert_equivalent(session, q)
+        assert ar.approximate.candidate_rows == 0
+        assert ar.row_count == 1
+        assert (ar.scalar("n"), ar.scalar("s")) == (0, 0)
+
 
 class TestAggregateEquivalence:
     def test_sum_avg_min_max(self):
