@@ -10,7 +10,9 @@ pipeline; a builder-path ``count(*)`` over the large band join that
 *asserts* the aggregate-only fast path never materializes a pair), a
 TPC-H Q6-shaped A&R run at ≥ 1M lineitem rows, TPC-H Q1 on the same
 session (the one grouped query: 8 aggregates over 4 groups of ~1M
-candidates, every column device-resident), and the
+candidates, every column device-resident), ``ingest.compact.wm4k`` (a
+4 096-row delta folded into a 1M-row column plus the first fused scan
+after it), and the
 ``serve.throughput.*`` family: the same mixed selection-query set pushed
 through the multi-query scheduler at batch widths 1/4/16, so
 ``b1 / b16`` is the measured batching speedup (PR 5's acceptance
@@ -133,9 +135,12 @@ INGEST_QUERIES = 100
 QUICK_INGEST_QUERIES = 20
 INGEST_WRITE_ROWS = 256
 
-#: Per-PR trajectory file; older PRs' files (BENCH_PR1..PR9) are kept as
+#: Rows per ingest.compact.wm4k delta (the e2e ``serve.mixed`` watermark).
+COMPACT_DELTA_ROWS = 4_096
+
+#: Per-PR trajectory file; older PRs' files (BENCH_PR1..PR13) are kept as
 #: recorded history and compared against via ``--compare``.
-_RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR13.json"
+_RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR14.json"
 
 #: The opt.pick.theta fixture's small right side: under the heuristic's
 #: sort cutoff, so "before" (the heuristic) brute-forces while "after"
@@ -237,6 +242,7 @@ class _Fixtures:
         self._shard: dict[int, tuple] = {}
         self._opt: Session | None = None
         self._ingest: tuple | None = None
+        self._compact: tuple | None = None
 
     def opt_workload(self) -> Session:
         """Session for the opt.pick.* entries (PR 8), built lazily.
@@ -314,6 +320,18 @@ class _Fixtures:
             run_once(session, ranges, max_batch=16)
             self._ingest = (session, ranges)
         return self._ingest
+
+    def compact_workload(self) -> tuple:
+        """Session, one fused batch of windows and a delta generator for
+        ``ingest.compact.wm4k``; its own session because every run grows
+        the table.  Warmed so the sort permutation and sorted codes are
+        resident, as on a server that has been answering fused batches."""
+        if self._compact is None:
+            session = build_serve_session(self.n_rows)
+            ranges = query_ranges(self.n_rows, 16)
+            run_once(session, ranges, max_batch=16)
+            self._compact = (session, ranges, np.random.default_rng(31))
+        return self._compact
 
     def shard_workload(self, n_shards: int) -> tuple:
         """A sharded session at ``n_shards`` + the narrow query set.
@@ -514,6 +532,21 @@ def _run_ingest_mixed(
     session.compact("events")
 
 
+def _run_compact_wm4k(fx: _Fixtures) -> None:
+    """Fold a 4 096-row delta into the column, then serve one fused batch.
+
+    Compaction plus the first fused scan after it, because that scan pays
+    for whatever derived data compaction dropped: timing ``compact`` alone
+    would call a rebuild cheap that leaves a full ``argsort`` behind.
+    """
+    session, ranges, rng = fx.compact_workload()
+    session.append(
+        "events", {"value": rng.integers(0, fx.n_rows, size=COMPACT_DELTA_ROWS)}
+    )
+    session.compact("events")
+    run_once(session, ranges, max_batch=16)
+
+
 def _run_obs_overhead(fx: _Fixtures, traced: bool) -> None:
     """The b16 serve workload with tracing off vs a live Tracer attached.
 
@@ -607,6 +640,9 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         "ingest.mixed.wm10k": lambda: _run_ingest_mixed(
             fx, 10_000, strawman=opt_baseline
         ),
+        # Incremental compaction (PR 14): identical under either flag; the
+        # before point comes from the parent checkout.
+        "ingest.compact.wm4k": lambda: _run_compact_wm4k(fx),
         # Observability overhead (PR 10): same serve workload untraced vs
         # with a Tracer attached; on/off is the measured span-capture cost.
         "obs.overhead.off": lambda: _run_obs_overhead(fx, traced=False),

@@ -58,6 +58,9 @@ class Session:
         self._plan_cache = PlanCache()
         #: Observability sink; ``None`` keeps tracing fully disabled.
         self.tracer = None
+        #: Column -> why the latest table compaction rebuilt it instead of
+        #: extending it (empty: every column was extended).
+        self.last_compaction: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Observability (PR 10)

@@ -140,7 +140,7 @@ def render_trace(qt) -> str:
             interesting = {
                 k: v for k, v in rec.args.items()
                 if k in ("error", "attempt", "shard", "hedge", "phase",
-                         "cached", "queries", "rows")
+                         "cached", "queries", "rows", "path", "rebuilt")
             }
             if interesting:
                 extra = "  " + ", ".join(

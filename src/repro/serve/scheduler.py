@@ -416,8 +416,13 @@ class Scheduler:
                     with qt.span(
                         "ingest.compact", track="ingest",
                         table=table, rows=rows,
-                    ):
+                    ) as rec:
                         self.session.compact(table)
+                        rebuilt = self.session.last_compaction
+                        if rebuilt:
+                            rec.args.update(path="rebuild", rebuilt=rebuilt)
+                        else:
+                            rec.args["path"] = "extend"
                 self.stats.compactions += 1
             finally:
                 self._write_intents.discard(table)

@@ -30,7 +30,8 @@ from ..engine.cooperative import (
     cooperative_pass_seconds,
     cooperative_scan_hits,
 )
-from ..errors import ReproError
+from ..errors import ExecutionError, ReproError
+from ..ingest.union import delta_tables
 from ..obs import trace as obs_trace
 from ..plan.physical import ApproxScanSelect
 from ..serve.scheduler import AdmissionPolicy, Scheduler, _Pending
@@ -128,6 +129,19 @@ class ShardScheduler(Scheduler):
             self.stats.memory_splits += 1
         for pending in batch:
             pending.handle._begin()
+        if self.session.catalog.tables_with_delta():
+            # The per-shard fused pass sees base rows only; members whose
+            # tables hold delta take the solo path, which unions it in.
+            keep: list[_Pending] = []
+            for pending in batch:
+                if self._reads_delta(pending):
+                    self._run_solo(pending)
+                else:
+                    keep.append(pending)
+            batch = keep
+            if not batch:
+                self._maybe_compact()
+                return
         kind = batch[0].group[0][0]
         if (
             kind == "scan"
@@ -150,6 +164,13 @@ class ShardScheduler(Scheduler):
                 self.stats.shared_right_batches += 1
             for pending in batch:
                 self._run_solo(pending)
+        self._maybe_compact()
+
+    def _reads_delta(self, pending: _Pending) -> bool:
+        try:
+            return bool(delta_tables(pending.query, self.session.catalog))
+        except ExecutionError:
+            return True  # dim-delta rejection: surface it on the solo path
 
     def _run_sharded_plan(self, pending: _Pending, plan, scan_hits=None):
         """Execute an already-lowered ShardedPlan for one pending query."""

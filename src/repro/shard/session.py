@@ -46,6 +46,9 @@ class ShardedSession:
             self.sharded_catalog, retry_policy=retry_policy
         )
         self.tracer = None
+        #: Column -> why the latest table compaction rebuilt it (always:
+        #: a sharded compaction re-cuts the bands).
+        self.last_compaction: dict[str, str] = {}
 
     def attach_tracer(self, tracer) -> None:
         """Attach an :class:`~repro.obs.trace.Tracer` (None detaches)."""
@@ -210,6 +213,7 @@ class ShardedSession:
         # The DDL replay above went through bwdecompose (each call bumps);
         # a committed compaction must read as exactly one epoch step.
         gcat._epoch = epoch_before + 1
+        self.last_compaction = {c: "re-sharded" for c, _ in args_list}
         return n
 
     def _query_with_delta(

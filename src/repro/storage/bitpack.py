@@ -99,18 +99,13 @@ def _lane_shifts(bits: int) -> np.ndarray:
     return (np.arange(per_word, dtype=np.uint64) * np.uint64(bits))
 
 
-def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Pack non-negative integer ``codes`` into a dense ``uint64`` stream.
-
-    ``codes`` may be any integer dtype; every value must fit in ``bits``
-    bits.  Returns the packed word array (possibly empty).
-    """
+def _checked_codes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """``codes`` as a 1-D ``uint64`` array, every value fitting ``bits`` bits."""
     check_bits(bits)
     codes = np.ascontiguousarray(codes)
     if codes.ndim != 1:
         raise BitWidthError(f"codes must be 1-D, got shape {codes.shape}")
-    n = codes.shape[0]
-    if n == 0:
+    if codes.shape[0] == 0:
         return np.empty(0, dtype=np.uint64)
     if codes.dtype.kind not in "iu":
         raise BitWidthError(f"codes must be integers, got dtype {codes.dtype}")
@@ -119,6 +114,19 @@ def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
     as_u64 = codes.astype(np.uint64, copy=False)
     if bits < _WORD_BITS and bool((as_u64 > np.uint64(mask(bits))).any()):
         raise BitWidthError(f"a code does not fit in {bits} bits")
+    return as_u64
+
+
+def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Pack non-negative integer ``codes`` into a dense ``uint64`` stream.
+
+    ``codes`` may be any integer dtype; every value must fit in ``bits``
+    bits.  Returns the packed word array (possibly empty).
+    """
+    as_u64 = _checked_codes(codes, bits)
+    n = as_u64.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.uint64)
 
     n_words = packed_nbytes(n, bits) // 8
 
@@ -181,6 +189,33 @@ def _pack_tail(words: np.ndarray, codes: np.ndarray, bits: int) -> None:
     if bool(spills.any()):
         hi = codes[spills] >> (np.uint64(_WORD_BITS) - offset[spills])
         words[word_idx[spills] + 1] |= hi
+
+
+def append_codes(
+    words: np.ndarray, bits: int, count: int, codes: np.ndarray
+) -> np.ndarray:
+    """The packed stream of ``count`` codes extended by ``codes``.
+
+    Equal to ``pack_codes(concatenate([unpack_codes(words, bits, count),
+    codes]), bits)`` while re-packing only from the last period boundary:
+    the word and code grids realign every ``lcm(bits, 64)`` bits, so the
+    words before it are copied as they are and at most 63 carried codes are
+    decoded and packed again in front of the new ones.  ``words`` is not
+    written to.
+    """
+    new = _checked_codes(codes, bits)
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    if words.nbytes < packed_nbytes(count, bits):  # rejects count < 0 itself
+        raise BitWidthError(
+            f"packed stream too short: {words.nbytes} bytes for "
+            f"{count} codes of {bits} bits"
+        )
+    period_words, codes_per_period = _lane_table(bits)[:2]
+    periods = count // codes_per_period
+    kept = periods * period_words
+    carried = unpack_codes(words[kept:], bits, count - periods * codes_per_period)
+    tail = pack_codes(np.concatenate([carried, new]), bits)
+    return np.concatenate([words[:kept], tail])
 
 
 def unpack_codes(words: np.ndarray, bits: int, count: int) -> np.ndarray:

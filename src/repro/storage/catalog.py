@@ -118,19 +118,30 @@ class Catalog:
         return bwd
 
     def register_decomposition(
-        self, table: str, column: str, bwd: BwdColumn
+        self, table: str, column: str, bwd: BwdColumn,
+        *, histogram: "CodeHistogram | None" = None,
     ) -> BwdColumn:
         """Register an externally built decomposition for ``table.column``.
 
         The sharding layer decomposes each shard's rows under the *global*
         decomposition plan (so per-shard codes equal global codes at the
         shard's rows) and registers the result here, where the planner and
-        executors expect to find it.
+        executors expect to find it.  A histogram cached for the replaced
+        column is stale and dropped; ``histogram`` installs the caller's
+        ready one for ``bwd`` in its place (compaction carries it forward,
+        :meth:`CodeHistogram.extended`).
         """
         self.table(table)  # fail fast on unknown tables
-        self._decomposed[(table, column)] = bwd
-        self._histograms.pop((table, column), None)  # stale under new split
+        key = (table, column)
+        self._decomposed[key] = bwd
+        self._histograms.pop(key, None)  # stale under new split
+        if histogram is not None:
+            self._histograms[key] = histogram
         return bwd
+
+    def cached_histogram(self, table: str, column: str) -> "CodeHistogram | None":
+        """The histogram :meth:`histogram_of` holds, if it was ever built."""
+        return self._histograms.get((table, column))
 
     def histogram_of(self, table: str, column: str) -> "CodeHistogram":
         """Code histogram of a decomposed column, built lazily and cached.

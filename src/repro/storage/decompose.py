@@ -28,6 +28,7 @@ import numpy as np
 from ..errors import DecompositionError
 from ..util import bits_for_range, mask
 from .bitpack import (
+    append_codes,
     gather_codes,
     pack_codes,
     packed_nbytes,
@@ -106,13 +107,37 @@ class Decomposition:
         """Largest exact value covered by approximation ``code``."""
         return self.value_floor(code) + self.max_error
 
+    def plan_change(self, values: np.ndarray) -> str | None:
+        """Which side of this domain ``values`` leave, if any.
+
+        ``"base"`` when a value falls below the base, ``"width"`` when one
+        needs more than ``total_bits`` above it, ``None`` when every value
+        has a code here (:meth:`split` accepts exactly those) — decided
+        from the minimum and maximum of ``values`` alone.
+
+        For the decomposition :func:`plan_decomposition` chose for a
+        column's current rows (``base`` their minimum, ``total_bits``
+        tight — what :meth:`Catalog.decompose` and compaction register)
+        this is also what appending ``values`` would change in the plan:
+        replayed under the same arguments over the rows followed by
+        ``values``, it comes out as this decomposition again exactly on
+        ``None``.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if values.size == 0:
+            return None
+        if int(values.min()) < self.base:
+            return "base"
+        if bits_for_range(int(values.max()) - self.base) > self.total_bits:
+            return "width"
+        return None
+
     def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized value → (approx_code, residual)."""
-        offsets = np.asarray(values, dtype=np.int64) - self.base
-        if len(offsets) and (
-            int(offsets.min()) < 0 or bits_for_range(int(offsets.max())) > self.total_bits
-        ):
+        values = np.asarray(values, dtype=np.int64)
+        if self.plan_change(values) is not None:
             raise DecompositionError("value outside the decomposition's domain")
+        offsets = values - self.base
         approx = (offsets >> self.residual_bits).astype(np.uint64)
         residual = (offsets & mask(self.residual_bits)).astype(np.uint64)
         return approx, residual
@@ -443,16 +468,16 @@ class BwdColumn:
 
     __slots__ = (
         "decomposition", "length", "_approx_words", "_residual_words",
-        "_approx_cache", "_approx_i64_cache", "_residual_cache",
+        "_approx_cache", "_residual_cache",
         "_perm_approx_cache", "_perm_exact_cache", "_sorted_codes_cache",
         "__weakref__",
     )
 
-    #: Cache attributes with a per-segment rebuild (decoded or derived code
+    #: Cache attributes with a per-segment rebuild (the decoded code
     #: streams): the view budget may evict them segment-granularly.  Sort
     #: permutations and the sorted-code view are global functions of the
     #: whole column and stay whole-view entries.
-    SEGMENTED_VIEWS = ("_approx_cache", "_approx_i64_cache", "_residual_cache")
+    SEGMENTED_VIEWS = ("_approx_cache", "_residual_cache")
 
     def __init__(
         self,
@@ -466,7 +491,6 @@ class BwdColumn:
         self._approx_words = approx_words
         self._residual_words = residual_words
         self._approx_cache: np.ndarray | _PartialView | None = None
-        self._approx_i64_cache: np.ndarray | _PartialView | None = None
         self._residual_cache: np.ndarray | _PartialView | None = None
         self._perm_approx_cache: np.ndarray | None = None
         self._perm_exact_cache: np.ndarray | None = None
@@ -487,11 +511,69 @@ class BwdColumn:
         col = cls(decomposition, len(values), approx_words, residual_words)
         # The split already decoded both streams — seed the code views for
         # free instead of unpacking them again on first use.
-        col._approx_cache = _frozen(approx)
-        _VIEW_BUDGET.note(col, "_approx_cache", approx)
+        col._seed("_approx_cache", approx)
         if decomposition.residual_bits:
-            col._residual_cache = _frozen(residual)
-            _VIEW_BUDGET.note(col, "_residual_cache", residual)
+            col._seed("_residual_cache", residual)
+        return col
+
+    def extended(self, values: np.ndarray) -> "BwdColumn":
+        """A new column: this column's rows followed by ``values``.
+
+        Equal to ``from_values`` over the concatenation under this column's
+        decomposition (``values`` must lie in its domain, see
+        :meth:`Decomposition.plan_change`) — packed words, decoded views,
+        sort permutations and sorted codes alike — at the cost of the
+        appended rows plus one copy of what is carried: the packed streams
+        are re-packed from their last period boundary only, fully resident
+        decoded views are concatenated with the split of ``values``, and a
+        resident sort permutation takes the new rows by a stable merge into
+        its sorted keys — the resident sorted codes for ``"lo"`` (merged
+        alongside), the values gathered in sorted order for ``"exact"``.
+        Views that are absent or partially evicted here, and a ``"lo"``
+        permutation without its sorted codes, stay absent there and rebuild
+        lazily.  This column is left as it was.
+        """
+        dec = self.decomposition
+        approx, residual = dec.split(values)
+        n = self.length
+        col = type(self)(
+            dec, n + len(approx),
+            append_codes(self._approx_words, max(dec.approx_bits, 1), n, approx),
+            append_codes(self._residual_words, dec.residual_bits, n, residual)
+            if dec.residual_bits else None,
+        )
+        # Captured first: registering a view below may evict any of these
+        # from this column's slots, but never invalidates a held array.
+        decoded = (
+            ("_approx_cache", self._approx_cache, approx),
+            ("_residual_cache", self._residual_cache, residual),
+        )
+        perm_lo, sorted_lo = self._perm_approx_cache, self._sorted_codes_cache
+        perm_exact = self._perm_exact_cache
+
+        def merge(attr, perm, ordered, keys):
+            # Old rows precede the new ones among equal keys, so inserting
+            # the stably sorted new rows after their equals is the stable
+            # argsort of the concatenation.
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            at = np.searchsorted(ordered, keys, side="right")
+            col._seed(attr, np.insert(perm, at, n + order))
+            return at, keys
+
+        for attr, view, tail in decoded:
+            if isinstance(view, np.ndarray):
+                col._seed(attr, np.concatenate([view, tail]))
+        if perm_lo is not None and sorted_lo is not None:
+            at, keys = merge(
+                "_perm_approx_cache", perm_lo, sorted_lo, approx.view(np.int64)
+            )
+            col._seed("_sorted_codes_cache", np.insert(sorted_lo, at, keys))
+        if perm_exact is not None:
+            merge(
+                "_perm_exact_cache", perm_exact, self.reconstruct(perm_exact),
+                np.asarray(values, dtype=np.int64),
+            )
         return col
 
     # ------------------------------------------------------------------
@@ -513,68 +595,49 @@ class BwdColumn:
         return self.decomposition.residual_bits > 0
 
     # ------------------------------------------------------------------
-    def _assembled(
-        self, attr: str, partial: "_PartialView", rebuild_segment, dtype
-    ) -> np.ndarray:
-        """Reassemble a partially evicted view: keep resident segments,
-        re-derive only the holes — the payoff of segment-granular eviction.
-
-        ``partial`` is the caller's captured view object: rebuilding may
-        itself trigger evictions that clear the column's cache slot, but
-        the captured object stays valid (eviction only nulls its ``parts``
-        entries, which the loop below rebuilds anyway).
-        """
-        full = np.empty(self.length, dtype=dtype)
-        for seg, (a, b) in enumerate(_VIEW_BUDGET.segments_of(self.length)):
-            part = partial.parts[seg]
-            if part is not None:
-                full[a:b] = part
-            else:
-                full[a:b] = rebuild_segment(a, b)
-        view = _frozen(full)
-        setattr(self, attr, view)
+    def _seed(self, attr: str, view: np.ndarray) -> np.ndarray:
+        """Install a freshly built full view: read-only, budget-registered."""
+        setattr(self, attr, _frozen(view))
         _VIEW_BUDGET.note(self, attr, view)
         return view
 
-    def approx_codes(self) -> np.ndarray:
-        """Decoded approximation stream (read-only, memoized)."""
-        view = self._approx_cache
-        bits = max(self.decomposition.approx_bits, 1)
+    def _decoded(self, attr: str, words: np.ndarray, bits: int) -> np.ndarray:
+        """The memoized decoded view of one packed stream (read-only)."""
+        view = getattr(self, attr)
         if isinstance(view, np.ndarray):
-            _VIEW_BUDGET.touch(self, "_approx_cache")
+            _VIEW_BUDGET.touch(self, attr)
             return view
         if view is None:
-            view = _frozen(unpack_codes(self._approx_words, bits, self.length))
-            self._approx_cache = view
-            _VIEW_BUDGET.note(self, "_approx_cache", view)
-            return view
-        return self._assembled(
-            "_approx_cache", view,
-            lambda a, b: unpack_codes_range(self._approx_words, bits, a, b),
-            np.uint64,
+            return self._seed(attr, unpack_codes(words, bits, self.length))
+        # Partially evicted: keep resident segments, re-decode only the
+        # holes — the payoff of segment-granular eviction.  ``view`` stays
+        # valid even if rebuilding evicts more of it (eviction only nulls
+        # ``parts`` entries, which this loop decodes anyway).
+        full = np.empty(self.length, dtype=np.uint64)
+        for seg, (a, b) in enumerate(_VIEW_BUDGET.segments_of(self.length)):
+            part = view.parts[seg]
+            full[a:b] = (
+                part if part is not None
+                else unpack_codes_range(words, bits, a, b)
+            )
+        return self._seed(attr, full)
+
+    def approx_codes(self) -> np.ndarray:
+        """Decoded approximation stream (read-only, memoized)."""
+        return self._decoded(
+            "_approx_cache", self._approx_words,
+            max(self.decomposition.approx_bits, 1),
         )
 
     def approx_codes_i64(self) -> np.ndarray:
-        """Decoded approximation stream as signed ints (read-only, memoized).
+        """Decoded approximation stream as signed ints (read-only).
 
-        The comparison dtype of every scan kernel; caching it here removes
-        one O(n) ``astype`` copy per predicate evaluation.
+        The comparison dtype of every scan kernel.  Reinterpreting the
+        memoized ``uint64`` view is bit for bit what an ``astype`` copy
+        returns for every ``uint64``, so the signed stream costs no memory
+        of its own.
         """
-        view = self._approx_i64_cache
-        if isinstance(view, np.ndarray):
-            _VIEW_BUDGET.touch(self, "_approx_i64_cache")
-            return view
-        if view is None:
-            view = _frozen(self.approx_codes().astype(np.int64))
-            self._approx_i64_cache = view
-            _VIEW_BUDGET.note(self, "_approx_i64_cache", view)
-            return view
-        codes = self.approx_codes()  # one touch, not one per hole segment
-        return self._assembled(
-            "_approx_i64_cache", view,
-            lambda a, b: codes[a:b].astype(np.int64),
-            np.int64,
-        )
+        return self.approx_codes().view(np.int64)
 
     def approx_at(self, positions: np.ndarray) -> np.ndarray:
         """Random-access approximation codes (device-side gather)."""
@@ -593,20 +656,7 @@ class BwdColumn:
         bits = self.decomposition.residual_bits
         if bits == 0:
             return np.zeros(self.length, dtype=np.uint64)
-        view = self._residual_cache
-        if isinstance(view, np.ndarray):
-            _VIEW_BUDGET.touch(self, "_residual_cache")
-            return view
-        if view is None:
-            view = _frozen(unpack_codes(self._residual_words, bits, self.length))
-            self._residual_cache = view
-            _VIEW_BUDGET.note(self, "_residual_cache", view)
-            return view
-        return self._assembled(
-            "_residual_cache", view,
-            lambda a, b: unpack_codes_range(self._residual_words, bits, a, b),
-            np.uint64,
-        )
+        return self._decoded("_residual_cache", self._residual_words, bits)
 
     #: Valid ``bound`` arguments of :meth:`sort_permutation`.
     SORT_BOUNDS = ("lo", "hi", "exact")
@@ -643,11 +693,9 @@ class BwdColumn:
                 if attr == "_perm_approx_cache"
                 else self.reconstruct()
             )
-            view = _frozen(
-                np.argsort(key, kind="stable").astype(np.int64, copy=False)
+            view = self._seed(
+                attr, np.argsort(key, kind="stable").astype(np.int64, copy=False)
             )
-            setattr(self, attr, view)
-            _VIEW_BUDGET.note(self, attr, view)
         else:
             _VIEW_BUDGET.touch(self, attr)
         return view
@@ -665,11 +713,10 @@ class BwdColumn:
         """
         view = self._sorted_codes_cache
         if view is None:
-            view = _frozen(
-                self.approx_codes_i64()[self.sort_permutation("lo")]
+            view = self._seed(
+                "_sorted_codes_cache",
+                self.approx_codes_i64()[self.sort_permutation("lo")],
             )
-            self._sorted_codes_cache = view
-            _VIEW_BUDGET.note(self, "_sorted_codes_cache", view)
         else:
             _VIEW_BUDGET.touch(self, "_sorted_codes_cache")
         return view

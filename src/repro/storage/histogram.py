@@ -42,6 +42,20 @@ class CodeHistogram:
         counts = np.bincount(codes // merge, minlength=-(-n_codes // merge))
         return cls(counts, merge, dec.max_code)
 
+    def extended(self, column: BwdColumn) -> "CodeHistogram":
+        """The histogram of ``column``, whose first ``total`` rows are the
+        ones counted here: only the rows behind them are read."""
+        if column.length < self.total:
+            raise StorageError("column is shorter than its histogram")
+        codes = column.approx_at(np.arange(self.total, column.length))
+        added = np.bincount(
+            codes.view(np.int64) // self.codes_per_bucket,
+            minlength=len(self.counts),
+        )
+        return CodeHistogram(
+            self.counts + added, self.codes_per_bucket, self._max_code
+        )
+
     # ------------------------------------------------------------------
     def estimate_code_range(self, lo_code: int, hi_code: int) -> int:
         """Tuples whose code falls in ``[lo_code, hi_code]``.

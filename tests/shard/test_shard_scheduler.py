@@ -118,3 +118,53 @@ def test_scratch_estimate_scales_to_largest_shard(session):
     sharded_estimate = server._estimate_scratch_bytes(query, "ar")
     assert sharded_estimate == int(solo_estimate * biggest / total_rows)
     server.close()
+
+
+def test_fused_batch_sees_pending_delta_and_watermark_compacts():
+    """Regression: a sharded fused batch answered from the base alone
+    (201–203 where base + delta held 701–703) and never compacted."""
+    from repro.shard.scheduler import AdmissionPolicy, ShardScheduler
+
+    session = make_sharded(seed=17)
+    windows = [(1_000, 1_400), (1_000, 1_500), (1_100, 1_600), (900, 1_450)]
+    session.append(
+        "events", {"value": np.arange(1_000, 1_500, dtype=np.int64)}
+    )
+
+    def count(window):
+        return session.table("events").where("value", between=window).count("n")
+
+    solo = [count(w).run(mode="ar") for w in windows]
+    base = session.catalog.table("events").values("value")
+    in_base = [int(((base >= lo) & (base <= hi)).sum()) for lo, hi in windows]
+    assert all(
+        s.scalar("n") > b + 300 for s, b in zip(solo, in_base)
+    ), "the delta must matter to every window"
+
+    server = ShardScheduler(session, AdmissionPolicy(max_batch=4, delta_watermark=600))
+    handles = [count(w).submit(server) for w in windows]
+    server.drain()
+    for s, h in zip(solo, handles):
+        got = h.result()
+        assert np.array_equal(got.columns["n"], s.columns["n"])
+        assert got.timeline.span_tuples() == s.timeline.span_tuples()
+    assert server.stats.compactions == 0, "500 rows are under the watermark"
+
+    # Crossing the watermark compacts after the next batch, sharded.
+    epoch = session.catalog.epoch
+    server.submit_write("events", {"value": np.arange(100, dtype=np.int64)})
+    after = [count(w).submit(server) for w in windows]
+    server.drain()
+    assert server.stats.compactions == 1
+    assert session.catalog.delta_rows("events") == 0
+    assert session.catalog.epoch == epoch + 1
+    assert sum(session.shard_rows("events")) == N + 600
+    for s, h in zip(solo, after):
+        assert np.array_equal(h.result().columns["n"], s.columns["n"])
+    # With the delta folded in, the same windows fuse again.
+    fused_before = server.stats.fused_queries
+    again = [count(w).submit(server) for w in windows]
+    server.drain()
+    assert server.stats.fused_queries == fused_before + 4
+    for s, h in zip(solo, again):
+        assert np.array_equal(h.result().columns["n"], s.columns["n"])

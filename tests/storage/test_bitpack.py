@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BitWidthError
-from repro.storage.bitpack import gather_codes, pack_codes, packed_nbytes, unpack_codes
+from repro.storage.bitpack import (
+    append_codes,
+    gather_codes,
+    pack_codes,
+    packed_nbytes,
+    unpack_codes,
+)
 
 
 class TestPackedNbytes:
@@ -82,6 +88,56 @@ class TestPackUnpackRoundtrip:
     def test_unpack_rejects_short_stream(self):
         with pytest.raises(BitWidthError):
             unpack_codes(np.zeros(1, dtype=np.uint64), 33, 3)
+
+
+class TestAppendCodes:
+    """``append_codes`` must equal ``pack_codes`` of the whole stream."""
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_matches_pack_of_concatenation(self, bits):
+        rng = np.random.default_rng(bits * 107)
+        hi = (1 << bits) - 1
+        # Base lengths on and off the period grid (codes-per-period <= 64).
+        for count in (0, 1, 63, 64, 65, 131, 192):
+            for added in (0, 1, 5, 129):
+                old = rng.integers(0, hi, size=count, endpoint=True, dtype=np.uint64)
+                new = rng.integers(0, hi, size=added, endpoint=True, dtype=np.uint64)
+                words = pack_codes(old, bits)
+                before = words.copy()
+                got = append_codes(words, bits, count, new)
+                whole = pack_codes(np.concatenate([old, new]), bits)
+                assert np.array_equal(got, whole), (bits, count, added)
+                assert np.array_equal(words, before), "input stream was written to"
+
+    def test_ignores_words_past_the_stream(self):
+        """A stream stored in a longer buffer appends from ``count``."""
+        old = np.arange(10, dtype=np.uint64)
+        words = np.concatenate([pack_codes(old, 12), np.full(3, 2**64 - 1, np.uint64)])
+        got = append_codes(words, 12, 10, np.array([7, 8], dtype=np.uint64))
+        assert np.array_equal(
+            got, pack_codes(np.concatenate([old, [7, 8]]).astype(np.uint64), 12)
+        )
+
+    def test_accepts_signed_nonnegative(self):
+        words = pack_codes(np.array([1, 2, 3]), 5)
+        got = append_codes(words, 5, 3, np.array([4, 5], dtype=np.int32))
+        assert np.array_equal(unpack_codes(got, 5, 5), [1, 2, 3, 4, 5])
+
+    def test_rejects_what_pack_codes_rejects(self):
+        words = pack_codes(np.array([1, 2, 3]), 5)
+        with pytest.raises(BitWidthError):
+            append_codes(words, 5, 3, np.array([-1]))
+        with pytest.raises(BitWidthError):
+            append_codes(words, 5, 3, np.array([32]))
+        with pytest.raises(BitWidthError):
+            append_codes(words, 5, 3, np.array([0.5]))
+
+    def test_rejects_short_stream_and_negative_count(self):
+        words = pack_codes(np.arange(4), 16)
+        with pytest.raises(BitWidthError):
+            append_codes(words, 16, 9, np.array([1]))
+        with pytest.raises(ValueError):
+            append_codes(words, 16, -1, np.array([1]))
 
 
 class TestGather:
@@ -215,3 +271,23 @@ def test_property_gather_agrees_with_full_unpack(bits, n, seed):
         gather_codes(packed, bits, n, pos),
         unpack_codes(packed, bits, n)[pos],
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.integers(min_value=1, max_value=64),
+    data=st.data(),
+)
+def test_property_append_equals_pack_of_whole(bits, data):
+    """Appending in any number of steps lands on the one-shot stream."""
+    hi = (1 << bits) - 1
+    chunks = data.draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=hi), min_size=0, max_size=70),
+        min_size=1, max_size=4,
+    ))
+    words, count = np.empty(0, dtype=np.uint64), 0
+    for chunk in chunks:
+        words = append_codes(words, bits, count, np.array(chunk, dtype=np.uint64))
+        count += len(chunk)
+    whole = np.array([c for chunk in chunks for c in chunk], dtype=np.uint64)
+    assert np.array_equal(words, naive_pack(whole, bits))

@@ -42,9 +42,13 @@ class TestBudgetKnob:
     def test_default_is_unbounded(self):
         assert view_budget() is None
         col = decompose_values(np.arange(1000), residual_bits=4)
-        col.approx_codes_i64()
+        before = view_cache_bytes()
+        signed = col.approx_codes_i64()
         assert col._approx_cache is not None
-        assert col._approx_i64_cache is not None
+        # The signed stream is a reinterpretation of the cached view, not a
+        # second cached copy: same buffer, no bytes added to the budget.
+        assert np.shares_memory(signed, col._approx_cache)
+        assert view_cache_bytes() == before
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
