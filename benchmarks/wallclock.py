@@ -12,7 +12,11 @@ TPC-H Q6-shaped A&R run at ≥ 1M lineitem rows, TPC-H Q1 on the same
 session (the one grouped query: 8 aggregates over 4 groups of ~1M
 candidates, every column device-resident), ``ingest.compact.wm4k`` (a
 4 096-row delta folded into a 1M-row column plus the first fused scan
-after it), and the
+after it), the PR-15 code-width entries (``micro.unpack.w12.narrow`` — the
+decode an evicted 12-bit view is rebuilt with; ``scan.selection.evict`` —
+selections cycling over three columns under an 8 MiB view budget;
+``join.theta.band.selected`` — the band join under a 10 % selection,
+approximate + refine), and the
 ``serve.throughput.*`` family: the same mixed selection-query set pushed
 through the multi-query scheduler at batch widths 1/4/16, so
 ``b1 / b16`` is the measured batching speedup (PR 5's acceptance
@@ -86,7 +90,7 @@ from repro.engine.session import Session
 from repro.serve.bench import build_serve_session, query_ranges, run_once
 from repro.storage.bitpack import gather_codes, pack_codes, unpack_codes
 from repro.storage.column import IntType
-from repro.storage.decompose import decompose_values
+from repro.storage.decompose import decompose_values, set_view_budget
 from repro.workloads.microbench import unique_shuffled_ints
 from repro.workloads.tpch import TpchConfig, build_tpch_session, q1_sql, q6_sql
 
@@ -138,9 +142,15 @@ INGEST_WRITE_ROWS = 256
 #: Rows per ingest.compact.wm4k delta (the e2e ``serve.mixed`` watermark).
 COMPACT_DELTA_ROWS = 4_096
 
-#: Per-PR trajectory file; older PRs' files (BENCH_PR1..PR13) are kept as
+#: View budget of ``scan.selection.evict`` (the e2e ``solo.evict`` budget).
+EVICT_BUDGET = 8 << 20
+
+#: Share of the left side ``join.theta.band.selected`` joins.
+THETA_SELECTED_SHARE = 0.1
+
+#: Per-PR trajectory file; older PRs' files (BENCH_PR1..PR14) are kept as
 #: recorded history and compared against via ``--compare``.
-_RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR14.json"
+_RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR15.json"
 
 #: The opt.pick.theta fixture's small right side: under the heuristic's
 #: sort cutoff, so "before" (the heuristic) brute-forces while "after"
@@ -194,6 +204,10 @@ class _Fixtures:
         self.theta_right_lg = decompose_values(
             rng.integers(0, 1 << 22, size=theta_large[1]), device_bits=24
         )
+        # A selection's output under the join: scrambled ids of a subset.
+        self.theta_selected_ids = np.random.default_rng(15).permutation(
+            theta_large[0]
+        )[: int(theta_large[0] * THETA_SELECTED_SHARE)]
         self.theta_left_xl = decompose_values(
             rng.integers(0, 1 << 22, size=theta_xlarge[0]), device_bits=24
         )
@@ -376,6 +390,22 @@ def _run_selection(fx: _Fixtures) -> None:
     )
 
 
+def _run_selection_evict(fx: _Fixtures) -> None:
+    """``scan.selection`` cycling over the three columns under an 8 MiB
+    view budget: a decoded view that does not fit is evicted by the next
+    column's and rebuilt from the packed stream on its next scan."""
+    n = fx.n_rows
+    set_view_budget(EVICT_BUDGET)
+    try:
+        for i, column in enumerate(fx.columns):
+            select_approx(
+                fx.machine.gpu, Timeline(), column, f"c{i}",
+                ValueRange.between(n // 10, n // 10 + n // 5),
+            )
+    finally:
+        set_view_budget(None)
+
+
 def _run_conjunction3(fx: _Fixtures) -> None:
     t = Timeline()
     n = fx.n_rows
@@ -408,6 +438,21 @@ def _run_theta_band(
     theta_join_approx(
         fx.machine.gpu, Timeline(), left, right,
         Theta(ThetaOp.WITHIN, 64), strategy=strategy, emit=emit,
+    )
+
+
+def _run_theta_band_selected(fx: _Fixtures) -> None:
+    """The large band join under a selection (``left_ids``): approximate +
+    refine over a scrambled tenth of the left side."""
+    machine = fx.machine
+    tl = Timeline()
+    theta = Theta(ThetaOp.WITHIN, 64)
+    pairs = theta_join_approx(
+        machine.gpu, tl, fx.theta_left_lg, fx.theta_right_lg, theta,
+        strategy="sorted", left_ids=fx.theta_selected_ids,
+    )
+    theta_join_refine(
+        machine.cpu, tl, fx.theta_left_lg, fx.theta_right_lg, theta, pairs
     )
 
 
@@ -595,10 +640,16 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         "micro.pack.w12": lambda: pack_codes(fx.codes12, 12),
         "micro.unpack.w8": lambda: unpack_codes(fx.packed8, 8, n),
         "micro.unpack.w12": lambda: unpack_codes(fx.packed12, 12, n),
+        # What rebuilding an evicted 12-bit view decodes (PR 15; the before
+        # point is the parent's rebuild: the uint64 decode above).
+        "micro.unpack.w12.narrow": lambda: unpack_codes(
+            fx.packed12, 12, n, np.uint16
+        ),
         "micro.gather.w12": lambda: gather_codes(
             fx.packed12, 12, n, fx.positions
         ),
         "scan.selection": lambda: _run_selection(fx),
+        "scan.selection.evict": lambda: _run_selection_evict(fx),
         "scan.conjunction3": lambda: _run_conjunction3(fx),
         "join.theta.band": lambda: _run_theta_band(fx, "auto"),
         "join.theta.band.bruteforce": lambda: _run_theta_band(fx, "bruteforce"),
@@ -610,6 +661,7 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
             fx, "sorted", size="xlarge", emit="runs"
         ),
         "join.theta.band.repeat": lambda: _run_theta_repeat(fx),
+        "join.theta.band.selected": lambda: _run_theta_band_selected(fx),
         "join.theta.count.large": lambda: _run_theta_count_large(fx),
         "join.theta.pipeline.large": lambda: _run_theta_pipeline_large(fx),
         "tpch.q6.ar": lambda: _run_tpch_q6(fx),

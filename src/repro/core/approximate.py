@@ -39,6 +39,19 @@ def _payload_from_codes(column: BwdColumn, codes: np.ndarray) -> IntervalColumn:
     return IntervalColumn.from_bounds(lo, lo + dec.max_error)
 
 
+def _carried_codes(
+    column: BwdColumn, label: str, candidates: Approximation
+) -> np.ndarray | None:
+    """``column``'s codes at the candidate ids, when the candidates already
+    carry its bucket bounds as payload ``label`` (the codes are the major
+    bits of the bounds — no second random gather), else None."""
+    carried = candidates.payloads.get(label)
+    if carried is None:
+        return None
+    dec = column.decomposition
+    return (carried.lo - dec.base) >> dec.residual_bits
+
+
 def select_approx(
     gpu: SimulatedGPU,
     timeline: Timeline,
@@ -62,8 +75,7 @@ def select_approx(
         column, lo_code, hi_code, timeline, op=f"select.approx({label})",
         scramble=scramble, precomputed_hits=precomputed_hits,
     )
-    codes = column.approx_at(ids) if ids.size else np.empty(0, dtype=np.uint64)
-    payload = _payload_from_codes(column, codes)
+    payload = _payload_from_codes(column, column.approx_at(ids))
     exact = column.decomposition.residual_bits == 0
     return Approximation(
         ids=ids,
@@ -89,17 +101,12 @@ def select_approx_narrow(
     """
     dec = column.decomposition
     lo_code, hi_code = relax_to_code_range(vrange, dec)
-    # A second bound on a column the candidates already carry (``a >= x and
-    # a < y``): its codes are the major bits of the carried payload — no
-    # second random gather.
-    carried = candidates.payloads.get(label)
+    # A second bound on a column the candidates already carry
+    # (``a >= x and a < y``) reuses the carried codes.
+    carried = _carried_codes(column, label, candidates)
     keep_mask, codes = gpu.refine_positions_code_range(
         column, candidates.ids, lo_code, hi_code, timeline,
-        op=f"select.approx.probe({label})",
-        precomputed_codes=(
-            None if carried is None
-            else (carried.lo - dec.base) >> dec.residual_bits
-        ),
+        op=f"select.approx.probe({label})", precomputed_codes=carried,
     )
     # The probe's keep-mask narrows the candidates directly (no membership
     # recomputation) and its gathered codes feed the payload (one gather
@@ -122,13 +129,17 @@ def project_approx(
 
     A positional lookup of the candidates' codes (paper §IV-C); attaches the
     bucket bounds as payload ``label`` and leaves ids untouched, so the
-    output is positionally aligned with its input.
+    output is positionally aligned with its input.  On a column the
+    candidates already carry (``select sum(a) … where a between``) the
+    lookup is billed as ever and the payload stays: it is these bounds.
     """
+    carried = _carried_codes(column, label, candidates)
     codes = gpu.gather_codes(
-        column, candidates.ids, timeline, op=f"project.approx({label})"
+        column, candidates.ids, timeline, op=f"project.approx({label})",
+        precomputed_codes=carried,
     )
-    payload = _payload_from_codes(column, codes)
-    candidates.payloads[label] = payload
+    if carried is None:
+        candidates.payloads[label] = _payload_from_codes(column, codes)
     if column.decomposition.residual_bits != 0:
         candidates.exact = False
     return candidates
@@ -157,9 +168,7 @@ def fk_join_approx(
     fk_codes = gpu.gather_codes(
         fk_column, candidates.ids, timeline, op=f"join.approx.fk({label})"
     )
-    fk_values = fk_column.decomposition.combine(
-        fk_codes, np.zeros(len(fk_codes), dtype=np.uint64)
-    )
+    fk_values = fk_column.decomposition.combine(fk_codes, None)
     target_codes = gpu.gather_codes(
         target_column, fk_values, timeline, op=f"join.approx.gather({label})"
     )

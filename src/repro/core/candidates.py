@@ -212,6 +212,11 @@ class RunPairCandidates:
     values).  Consumers that exploit run monotonicity (the sorted
     refinement) require one of these; ``"raw"`` marks an arbitrary
     permutation, for which only the materializing fallbacks apply.
+
+    ``whole_left`` is the producer's word that ``left_positions`` is
+    ``arange(|left column|)`` — one run per row, in row order — so a
+    consumer may read the left column through its whole-column views and
+    memoized permutations without testing for it.
     """
 
     left_positions: np.ndarray
@@ -219,6 +224,7 @@ class RunPairCandidates:
     stops: np.ndarray
     order: np.ndarray
     order_key: str = "raw"
+    whole_left: bool = False
 
     #: ``order_key`` values under which runs are monotone in the right
     #: side's values (a stable sort of a value stream, runs on group
@@ -290,7 +296,7 @@ class RunPairCandidates:
         order_key = self.order_key if self.order_key == "exact" else "raw"
         return RunPairCandidates(
             self.left_positions, starts, stops, self.order,
-            order_key=order_key,
+            order_key=order_key, whole_left=self.whole_left,
         )
 
     def narrowed(self, keep_mask: np.ndarray) -> PairCandidates:

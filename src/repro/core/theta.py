@@ -170,9 +170,11 @@ class Theta:
         return np.maximum(left_hi - right_lo, right_hi - left_lo) <= self.delta
 
 
-def _bounds(column: BwdColumn) -> IntervalColumn:
+def _bounds(column: BwdColumn, ids: np.ndarray | None = None) -> IntervalColumn:
+    """Approximate value intervals of the whole column, or of rows ``ids``
+    only — a selection under the join pays for its candidates, not |L|."""
     dec = column.decomposition
-    codes = column.approx_codes()
+    codes = column.approx_codes() if ids is None else column.approx_at(ids)
     lo = dec.approx_lower_bounds(codes)
     if dec.residual_bits == 0:
         return IntervalColumn.exact(lo)
@@ -240,14 +242,16 @@ def _sorted_runs(
     theta: Theta,
     right_width: int | None,
     right_col: BwdColumn | None = None,
-    left_col: BwdColumn | None = None,
-) -> RunPairCandidates:
+    left_perm: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Sort-based interval join: one (memoized) sort + two searchsorted sweeps.
 
     Computes the identical pair *set* as the brute-force nested loop (the
     ``possible`` predicate, rearranged around one sorted bound), as
     per-left-row ``[start, stop)`` runs over the bound-sorted right side —
-    never materializing a pair.  With ``right_col`` the sort permutation
+    ``(starts, stops, order, order_key)``, the fields of a
+    :class:`RunPairCandidates` — never materializing a pair.  With
+    ``right_col`` the sort permutation
     comes from the column's memoized
     :meth:`~repro.storage.decompose.BwdColumn.sort_permutation`, so
     repeated joins against the same (dimension) side skip the per-call
@@ -259,11 +263,9 @@ def _sorted_runs(
     reinterpret these runs over the *exact*-sorted permutation.
     """
     n_left, n_right = len(left_b.lo), len(right_b.lo)
-    left_pos = np.arange(n_left, dtype=np.int64)
     # Every query array below (lo, hi, lo−δ−c, hi+δ) is a shifted copy of
-    # the left bounds, so the left side's one memoized "lo" permutation
-    # sorts them all — the fast sorted-needle search path.
-    left_perm = left_col.sort_permutation("lo") if left_col is not None else None
+    # the left bounds, so one ``left_perm`` sorting ``left_b.lo`` sorts
+    # them all — the fast sorted-needle search path.
     op = theta.op
     if op in (ThetaOp.LT, ThetaOp.LE):
         # left_lo (<|<=) right_hi  ⇔  a suffix of the hi-sorted right side.
@@ -301,7 +303,7 @@ def _sorted_runs(
         )
     # Empty runs may come out inverted (stop < start): clamp, don't emit.
     np.maximum(stops, starts, out=stops)
-    return RunPairCandidates(left_pos, starts, stops, order, order_key=order_key)
+    return starts, stops, order, order_key
 
 
 def _right_order(
@@ -417,14 +419,10 @@ def theta_join_approx(
     """
     if emit not in EMITS:
         raise ExecutionError(f"unknown emit mode {emit!r}; pick one of {EMITS}")
-    left_b = _bounds(left)
-    n_left = left.length
     if left_ids is not None:
         left_ids = np.asarray(left_ids, dtype=np.int64)
-        left_b = IntervalColumn.from_bounds(
-            left_b.lo[left_ids], left_b.hi[left_ids]
-        )
-        n_left = len(left_ids)
+    left_b = _bounds(left, left_ids)
+    n_left = len(left_b.lo)
     right_b = _bounds(right)
     # The overlap ops need the right side's uniform interval width; compute
     # the O(|R|) check once and share it between strategy pick and join.
@@ -436,25 +434,23 @@ def theta_join_approx(
     chosen = _pick_strategy(strategy, theta, right_width, right.length)
     pairs: PairCandidates | RunPairCandidates
     if chosen == "sorted":
-        # A row subset breaks the "whole column" precondition of the left
-        # side's memoized sort permutation; the subset path searches with
-        # unsorted needles (bit-identical results, see _searchsorted_via).
+        # The needle order of both sweeps: the whole column's memoized
+        # permutation, or — a row subset breaks its "whole column"
+        # precondition — one argsort of the candidates' own lower bounds
+        # (bit-identical results either way, see _searchsorted_via).
         if precomputed_runs is not None and left_ids is None:
             starts, stops, order, order_key = precomputed_runs
-            runs = RunPairCandidates(
-                np.arange(n_left, dtype=np.int64), starts, stops, order,
-                order_key=order_key,
-            )
         else:
-            runs = _sorted_runs(
+            starts, stops, order, order_key = _sorted_runs(
                 left_b, right_b, theta, right_width, right,
-                left if left_ids is None else None,
+                left.sort_permutation("lo") if left_ids is None
+                else np.argsort(left_b.lo),
             )
-        if left_ids is not None:
-            runs = RunPairCandidates(
-                left_ids, runs.starts, runs.stops, runs.order,
-                order_key=runs.order_key,
-            )
+        runs = RunPairCandidates(
+            np.arange(n_left, dtype=np.int64) if left_ids is None else left_ids,
+            starts, stops, order,
+            order_key=order_key, whole_left=left_ids is None,
+        )
         pairs = runs.materialized() if emit == "pairs" else runs
     else:
         if emit == "runs":
@@ -533,12 +529,7 @@ def _certain_pair_count(
     theta: Theta,
     left_ids: np.ndarray | None,
 ) -> int:
-    left_b = _bounds(left)
-    if left_ids is not None:
-        left_ids = np.asarray(left_ids, dtype=np.int64)
-        left_b = IntervalColumn.from_bounds(
-            left_b.lo[left_ids], left_b.hi[left_ids]
-        )
+    left_b = _bounds(left, left_ids)
     right_b = _bounds(right)
     n_right = len(right_b.lo)
     if len(left_b.lo) == 0 or n_right == 0:
@@ -655,20 +646,17 @@ def _refine_runs_sorted(
     """
     order = right.sort_permutation("exact")
     key = right.reconstruct()[order]
-    # The producer emits one run per left row (positions 0..|L|); the whole
-    # column then reconstructs through the cached views (no positional
-    # gather), and the left column's memoized exact-sort permutation sorts
-    # the query values, unlocking the fast sorted-needle binary search.  A
-    # narrowed subset takes the gather plus the plain (order-insensitive,
-    # bit-identical) search instead.
-    left_perm = None
-    if len(pairs.left_positions) == left.length and np.array_equal(
-        pairs.left_positions, np.arange(left.length, dtype=np.int64)
-    ):
+    # Runs over the whole left column (the producer says so — no O(|L|)
+    # test here) reconstruct through the cached views, no positional
+    # gather, and the column's memoized exact-sort permutation sorts the
+    # query values; a row subset gathers its rows and sorts them once.
+    # Either way both sweeps take the fast sorted-needle binary search.
+    if pairs.whole_left:
         left_exact = left.reconstruct()
         left_perm = left.sort_permutation("exact")
     else:
         left_exact = left.reconstruct(pairs.left_positions)
+        left_perm = np.argsort(left_exact)
     exact_starts, exact_stops = exact_run_bounds(
         key, left_exact, theta, left_perm
     )
@@ -676,7 +664,8 @@ def _refine_runs_sorted(
     stops = np.minimum(pairs.stops, exact_stops)
     np.maximum(stops, starts, out=stops)
     return RunPairCandidates(
-        pairs.left_positions, starts, stops, order, order_key="exact"
+        pairs.left_positions, starts, stops, order, order_key="exact",
+        whole_left=pairs.whole_left,
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataNotResident
-from ..storage.bitpack import packed_nbytes
+from ..storage.bitpack import clip_code_range, packed_nbytes
 from ..storage.decompose import BwdColumn
 from ..util import unique_inverse
 from .memory import MemoryPool
@@ -162,11 +162,11 @@ class SimulatedGPU:
         if precomputed_hits is None:
             # Fused zero-unpack scan: the predicate is evaluated directly
             # against the column's memoized code view — no per-query O(n)
-            # materialization of the packed stream.  (The single-compare
-            # unsigned wrap-around variant was measured *slower* here: its
-            # 8-byte shifted temporary outweighs one saved 1-byte bool pass.)
-            codes = column.approx_codes_i64()
-            hits = np.flatnonzero((codes >= lo_code) & (codes <= hi_code))
+            # materialization of the packed stream, and both bounds at
+            # the view's own width, so each compare reads 1–2 B/row.
+            codes = column.approx_codes()
+            lo, hi = clip_code_range(lo_code, hi_code, codes.dtype)
+            hits = np.flatnonzero((codes >= lo) & (codes <= hi))
         else:
             hits = precomputed_hits
         read = packed_nbytes(column.length, max(column.decomposition.approx_bits, 1))
@@ -203,10 +203,11 @@ class SimulatedGPU:
         """
         self._require_resident(column)
         if precomputed_codes is None:
-            codes = column.approx_at(positions).astype(np.int64)
+            codes = column.approx_at(positions)
         else:
             codes = precomputed_codes
-        keep = (codes >= lo_code) & (codes <= hi_code)
+        lo, hi = clip_code_range(lo_code, hi_code, codes.dtype)
+        keep = (codes >= lo) & (codes <= hi)
         read = positions.size * _OID_BYTES
         self._charge(
             timeline, op, read + int(keep.sum()) * _OID_BYTES,
@@ -220,13 +221,20 @@ class SimulatedGPU:
         positions: np.ndarray,
         timeline: Timeline,
         op: str = "project.approx",
+        precomputed_codes: np.ndarray | None = None,
     ) -> np.ndarray:
         """Approximate projection: positional lookup of approximation codes.
 
         The invisible join of paper §IV-C, executed on the device.
+        ``precomputed_codes`` (from a caller that already holds the codes
+        at ``positions``) skips the NumPy gather only; the charge is a
+        function of ``positions.size``.
         """
         self._require_resident(column)
-        out = column.approx_at(positions)
+        out = (
+            column.approx_at(positions)
+            if precomputed_codes is None else precomputed_codes
+        )
         code_bytes = max(column.decomposition.approx_bits, 1) / 8.0
         nbytes = int(positions.size * (code_bytes + _OID_BYTES))
         self._charge(

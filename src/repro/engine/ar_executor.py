@@ -386,7 +386,7 @@ class ArExecutor:
                 precomputed_runs=runs,
             )
             # The free approximate answer reports the device-side candidate
-            # pair count (the old Session.theta_join contract).
+            # pair count.
             state.approximate.candidate_rows = len(state.pairs)
         elif isinstance(op, ApproxPairAggregate):
             assert state.pairs is not None

@@ -15,10 +15,9 @@ composes freely::
         .count("n") \
         .run(mode="ar")
 
-This replaces the old ``Session.theta_join`` side-door (now a deprecated
-shim over exactly this path): a theta join built here is an ordinary plan
-node, so selections under it and (grouped) aggregates over it are just more
-builder calls, in any of the three modes.
+A theta join built here is an ordinary plan node, so selections under it
+and (grouped) aggregates over it are just more builder calls, in any of the
+three modes.
 """
 
 from __future__ import annotations

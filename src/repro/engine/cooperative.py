@@ -24,7 +24,7 @@ from ..device.gpu import SimulatedGPU, scrambled_like_parallel_scatter
 from ..device.model import OpClass
 from ..device.timeline import Timeline
 from ..errors import ExecutionError
-from ..storage.bitpack import packed_nbytes
+from ..storage.bitpack import clip_code_range, packed_nbytes
 from ..storage.decompose import BwdColumn
 
 _OID_BYTES = 8
@@ -68,7 +68,10 @@ def cooperative_scan_hits(
     key = column.sorted_approx_codes()
     hits_by_label: dict[str, np.ndarray] = {}
     for request in requests:
-        lo, hi = relax_to_code_range(request.vrange, column.decomposition)
+        lo, hi = clip_code_range(
+            *relax_to_code_range(request.vrange, column.decomposition),
+            key.dtype,
+        )
         start = int(np.searchsorted(key, lo, side="left"))
         stop = int(np.searchsorted(key, hi, side="right"))
         hits_by_label[request.label] = np.sort(perm[start:stop])
@@ -138,11 +141,14 @@ def cooperative_select_approx(
         raise ExecutionError(f"duplicate scan labels: {labels}")
     gpu._require_resident(column)
 
-    codes = column.approx_codes_i64()
+    codes = column.approx_codes()
     results: dict[str, Approximation] = {}
     output_bytes = 0
     for request in requests:
-        lo, hi = relax_to_code_range(request.vrange, column.decomposition)
+        lo, hi = clip_code_range(
+            *relax_to_code_range(request.vrange, column.decomposition),
+            codes.dtype,
+        )
         hits = np.flatnonzero((codes >= lo) & (codes <= hi))
         if scramble:
             hits = scrambled_like_parallel_scatter(hits)

@@ -16,7 +16,6 @@ through :meth:`execute`; pre-built
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Mapping
 
 from ..device.machine import Machine
@@ -344,56 +343,6 @@ class Session:
             )
 
         return self._plan_cache.get(key, build)
-
-    def theta_join(
-        self,
-        left: str,
-        right: str,
-        op: str,
-        delta: int = 0,
-        *,
-        strategy: str = "auto",
-        emit: str = "auto",
-        timeline: Timeline | None = None,
-    ) -> Result:
-        """Deprecated: A&R theta join between two decomposed columns (§IV-D).
-
-        Thin shim over the builder path — byte-identical Result and modeled
-        Timeline::
-
-            session.table(lt).theta_join(rt, on=(lc, rc), op=op, delta=d) \
-                .run(mode="ar")
-
-        ``left``/``right`` are qualified ``"table.column"`` names; ``op`` is
-        one of ``< <= > >= =`` or ``"within"`` (the band join, with
-        ``delta``).  Returns a result with ``left_pos``/``right_pos``
-        columns in canonical (left, right)-sorted order.  ``strategy`` and
-        ``emit`` tune the simulation only; results and modeled Timeline
-        charges are identical for every combination.
-        """
-        warnings.warn(
-            "Session.theta_join is deprecated; use "
-            "session.table(...).theta_join(...).run() — the builder path "
-            "composes with selections, grouping and aggregates",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        left_table, left_column = self._split_qualified(left)
-        right_table, right_column = self._split_qualified(right)
-        builder = self.table(left_table).theta_join(
-            right_table, on=(left_column, right_column), op=op, delta=delta,
-            strategy=strategy, emit=emit,
-        )
-        return builder.run(mode="ar", timeline=timeline)
-
-    @staticmethod
-    def _split_qualified(name: str) -> tuple[str, str]:
-        table, _, column = name.partition(".")
-        if not column:
-            raise PlanError(
-                f"theta join operand {name!r} must be qualified as table.column"
-            )
-        return table, column
 
     def execute(
         self,

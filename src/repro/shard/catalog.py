@@ -38,6 +38,16 @@ from ..storage.decompose import BwdColumn
 from ..storage.relation import Relation, Schema
 
 
+def _band_of(cuts: list[int], codes: np.ndarray) -> np.ndarray:
+    """Band (shard) of each code: the number of cut points strictly below it.
+
+    The cuts are codes themselves and are searched at the codes' dtype — a
+    key of any other dtype promotes, i.e. copies, the whole needle array.
+    """
+    key = np.asarray(cuts, dtype=codes.dtype)
+    return np.searchsorted(key, codes, side="left")
+
+
 @dataclass(frozen=True)
 class ShardStats:
     """Pruning facts of one shard's slice of a decomposed column."""
@@ -202,7 +212,7 @@ class ShardedCatalog:
                 bwd = BwdColumn.from_values(shard_values, plan)
                 shard.catalog.register_decomposition(table, column, bwd)
                 shard.machine.gpu.load_column(f"{table}.{column}", bwd, None)
-                codes = bwd.approx_codes_i64()
+                codes = bwd.approx_codes()
                 stats.append(ShardStats(
                     int(codes.min()), int(codes.max()),
                     int(shard_values.min()), int(shard_values.max()),
@@ -220,7 +230,7 @@ class ShardedCatalog:
                 shard.machine.gpu.load_column(
                     f"{table}.{column}", global_bwd, None
                 )
-            codes = global_bwd.approx_codes_i64()
+            codes = global_bwd.approx_codes()
             values = relation.values(column)
             shared = ShardStats(
                 int(codes.min()), int(codes.max()),
@@ -242,7 +252,7 @@ class ShardedCatalog:
         ordering uses).  Falls back to the round-robin layout when the
         quantiles collapse (one code dominating the column).
         """
-        codes = global_bwd.approx_codes_i64()
+        codes = global_bwd.approx_codes()
         sorted_codes = global_bwd.sorted_approx_codes()
         n = len(codes)
         cuts = [
@@ -256,7 +266,7 @@ class ShardedCatalog:
         # shard(c) = number of cut points strictly below c — rows whose
         # code equals a cut stay in the lower shard, keeping bands
         # contiguous: shard s holds codes in (cuts[s-1], cuts[s]].
-        assignment = np.searchsorted(np.asarray(cuts), codes, side="left")
+        assignment = _band_of(cuts, codes)
         maps = [
             np.flatnonzero(assignment == s).astype(np.int64)
             for s in range(self.n_shards)
@@ -290,8 +300,7 @@ class ShardedCatalog:
         if codes is None:
             self._spill_store(table).append(batch)
             return n
-        cuts = np.asarray(self.band_cuts[table])
-        assignment = np.searchsorted(cuts, codes, side="left")
+        assignment = _band_of(self.band_cuts[table], codes)
         stores = self._shard_stores(table)
         for s, shard_store in enumerate(stores):
             idx = np.flatnonzero(assignment == s)
@@ -312,7 +321,7 @@ class ShardedCatalog:
             encoded = BwdColumn.from_values(batch[column], bwd.decomposition)
         except (ValueError, OverflowError, ReproError):
             return None  # un-encodable under the recorded plan: spill
-        return encoded.approx_codes_i64()
+        return encoded.approx_codes()
 
     def _shard_stores(self, table: str) -> list:
         from ..ingest.delta import DeltaStore

@@ -32,9 +32,14 @@ decides recovery), and the query **degrades gracefully** — the surviving
 fragments merge as usual and the Result comes back ``degraded=True`` with
 the shard-coverage fraction and a *sound* ungrouped-count interval (the
 true count provably lies within it: dead shards contribute between zero
-and their row count — or row count × |right| for theta pairs).  Only when
-no fragment at all contributed does the query fail, with
-:class:`~repro.errors.DeviceFailure`.
+and their row count — or row count × |right| for theta pairs).
+
+**No survivor ⇒ raise, not degrade.**  Degradation needs a surviving
+fragment to degrade *to*.  When every dispatched fragment is dead — e.g. a
+narrow window pruned all shards but one and that one ran out of attempts;
+pruned shards were never asked and are not survivors — or the survivors'
+merge is empty (``min`` of no rows), the query fails with a non-transient
+:class:`~repro.errors.DeviceFailure` naming the dead shards.
 
 The executor also **hedges** stragglers: when the slowest fragment's
 modeled seconds exceed ``hedge_factor`` × the ``hedge_quantile`` quantile

@@ -25,6 +25,11 @@ the pack side ORs lanes into words with a segment reduction
 and notoriously slow — ``np.bitwise_or.at``.  The sub-period tail (fewer
 than ``codes_per_period`` codes) falls back to per-code index math on at
 most 63 codes.
+
+The decode kernels (``unpack_codes``, ``unpack_codes_range``,
+``gather_codes``) take the output dtype: ``uint64`` by default, or any
+unsigned type the width fits (:func:`code_dtype` names the smallest), which
+the last pass over the 64-bit lanes stores directly.
 """
 
 from __future__ import annotations
@@ -91,6 +96,40 @@ def packed_nbytes(count: int, bits: int) -> int:
     total_bits = count * bits
     words = (total_bits + _WORD_BITS - 1) // _WORD_BITS
     return words * 8
+
+
+def code_dtype(bits: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every ``bits``-bit code.
+
+    >>> code_dtype(12)
+    dtype('uint16')
+    """
+    check_bits(bits)
+    return np.dtype(f"u{next(b for b in (1, 2, 4, 8) if bits <= 8 * b)}")
+
+
+def clip_code_range(lo: int, hi: int, dtype) -> tuple[np.integer, np.integer]:
+    """The code range ``[lo, hi]`` as a pair of ``dtype`` scalars.
+
+    What a code array of that dtype is compared and binary-searched
+    against: a Python-int or wider bound would promote — copy — the whole
+    array per call.  Bounds outside the dtype are clipped to it, which
+    selects the same codes; a range holding no code of the dtype comes back
+    as ``(1, 0)``, empty under comparison and ``searchsorted`` alike.
+    """
+    info = np.iinfo(dtype)
+    lo, hi = max(int(lo), info.min), min(int(hi), info.max)
+    if lo > hi:
+        lo, hi = 1, 0
+    return info.dtype.type(lo), info.dtype.type(hi)
+
+
+def _out_dtype(bits: int, dtype) -> np.dtype:
+    """Validate a decode target: unsigned and at least ``bits`` wide."""
+    dtype = np.dtype(dtype)
+    if dtype.kind != "u" or dtype.itemsize < code_dtype(bits).itemsize:
+        raise BitWidthError(f"{dtype} cannot hold {bits}-bit codes")
+    return dtype
 
 
 def _lane_shifts(bits: int) -> np.ndarray:
@@ -218,53 +257,73 @@ def append_codes(
     return np.concatenate([words[:kept], tail])
 
 
-def unpack_codes(words: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes`; returns ``count`` codes as ``uint64``."""
+def unpack_codes(
+    words: np.ndarray, bits: int, count: int, dtype=np.uint64
+) -> np.ndarray:
+    """Inverse of :func:`pack_codes`; returns ``count`` codes as ``dtype``.
+
+    ``dtype`` is any unsigned type at least ``bits`` wide (see
+    :func:`code_dtype`); the codes are written into it directly — the last
+    pass over the 64-bit lanes stores narrow, no wide copy of the output is
+    ever made.
+    """
     check_bits(bits)
+    dtype = _out_dtype(bits, dtype)
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     if count == 0:
-        return np.empty(0, dtype=np.uint64)
+        return np.empty(0, dtype=dtype)
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if words.nbytes < packed_nbytes(count, bits):
         raise BitWidthError(
             f"packed stream too short: {words.nbytes} bytes for "
             f"{count} codes of {bits} bits"
         )
+    code_mask = np.uint64(mask(bits))
 
     if _is_aligned(bits):
         # Word-aligned fast path: broadcast every word against its lane
-        # shifts and ravel — no spills, no scatter.
+        # shifts — no spills, no scatter.  The store truncates each lane to
+        # the output width; only a narrower code still needs its mask.
+        per_word = _WORD_BITS // bits
         n_words = packed_nbytes(count, bits) // 8
-        out = words[:n_words, None] >> _lane_shifts(bits)[None, :]
-        if bits < _WORD_BITS:
-            out &= np.uint64(mask(bits))
-        return out.reshape(-1)[:count]
+        out = np.empty(n_words * per_word, dtype=dtype)
+        np.right_shift(
+            words[:n_words, None], _lane_shifts(bits)[None, :],
+            out=out.reshape(n_words, per_word), casting="unsafe",
+        )
+        if bits < 8 * dtype.itemsize:
+            out &= dtype.type(code_mask)
+        return out[:count]
 
     # Block-aligned path mirroring ``pack_codes``: full periods via the
     # lane table, the sub-period tail via per-code index math.
     period_words, cpb, word_of_lane, offset_of_lane, spill_lanes, _ = \
         _lane_table(bits)
     full = count // cpb
-    out = np.empty(count, dtype=np.uint64)
+    out = np.empty(count, dtype=dtype)
     if full:
         blocks = words[: full * period_words].reshape(full, period_words)
-        lanes = blocks[:, word_of_lane] >> offset_of_lane[None, :]
+        lanes = blocks[:, word_of_lane]
+        np.right_shift(lanes, offset_of_lane[None, :], out=lanes)
         if spill_lanes.size:
             lanes[:, spill_lanes] |= blocks[:, word_of_lane[spill_lanes] + 1] << (
                 np.uint64(_WORD_BITS) - offset_of_lane[spill_lanes]
             )
-        out[: full * cpb] = lanes.reshape(-1)
+        np.bitwise_and(
+            lanes, code_mask, out=out[: full * cpb].reshape(full, cpb),
+            casting="unsafe",
+        )
     tail = count - full * cpb
     if tail:
-        out[full * cpb:] = _unpack_tail(words[full * period_words:], bits, tail)
-    if bits < _WORD_BITS:
-        out &= np.uint64(mask(bits))
+        out[full * cpb:] = (
+            _unpack_tail(words[full * period_words:], bits, tail) & code_mask
+        )
     return out
 
 
 def unpack_codes_range(
-    words: np.ndarray, bits: int, start: int, stop: int
+    words: np.ndarray, bits: int, start: int, stop: int, dtype=np.uint64
 ) -> np.ndarray:
     """Decode codes ``[start, stop)`` of a packed stream.
 
@@ -284,7 +343,7 @@ def unpack_codes_range(
         )
     words = np.ascontiguousarray(words, dtype=np.uint64)
     first_word = (start * bits) // _WORD_BITS
-    return unpack_codes(words[first_word:], bits, stop - start)
+    return unpack_codes(words[first_word:], bits, stop - start, dtype)
 
 
 def _unpack_tail(words: np.ndarray, bits: int, count: int) -> np.ndarray:
@@ -300,40 +359,43 @@ def _unpack_tail(words: np.ndarray, bits: int, count: int) -> np.ndarray:
     return out
 
 
-def gather_codes(words: np.ndarray, bits: int, count: int, positions: np.ndarray) -> np.ndarray:
+def gather_codes(
+    words: np.ndarray, bits: int, count: int, positions: np.ndarray,
+    dtype=np.uint64,
+) -> np.ndarray:
     """Random-access read of codes at ``positions`` from a packed stream.
 
-    Equivalent to ``unpack_codes(words, bits, count)[positions]`` but touches
-    only the requested words — this is what a positional (invisible-join)
-    lookup on a packed column does.
+    Equivalent to ``unpack_codes(words, bits, count, dtype)[positions]`` but
+    touches only the requested words — this is what a positional
+    (invisible-join) lookup on a packed column does.
     """
     check_bits(bits)
+    dtype = _out_dtype(bits, dtype)
     positions = np.ascontiguousarray(positions, dtype=np.int64)
     if positions.size == 0:
-        return np.empty(0, dtype=np.uint64)
+        return np.empty(0, dtype=dtype)
     if int(positions.min()) < 0 or int(positions.max()) >= count:
         raise IndexError("gather position out of range")
     words = np.ascontiguousarray(words, dtype=np.uint64)
 
-    if _is_aligned(bits):
+    aligned = _is_aligned(bits)
+    if aligned:
         # Word-aligned fast path: position → (word, lane) by division only.
         per_word = _WORD_BITS // bits
         word_idx = positions // per_word
         offset = (positions % per_word).astype(np.uint64) * np.uint64(bits)
-        out = words[word_idx] >> offset
-        if bits < _WORD_BITS:
-            out &= np.uint64(mask(bits))
-        return out
-
-    bit_pos = positions.astype(np.uint64) * np.uint64(bits)
-    word_idx = (bit_pos >> np.uint64(6)).astype(np.int64)
-    offset = bit_pos & np.uint64(_WORD_BITS - 1)
-
-    out = words[word_idx] >> offset
-    spills = (offset + np.uint64(bits)) > np.uint64(_WORD_BITS)
-    if bool(spills.any()):
-        hi = words[word_idx[spills] + 1] << (np.uint64(_WORD_BITS) - offset[spills])
-        out[spills] |= hi
-    if bits < _WORD_BITS:
-        out &= np.uint64(mask(bits))
+    else:
+        bit_pos = positions.astype(np.uint64) * np.uint64(bits)
+        word_idx = (bit_pos >> np.uint64(6)).astype(np.int64)
+        offset = bit_pos & np.uint64(_WORD_BITS - 1)
+    lanes = words[word_idx]
+    lanes >>= offset
+    if not aligned:
+        spills = (offset + np.uint64(bits)) > np.uint64(_WORD_BITS)
+        if bool(spills.any()):
+            lanes[spills] |= words[word_idx[spills] + 1] << (
+                np.uint64(_WORD_BITS) - offset[spills]
+            )
+    out = np.empty(len(positions), dtype=dtype)
+    np.bitwise_and(lanes, np.uint64(mask(bits)), out=out, casting="unsafe")
     return out

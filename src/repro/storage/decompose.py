@@ -29,6 +29,7 @@ from ..errors import DecompositionError
 from ..util import bits_for_range, mask
 from .bitpack import (
     append_codes,
+    code_dtype,
     gather_codes,
     pack_codes,
     packed_nbytes,
@@ -132,14 +133,26 @@ class Decomposition:
             return "width"
         return None
 
+    @property
+    def approx_dtype(self) -> np.dtype:
+        """Dtype of approximation codes: the narrowest that holds them."""
+        return code_dtype(max(self.approx_bits, 1))
+
+    @property
+    def residual_dtype(self) -> np.dtype:
+        """Dtype of residuals: the narrowest that holds them."""
+        return code_dtype(max(self.residual_bits, 1))
+
     def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized value → (approx_code, residual)."""
+        """Vectorized value → (approx_code, residual), each at code width."""
         values = np.asarray(values, dtype=np.int64)
         if self.plan_change(values) is not None:
             raise DecompositionError("value outside the decomposition's domain")
         offsets = values - self.base
-        approx = (offsets >> self.residual_bits).astype(np.uint64)
-        residual = (offsets & mask(self.residual_bits)).astype(np.uint64)
+        approx = (offsets >> self.residual_bits).astype(self.approx_dtype)
+        # The narrowing cast keeps the low bits; mask what is left of them.
+        residual = offsets.astype(self.residual_dtype)
+        residual &= residual.dtype.type(mask(self.residual_bits))
         return approx, residual
 
     def combine(self, approx: np.ndarray, residual: np.ndarray | None) -> np.ndarray:
@@ -243,8 +256,8 @@ class _PartialView:
 class _ViewBudget:
     """Optional LRU byte budget over every column's decoded code views.
 
-    Decoded views double host memory next to the packed streams (see
-    PERFORMANCE.md); memory-constrained runs can cap them with
+    Decoded views hold every code at its dtype's width next to the packed
+    streams (see PERFORMANCE.md); memory-constrained runs can cap them with
     :func:`set_view_budget` and trade rebuild cost back in.  Unbounded by
     default — the knob then costs one registry insert per view segment and
     nothing per access.  Purely host-side simulation state: modeled
@@ -565,9 +578,7 @@ class BwdColumn:
             if isinstance(view, np.ndarray):
                 col._seed(attr, np.concatenate([view, tail]))
         if perm_lo is not None and sorted_lo is not None:
-            at, keys = merge(
-                "_perm_approx_cache", perm_lo, sorted_lo, approx.view(np.int64)
-            )
+            at, keys = merge("_perm_approx_cache", perm_lo, sorted_lo, approx)
             col._seed("_sorted_codes_cache", np.insert(sorted_lo, at, keys))
         if perm_exact is not None:
             merge(
@@ -602,42 +613,43 @@ class BwdColumn:
         return view
 
     def _decoded(self, attr: str, words: np.ndarray, bits: int) -> np.ndarray:
-        """The memoized decoded view of one packed stream (read-only)."""
+        """The memoized decoded view of one packed stream (read-only).
+
+        Held — and, after eviction, decoded again — at ``code_dtype(bits)``:
+        a view costs its codes' width per row, not a machine word.
+        """
         view = getattr(self, attr)
         if isinstance(view, np.ndarray):
             _VIEW_BUDGET.touch(self, attr)
             return view
+        dtype = code_dtype(bits)
         if view is None:
-            return self._seed(attr, unpack_codes(words, bits, self.length))
+            return self._seed(attr, unpack_codes(words, bits, self.length, dtype))
         # Partially evicted: keep resident segments, re-decode only the
         # holes — the payoff of segment-granular eviction.  ``view`` stays
         # valid even if rebuilding evicts more of it (eviction only nulls
         # ``parts`` entries, which this loop decodes anyway).
-        full = np.empty(self.length, dtype=np.uint64)
+        full = np.empty(self.length, dtype=dtype)
         for seg, (a, b) in enumerate(_VIEW_BUDGET.segments_of(self.length)):
             part = view.parts[seg]
             full[a:b] = (
                 part if part is not None
-                else unpack_codes_range(words, bits, a, b)
+                else unpack_codes_range(words, bits, a, b, dtype)
             )
         return self._seed(attr, full)
 
     def approx_codes(self) -> np.ndarray:
-        """Decoded approximation stream (read-only, memoized)."""
+        """Decoded approximation stream (read-only, memoized).
+
+        Codes are compared and indexed at their own width
+        (:attr:`Decomposition.approx_dtype`, bounds through
+        :func:`~repro.storage.bitpack.clip_code_range`); arithmetic widens
+        to ``int64`` first, once, where values are formed.
+        """
         return self._decoded(
             "_approx_cache", self._approx_words,
             max(self.decomposition.approx_bits, 1),
         )
-
-    def approx_codes_i64(self) -> np.ndarray:
-        """Decoded approximation stream as signed ints (read-only).
-
-        The comparison dtype of every scan kernel.  Reinterpreting the
-        memoized ``uint64`` view is bit for bit what an ``astype`` copy
-        returns for every ``uint64``, so the signed stream costs no memory
-        of its own.
-        """
-        return self.approx_codes().view(np.int64)
 
     def approx_at(self, positions: np.ndarray) -> np.ndarray:
         """Random-access approximation codes (device-side gather)."""
@@ -649,14 +661,17 @@ class BwdColumn:
             max(self.decomposition.approx_bits, 1),
             self.length,
             positions,
+            self.decomposition.approx_dtype,
         )
 
     def residuals(self) -> np.ndarray:
         """Decoded residual stream (read-only, memoized)."""
-        bits = self.decomposition.residual_bits
-        if bits == 0:
-            return np.zeros(self.length, dtype=np.uint64)
-        return self._decoded("_residual_cache", self._residual_words, bits)
+        dec = self.decomposition
+        if dec.residual_bits == 0:
+            return np.zeros(self.length, dtype=dec.residual_dtype)
+        return self._decoded(
+            "_residual_cache", self._residual_words, dec.residual_bits
+        )
 
     #: Valid ``bound`` arguments of :meth:`sort_permutation`.
     SORT_BOUNDS = ("lo", "hi", "exact")
@@ -701,21 +716,24 @@ class BwdColumn:
         return view
 
     def sorted_approx_codes(self) -> np.ndarray:
-        """The i64 approximation codes in stable-sorted order (memoized).
+        """The approximation codes in stable-sorted order (memoized).
 
         The shared binary-search key of the serve layer's cooperative
         carve: ``sorted_approx_codes() ==
-        approx_codes_i64()[sort_permutation("lo")]``, so a code-range
+        approx_codes()[sort_permutation("lo")]``, so a code-range
         predicate maps to one ``searchsorted`` pair instead of an O(n)
-        scan.  Cached like the sort permutations: whole-view, registered
-        with the LRU view budget, rebuilt after eviction.  Purely
-        host-side simulation state — modeled charges never depend on it.
+        scan — with needles of this key's dtype
+        (:func:`~repro.storage.bitpack.clip_code_range`); any other needle
+        promotes, i.e. copies, the whole key per search.  Cached like the
+        sort permutations: whole-view, registered with the LRU view budget,
+        rebuilt after eviction.  Purely host-side simulation state —
+        modeled charges never depend on it.
         """
         view = self._sorted_codes_cache
         if view is None:
             view = self._seed(
                 "_sorted_codes_cache",
-                self.approx_codes_i64()[self.sort_permutation("lo")],
+                self.approx_codes()[self.sort_permutation("lo")],
             )
         else:
             _VIEW_BUDGET.touch(self, "_sorted_codes_cache")
@@ -723,17 +741,15 @@ class BwdColumn:
 
     def residual_at(self, positions: np.ndarray) -> np.ndarray:
         """Random-access residuals (host-side gather; the refine hot path)."""
-        if self.decomposition.residual_bits == 0:
-            positions = np.asarray(positions)
-            return np.zeros(len(positions), dtype=np.uint64)
+        dec = self.decomposition
+        if dec.residual_bits == 0:
+            return np.zeros(len(np.asarray(positions)), dtype=dec.residual_dtype)
         if isinstance(self._residual_cache, np.ndarray):
             _VIEW_BUDGET.touch(self, "_residual_cache")
             return self._residual_cache[self._checked(positions)]
         return gather_codes(
-            self._residual_words,
-            self.decomposition.residual_bits,
-            self.length,
-            positions,
+            self._residual_words, dec.residual_bits, self.length, positions,
+            dec.residual_dtype,
         )
 
     def _checked(self, positions: np.ndarray) -> np.ndarray:

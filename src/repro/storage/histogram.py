@@ -36,7 +36,7 @@ class CodeHistogram:
         dec = column.decomposition
         if column.length == 0:
             raise StorageError("cannot build a histogram over an empty column")
-        codes = column.approx_codes_i64()
+        codes = column.approx_codes().astype(np.int64)  # arithmetic: widen
         n_codes = dec.max_code + 1
         merge = max(1, -(-n_codes // MAX_BUCKETS))
         counts = np.bincount(codes // merge, minlength=-(-n_codes // merge))
@@ -49,7 +49,7 @@ class CodeHistogram:
             raise StorageError("column is shorter than its histogram")
         codes = column.approx_at(np.arange(self.total, column.length))
         added = np.bincount(
-            codes.view(np.int64) // self.codes_per_bucket,
+            codes.astype(np.int64) // self.codes_per_bucket,
             minlength=len(self.counts),
         )
         return CodeHistogram(

@@ -327,6 +327,15 @@ def test_property_chunked_fallback_matches_sorted_refine(
 # ----------------------------------------------------------------------
 # Timeline identity: representation is unobservable in modeled seconds
 # ----------------------------------------------------------------------
+def theta_join(session, op, delta=0, **knobs):
+    """orders.price θ quotes.price through the builder, A&R mode."""
+    return (
+        session.table("orders")
+        .theta_join("quotes", on="price", op=op, delta=delta, **knobs)
+        .run(mode="ar")
+    )
+
+
 class TestTimelineIdentity:
     @pytest.fixture()
     def session(self):
@@ -347,10 +356,7 @@ class TestTimelineIdentity:
         self, session, op, delta
     ):
         results = {
-            emit: session.theta_join(
-                "orders.price", "quotes.price", op, delta,
-                strategy="sorted", emit=emit,
-            )
+            emit: theta_join(session, op, delta, strategy="sorted", emit=emit)
             for emit in ("runs", "pairs")
         }
         a, b = results["runs"], results["pairs"]
@@ -362,13 +368,9 @@ class TestTimelineIdentity:
         """A zero view budget keeps every cache (code views *and* sort
         permutations) permanently cold; the run-length pipeline must charge
         exactly what the unbounded warm one does, and still be correct."""
-        warm = session.theta_join(
-            "orders.price", "quotes.price", "within", 20, emit="runs"
-        )
+        warm = theta_join(session, "within", 20, emit="runs")
         set_view_budget(0)
-        cold = session.theta_join(
-            "orders.price", "quotes.price", "within", 20, emit="runs"
-        )
+        cold = theta_join(session, "within", 20, emit="runs")
         assert np.array_equal(warm.column("left_pos"), cold.column("left_pos"))
         assert np.array_equal(warm.column("right_pos"), cold.column("right_pos"))
         assert spans_of(warm.timeline) == spans_of(cold.timeline)
@@ -376,11 +378,11 @@ class TestTimelineIdentity:
     def test_repeated_join_reuses_permutations_and_charges_identically(
         self, session
     ):
-        first = session.theta_join("orders.price", "quotes.price", "<", 0)
+        first = theta_join(session, "<")
         col = session.catalog.decomposition_of("quotes", "price")
         perm = col._perm_approx_cache
         assert perm is not None  # memoized by the first join
-        again = session.theta_join("orders.price", "quotes.price", "<", 0)
+        again = theta_join(session, "<")
         assert col._perm_approx_cache is perm  # reused, not rebuilt
         assert spans_of(first.timeline) == spans_of(again.timeline)
 

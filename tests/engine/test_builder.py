@@ -1,13 +1,9 @@
 """The lazy relational builder API and the theta-join plan path.
 
 Covers the PR-4 redesign: theta/band joins as first-class plan nodes behind
-``session.table(...)``, the deprecated ``Session.theta_join`` shim
-(byte-identical Result and Timeline), three-mode agreement against the
-brute-force oracle, and the aggregate-only fast path that never
-materializes a pair.
+``session.table(...)``, three-mode agreement against the brute-force
+oracle, and the aggregate-only fast path that never materializes a pair.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -271,54 +267,6 @@ class TestThetaViaBuilder:
         exact = builder.run(mode="ar").scalar("n")
         bound = approx.approximate.bound("n")
         assert bound.lo <= exact <= bound.hi
-
-
-class TestDeprecatedShim:
-    def test_emits_deprecation_warning(self, session):
-        with pytest.warns(DeprecationWarning):
-            session.theta_join("orders.price", "quotes.price", "<")
-
-    @pytest.mark.parametrize("op,delta", ALL_OPS)
-    @pytest.mark.parametrize("strategy,emit", [
-        ("auto", "auto"),
-        ("sorted", "runs"),
-        ("sorted", "pairs"),
-        ("bruteforce", "pairs"),
-    ])
-    def test_shim_is_byte_identical_to_builder(
-        self, session, op, delta, strategy, emit
-    ):
-        """Every op × strategy × emit: same Result columns, same modeled
-        Timeline span for span — the shim is a pure alias of the plan path."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = session.theta_join(
-                "orders.price", "quotes.price", op, delta,
-                strategy=strategy, emit=emit,
-            )
-        built = (
-            session.table("orders")
-            .theta_join(
-                "quotes", on="price", op=op, delta=delta,
-                strategy=strategy, emit=emit,
-            )
-            .run(mode="ar")
-        )
-        assert shim.row_count == built.row_count
-        assert np.array_equal(shim.column("left_pos"), built.column("left_pos"))
-        assert np.array_equal(
-            shim.column("right_pos"), built.column("right_pos")
-        )
-        assert shim.approximate.candidate_rows == built.approximate.candidate_rows
-        assert spans_of(shim.timeline) == spans_of(built.timeline)
-
-    def test_shim_rejects_malformed_operands(self, session):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(PlanError):
-                session.theta_join("price", "quotes.price", "<")
-            with pytest.raises(PlanError):
-                session.theta_join("orders.price", "quotes.price", "!!")
 
 
 class TestAggregateOnlyFastPath:

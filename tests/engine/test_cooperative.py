@@ -110,7 +110,7 @@ class TestCooperativeCarve:
         from repro.core.relax import relax_to_code_range
 
         carved = cooperative_scan_hits(column, REQUESTS)
-        codes = column.approx_codes_i64()
+        codes = column.approx_codes().astype(np.int64)
         for request in REQUESTS:
             lo, hi = relax_to_code_range(request.vrange, column.decomposition)
             solo = np.flatnonzero((codes >= lo) & (codes <= hi))

@@ -35,12 +35,21 @@ def session():
     return s
 
 
+def theta_join(session, op, delta=0, **knobs):
+    """orders.price θ quotes.price through the builder, A&R mode."""
+    return (
+        session.table("orders")
+        .theta_join("quotes", on="price", op=op, delta=delta, **knobs)
+        .run(mode="ar")
+    )
+
+
 class TestThetaJoinPipeline:
     @pytest.mark.parametrize("op,delta", [
         ("<", 0), ("<=", 0), (">", 0), (">=", 0), ("=", 0), ("within", 25),
     ])
     def test_matches_reference_join(self, session, op, delta):
-        result = session.theta_join("orders.price", "quotes.price", op, delta)
+        result = theta_join(session, op, delta)
         left_v = session.catalog.table("orders").values("price")
         right_v = session.catalog.table("quotes").values("price")
         truth = theta_join_reference(
@@ -51,7 +60,7 @@ class TestThetaJoinPipeline:
         assert np.array_equal(result.column("right_pos"), truth.right_positions)
 
     def test_result_is_canonically_ordered(self, session):
-        result = session.theta_join("orders.price", "quotes.price", "within", 10)
+        result = theta_join(session, "within", 10)
         left = result.column("left_pos")
         right = result.column("right_pos")
         keys = list(zip(left.tolist(), right.tolist()))
@@ -62,10 +71,7 @@ class TestThetaJoinPipeline:
         final columns and byte-identical modeled timelines (the whole point
         of the order-insensitive contract, extended to run-length pairs)."""
         results = [
-            session.theta_join(
-                "orders.price", "quotes.price", "within", 25,
-                strategy=strategy, emit=emit,
-            )
+            theta_join(session, "within", 25, strategy=strategy, emit=emit)
             for strategy, emit in (
                 ("sorted", "runs"),
                 ("sorted", "pairs"),
@@ -80,7 +86,7 @@ class TestThetaJoinPipeline:
             assert spans_of(a.timeline) == spans_of(b.timeline)
 
     def test_pipeline_crosses_all_three_devices(self, session):
-        result = session.theta_join("orders.price", "quotes.price", "<", 0)
+        result = theta_join(session, "<")
         kinds = {kind for _, kind, *_ in spans_of(result.timeline)}
         assert kinds == {"gpu", "bus", "cpu"}
         ops = [op for _, _, op, *_ in spans_of(result.timeline)]
@@ -89,13 +95,15 @@ class TestThetaJoinPipeline:
         assert ops[-1] == "join.theta.materialize"
 
     def test_candidate_rows_reports_superset(self, session):
-        result = session.theta_join("orders.price", "quotes.price", "=", 0)
+        result = theta_join(session, "=")
         assert result.approximate is not None
         assert result.approximate.candidate_rows >= result.row_count
 
-    def test_rejects_unqualified_or_undecomposed(self, session):
+    def test_rejects_unknown_op_or_undecomposed(self, session):
         with pytest.raises(PlanError):
-            session.theta_join("price", "quotes.price", "<")
+            theta_join(session, "!!")
         session.create_table("plain", {"v": IntType()}, {"v": np.arange(10)})
         with pytest.raises(PlanError):
-            session.theta_join("plain.v", "quotes.price", "<")
+            session.table("plain").theta_join(
+                "quotes", on=("v", "price"), op="<"
+            ).run(mode="ar")

@@ -10,10 +10,11 @@ strategy × emit shape and under an evicting per-shard view budget.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import IntType
+from repro.errors import DeviceFailure
 from repro.faults import FaultProfile, RetryPolicy
 from repro.shard import ShardedSession
 from repro.storage.decompose import set_view_budget
@@ -154,6 +155,9 @@ class TestTransientIdentityProperty:
         grouped=st.booleans(),
         fault_seed=st.integers(0, 10_000),
     )
+    # A narrow window prunes three shards and all four attempts fail on the
+    # fourth: no survivor, so the query raises instead of degrading.
+    @example(lo=0, width=500, mode="ar", grouped=False, fault_seed=743)
     def test_scan_identity_under_transient_rate(
         self, lo, width, mode, grouped, fault_seed
     ):
@@ -166,7 +170,14 @@ class TestTransientIdentityProperty:
         )
         hi = min(lo + width, DOMAIN)
         clean = scan_builder(healthy, lo, hi, grouped).run(mode=mode)
-        faulty = scan_builder(faulty_session, lo, hi, grouped).run(mode=mode)
+        try:
+            faulty = scan_builder(faulty_session, lo, hi, grouped).run(mode=mode)
+        except DeviceFailure as exc:
+            # The executor's contract — no survivor ⇒ raise, not degrade:
+            # all 4 attempts failed on every shard the window did not prune.
+            assert not exc.transient
+            assert "no surviving fragment to degrade to" in str(exc)
+            return
         if faulty.degraded:  # all 4 attempts failed somewhere: not this pin
             return
         assert_identical(clean, faulty, f"{mode} [{lo},{hi}] seed={fault_seed}")

@@ -163,7 +163,7 @@ class TestCarriedAcrossCompaction:
         monkeypatch.undo()
         assert max(sorted_sizes) < N, "a full column was argsorted"
         assert np.array_equal(perm, argsort(new.approx_codes(), kind="stable"))
-        assert np.array_equal(ordered, new.approx_codes_i64()[perm])
+        assert np.array_equal(ordered, new.approx_codes()[perm])
 
     def test_histogram_is_carried_forward(self):
         s = make_session()

@@ -182,9 +182,7 @@ def test_compaction_restores_storage_identity():
         db = bulk.catalog.decomposition_of("fact", col)
         dc = compacted.catalog.decomposition_of("fact", col)
         assert db.decomposition == dc.decomposition
-        assert np.array_equal(
-            db.approx_codes_i64(), dc.approx_codes_i64()
-        )
+        assert np.array_equal(db.approx_codes(), dc.approx_codes())
 
 
 def test_sharded_compaction_matches_sharded_bulk():

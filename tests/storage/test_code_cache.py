@@ -15,7 +15,7 @@ from repro.core.relax import ValueRange
 from repro.device.gpu import SimulatedGPU
 from repro.device.model import DeviceSpec
 from repro.device.timeline import Timeline
-from repro.storage.bitpack import unpack_codes
+from repro.storage.bitpack import code_dtype, unpack_codes
 from repro.storage.decompose import BwdColumn, decompose_values
 from repro.workloads.tpch import TpchConfig, build_tpch_session, q6_sql
 
@@ -52,7 +52,9 @@ class TestCacheCorrectness:
         # second call returns the same memoized object
         assert col.approx_codes() is col.approx_codes()
         assert col.residuals() is col.residuals()
-        assert np.array_equal(col.approx_codes_i64(), expected_approx.astype(np.int64))
+        # ... at the codes' own width, not a machine word per row
+        assert col.approx_codes().dtype == code_dtype(max(dec.approx_bits, 1))
+        assert col.residuals().dtype == code_dtype(dec.residual_bits)
 
     def test_from_values_seeds_cache(self):
         values = np.arange(100)
@@ -68,7 +70,7 @@ class TestCacheCorrectness:
         with pytest.raises(ValueError):
             col.residuals()[0] = 1
         with pytest.raises(ValueError):
-            col.approx_codes_i64()[0] = 1
+            col.sorted_approx_codes()[0] = 1
 
     def test_warm_gather_matches_packed_gather(self):
         values = np.random.default_rng(9).integers(0, 1 << 20, 300)

@@ -39,6 +39,13 @@ def assert_same_column(got: BwdColumn, want: BwdColumn) -> None:
         assert np.array_equal(got._residual_words, want._residual_words)
     assert np.array_equal(got.approx_codes(), want.approx_codes())
     assert np.array_equal(got.residuals(), want.residuals())
+    dec = want.decomposition
+    for codes, dtype in (
+        (got.approx_codes(), dec.approx_dtype),
+        (got.sorted_approx_codes(), dec.approx_dtype),
+        (got.residuals(), dec.residual_dtype),
+    ):
+        assert codes.dtype == dtype, "a carried view is held at code width"
     assert np.array_equal(got.reconstruct(), want.reconstruct())
     for bound in ("lo", "exact"):
         assert np.array_equal(
@@ -99,6 +106,13 @@ def test_property_extended_equals_bulk(case, warm):
     for view in (got._approx_cache, got._perm_approx_cache,
                  got._sorted_codes_cache, got._perm_exact_cache):
         assert view is None or not view.flags.writeable
+    # The carried views cost the bytes of their dtype — codes at code
+    # width, permutations at index width — nothing is widened on the way.
+    assert got._approx_cache.itemsize == plan.approx_dtype.itemsize
+    if got._sorted_codes_cache is not None:
+        assert got._sorted_codes_cache.itemsize == plan.approx_dtype.itemsize
+    for perm in (got._perm_approx_cache, got._perm_exact_cache):
+        assert perm is None or perm.dtype == np.int64
     assert_same_column(got, want)
     assert old.length == len(old_values), "the old column is left as it was"
     assert np.array_equal(old.reconstruct(), old_values)
@@ -207,7 +221,9 @@ class TestUnderAViewBudget:
         old = BwdColumn.from_values(old_values, plan)
         old.sorted_approx_codes()
         # Squeeze out a few segments: the decoded views go partial.
-        set_view_budget(view_cache_bytes() - 3 * self.SEG * 8)
+        set_view_budget(
+            view_cache_bytes() - 3 * self.SEG * plan.approx_dtype.itemsize
+        )
         assert isinstance(old._approx_cache, _PartialView)
         set_view_budget(None)
         partial = old._approx_cache

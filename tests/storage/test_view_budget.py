@@ -43,11 +43,10 @@ class TestBudgetKnob:
         assert view_budget() is None
         col = decompose_values(np.arange(1000), residual_bits=4)
         before = view_cache_bytes()
-        signed = col.approx_codes_i64()
-        assert col._approx_cache is not None
-        # The signed stream is a reinterpretation of the cached view, not a
-        # second cached copy: same buffer, no bytes added to the budget.
-        assert np.shares_memory(signed, col._approx_cache)
+        codes = col.approx_codes()
+        # The one accessor hands out the seeded view itself — no signed or
+        # widened second copy exists to add bytes to the budget.
+        assert codes is col._approx_cache
         assert view_cache_bytes() == before
 
     def test_rejects_negative(self):
@@ -169,11 +168,16 @@ class TestSegmentGranularEviction:
         base = view_cache_bytes()
         col = decompose_values(np.arange(1024), residual_bits=0)
         view = col.approx_codes()
-        assert view_cache_bytes() >= base + view.nbytes
-        set_view_budget(view_cache_bytes() - 256 * 8)  # shave one segment
+        assert view.itemsize == 2  # 10-bit codes: two bytes a row, not eight
+        assert view_cache_bytes() == base + 1024 * view.itemsize
+        # shave one segment
+        set_view_budget(view_cache_bytes() - 256 * view.itemsize)
         assert isinstance(col._approx_cache, _PartialView)
+        assert col._approx_cache.resident == 3
+        assert view_cache_bytes() == base + 3 * 256 * view.itemsize
         set_view_budget(None)
         col.approx_codes()
+        assert view_cache_bytes() == base + 1024 * view.itemsize
 
     def test_changing_segment_rows_flushes(self):
         set_view_budget(None, segment_rows=256)
@@ -184,17 +188,20 @@ class TestSegmentGranularEviction:
         assert view_cache_bytes() == 0
         assert col._approx_cache is None
 
-    def test_i64_view_reassembles_from_codes(self):
+    def test_partial_view_reassembles_at_code_width(self):
         set_view_budget(None, segment_rows=64)
         values = np.random.default_rng(9).integers(0, 1 << 12, 500)
         col = decompose_values(values, residual_bits=3)
-        i64_before = col.approx_codes_i64().copy()
-        # Evict a sliver so the i64 view goes partial, then reassemble.
-        set_view_budget(view_cache_bytes() - 64 * 8)
+        before = col.approx_codes().copy()
+        # Evict a sliver so the view goes partial, then reassemble: the
+        # hole is decoded from the packed stream straight into the view's
+        # own dtype.
+        set_view_budget(view_cache_bytes() - 64 * before.itemsize)
+        assert isinstance(col._approx_cache, _PartialView)
         set_view_budget(None)
-        after = col.approx_codes_i64()
-        assert after.dtype == np.int64
-        assert np.array_equal(after, i64_before)
+        after = col.approx_codes()
+        assert after.dtype == before.dtype == np.uint16
+        assert np.array_equal(after, before)
 
     def test_segmented_eviction_charges_identically(self):
         """Partial eviction is wall-clock only: a column squeezed through
