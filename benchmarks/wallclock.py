@@ -79,7 +79,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.approximate import select_approx, select_approx_narrow
+from repro.core.approximate import select_approx, select_conjunction_approx
 from repro.core.candidates import RunPairCandidates
 from repro.core.refine import ship_pairs
 from repro.core.relax import ValueRange
@@ -407,19 +407,14 @@ def _run_selection_evict(fx: _Fixtures) -> None:
 
 
 def _run_conjunction3(fx: _Fixtures) -> None:
-    t = Timeline()
     n = fx.n_rows
-    cand = select_approx(
-        fx.machine.gpu, t, fx.columns[0], "c0",
-        ValueRange.between(0, n // 2),
-    )
-    cand = select_approx_narrow(
-        fx.machine.gpu, t, fx.columns[1], "c1",
-        ValueRange.between(n // 4, 3 * n // 4), cand,
-    )
-    select_approx_narrow(
-        fx.machine.gpu, t, fx.columns[2], "c2",
-        ValueRange.between(n // 3, 2 * n // 3), cand,
+    select_conjunction_approx(
+        fx.machine.gpu, Timeline(),
+        [
+            (fx.columns[0], "c0", ValueRange.between(0, n // 2)),
+            (fx.columns[1], "c1", ValueRange.between(n // 4, 3 * n // 4)),
+            (fx.columns[2], "c2", ValueRange.between(n // 3, 2 * n // 3)),
+        ],
     )
 
 

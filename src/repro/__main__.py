@@ -38,9 +38,6 @@ import sys
 
 from .engine.session import Session
 from .errors import ReproError
-from .sql.ast import BwDecompose
-from .sql.binder import bind
-from .sql.parser import parse
 from .util import format_seconds
 from .workloads.spatial import SpatialConfig, build_spatial_session
 from .workloads.tpch import TpchConfig, build_tpch_session
@@ -123,15 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         for sql in args.sql:
             print(f"> {sql}")
             if args.explain:
-                stmt = parse(sql)
-                if isinstance(stmt, BwDecompose):
-                    # DDL has no plan; apply it so later statements that
-                    # need the decomposition can still be explained.
-                    session.bwdecompose(stmt.table, stmt.column, stmt.device_bits)
-                    print("(bwdecompose applied; nothing to explain)")
-                    continue
-                query, _ = bind(stmt, session.catalog)
-                print(session.explain(query, pushdown=not args.no_pushdown))
+                print(session.explain(sql, pushdown=not args.no_pushdown))
             else:
                 result = session.execute(
                     sql, mode=args.mode, pushdown=not args.no_pushdown

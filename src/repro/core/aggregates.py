@@ -35,8 +35,17 @@ _INT64 = np.iinfo(np.int64)
 def grouped_sum(
     values: np.ndarray, groups: Groups, n_groups: int | None = None
 ) -> np.ndarray:
-    """Exact per-group int64 sums."""
-    return _scatter(np.add, 0, values, groups, n_groups)
+    """Exact per-group int64 sums — scattered once per assignment and
+    read-only ``values`` array (:attr:`GroupAssignment.sums`; an array
+    that can still be written to is summed every time)."""
+    groups = _assignment(groups, n_groups)
+    for held, sums in groups.sums:
+        if held is values:
+            return sums.copy()
+    sums = _scatter(np.add, 0, values, groups, None)
+    if isinstance(values, np.ndarray) and not values.flags.writeable:
+        groups.sums.append((values, sums.copy()))
+    return sums
 
 
 def grouped_min(

@@ -14,6 +14,8 @@ exactly this fast path.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..device.gpu import SimulatedGPU
@@ -52,6 +54,53 @@ def _carried_codes(
     return (carried.lo - dec.base) >> dec.residual_bits
 
 
+def select_conjunction_approx(
+    gpu: SimulatedGPU,
+    timeline: Timeline,
+    conjuncts: Sequence[tuple[BwdColumn, str, ValueRange]],
+    *,
+    candidates: Approximation | None = None,
+    scramble: bool = True,
+    precomputed_hits: np.ndarray | None = None,
+) -> Approximation:
+    """Approximate a conjunction of selections in one device pass.
+
+    ``conjuncts`` are ``(column, label, value range)`` in evaluation order.
+    Alone, the first is the relaxed scan of its approximation stream and
+    the others probe its survivors (random access on the device); after
+    ``candidates`` every one probes those, whose order is kept, so
+    translucent-join preconditions stay intact.  Returns the candidate
+    superset with each column's bucket bounds attached as payload
+    ``label`` — formed once, for the rows that pass every conjunct; bounds
+    the incoming candidates already carry under a label are kept.  Scan
+    output is scrambled like a real massively parallel scatter unless
+    ``scramble`` is disabled.  ``precomputed_hits`` (the first conjunct's
+    ascending positions from a shared cooperative pass) skips the NumPy
+    scan only; results and modeled charges are byte-identical.
+    """
+    ranges = [
+        (column, label, *relax_to_code_range(vrange, column.decomposition))
+        for column, label, vrange in conjuncts
+    ]
+    if candidates is None:
+        ids, _ = gpu.select_code_ranges(
+            ranges, timeline, scramble=scramble, precomputed_hits=precomputed_hits
+        )
+        out = Approximation(ids=ids, order_preserved=not scramble, exact=True)
+    else:
+        _, index = gpu.select_code_ranges(ranges, timeline, positions=candidates.ids)
+        keep = np.zeros(len(candidates), dtype=bool)
+        keep[index] = True
+        out = candidates.narrowed(keep)
+    for column, label, _ in conjuncts:
+        if label not in out.payloads:
+            out.payloads[label] = _payload_from_codes(
+                column, column.approx_at(out.ids)
+            )
+        out.exact = out.exact and column.decomposition.residual_bits == 0
+    return out
+
+
 def select_approx(
     gpu: SimulatedGPU,
     timeline: Timeline,
@@ -62,26 +111,10 @@ def select_approx(
     scramble: bool = True,
     precomputed_hits: np.ndarray | None = None,
 ) -> Approximation:
-    """Approximate a selection: relaxed scan of the approximation stream.
-
-    Returns the candidate superset with the column's bucket bounds attached
-    as payload ``label``.  Output order is scrambled like a real massively
-    parallel scatter unless ``scramble`` is disabled.  ``precomputed_hits``
-    (ascending positions from a shared cooperative pass) skips the NumPy
-    scan only; results and modeled charges are byte-identical.
-    """
-    lo_code, hi_code = relax_to_code_range(vrange, column.decomposition)
-    ids = gpu.scan_code_range(
-        column, lo_code, hi_code, timeline, op=f"select.approx({label})",
+    """Approximate a selection: :func:`select_conjunction_approx` of one."""
+    return select_conjunction_approx(
+        gpu, timeline, [(column, label, vrange)],
         scramble=scramble, precomputed_hits=precomputed_hits,
-    )
-    payload = _payload_from_codes(column, column.approx_at(ids))
-    exact = column.decomposition.residual_bits == 0
-    return Approximation(
-        ids=ids,
-        order_preserved=not scramble,
-        payloads={label: payload},
-        exact=exact,
     )
 
 
@@ -93,29 +126,11 @@ def select_approx_narrow(
     vrange: ValueRange,
     candidates: Approximation,
 ) -> Approximation:
-    """Further approximate selection restricted to existing candidates.
-
-    The conjunction case: later predicates of a WHERE clause probe only the
-    surviving candidate ids (random access on the device).  Preserves the
-    incoming candidate order, so translucent-join preconditions stay intact.
-    """
-    dec = column.decomposition
-    lo_code, hi_code = relax_to_code_range(vrange, dec)
-    # A second bound on a column the candidates already carry
-    # (``a >= x and a < y``) reuses the carried codes.
-    carried = _carried_codes(column, label, candidates)
-    keep_mask, codes = gpu.refine_positions_code_range(
-        column, candidates.ids, lo_code, hi_code, timeline,
-        op=f"select.approx.probe({label})", precomputed_codes=carried,
+    """Further approximate selection restricted to existing candidates:
+    :func:`select_conjunction_approx` of one, continuing from them."""
+    return select_conjunction_approx(
+        gpu, timeline, [(column, label, vrange)], candidates=candidates
     )
-    # The probe's keep-mask narrows the candidates directly (no membership
-    # recomputation) and its gathered codes feed the payload (one gather
-    # per conjunct, not two); a carried payload was narrowed with the rest.
-    narrowed = candidates.narrowed(keep_mask)
-    if carried is None:
-        narrowed.payloads[label] = _payload_from_codes(column, codes[keep_mask])
-    narrowed.exact = narrowed.exact and dec.residual_bits == 0
-    return narrowed
 
 
 def project_approx(

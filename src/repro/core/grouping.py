@@ -56,6 +56,15 @@ class GroupAssignment:
         """Rows per group — counted once however many averages divide by it."""
         return np.bincount(self.gids, minlength=self.n_groups)
 
+    @cached_property
+    def sums(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(values, their per-group sums)`` scattered over this assignment
+        so far (:func:`~repro.core.aggregates.grouped_sum`), found again by
+        the identity of ``values``: the approximate ``sum`` over error-free
+        bounds, the refined ``sum`` and the refined ``avg`` of one
+        expression are one scatter."""
+        return []
+
 
 def combine_keys(gids: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, int]:
     """Fold one more key column into composite group ids.

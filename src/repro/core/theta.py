@@ -52,6 +52,7 @@ from ..device.model import OpClass
 from ..device.timeline import Timeline
 from ..errors import ExecutionError
 from ..storage.decompose import BwdColumn
+from .approximate import _payload_from_codes
 from .candidates import PairCandidates, RunPairCandidates
 from .intervals import IntervalColumn
 
@@ -170,15 +171,33 @@ class Theta:
         return np.maximum(left_hi - right_lo, right_hi - left_lo) <= self.delta
 
 
+def _codes(column: BwdColumn, ids: np.ndarray | None) -> np.ndarray:
+    return column.approx_codes() if ids is None else column.approx_at(ids)
+
+
 def _bounds(column: BwdColumn, ids: np.ndarray | None = None) -> IntervalColumn:
     """Approximate value intervals of the whole column, or of rows ``ids``
     only — a selection under the join pays for its candidates, not |L|."""
-    dec = column.decomposition
-    codes = column.approx_codes() if ids is None else column.approx_at(ids)
-    lo = dec.approx_lower_bounds(codes)
-    if dec.residual_bits == 0:
-        return IntervalColumn.exact(lo)
-    return IntervalColumn.from_bounds(lo, lo + dec.max_error)
+    return _payload_from_codes(column, _codes(column, ids))
+
+
+def _per_code(column: BwdColumn, n_rows: int) -> bool:
+    """Decide this side of θ once per distinct approximation code?
+
+    Bucket bounds are a function of the code, and there are at most
+    ``2**approx_bits`` codes: when the rows outnumber them, searching the
+    sorted bound *table* and reading each row's answer through its code
+    does fewer — and already sorted — binary searches than one per row.
+    Read off the decomposition and the row count alone.
+    """
+    return (1 << column.decomposition.approx_bits) <= n_rows
+
+
+def _code_bounds(column: BwdColumn) -> IntervalColumn:
+    """Bucket bounds of every approximation code, in code order."""
+    return _payload_from_codes(
+        column, np.arange(column.decomposition.max_code + 1)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +325,38 @@ def _sorted_runs(
     return starts, stops, order, order_key
 
 
+def _left_runs(
+    left: BwdColumn,
+    left_ids: np.ndarray | None,
+    right_b: IntervalColumn,
+    theta: Theta,
+    right_width: int | None,
+    right: BwdColumn,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """:func:`_sorted_runs` of ``left``'s rows (all, or ``left_ids``).
+
+    Per distinct code where that is fewer searches (:func:`_per_code`):
+    the runs of the bucket-bound table — its needles ascending as they
+    stand — gathered through the rows' codes.  Otherwise per row, the
+    needles put in order by the whole column's memoized permutation or —
+    a row subset breaks its "whole column" precondition — one argsort of
+    the candidates' own lower bounds.  Bit-identical either way.
+    """
+    n_left = left.length if left_ids is None else len(left_ids)
+    if _per_code(left, n_left):
+        starts, stops, order, order_key = _sorted_runs(
+            _code_bounds(left), right_b, theta, right_width, right
+        )
+        codes = _codes(left, left_ids)
+        return starts[codes], stops[codes], order, order_key
+    left_b = _bounds(left, left_ids)
+    return _sorted_runs(
+        left_b, right_b, theta, right_width, right,
+        left.sort_permutation("lo") if left_ids is None
+        else np.argsort(left_b.lo),
+    )
+
+
 def _right_order(
     bound_values: np.ndarray, order_key: str, right_col: BwdColumn | None
 ) -> np.ndarray:
@@ -421,8 +472,7 @@ def theta_join_approx(
         raise ExecutionError(f"unknown emit mode {emit!r}; pick one of {EMITS}")
     if left_ids is not None:
         left_ids = np.asarray(left_ids, dtype=np.int64)
-    left_b = _bounds(left, left_ids)
-    n_left = len(left_b.lo)
+    n_left = left.length if left_ids is None else len(left_ids)
     right_b = _bounds(right)
     # The overlap ops need the right side's uniform interval width; compute
     # the O(|R|) check once and share it between strategy pick and join.
@@ -434,17 +484,11 @@ def theta_join_approx(
     chosen = _pick_strategy(strategy, theta, right_width, right.length)
     pairs: PairCandidates | RunPairCandidates
     if chosen == "sorted":
-        # The needle order of both sweeps: the whole column's memoized
-        # permutation, or — a row subset breaks its "whole column"
-        # precondition — one argsort of the candidates' own lower bounds
-        # (bit-identical results either way, see _searchsorted_via).
         if precomputed_runs is not None and left_ids is None:
             starts, stops, order, order_key = precomputed_runs
         else:
-            starts, stops, order, order_key = _sorted_runs(
-                left_b, right_b, theta, right_width, right,
-                left.sort_permutation("lo") if left_ids is None
-                else np.argsort(left_b.lo),
+            starts, stops, order, order_key = _left_runs(
+                left, left_ids, right_b, theta, right_width, right
             )
         runs = RunPairCandidates(
             np.arange(n_left, dtype=np.int64) if left_ids is None else left_ids,
@@ -458,7 +502,7 @@ def theta_join_approx(
                 "emit='runs' needs the sorted strategy; the brute-force "
                 "producer only materializes pairs"
             )
-        li, ri = _tiled_pairs(left_b, right_b, theta)
+        li, ri = _tiled_pairs(_bounds(left, left_ids), right_b, theta)
         if left_ids is not None:
             li = left_ids[li]
         pairs = PairCandidates(li, ri)
@@ -529,60 +573,56 @@ def _certain_pair_count(
     theta: Theta,
     left_ids: np.ndarray | None,
 ) -> int:
-    left_b = _bounds(left, left_ids)
-    right_b = _bounds(right)
-    n_right = len(right_b.lo)
-    if len(left_b.lo) == 0 or n_right == 0:
+    n_left = left.length if left_ids is None else len(left_ids)
+    n_right = right.length
+    if n_left == 0 or n_right == 0:
         return 0
     # Decomposition bounds are uniform-width, so every needle array below
-    # is a shifted copy of the left lower bound: sort it once (transient —
-    # the only sum consumers need no scatter-back) and shift per sweep for
-    # the fast sorted-needle binary search.
-    left_width = int(left_b.hi[0] - left_b.lo[0])
-    lo_sorted = np.sort(left_b.lo)
+    # is a shifted copy of ascending left lower bounds — the fast sorted-
+    # needle binary search, and a sum needs no scatter-back.  They are the
+    # bucket-bound table, each code weighted by the rows that carry it
+    # (:func:`_per_code`), or the rows' own bounds, sorted once.
+    if _per_code(left, n_left):
+        lo_sorted = _code_bounds(left).lo
+        weights = np.bincount(_codes(left, left_ids), minlength=len(lo_sorted))
+    else:
+        lo_sorted = np.sort(_bounds(left, left_ids).lo)
+        weights = None
+    left_width = left.decomposition.max_error
+    right_b = _bounds(right)
     op = theta.op
     if op in (ThetaOp.LT, ThetaOp.LE):
         # left_hi (<|<=) right_lo  ⇔  a suffix of the lo-sorted right side.
         key = right_b.lo[right.sort_permutation("lo")]
         side = "right" if op is ThetaOp.LT else "left"
-        starts = np.searchsorted(key, lo_sorted + left_width, side=side)
-        return int((n_right - starts).sum())
-    if op in (ThetaOp.GT, ThetaOp.GE):
+        counts = n_right - np.searchsorted(key, lo_sorted + left_width, side=side)
+    elif op in (ThetaOp.GT, ThetaOp.GE):
         # left_lo (>|>=) right_hi  ⇔  a prefix of the hi-sorted right side.
         key = right_b.hi[right.sort_permutation("hi")]
         side = "left" if op is ThetaOp.GT else "right"
-        stops = np.searchsorted(key, lo_sorted, side=side)
-        return int(stops.sum())
-    if op is ThetaOp.EQ:
+        counts = np.searchsorted(key, lo_sorted, side=side)
+    elif op is ThetaOp.EQ:
         # Certain equality needs degenerate intervals on both sides.
-        if left.decomposition.residual_bits or right.decomposition.residual_bits:
+        if left_width or right.decomposition.residual_bits:
             return 0
         key = right_b.lo[right.sort_permutation("lo")]
-        starts = np.searchsorted(key, lo_sorted, side="left")
-        stops = np.searchsorted(key, lo_sorted, side="right")
-        return int((stops - starts).sum())
-    # WITHIN holds for all interval points iff the extreme distance fits:
-    # right_lo >= left_hi − δ and right_hi <= left_lo + δ; with the uniform
-    # right width c this is right_lo ∈ [left_hi − δ, left_lo + δ − c].
-    width = _uniform_width(right_b)
-    if width is None:  # non-uniform bounds: tiled oracle (tests/ad-hoc only)
-        total = 0
-        tile = max(_TILE_MIN, _TILE_ELEMS // max(n_right, 1))
-        for start in range(0, len(left_b.lo), tile):
-            stop = min(start + tile, len(left_b.lo))
-            total += int(theta.certain(
-                left_b.lo[start:stop, None], left_b.hi[start:stop, None],
-                right_b.lo[None, :], right_b.hi[None, :],
-            ).sum())
-        return total
-    key = right_b.lo[right.sort_permutation("lo")]
-    starts = np.searchsorted(
-        key, lo_sorted + (left_width - theta.delta), side="left"
-    )
-    stops = np.searchsorted(
-        key, lo_sorted + (theta.delta - width), side="right"
-    )
-    return int(np.maximum(stops - starts, 0).sum())
+        counts = np.searchsorted(key, lo_sorted, side="right")
+        counts -= np.searchsorted(key, lo_sorted, side="left")
+    else:
+        # WITHIN holds for all interval points iff the extreme distance
+        # fits: right_lo >= left_hi − δ and right_hi <= left_lo + δ; with
+        # the uniform right width c this is
+        # right_lo ∈ [left_hi − δ, left_lo + δ − c].
+        width = right.decomposition.max_error
+        key = right_b.lo[right.sort_permutation("lo")]
+        counts = np.searchsorted(
+            key, lo_sorted + (theta.delta - width), side="right"
+        )
+        counts -= np.searchsorted(
+            key, lo_sorted + (left_width - theta.delta), side="left"
+        )
+        np.maximum(counts, 0, out=counts)
+    return int(counts.sum() if weights is None else counts @ weights)
 
 
 def exact_run_bounds(

@@ -13,10 +13,12 @@ limit the paper designs around instead of silently reading host memory.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..errors import DataNotResident
-from ..storage.bitpack import clip_code_range, packed_nbytes
+from ..storage.bitpack import clip_code_range, code_range_mask, packed_nbytes
 from ..storage.decompose import BwdColumn
 from ..util import unique_inverse
 from .memory import MemoryPool
@@ -35,6 +37,40 @@ _CONFLICT_SCALE = 96.0
 #: Workgroup width of the simulated scatter; determines the deterministic
 #: output perturbation of non-order-preserving kernels.
 _SCATTER_LANES = 61
+
+#: Rows per block of the selection kernel.  A multiple of 64, so a block
+#: starts on a word boundary of every packed stream (a column without a
+#: decoded view is decoded block by block); its codes and masks stay
+#: cache-resident (measured: PERFORMANCE.md, "engine/core — conjunction
+#: kernel").
+_SELECT_BLOCK_ROWS = 1 << 16
+
+#: Surviving share of a block at or below which the remaining conjuncts
+#: gather at the survivors instead of comparing the whole block (same
+#: section of PERFORMANCE.md).
+_SPARSE_SHARE = 1 / 8
+
+
+def _clipped(conjuncts) -> list[tuple[np.integer, np.integer]]:
+    """Each conjunct's code range as scalars of its column's code dtype."""
+    return [
+        clip_code_range(lo, hi, column.decomposition.approx_dtype)
+        for column, _, lo, hi in conjuncts
+    ]
+
+
+def _scattered(ids: np.ndarray, rank: np.ndarray | None) -> np.ndarray:
+    """The order :func:`scrambled_like_parallel_scatter` of a scan's hits
+    leaves the rows ``ids`` in, once its probes have narrowed them.
+
+    ``rank`` is each row's ascending rank among the hits (``None``: every
+    hit survived): lane-major means ordered by ``(rank % lanes, rank //
+    lanes)``, which a stable sort on the lane alone gives.
+    """
+    if rank is None:
+        return scrambled_like_parallel_scatter(ids)
+    lanes = (rank % _SCATTER_LANES).astype(np.uint8)
+    return ids[np.argsort(lanes, kind="stable")]
 
 
 def scrambled_like_parallel_scatter(positions: np.ndarray) -> np.ndarray:
@@ -132,88 +168,149 @@ class SimulatedGPU:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def scan_code_range(
+    def select_code_ranges(
         self,
-        column: BwdColumn,
-        lo_code: int,
-        hi_code: int,
+        conjuncts: Sequence[tuple[BwdColumn, str, int, int]],
         timeline: Timeline,
-        op: str = "select.approx",
-        scramble: bool = False,
+        *,
+        positions: np.ndarray | None = None,
         precomputed_hits: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Relaxed selection scan: positions with code in ``[lo_code, hi_code]``.
+        scramble: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Relaxed selection of a conjunction of ``(column, label, lo_code,
+        hi_code)`` code ranges, as one pass (paper §IV-B).
 
-        This is the approximation of a selection (paper §IV-B): a full
-        sequential scan of the packed approximation stream, massively
-        parallelized over tuples in the real system.  With ``scramble``
-        enabled the output order is (deterministically) perturbed, modeling
-        that a massively parallel selection "can only maintain the input
-        order at additional costs, which we want to avoid" (§IV-A item 3).
+        Without ``positions`` the first conjunct is the approximation of a
+        selection — a sequential scan of its packed stream, billed as
+        ``select.approx(label)`` — and the others probe its survivors
+        (``select.approx.probe(label)``, random access).  The pass runs in
+        blocks of :data:`_SELECT_BLOCK_ROWS`: a conjunct is one unsigned
+        compare over the block while more than :data:`_SPARSE_SHARE` of it
+        survives, and a gather at the survivors once fewer do.  With
+        ``scramble`` the output order is that of a lane-major parallel
+        scatter of the scan's hits ("can only maintain the input order at
+        additional costs, which we want to avoid", §IV-A item 3) narrowed
+        by the probes.  ``precomputed_hits`` are the first conjunct's
+        ascending hits from a caller that already holds them (the serve
+        layer's shared cooperative pass); only the NumPy scan is skipped.
 
-        ``precomputed_hits`` lets a caller that already evaluated the same
-        predicate by other means (the serve layer's shared cooperative
-        pass) supply the ascending hit positions; the kernel then skips the
-        NumPy scan but charges *exactly* what the scan would have — the
-        hits are the same set, so the charge is byte-identical by
-        construction (the charge-neutrality invariant).
+        With ``positions`` every conjunct is a probe continuing from those
+        candidates, in their order.
+
+        Every conjunct bills what it would alone — the scan its stream plus
+        its hits, a probe the ids it read plus those it kept — from counts,
+        so the ledger cannot depend on how a block was evaluated.  Returns
+        the surviving ids and, under ``positions``, their ascending indices
+        into it (``None`` for a scan).
         """
-        self._require_resident(column)
-        if precomputed_hits is None:
-            # Fused zero-unpack scan: the predicate is evaluated directly
-            # against the column's memoized code view — no per-query O(n)
-            # materialization of the packed stream, and both bounds at
-            # the view's own width, so each compare reads 1–2 B/row.
-            codes = column.approx_codes()
-            lo, hi = clip_code_range(lo_code, hi_code, codes.dtype)
-            hits = np.flatnonzero((codes >= lo) & (codes <= hi))
+        for column, *_ in conjuncts:
+            self._require_resident(column)
+        #: ids read / ids kept per conjunct, summed over blocks
+        read, kept = [0] * len(conjuncts), [0] * len(conjuncts)
+        index = None
+        if positions is not None:
+            index = self._probe_at(
+                conjuncts, _clipped(conjuncts), 0, positions, read, kept
+            )
+            ids = positions[index]
         else:
-            hits = precomputed_hits
-        read = packed_nbytes(column.length, max(column.decomposition.approx_bits, 1))
-        self._charge(
-            timeline, op, read + hits.size * _OID_BYTES,
-            tuples=column.length, op_class=OpClass.SCAN,
-        )
-        if scramble:
-            hits = scrambled_like_parallel_scatter(hits)
-        return hits
+            if precomputed_hits is None:
+                ids, rank = self._select_blocks(
+                    conjuncts, _clipped(conjuncts), read, kept
+                )
+            else:
+                ids, rank = precomputed_hits, None
+                kept[0] = ids.size
+                if len(conjuncts) > 1:
+                    rank = self._probe_at(
+                        conjuncts, _clipped(conjuncts), 1, ids, read, kept
+                    )
+                    ids = ids[rank]
+            if scramble:
+                ids = _scattered(ids, rank)
+        for k, (column, label, _, _) in enumerate(conjuncts):
+            if k == 0 and positions is None:
+                self._charge(
+                    timeline, f"select.approx({label})",
+                    column.approx_nbytes + kept[0] * _OID_BYTES,
+                    tuples=column.length, op_class=OpClass.SCAN,
+                )
+            else:
+                self._charge(
+                    timeline, f"select.approx.probe({label})",
+                    (read[k] + kept[k]) * _OID_BYTES, AccessPattern.RANDOM,
+                    tuples=read[k], op_class=OpClass.GATHER,
+                )
+        return ids, index
 
-    def refine_positions_code_range(
-        self,
-        column: BwdColumn,
-        positions: np.ndarray,
-        lo_code: int,
-        hi_code: int,
-        timeline: Timeline,
-        op: str = "select.approx.probe",
-        precomputed_codes: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Secondary relaxed selection restricted to candidate ``positions``.
+    @staticmethod
+    def _probe_at(conjuncts, bounds, first, positions, read, kept) -> np.ndarray:
+        """Conjuncts ``first:`` tested at ``positions`` only, each at the
+        survivors of the one before: the ascending indices into
+        ``positions`` of the rows passing all of them."""
+        index = np.arange(positions.size)
+        for k in range(first, len(conjuncts)):
+            codes = conjuncts[k][0].approx_at(positions)
+            keep = np.flatnonzero(code_range_mask(codes, *bounds[k]))
+            read[k] += positions.size
+            kept[k] += keep.size
+            positions, index = positions[keep], index[keep]
+        return index
 
-        Used for conjunctions: later predicates probe only surviving
-        candidates (random access into the packed stream).  Returns the
-        positional boolean keep-mask aligned with ``positions`` plus the
-        gathered codes — callers narrow with the mask and reuse the codes
-        instead of re-intersecting id arrays and re-gathering.
+    @staticmethod
+    def _select_blocks(conjuncts, bounds, read, kept):
+        """The scan entry: ``(ascending survivors, their ranks among the
+        first conjunct's hits)`` — ranks ``None`` for a lone conjunct,
+        whose survivors are its hits."""
+        lead = conjuncts[0][0]
+        n = lead.length
+        if any(column.length != n for column, *_ in conjuncts):
+            raise ValueError("conjunct columns differ in length")
+        # The scanned column's view is built and kept, as a scan always
+        # did; a probed column is read through its view only if it has one.
+        scanned = lead.approx_codes()
+        if len(conjuncts) == 1:  # nothing to fuse: one compare, one pass
+            ids = np.flatnonzero(code_range_mask(scanned, *bounds[0]))
+            kept[0] = ids.size
+            return ids, None
 
-        ``precomputed_codes`` (the column's codes at ``positions``, from a
-        caller that already holds them) skips the NumPy gather only; the
-        charge is a function of ``positions.size`` and the keep count, as
-        with :meth:`scan_code_range`'s ``precomputed_hits``.
-        """
-        self._require_resident(column)
-        if precomputed_codes is None:
-            codes = column.approx_at(positions)
-        else:
-            codes = precomputed_codes
-        lo, hi = clip_code_range(lo_code, hi_code, codes.dtype)
-        keep = (codes >= lo) & (codes <= hi)
-        read = positions.size * _OID_BYTES
-        self._charge(
-            timeline, op, read + int(keep.sum()) * _OID_BYTES,
-            AccessPattern.RANDOM, tuples=positions.size, op_class=OpClass.GATHER,
-        )
-        return keep, codes
+        def passing(k: int, start: int, stop: int) -> np.ndarray:
+            column = conjuncts[k][0]
+            codes = (
+                scanned[start:stop] if column is lead
+                else column.approx_block(start, stop)
+            )
+            return code_range_mask(codes, *bounds[k])
+
+        ids, ranks = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for start in range(0, n, _SELECT_BLOCK_ROWS):
+            stop = min(start + _SELECT_BLOCK_ROWS, n)
+            mask = hits = passing(0, start, stop)
+            alive = n_hits = int(np.count_nonzero(hits))
+            k = 1
+            while k < len(conjuncts) and alive > (stop - start) * _SPARSE_SHARE:
+                mask = mask & passing(k, start, stop)
+                read[k] += alive
+                alive = int(np.count_nonzero(mask))
+                kept[k] += alive
+                k += 1
+            if alive:
+                local = np.flatnonzero(mask)
+                # Rank among the block's hits — a survivor's index into
+                # them — behind the hits of the blocks before.
+                rank = (
+                    np.arange(kept[0], kept[0] + alive) if mask is hits
+                    else np.flatnonzero(mask[np.flatnonzero(hits)]) + kept[0]
+                )
+                if k < len(conjuncts):
+                    index = SimulatedGPU._probe_at(
+                        conjuncts, bounds, k, local + start, read, kept
+                    )
+                    local, rank = local[index], rank[index]
+                ids.append(local + start)
+                ranks.append(rank)
+            kept[0] += n_hits
+        return np.concatenate(ids), np.concatenate(ranks)
 
     def gather_codes(
         self,

@@ -14,8 +14,7 @@ from ..core import aggregates as agg_kernels
 from ..core.approximate import (
     fk_join_approx,
     project_approx,
-    select_approx,
-    select_approx_narrow,
+    select_conjunction_approx,
 )
 from ..core.candidates import Approximation
 from ..core.grouping import (
@@ -105,6 +104,10 @@ class _ExecState:
         self.machine = machine
         self.candidates = None
         self.groups: GroupAssignment | None = None
+        #: the candidates ``groups`` was computed over: operators that
+        #: narrow hand back a new set, so while this is still the current
+        #: one the pre-grouping is aligned with it as it stands
+        self.grouped: Approximation | None = None
         self.approximate = ApproximateAnswer()
         self.exact_aggregates: dict[str, np.ndarray] = {}
         self.shipped = False
@@ -275,10 +278,19 @@ class ArExecutor:
         state.scan_hits = scan_hits
         state.theta_runs = theta_runs
 
-        for op in plan.ops:
+        ops, i = plan.ops, 0
+        while i < len(ops):
+            op, stop = ops[i], i + 1
             if approximate_only and op.phase == "refine":
                 break
-            self._dispatch(op, state)
+            if isinstance(op, (ApproxScanSelect, ApproxProbeSelect)):
+                # A scan and the probes behind it are one device pass.
+                while stop < len(ops) and isinstance(ops[stop], ApproxProbeSelect):
+                    stop += 1
+                self._select_conjunction(ops[i:stop], state)
+            else:
+                self._dispatch(op, state)
+            i = stop
 
         if approximate_only:
             if state.pairs is not None:
@@ -311,27 +323,27 @@ class ArExecutor:
         return Theta(ThetaOp(tj.op), tj.delta)
 
     # ------------------------------------------------------------------
+    def _select_conjunction(self, ops: list, state: _ExecState) -> None:
+        """Consecutive relaxed selections — a scan with the probes behind
+        it, or probes continuing from the current candidates — as one call
+        of the conjunction kernel; each still bills as its own operator."""
+        scan = ops[0] if isinstance(ops[0], ApproxScanSelect) else None
+        assert scan is not None or state.candidates is not None
+        hits = None
+        if scan is not None and state.scan_hits is not None:
+            hits = state.scan_hits.get(id(scan))
+        state.candidates = select_conjunction_approx(
+            self._machine.gpu, state.timeline,
+            [(state.bwd(op.column), op.column, op.predicate.vrange) for op in ops],
+            candidates=None if scan is not None else state.candidates,
+            precomputed_hits=hits,
+        )
+
     def _dispatch(self, op, state: _ExecState) -> None:
         machine, tl = self._machine, state.timeline
         if isinstance(op, AllRows):
             n = len(self._catalog.table(state.query.table))
             state.candidates = Approximation(ids=np.arange(n, dtype=np.int64))
-        elif isinstance(op, ApproxScanSelect):
-            hits = (
-                state.scan_hits.get(id(op))
-                if state.scan_hits is not None
-                else None
-            )
-            state.candidates = select_approx(
-                machine.gpu, tl, state.bwd(op.column), op.column,
-                op.predicate.vrange, precomputed_hits=hits,
-            )
-        elif isinstance(op, ApproxProbeSelect):
-            assert state.candidates is not None
-            state.candidates = select_approx_narrow(
-                machine.gpu, tl, state.bwd(op.column), op.column,
-                op.predicate.vrange, state.candidates,
-            )
         elif isinstance(op, ApproxProject):
             assert state.candidates is not None
             state.candidates = project_approx(
@@ -360,7 +372,7 @@ class ArExecutor:
             state.groups = group_approx_from_keys(machine.gpu, tl, keyed)
             # Group ids ride along as a payload so that every subsequent
             # candidate narrowing (a translucent join) re-aligns them.
-            state.candidates = state.candidates.with_payload(
+            state.candidates = state.grouped = state.candidates.with_payload(
                 "@gids", IntervalColumn.exact(state.groups.gids)
             )
         elif isinstance(op, ApproxMinMaxPrune):
@@ -518,9 +530,13 @@ class ArExecutor:
         Group ids ride along as the ``@gids`` payload, so every narrowing
         since the pre-grouping re-aligned them; a narrowed subset of checked
         ids is checked once more here, then trusted by every kernel.
+        Candidates nothing narrowed keep the pre-grouping itself.
         """
         assert state.candidates is not None and state.groups is not None
-        if "@gids" not in state.candidates.payloads:
+        if (
+            "@gids" not in state.candidates.payloads
+            or state.candidates is state.grouped
+        ):
             return state.groups
         if state.aligned_groups is None:
             state.aligned_groups = GroupAssignment(
@@ -873,6 +889,10 @@ class ArExecutor:
             if c in device_cols:
                 continue
             gids = fold("host", c, gids)
+        if device_grouped and groups is state.groups and gids is groups.gids:
+            # The exact pre-grouping over candidates nothing narrowed, and
+            # no key folded in: every group still has its rows.
+            return
         # Refinement may have emptied approximate groups: re-densify so the
         # result has exactly the surviving groups (none at all when nothing
         # survived).

@@ -24,7 +24,7 @@ from ..device.gpu import SimulatedGPU, scrambled_like_parallel_scatter
 from ..device.model import OpClass
 from ..device.timeline import Timeline
 from ..errors import ExecutionError
-from ..storage.bitpack import clip_code_range, packed_nbytes
+from ..storage.bitpack import clip_code_range, code_range_mask, packed_nbytes
 from ..storage.decompose import BwdColumn
 
 _OID_BYTES = 8
@@ -59,7 +59,7 @@ def cooperative_scan_hits(
     Returns per-label hit positions **identical** to what the solo kernel's
     ``flatnonzero`` emits (the ascending set of positions whose code falls
     in the relaxed range), so callers can feed them back into
-    :meth:`~repro.device.gpu.SimulatedGPU.scan_code_range` as
+    :meth:`~repro.device.gpu.SimulatedGPU.select_code_ranges` as
     ``precomputed_hits`` and keep every per-query modeled ledger
     byte-identical to its solo run.  This function itself charges nothing;
     modeled accounting stays with the per-query kernels.
@@ -149,7 +149,7 @@ def cooperative_select_approx(
             *relax_to_code_range(request.vrange, column.decomposition),
             codes.dtype,
         )
-        hits = np.flatnonzero((codes >= lo) & (codes <= hi))
+        hits = np.flatnonzero(code_range_mask(codes, lo, hi))
         if scramble:
             hits = scrambled_like_parallel_scatter(hits)
         # Reuse the codes the fused scan already read — no per-request
@@ -176,7 +176,7 @@ def individual_scan_seconds(
     for request in requests:
         tl = Timeline()
         lo, hi = relax_to_code_range(request.vrange, column.decomposition)
-        gpu.scan_code_range(column, lo, hi, tl, op="select.approx")
+        gpu.select_code_ranges([(column, request.label, lo, hi)], tl)
         total += tl.total_seconds()
     return total
 

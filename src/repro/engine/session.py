@@ -364,17 +364,22 @@ class Session:
     # Introspection
     # ------------------------------------------------------------------
     def explain(
-        self, query: Query, *, pushdown: bool = True,
+        self, query: Query | str, *, pushdown: bool = True,
         optimizer: str = "heuristic",
     ) -> str:
-        """Render the physical A&R plan (the paper's Fig 7 view).
+        """Render the physical A&R plan (the paper's Fig 7 view) of a
+        logical query or of SQL text (``bwdecompose`` DDL has no plan: a
+        :class:`~repro.errors.PlanError` says so).
 
         With ``optimizer="cost"`` the rendering includes per-operator
         estimated spans and every optimizer decision with its rejected
         alternatives.
         """
+        from ..sql import query_to_explain
+
         return explain_plan(rewrite_to_ar_plan(
-            query, self.catalog, pushdown=pushdown, optimizer=optimizer,
+            query_to_explain(query, self.catalog), self.catalog,
+            pushdown=pushdown, optimizer=optimizer,
         ))
 
     def streaming_baseline_seconds(self, query: Query) -> float:

@@ -12,7 +12,13 @@ Two plan shapes share the operator list:
 * **Candidate plans** (the Fig-7 shape): relaxed selections seed a unary
   candidate set, payload gathers/FK joins/pre-grouping/approximate
   aggregates run over it, :class:`ShipCandidates` crosses the bus once,
-  then the paired refinements run host-side to the exact result.
+  then the paired refinements run host-side to the exact result.  An
+  :class:`ApproxScanSelect` and the :class:`ApproxProbeSelect` operators
+  directly behind it (or a run of probes continuing from the current
+  candidates) *execute* as one blocked pass of the conjunction kernel
+  (:func:`~repro.core.approximate.select_conjunction_approx`) and *bill*
+  as the separate operators the plan lists — ``explain``, the cost model
+  and the op-name registry see one operator per conjunct.
 
 * **Theta-join plans** (the §IV-D shape, first-class since PR 4)::
 

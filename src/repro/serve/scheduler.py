@@ -24,7 +24,7 @@ Three cooperating pieces:
   cooperative_scan_hits` over the column's memoized sorted-code view) and
   carve each query's candidate positions out of it; the positions are
   injected back into the unchanged per-query kernel path
-  (``scan_code_range(precomputed_hits=...)``), so every query's Timeline
+  (``select_code_ranges(precomputed_hits=...)``), so every query's Timeline
   and Result are **byte-identical to its solo run** — batching is a pure
   wall-clock optimization, the charge-neutrality invariant of PRs 1–4
   extended to multi-query execution.  Theta batches sharing a right side

@@ -422,12 +422,16 @@ class ShardedSession:
     # Introspection
     # ------------------------------------------------------------------
     def explain(
-        self, query: Query, *, pushdown: bool = True,
+        self, query: Query | str, *, pushdown: bool = True,
         optimizer: str = "heuristic",
     ) -> str:
-        """Render the sharded plan: fragments, pruned shards, the merge."""
+        """Render the sharded plan — fragments, pruned shards, the merge —
+        of a logical query or of SQL text (as :meth:`Session.explain`)."""
+        from ..sql import query_to_explain
+
         return self.planner.plan(
-            query, pushdown=pushdown, optimizer=optimizer
+            query_to_explain(query, self.catalog),
+            pushdown=pushdown, optimizer=optimizer,
         ).describe()
 
     def shard_rows(self, table: str) -> list[int]:

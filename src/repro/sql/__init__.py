@@ -18,7 +18,7 @@ from .parser import parse
 from .ast import BwDecompose, SelectStmt
 from .binder import bind
 from ..engine.result import Result
-from ..errors import SqlError
+from ..errors import PlanError, SqlError
 
 
 def run_sql(
@@ -47,4 +47,20 @@ def run_sql(
     raise SqlError(f"unsupported statement {type(stmt).__name__}")
 
 
-__all__ = ["run_sql", "parse", "bind"]
+def query_to_explain(query, catalog):
+    """The logical query behind an ``explain`` argument: SQL text is parsed
+    and bound as :func:`run_sql` does it, a bound query passes through."""
+    if not isinstance(query, str):
+        return query
+    stmt = parse(query)
+    if isinstance(stmt, BwDecompose):
+        raise PlanError(
+            f"bwdecompose({stmt.column}, {stmt.device_bits}) is DDL: it has "
+            "no plan, there is nothing to explain"
+        )
+    if not isinstance(stmt, SelectStmt):
+        raise SqlError(f"unsupported statement {type(stmt).__name__}")
+    return bind(stmt, catalog)[0]
+
+
+__all__ = ["run_sql", "parse", "bind", "query_to_explain"]

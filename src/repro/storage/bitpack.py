@@ -124,6 +124,22 @@ def clip_code_range(lo: int, hi: int, dtype) -> tuple[np.integer, np.integer]:
     return info.dtype.type(lo), info.dtype.type(hi)
 
 
+def code_range_mask(codes: np.ndarray, lo: np.integer, hi: np.integer) -> np.ndarray:
+    """``(codes >= lo) & (codes <= hi)`` as one unsigned compare.
+
+    ``codes - lo <= hi - lo`` in the codes' own unsigned dtype: a code
+    below ``lo`` wraps above every in-range difference.  ``lo`` and ``hi``
+    are :func:`clip_code_range`'s pair for that dtype.  The empty range
+    ``(1, 0)`` is answered without the subtraction — there ``hi - lo``
+    itself wraps to the dtype's maximum and would select every row.
+    """
+    if codes.dtype.kind != "u":
+        raise BitWidthError(f"codes must be unsigned, got dtype {codes.dtype}")
+    if lo > hi:
+        return np.zeros(codes.shape, dtype=bool)
+    return codes - lo <= hi - lo
+
+
 def _out_dtype(bits: int, dtype) -> np.dtype:
     """Validate a decode target: unsigned and at least ``bits`` wide."""
     dtype = np.dtype(dtype)

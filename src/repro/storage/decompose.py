@@ -166,8 +166,17 @@ class Decomposition:
         return out + self.base
 
     def approx_lower_bounds(self, approx: np.ndarray) -> np.ndarray:
-        """Per-row smallest exact value compatible with each approx code."""
-        return (np.asarray(approx, dtype=np.int64) << self.residual_bits) + self.base
+        """Per-row smallest exact value compatible with each approx code.
+
+        The codes are widened once, into the result; shift and base are
+        applied there in place, and skipped when they are zero.
+        """
+        out = np.array(approx, dtype=np.int64)
+        if self.residual_bits:
+            out <<= self.residual_bits
+        if self.base:
+            out += self.base
+        return out
 
     def approx_upper_bounds(self, approx: np.ndarray) -> np.ndarray:
         """Per-row largest exact value compatible with each approx code."""
@@ -649,6 +658,19 @@ class BwdColumn:
         return self._decoded(
             "_approx_cache", self._approx_words,
             max(self.decomposition.approx_bits, 1),
+        )
+
+    def approx_block(self, start: int, stop: int) -> np.ndarray:
+        """Approximation codes ``[start, stop)`` (``start`` a multiple of
+        64) for a blocked pass: a slice of the decoded view when all of it
+        is resident, else decoded from the packed stream into a fresh
+        array — no view is built, registered or touched."""
+        if isinstance(self._approx_cache, np.ndarray):
+            return self._approx_cache[start:stop]
+        dec = self.decomposition
+        return unpack_codes_range(
+            self._approx_words, max(dec.approx_bits, 1), start, stop,
+            dec.approx_dtype,
         )
 
     def approx_at(self, positions: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ class TestResidency:
         gpu = small_gpu()
         col = decompose_values(np.arange(100), residual_bits=4)
         with pytest.raises(DataNotResident):
-            gpu.scan_code_range(col, 0, 1, Timeline())
+            gpu.select_code_ranges([(col, "c", 0, 1)], Timeline())
 
     def test_load_and_evict(self):
         gpu = small_gpu()
@@ -67,10 +67,11 @@ class TestScanKernels:
         values = np.array([5, 100, 17, 42, 99, 6])
         col = loaded_column(gpu, values, residual_bits=0)
         t = Timeline()
-        hits = gpu.scan_code_range(
-            col, col.decomposition.approx_code_of(17),
-            col.decomposition.approx_code_of(99), t,
+        hits, index = gpu.select_code_ranges(
+            [(col, "c", col.decomposition.approx_code_of(17),
+              col.decomposition.approx_code_of(99))], t,
         )
+        assert index is None  # a scan has no incoming candidates to index
         assert np.array_equal(np.sort(values[hits]), [17, 42, 99])
         assert t.seconds_by_kind()["gpu"] > 0
 
@@ -80,20 +81,23 @@ class TestScanKernels:
         col = loaded_column(gpu, values, residual_bits=0)
         t = Timeline()
         initial = np.array([1, 10, 20, 40, 63])
-        keep, codes = gpu.refine_positions_code_range(col, initial, 10, 40, t)
-        assert np.array_equal(initial[keep], [10, 20, 40])
-        assert np.array_equal(codes, values[initial])
+        ids, index = gpu.select_code_ranges(
+            [(col, "c", 10, 40)], t, positions=initial
+        )
+        assert np.array_equal(ids, [10, 20, 40])
+        assert np.array_equal(index, [1, 2, 3])
+        (span,) = t.spans
+        assert span.op == "select.approx.probe(c)"
 
-    def test_probe_mask_aligned_with_positions(self):
+    def test_probe_keeps_the_order_of_its_positions(self):
         gpu = small_gpu()
         values = np.arange(64)
         col = loaded_column(gpu, values, residual_bits=0)
-        keep, codes = gpu.refine_positions_code_range(
-            col, np.array([63, 1, 40]), 10, 40, Timeline()
+        ids, index = gpu.select_code_ranges(
+            [(col, "c", 10, 40)], Timeline(), positions=np.array([63, 40, 1, 12])
         )
-        assert keep.dtype == bool and keep.shape == (3,)
-        assert np.array_equal(keep, [False, False, True])
-        assert np.array_equal(codes, [63, 1, 40])
+        assert np.array_equal(ids, [40, 12])
+        assert np.array_equal(index, [1, 3])
 
     def test_gather_codes(self):
         gpu = small_gpu()

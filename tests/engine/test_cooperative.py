@@ -138,10 +138,11 @@ class TestCooperativeCarve:
         request = REQUESTS[1]
         lo, hi = relax_to_code_range(request.vrange, column.decomposition)
         t_solo, t_carved = machine.new_timeline(), machine.new_timeline()
-        solo = machine.gpu.scan_code_range(column, lo, hi, t_solo)
+        scan = [(column, request.label, lo, hi)]
+        solo, _ = machine.gpu.select_code_ranges(scan, t_solo)
         carved = cooperative_scan_hits(column, [request])[request.label]
-        via_kernel = machine.gpu.scan_code_range(
-            column, lo, hi, t_carved, precomputed_hits=carved
+        via_kernel, _ = machine.gpu.select_code_ranges(
+            scan, t_carved, precomputed_hits=carved
         )
         assert np.array_equal(solo, via_kernel)
         assert t_solo.spans_equal(t_carved)

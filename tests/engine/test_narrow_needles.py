@@ -64,7 +64,9 @@ def test_cooperative_carve_searches_at_the_key_dtype(
     want = np.flatnonzero([lo <= c <= hi for c in codes])
     assert np.array_equal(carved, want)
     # ... which is also what the solo kernel's narrow compare selects.
-    solo = gpu.scan_code_range(column, lo, hi, Machine.paper_testbed().new_timeline())
+    solo, _ = gpu.select_code_ranges(
+        [(column, "v", lo, hi)], Machine.paper_testbed().new_timeline()
+    )
     assert np.array_equal(solo, want)
 
 

@@ -106,8 +106,8 @@ class TestModeledTimeInvariance:
         for col in (cold_column(values), decompose_values(values, residual_bits=4)):
             gpu.load_column(f"c{len(timelines)}", col, None)
             t = Timeline()
-            gpu.scan_code_range(col, 10, 4000, t)
-            gpu.scan_code_range(col, 10, 4000, t)  # repeat: cache now warm
+            gpu.select_code_ranges([(col, "c", 10, 4000)], t)
+            gpu.select_code_ranges([(col, "c", 10, 4000)], t)  # repeat: cache now warm
             timelines.append(spans_of(t))
         assert timelines[0] == timelines[1]
         # the two identical scans inside each timeline charge identically

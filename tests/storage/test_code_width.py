@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from repro.errors import BitWidthError
+from repro.core.relax import EMPTY_CODE_RANGE
 from repro.storage.bitpack import (
     clip_code_range,
     code_dtype,
+    code_range_mask,
     gather_codes,
     pack_codes,
     unpack_codes,
@@ -267,3 +269,60 @@ class TestClipCodeRange:
             start = np.searchsorted(codes, a, side="left")
             stop = np.searchsorted(codes, b, side="right")
             assert max(stop - start, 0) == want.sum(), (lo, hi)
+
+
+class TestCodeRangeMask:
+    """The one-compare range test ``codes - lo <= hi - lo`` against the
+    two-compare reference, over the lattice where the subtraction wraps:
+    widths either side of 8/16/32, codes at both ends of the dtype, bounds
+    at and beyond both ends, single-code ranges, and the empty range — on
+    which an unguarded kernel selects every row (``0 - 1`` wraps to the
+    dtype's maximum, and everything is ``<=`` that)."""
+
+    WIDTHS = (1, 7, 8, 9, 15, 16, 17, 31, 32)
+
+    @staticmethod
+    def _codes(bits, dtype):
+        top, cap = (1 << bits) - 1, int(np.iinfo(dtype).max)
+        rng = np.random.default_rng(bits)
+        edge = [0, 1, top // 2, max(top - 1, 0), top, cap]
+        return np.concatenate([
+            np.array(edge, dtype=dtype),
+            rng.integers(0, top, 64, endpoint=True).astype(dtype),
+        ])
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_equals_the_two_compare_reference(self, bits):
+        dtype = code_dtype(bits)
+        top, cap = (1 << bits) - 1, int(np.iinfo(dtype).max)
+        codes = self._codes(bits, dtype)
+        points = sorted({0, 1, top // 2, max(top - 1, 0), top, cap - 1, cap})
+        ranges = list(itertools.product(points, points))  # incl. lo == hi, lo > hi
+        ranges += [
+            (-7, top // 2), (-1, -1), (-(1 << 70), 1 << 70), (top // 2, cap + 9),
+            (cap + 1, cap + 5), (0, cap), EMPTY_CODE_RANGE,
+        ]
+        for lo_code, hi_code in ranges:
+            lo, hi = clip_code_range(lo_code, hi_code, dtype)
+            want = (codes >= lo) & (codes <= hi)
+            exact = np.array([lo_code <= int(c) <= hi_code for c in codes])
+            assert np.array_equal(want, exact), (lo_code, hi_code)
+            got = code_range_mask(codes, lo, hi)
+            assert got.dtype == bool and np.array_equal(got, want), (lo_code, hi_code)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_the_empty_range_selects_nothing(self, bits):
+        dtype = code_dtype(bits)
+        codes = self._codes(bits, dtype)
+        lo, hi = clip_code_range(*EMPTY_CODE_RANGE, dtype)
+        assert (lo, hi) == (1, 0)
+        assert not code_range_mask(codes, lo, hi).any()
+        # the unguarded compare is the bug this pins: ``hi - lo`` wraps to
+        # the dtype's maximum and the test keeps every row
+        wrapped = np.subtract(np.array([hi]), np.array([lo]))[0]
+        assert wrapped == np.iinfo(dtype).max
+        assert np.less_equal(codes - lo, wrapped).all()
+
+    def test_signed_codes_are_refused(self):
+        with pytest.raises(BitWidthError, match="unsigned"):
+            code_range_mask(np.arange(4), 1, 2)

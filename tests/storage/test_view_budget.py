@@ -216,8 +216,8 @@ class TestSegmentGranularEviction:
             if constrained:
                 set_view_budget(5 * 128 * 8)  # a handful of segments
             t = Timeline()
-            gpu.scan_code_range(col, 10, 4000, t)
-            gpu.scan_code_range(col, 10, 4000, t)
+            gpu.select_code_ranges([(col, "c", 10, 4000)], t)
+            gpu.select_code_ranges([(col, "c", 10, 4000)], t)
             spans.append(t.span_tuples())
         assert spans[0] == spans[1]
 
@@ -234,8 +234,8 @@ class TestBudgetTimelineInvariance:
             col = decompose_values(values, residual_bits=4)
             gpu.load_column("c", col, None)
             t = Timeline()
-            gpu.scan_code_range(col, 10, 4000, t)
-            gpu.scan_code_range(col, 10, 4000, t)
+            gpu.select_code_ranges([(col, "c", 10, 4000)], t)
+            gpu.select_code_ranges([(col, "c", 10, 4000)], t)
             spans.append([
                 (s.device, s.kind, s.op, s.nbytes, s.seconds, s.phase)
                 for s in t._spans
