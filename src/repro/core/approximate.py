@@ -22,7 +22,7 @@ from ..device.gpu import SimulatedGPU
 from ..device.timeline import Timeline
 from ..errors import ExecutionError
 from ..storage.decompose import BwdColumn
-from .candidates import Approximation
+from .candidates import Approximation, CarvedHits
 from .intervals import Interval, IntervalColumn
 from .relax import (
     ValueRange,
@@ -36,9 +36,10 @@ def _payload_from_codes(column: BwdColumn, codes: np.ndarray) -> IntervalColumn:
     """Bucket bounds of approximation codes as an interval payload."""
     dec = column.decomposition
     lo = dec.approx_lower_bounds(codes)
-    if dec.residual_bits == 0:
+    if dec.residual_bits == 0 or lo.size == 0:
         return IntervalColumn.exact(lo)
-    return IntervalColumn.from_bounds(lo, lo + dec.max_error)
+    # max_error > 0: the ends differ in every row, no need to compare them
+    return IntervalColumn.inexact(lo, lo + dec.max_error)
 
 
 def _carried_codes(
@@ -61,7 +62,7 @@ def select_conjunction_approx(
     *,
     candidates: Approximation | None = None,
     scramble: bool = True,
-    precomputed_hits: np.ndarray | None = None,
+    precomputed_hits: CarvedHits | None = None,
 ) -> Approximation:
     """Approximate a conjunction of selections in one device pass.
 
@@ -75,30 +76,46 @@ def select_conjunction_approx(
     the incoming candidates already carry under a label are kept.  Scan
     output is scrambled like a real massively parallel scatter unless
     ``scramble`` is disabled.  ``precomputed_hits`` (the first conjunct's
-    ascending positions from a shared cooperative pass) skips the NumPy
-    scan only; results and modeled charges are byte-identical.
+    hits carved by a shared cooperative pass) skips the NumPy scan only;
+    results and modeled charges are byte-identical.  A lone scan answered
+    by them is billed and *counted* here, its rows left to their first
+    reader (:meth:`Approximation.deferred`).
     """
     ranges = [
         (column, label, *relax_to_code_range(vrange, column.decomposition))
         for column, label, vrange in conjuncts
     ]
-    if candidates is None:
-        ids, _ = gpu.select_code_ranges(
-            ranges, timeline, scramble=scramble, precomputed_hits=precomputed_hits
-        )
-        out = Approximation(ids=ids, order_preserved=not scramble, exact=True)
-    else:
+
+    def formed(out: Approximation) -> Approximation:
+        for column, label, _ in conjuncts:
+            if label not in out.payloads:
+                out.payloads[label] = _payload_from_codes(
+                    column, column.approx_at(out.ids)
+                )
+            out.exact = out.exact and column.decomposition.residual_bits == 0
+        return out
+
+    if candidates is not None:
         _, index = gpu.select_code_ranges(ranges, timeline, positions=candidates.ids)
         keep = np.zeros(len(candidates), dtype=bool)
         keep[index] = True
-        out = candidates.narrowed(keep)
-    for column, label, _ in conjuncts:
-        if label not in out.payloads:
-            out.payloads[label] = _payload_from_codes(
-                column, column.approx_at(out.ids)
-            )
-        out.exact = out.exact and column.decomposition.residual_bits == 0
-    return out
+        return formed(candidates.narrowed(keep))
+    if precomputed_hits is not None and len(ranges) == 1:
+        (column, label, vrange), = conjuncts
+        ids = gpu.select_carved(
+            ranges[0], timeline, precomputed_hits, scramble=scramble
+        )
+        return Approximation.deferred(
+            precomputed_hits.size, (label,),
+            lambda: formed(Approximation(ids(), not scramble, exact=True)),
+            order_preserved=not scramble,
+            exact=column.decomposition.residual_bits == 0,
+            boundary=(label, vrange, precomputed_hits.boundary),
+        )
+    ids, _ = gpu.select_code_ranges(
+        ranges, timeline, scramble=scramble, precomputed_hits=precomputed_hits
+    )
+    return formed(Approximation(ids, not scramble, exact=True))
 
 
 def select_approx(
@@ -109,7 +126,7 @@ def select_approx(
     vrange: ValueRange,
     *,
     scramble: bool = True,
-    precomputed_hits: np.ndarray | None = None,
+    precomputed_hits: CarvedHits | None = None,
 ) -> Approximation:
     """Approximate a selection: :func:`select_conjunction_approx` of one."""
     return select_conjunction_approx(

@@ -22,11 +22,16 @@ Three candidate shapes exist:
   in exactly this shape, so keeping it defers the O(candidate pairs)
   explosion to the **single materialization point**
   (:meth:`RunPairCandidates.canonicalized`) at the end of the pipeline.
+
+Unary candidates defer the same way: a scan answered out of the sorted-code
+view hands over :class:`CarvedHits` — a count and a run, nothing sorted —
+and the :class:`Approximation` built on them forms its rows when an
+operator first reads one (:meth:`Approximation.deferred`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +40,30 @@ from ..util import as_index_array
 from .intervals import IntervalColumn
 
 
-@dataclass
+@dataclass(frozen=True)
+class CarvedHits:
+    """One relaxed scan's hits carved out of a column's sorted-code view:
+    counted, not yet put in order.
+
+    ``run`` is the slice of the sort permutation whose codes fall in the
+    relaxed code range — the hit *set*; :meth:`ascending` sorts it into
+    exactly what the solo kernel's ``flatnonzero`` emits.  ``boundary``
+    holds the ids in ``run`` whose code lies outside the certain code
+    range (the two end buckets of the run at most): the only hits a
+    refinement can still drop.
+    """
+
+    run: np.ndarray
+    boundary: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.run.size
+
+    def ascending(self) -> np.ndarray:
+        return np.sort(self.run)
+
+
 class Approximation:
     """One approximation operator's output.
 
@@ -57,25 +85,104 @@ class Approximation:
         True when the approximation is known to be error-free (every
         involved column fully device-resident) — refinement is then a no-op
         beyond bookkeeping, the all-GPU fast path of the TPC-H experiments.
+
+    A set built by :meth:`deferred` is *counted but not formed*: ``len()``
+    and :attr:`labels` — all the modeled charges read — are known, while
+    ``ids`` and ``payloads`` are produced by its thunk on their first read
+    and kept from then on.  Whether rows get formed is thus decided by
+    whether an operator reads them, and a reader cannot tell the difference.
     """
 
-    ids: np.ndarray
-    order_preserved: bool = True
-    payloads: dict[str, IntervalColumn] = field(default_factory=dict)
-    exact: bool = False
+    __slots__ = (
+        "_ids", "_payloads", "order_preserved", "exact",
+        "_count", "_labels", "_form", "_boundary",
+    )
 
-    def __post_init__(self) -> None:
-        self.ids = as_index_array(self.ids)
-        for name, col in self.payloads.items():
-            if len(col) != len(self.ids):
+    def __init__(
+        self,
+        ids: np.ndarray,
+        order_preserved: bool = True,
+        payloads: dict[str, IntervalColumn] | None = None,
+        exact: bool = False,
+    ) -> None:
+        self._ids = as_index_array(ids)
+        self._payloads = {} if payloads is None else payloads
+        for name, col in self._payloads.items():
+            if len(col) != len(self._ids):
                 raise ValueError(f"payload {name!r} misaligned with candidate ids")
+        self.order_preserved = order_preserved
+        self.exact = exact
+        self._form = self._boundary = None
 
-    def __len__(self) -> int:
-        return len(self.ids)
+    @classmethod
+    def deferred(
+        cls,
+        count: int,
+        labels: tuple[str, ...],
+        form,
+        *,
+        order_preserved: bool,
+        exact: bool,
+        boundary: tuple | None = None,
+    ) -> "Approximation":
+        """A set of ``count`` candidates carrying payloads ``labels`` whose
+        rows ``form()`` — returning the formed set — produces when first
+        read.  ``boundary`` is ``(label, value range, ids)`` of the relaxed
+        selection the set answers, see :meth:`boundary`.
+
+        ``form`` must not refer back to the set it forms: a deferred set
+        that is dropped unread has to die by reference count alone.
+        """
+        self = cls.__new__(cls)
+        self._ids = self._payloads = None
+        self._count, self._labels, self._form = count, tuple(labels), form
+        self._boundary = boundary
+        self.order_preserved, self.exact = order_preserved, exact
+        return self
+
+    def _read(self) -> None:
+        """Form the rows, once; the thunk and what it holds are let go."""
+        formed = self._form()
+        if len(formed) != self._count:
+            raise ExecutionError(
+                f"deferred candidates counted {self._count} rows, "
+                f"formed {len(formed)}"
+            )
+        self._ids, self._payloads = formed.ids, formed.payloads
+        self._form = self._boundary = None
 
     @property
-    def nbytes_ids(self) -> int:
-        return self.ids.nbytes
+    def ids(self) -> np.ndarray:
+        if self._ids is None:
+            self._read()
+        return self._ids
+
+    @property
+    def payloads(self) -> dict[str, IntervalColumn]:
+        if self._payloads is None:
+            self._read()
+        return self._payloads
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The payloads' names, in order — without forming a row."""
+        return self._labels if self._ids is None else tuple(self._payloads)
+
+    def boundary(self, label: str, vrange) -> np.ndarray | None:
+        """While no row has been read: the ids that can still fail the
+        selection ``label in vrange`` this set was carved for — every other
+        candidate's whole bucket lies inside the range.  ``None`` once the
+        rows are formed, and for any other selection."""
+        if self._boundary is not None and self._boundary[:2] == (label, vrange):
+            return self._boundary[2]
+        return None
+
+    def __len__(self) -> int:
+        return self._count if self._ids is None else len(self._ids)
+
+    def __repr__(self) -> str:
+        state = "deferred" if self._ids is None else "formed"
+        return f"Approximation({len(self)} rows, {list(self.labels)}, {state})"
 
     def payload(self, name: str) -> IntervalColumn:
         try:

@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import ExecutionError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A scalar closed interval (used for aggregate results)."""
 
@@ -96,14 +96,21 @@ class IntervalColumn:
         return cls(values, values, refinable=True)
 
     @classmethod
+    def inexact(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalColumn":
+        """Bounds the caller knows to differ in some row (``hi = lo + e``
+        with ``e > 0`` over at least one row): not exact, no scan to find
+        that out."""
+        column = cls(lo, hi, refinable=False)
+        column._exact = False
+        return column
+
+    @classmethod
     def from_bounds(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalColumn":
         lo = np.asarray(lo, dtype=np.int64)
         hi = np.asarray(hi, dtype=np.int64)
         if np.array_equal(lo, hi):
             return cls(lo, lo, refinable=True)
-        column = cls(lo, hi, refinable=False)
-        column._exact = False
-        return column
+        return cls.inexact(lo, hi)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -91,41 +91,60 @@ def select_refine(
     invisible join against persistent residuals), reconstructs exact values
     by bitwise concatenation, re-evaluates the precise condition and drops
     false positives.  The refined payload for ``label`` is exact.
+
+    Candidates still deferred behind the relaxed scan of this very
+    selection are refined without being formed: only their boundary rows
+    (:meth:`Approximation.boundary`) can fail the precise condition, so
+    those alone are reconstructed and re-tested.  The bill is Algorithm 2's
+    over every candidate either way, and the refined set — its count exact
+    — forms its rows by running Algorithm 2 over its formed parent.
     """
     if column.decomposition.residual_bits == 0:
         # Fully device-resident: the approximation was already exact.
         return candidates
 
     dec = column.decomposition
-    payload = candidates.payload(label)
-    if payload.is_exact:
+    boundary = candidates.boundary(label, vrange)
+    if boundary is None and candidates.payload(label).is_exact:
         # A second predicate on an already-refined column: no residual work.
-        values = payload.lo
         cpu.charge(
             timeline, f"select.refine({label})",
             len(candidates) * _OID_BYTES,
             tuples=len(candidates), op_class=OpClass.SCAN,
         )
     else:
-        residuals = column.residual_at(candidates.ids)
         cpu.charge_gather(
             timeline, f"select.refine({label})",
             items=len(candidates),
             item_bytes=max(1, dec.residual_bits // 8),
             source_rows=column.length,
         )
-        values = payload.lo + residuals.astype(np.int64)
-    mask = vrange.evaluate(values)
 
-    # Align every payload with the refined subset via the translucent join.
-    # Its traversal is fused into the refinement loop above ("the two
-    # operations can be performed in one loop", §IV-B): the keep-mask the
-    # predicate produced *is* the join's output positions, so no membership
-    # recomputation runs and no extra pass is charged; correctness still
-    # follows Algorithm 1 (the mask preserves the shared permutation).
-    refined = candidates.narrowed(mask)
-    refined.payloads[label] = IntervalColumn.exact(values[mask])
-    return refined
+    def refined() -> Approximation:
+        payload = candidates.payload(label)
+        values = payload.lo
+        if not payload.is_exact:
+            residuals = column.residual_at(candidates.ids)
+            values = values + residuals.astype(np.int64)
+        mask = vrange.evaluate(values)
+        # Align every payload with the refined subset via the translucent
+        # join.  Its traversal is fused into the refinement loop above ("the
+        # two operations can be performed in one loop", §IV-B): the
+        # keep-mask the predicate produced *is* the join's output positions,
+        # so no membership recomputation runs and no extra pass is charged;
+        # correctness still follows Algorithm 1 (the mask preserves the
+        # shared permutation).
+        out = candidates.narrowed(mask)
+        out.payloads[label] = IntervalColumn.exact(values[mask])
+        return out
+
+    if boundary is None:
+        return refined()
+    kept = np.count_nonzero(vrange.evaluate(column.reconstruct(boundary)))
+    return Approximation.deferred(
+        len(candidates) - boundary.size + int(kept), candidates.labels, refined,
+        order_preserved=candidates.order_preserved, exact=candidates.exact,
+    )
 
 
 def project_refine(

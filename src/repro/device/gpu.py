@@ -13,7 +13,8 @@ limit the paper designs around instead of silently reading host memory.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from ..util import unique_inverse
 from .memory import MemoryPool
 from .model import AccessPattern, DeviceSpec, GTX_680, OpClass
 from .timeline import Timeline
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.candidates import CarvedHits
 
 #: Bytes per materialized candidate id / group id in device memory.
 _OID_BYTES = 8
@@ -174,7 +178,7 @@ class SimulatedGPU:
         timeline: Timeline,
         *,
         positions: np.ndarray | None = None,
-        precomputed_hits: np.ndarray | None = None,
+        precomputed_hits: CarvedHits | None = None,
         scramble: bool = False,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Relaxed selection of a conjunction of ``(column, label, lo_code,
@@ -190,9 +194,10 @@ class SimulatedGPU:
         ``scramble`` the output order is that of a lane-major parallel
         scatter of the scan's hits ("can only maintain the input order at
         additional costs, which we want to avoid", §IV-A item 3) narrowed
-        by the probes.  ``precomputed_hits`` are the first conjunct's
-        ascending hits from a caller that already holds them (the serve
-        layer's shared cooperative pass); only the NumPy scan is skipped.
+        by the probes.  ``precomputed_hits`` are the first conjunct's hits
+        as a caller already carved them out of its sorted-code view (the
+        serve layer's shared cooperative pass); only the NumPy scan is
+        skipped.
 
         With ``positions`` every conjunct is a probe continuing from those
         candidates, in their order.
@@ -218,23 +223,22 @@ class SimulatedGPU:
                 ids, rank = self._select_blocks(
                     conjuncts, _clipped(conjuncts), read, kept
                 )
+            elif len(conjuncts) == 1:
+                return self.select_carved(
+                    conjuncts[0], timeline, precomputed_hits, scramble=scramble
+                )(), None
             else:
-                ids, rank = precomputed_hits, None
+                ids = precomputed_hits.ascending()
                 kept[0] = ids.size
-                if len(conjuncts) > 1:
-                    rank = self._probe_at(
-                        conjuncts, _clipped(conjuncts), 1, ids, read, kept
-                    )
-                    ids = ids[rank]
+                rank = self._probe_at(
+                    conjuncts, _clipped(conjuncts), 1, ids, read, kept
+                )
+                ids = ids[rank]
             if scramble:
                 ids = _scattered(ids, rank)
         for k, (column, label, _, _) in enumerate(conjuncts):
             if k == 0 and positions is None:
-                self._charge(
-                    timeline, f"select.approx({label})",
-                    column.approx_nbytes + kept[0] * _OID_BYTES,
-                    tuples=column.length, op_class=OpClass.SCAN,
-                )
+                self._charge_scan(timeline, column, label, kept[0])
             else:
                 self._charge(
                     timeline, f"select.approx.probe({label})",
@@ -242,6 +246,38 @@ class SimulatedGPU:
                     tuples=read[k], op_class=OpClass.GATHER,
                 )
         return ids, index
+
+    def select_carved(
+        self,
+        conjunct: tuple[BwdColumn, str, int, int],
+        timeline: Timeline,
+        hits: CarvedHits,
+        *,
+        scramble: bool = False,
+    ) -> Callable[[], np.ndarray]:
+        """A lone relaxed scan whose hits are already carved: billed here,
+        from their count, exactly as :meth:`select_code_ranges` bills it.
+
+        Returns the thunk forming the ids that method returns — the hits
+        ascending, lane-major scattered under ``scramble`` — so a caller
+        that only counts candidates never sorts them.
+        """
+        column, label, _, _ = conjunct
+        self._require_resident(column)
+        self._charge_scan(timeline, column, label, hits.size)
+        if not scramble:
+            return hits.ascending
+        return lambda: scrambled_like_parallel_scatter(hits.ascending())
+
+    def _charge_scan(
+        self, timeline: Timeline, column: BwdColumn, label: str, hits: int
+    ) -> None:
+        """A relaxed scan's bill: its packed stream in, its hits' ids out."""
+        self._charge(
+            timeline, f"select.approx({label})",
+            column.approx_nbytes + hits * _OID_BYTES,
+            tuples=column.length, op_class=OpClass.SCAN,
+        )
 
     @staticmethod
     def _probe_at(conjuncts, bounds, first, positions, read, kept) -> np.ndarray:

@@ -16,7 +16,7 @@ from ..core.approximate import (
     project_approx,
     select_conjunction_approx,
 )
-from ..core.candidates import Approximation
+from ..core.candidates import Approximation, CarvedHits
 from ..core.grouping import (
     GroupAssignment,
     combine_keys,
@@ -118,10 +118,10 @@ class _ExecState:
         self.pair_group_keys: dict[str, np.ndarray] = {}
         self._pair_rows: tuple[np.ndarray, np.ndarray] | None = None
         self._pair_values: dict[str, np.ndarray] = {}
-        # Serve-layer injection: id(physical op) -> precomputed scan hits
-        # from a shared cooperative pass (wall-clock only; charges and
-        # results stay byte-identical to a solo run).
-        self.scan_hits: dict[int, np.ndarray] | None = None
+        # Serve-layer injection: id(physical op) -> scan hits carved by a
+        # shared cooperative pass (wall-clock only; charges and results
+        # stay byte-identical to a solo run).
+        self.scan_hits: dict[int, CarvedHits] | None = None
         # Same idea for theta joins: id(ApproxThetaJoin) -> precomputed
         # (starts, stops, order, order_key) from a fused sweep over the
         # shared right side.
@@ -254,7 +254,7 @@ class ArExecutor:
         timeline: Timeline | None = None,
         *,
         approximate_only: bool = False,
-        scan_hits: dict[int, np.ndarray] | None = None,
+        scan_hits: dict[int, CarvedHits] | None = None,
         theta_runs: dict[int, tuple] | None = None,
     ) -> Result:
         """Execute a plan; with ``approximate_only`` stop before shipping.
@@ -264,13 +264,14 @@ class ArExecutor:
         "without wasting resources".
 
         ``scan_hits`` maps ``id(op)`` of an :class:`ApproxScanSelect` to
-        hit positions a shared cooperative pass already computed (the
-        serve layer's fused batches).  It short-circuits only the NumPy
+        the hits a shared cooperative pass already carved (the serve
+        layer's fused batches).  It short-circuits only the NumPy
         evaluation; the operator's modeled charge and emitted candidates
-        are byte-identical to the solo scan.  ``theta_runs`` is the theta
-        twin: ``id(op)`` of an :class:`ApproxThetaJoin` to the
-        ``(starts, stops, order, order_key)`` run bounds of a fused sweep
-        over the shared right side.
+        are byte-identical to the solo scan — and a plan that only counts
+        them never forms a row (:meth:`Approximation.deferred`).
+        ``theta_runs`` is the theta twin: ``id(op)`` of an
+        :class:`ApproxThetaJoin` to the ``(starts, stops, order,
+        order_key)`` run bounds of a fused sweep over the shared right side.
         """
         timeline = timeline if timeline is not None else Timeline()
         state = _ExecState(plan.query, self._catalog, self._machine)
@@ -451,7 +452,7 @@ class ArExecutor:
             # Approximation codes travel packed into the oids' spare high
             # bits; only computed interval payloads add bytes.
             extra = 8 * sum(
-                1 for label in state.candidates.payloads
+                1 for label in state.candidates.labels
                 if self._payload_bits(label, state) is None
             )
             ship_candidates(machine.bus, tl, state.candidates, extra)
@@ -514,14 +515,31 @@ class ArExecutor:
         """
         assert state.candidates is not None
         if state.certain is None:
-            payloads = state.candidates.payloads
+            labels = state.candidates.labels
             where = state.query.where
-            decidable = all(c in payloads for pred in where for c in pred.columns())
+            decidable = all(c in labels for pred in where for c in pred.columns())
             state.certain = np.full(len(state.candidates), decidable)
             if decidable:
                 for pred in where:
                     state.certain &= pred.certain_mask(state.interval_resolver)
         return state.certain
+
+    def _certain_count(self, state: _ExecState) -> int:
+        """How many candidates :meth:`_certainty` marks.
+
+        Candidates still deferred behind the scan of the query's one
+        predicate are certain off their boundary (the rows whose bucket
+        reaches outside the range), so they are counted, not formed.
+        """
+        assert state.candidates is not None
+        where = state.query.where
+        if len(where) == 1 and where[0].is_simple_column:
+            boundary = state.candidates.boundary(
+                where[0].target.name, where[0].vrange
+            )
+            if boundary is not None:
+                return len(state.candidates) - boundary.size
+        return int(self._certainty(state).sum())
 
     @staticmethod
     def _candidate_groups(state: _ExecState) -> GroupAssignment:
@@ -561,9 +579,14 @@ class ArExecutor:
             bounds = state.eval_interval(agg.expr)
         else:
             bounds = None  # counting needs no value bounds
-        certain = self._certainty(state)
 
         grouped = state.groups is not None and state.query.group_by
+        if agg.func == "count" and not grouped:
+            state.approximate.aggregates[agg.alias] = Interval(
+                float(self._certain_count(state)), float(n)
+            )
+            return
+        certain = self._certainty(state)
         if grouped:
             groups = self._candidate_groups(state)
             state.approximate.n_groups = groups.n_groups
@@ -582,9 +605,7 @@ class ArExecutor:
             state.approximate.aggregates[agg.alias] = out
             return
 
-        if agg.func == "count":
-            iv = Interval(float(certain.sum()), float(n))
-        elif n == 0:
+        if n == 0:
             iv = Interval(0.0, 0.0) if agg.func == "sum" else None
         elif agg.func == "sum":
             iv = self._vanishing(bounds, certain).sum_interval()
@@ -903,19 +924,24 @@ class ArExecutor:
         assert state.candidates is not None
         machine, tl = self._machine, state.timeline
         n = len(state.candidates)
-        if state.query.group_by:
+        grouped = bool(state.query.group_by)
+        if grouped:
             assert state.groups is not None and state.groups.exact
-            groups = state.groups
-        else:
-            groups = GroupAssignment(np.zeros(n, dtype=np.int64), 1, exact=True)
 
         if agg.func == "count":
             machine.cpu.charge(
                 tl, f"agg.count.refine({agg.alias})", n * _OID_BYTES,
                 tuples=n, op_class=OpClass.AGG,
             )
-            state.exact_aggregates[agg.alias] = agg_kernels.grouped_count(groups)
+            state.exact_aggregates[agg.alias] = (
+                agg_kernels.grouped_count(state.groups) if grouped
+                else np.array([n], dtype=np.int64)
+            )
             return
+        groups = (
+            state.groups if grouped
+            else GroupAssignment(np.zeros(n, dtype=np.int64), 1, exact=True)
+        )
 
         assert agg.expr is not None
         bounds = None

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.approximate import _payload_from_codes
-from ..core.candidates import Approximation
-from ..core.relax import ValueRange, relax_to_code_range
+from ..core.candidates import Approximation, CarvedHits
+from ..core.relax import ValueRange, certain_code_range, relax_to_code_range
 from ..device.gpu import SimulatedGPU, scrambled_like_parallel_scatter
 from ..device.model import OpClass
 from ..device.timeline import Timeline
@@ -46,17 +46,20 @@ class ScanRequest:
 
 def cooperative_scan_hits(
     column: BwdColumn, requests: list[ScanRequest]
-) -> dict[str, np.ndarray]:
+) -> dict[str, CarvedHits]:
     """One shared pass answering every request's relaxed scan — zero charges.
 
     The wall-clock mechanism behind the serve layer's fused batches: the
     column's memoized sorted-code view (one "pass over the packed stream",
     built once, shared by every query that ever scans this column) turns
-    each request's code range into a ``searchsorted`` pair plus an
-    ascending sort of the O(hits) matching positions — instead of one
-    O(n) stream comparison per query.
+    each request's relaxed and certain code ranges into positions of that
+    view — two ``searchsorted`` calls for the whole batch — instead of one
+    O(n) stream comparison per query.  Nothing is sorted here: a request's
+    hits are a slice of the sort permutation, *counted*, with the ids of
+    its boundary rows (relaxed range ∋ code ∉ certain range) set apart.
 
-    Returns per-label hit positions **identical** to what the solo kernel's
+    Each label's :class:`~repro.core.candidates.CarvedHits`, once read
+    through ``ascending()``, is **identical** to what the solo kernel's
     ``flatnonzero`` emits (the ascending set of positions whose code falls
     in the relaxed range), so callers can feed them back into
     :meth:`~repro.device.gpu.SimulatedGPU.select_code_ranges` as
@@ -66,15 +69,33 @@ def cooperative_scan_hits(
     """
     perm = column.sort_permutation("lo")
     key = column.sorted_approx_codes()
-    hits_by_label: dict[str, np.ndarray] = {}
-    for request in requests:
-        lo, hi = clip_code_range(
-            *relax_to_code_range(request.vrange, column.decomposition),
-            key.dtype,
+    dec = column.decomposition
+    # Needles of the key's dtype, so neither search copies the key.
+    bounds = np.array(
+        [
+            clip_code_range(*relax_to_code_range(r.vrange, dec), key.dtype)
+            + clip_code_range(*certain_code_range(r.vrange, dec), key.dtype)
+            for r in requests
+        ],
+        dtype=key.dtype,
+    ).reshape(-1, 4)  # relaxed lo, relaxed hi, certain lo, certain hi
+    starts = np.searchsorted(key, bounds[:, 0::2], side="left").tolist()
+    stops = np.searchsorted(key, bounds[:, 1::2], side="right").tolist()
+    hits_by_label: dict[str, CarvedHits] = {}
+    for request, (start, sure_start), (stop, sure_stop) in zip(
+        requests, starts, stops
+    ):
+        stop = max(stop, start)  # an empty range searches to stop < start
+        # The certain run lies inside the relaxed one; an empty certain
+        # range (searched to anywhere) leaves the whole run as boundary.
+        sure_start = min(max(sure_start, start), stop)
+        sure_stop = min(max(sure_stop, sure_start), stop)
+        hits_by_label[request.label] = CarvedHits(
+            run=perm[start:stop],
+            boundary=np.concatenate(
+                (perm[start:sure_start], perm[sure_stop:stop])
+            ),
         )
-        start = int(np.searchsorted(key, lo, side="left"))
-        stop = int(np.searchsorted(key, hi, side="right"))
-        hits_by_label[request.label] = np.sort(perm[start:stop])
     return hits_by_label
 
 

@@ -11,7 +11,7 @@ from ..device.timeline import Timeline
 from ..errors import ExecutionError
 
 
-@dataclass
+@dataclass(slots=True)
 class ApproximateAnswer:
     """The free fast answer produced by the approximation subplan alone.
 
@@ -34,7 +34,7 @@ class ApproximateAnswer:
             raise ExecutionError(f"no approximate bound for {alias!r}") from None
 
 
-@dataclass
+@dataclass(slots=True)
 class Result:
     """The refined (exact) result of one query.
 

@@ -83,7 +83,7 @@ _EMPTY_INPUT_ERRORS = (
 _RETRYABLE = (DeviceFailure, TransientAllocationError)
 
 
-@dataclass
+@dataclass(slots=True)
 class ShardedResult(Result):
     """A merged :class:`Result` carrying the sharded wall-clock story."""
 

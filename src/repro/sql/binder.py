@@ -201,9 +201,16 @@ class _Binder:
             return self._bind_compare(node)
         raise SqlError(f"cannot bind predicate {node!r}")
 
+    @staticmethod
+    def _is_literal(node) -> bool:
+        """A number, a string, or a negated number (``-257``)."""
+        if isinstance(node, ast.Negate):
+            return isinstance(node.operand, ast.Num)
+        return isinstance(node, (ast.Num, ast.Str))
+
     def _bind_compare(self, node: ast.Compare) -> Predicate:
-        left_is_literal = isinstance(node.left, (ast.Num, ast.Str))
-        right_is_literal = isinstance(node.right, (ast.Num, ast.Str))
+        left_is_literal = self._is_literal(node.left)
+        right_is_literal = self._is_literal(node.right)
         if left_is_literal == right_is_literal:
             raise SqlError(
                 "comparisons need a column/expression on one side and a "

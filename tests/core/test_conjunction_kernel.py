@@ -27,6 +27,7 @@ from repro.core.relax import ValueRange, relax_to_code_range
 from repro.device import gpu as gpu_module
 from repro.device.machine import Machine
 from repro.device.model import AccessPattern, OpClass
+from repro.engine.cooperative import ScanRequest, cooperative_scan_hits
 from repro.storage.bitpack import packed_nbytes
 from repro.storage.decompose import (
     decompose_values,
@@ -243,7 +244,12 @@ def test_precomputed_hits_change_nothing(small_blocks):
         (columns[0], "p", ValueRange.between(100, 700)),
         (columns[1], "q", ValueRange.between(0, 300)),
     ]
-    hits = np.flatnonzero(_codes_in(columns[0], conjuncts[0][2]))
+    hits = cooperative_scan_hits(
+        columns[0], [ScanRequest("p", conjuncts[0][2])]
+    )["p"]
+    assert np.array_equal(
+        hits.ascending(), np.flatnonzero(_codes_in(columns[0], conjuncts[0][2]))
+    )
     for k in (1, 2):
         assert_matches_reference(machine, conjuncts[:k], precomputed_hits=hits)
         assert_matches_reference(

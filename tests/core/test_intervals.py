@@ -310,3 +310,52 @@ class TestDegenerateRepresentation:
     def test_empty_column(self):
         c = IntervalColumn.exact(np.empty(0, dtype=np.int64))
         assert len(c) == 0 and c.is_exact and len(c.neg().mul(c)) == 0
+
+
+class TestStructurallyInexact:
+    """Bucket bounds over residual bits (``hi = lo + max_error``) cannot be
+    degenerate: the column is built without an equality pass (PR 17)."""
+
+    @pytest.fixture()
+    def equality_scans(self, monkeypatch):
+        calls = []
+        real = np.array_equal
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", spy)
+        return calls
+
+    def test_inexact_constructor_knows_without_looking(self, equality_scans):
+        c = IntervalColumn.inexact(np.array([0, 16]), np.array([15, 31]))
+        assert not c.is_exact and not c.refinable and c.hi is not c.lo
+        assert equality_scans == []
+        with pytest.raises(ExecutionError):
+            IntervalColumn.inexact(np.array([2]), np.array([1]))  # still validated
+
+    def test_bucket_payloads_skip_the_scan_and_read_as_before(self, equality_scans):
+        from repro.core.approximate import _payload_from_codes
+        from repro.storage.decompose import decompose_values
+
+        values = np.arange(0, 4096, 7)
+        for residual_bits, exact in ((4, False), (0, True)):
+            column = decompose_values(values, residual_bits=residual_bits)
+            payload = _payload_from_codes(column, column.approx_codes())
+            assert equality_scans == []
+            want = IntervalColumn.from_bounds(  # the scanning constructor
+                payload.lo, payload.lo + column.decomposition.max_error
+            )
+            assert payload.is_exact == want.is_exact == exact
+            assert payload.refinable == want.refinable == exact
+            assert (payload.hi == want.hi).all()
+            equality_scans.clear()
+
+    def test_an_empty_payload_stays_exact(self):
+        from repro.core.approximate import _payload_from_codes
+        from repro.storage.decompose import decompose_values
+
+        column = decompose_values(np.arange(100), residual_bits=3)
+        payload = _payload_from_codes(column, column.approx_codes()[:0])
+        assert payload.is_exact and payload.refinable and payload.hi is payload.lo

@@ -58,7 +58,7 @@ def loaded(machine, values, residual_bits, label):
 def spans_of(timeline):
     return [
         (s.device, s.kind, s.op, s.nbytes, s.seconds, s.phase)
-        for s in timeline._spans
+        for s in timeline.spans
     ]
 
 

@@ -51,7 +51,7 @@ def empty_like(col: BwdColumn) -> BwdColumn:
 def spans_of(timeline):
     return [
         (s.device, s.kind, s.op, s.nbytes, s.seconds, s.phase)
-        for s in timeline._spans
+        for s in timeline.spans
     ]
 
 

@@ -1,5 +1,6 @@
 """Tests for timelines, the PCI bus model and the CPU scaling model."""
 
+import numpy as np
 import pytest
 
 from repro.device.bus import PciBus
@@ -47,6 +48,30 @@ class TestTimeline:
         a.extend(b)
         assert len(a) == 2
         assert a.total_seconds() == pytest.approx(3.0)
+
+    def test_ledger_is_columnar_and_reads_as_spans(self):
+        """What a kept Result retains per charge: one reference to a label
+        tuple shared by every ledger, and two unboxed numbers (PR 17)."""
+        from repro.device.timeline import Span
+
+        a, b = Timeline(), Timeline(scale=2.0)
+        for t in (a, b):
+            # formatted per charge, as the kernels do: distinct string objects
+            t.record("gpu0", "gpu", "select.approx({})".format("v"), 128, 0.25)
+            t.record("cpu0", "cpu", "select.refine(v)", np.int64(64), 0.5, "refine")
+        assert a.span_tuples() == [
+            ("gpu0", "gpu", "select.approx(v)", 128, 0.25, "approximate"),
+            ("cpu0", "cpu", "select.refine(v)", 64, 0.5, "refine"),
+        ]
+        assert [type(cell) for cell in a.span_tuples()[1]] == [str, str, str, int, float, str]
+        assert a.spans == [Span(*cells) for cells in a.span_tuples()] == list(a)
+        assert b.spans[0].seconds == 0.5 and len(b) == 2
+        assert a.spans[0].op is b.spans[0].op  # one label string, shared
+        for obj in (a, a.spans[0]):
+            assert not hasattr(obj, "__dict__")
+        with pytest.raises(TypeError):
+            a.record("gpu0", "gpu", "x", 1.5, 0.1)  # bytes are whole
+        assert len(a) == 2  # ... and a refused charge leaves no half-span
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):

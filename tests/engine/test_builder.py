@@ -22,7 +22,7 @@ ALL_OPS = [("<", 0), ("<=", 0), (">", 0), (">=", 0), ("=", 0), ("within", 25)]
 def spans_of(timeline):
     return [
         (s.device, s.kind, s.op, s.nbytes, s.seconds, s.phase)
-        for s in timeline._spans
+        for s in timeline.spans
     ]
 
 

@@ -18,7 +18,7 @@ from repro.storage.column import IntType
 def spans_of(timeline):
     return [
         (s.device, s.kind, s.op, s.nbytes, s.seconds, s.phase)
-        for s in timeline._spans
+        for s in timeline.spans
     ]
 
 

@@ -92,7 +92,7 @@ class TestCacheCorrectness:
 def spans_of(timeline: Timeline):
     return [
         (s.device, s.kind, s.op, s.nbytes, s.seconds, s.phase)
-        for s in timeline._spans
+        for s in timeline.spans
     ]
 
 

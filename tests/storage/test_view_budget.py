@@ -238,7 +238,7 @@ class TestBudgetTimelineInvariance:
             gpu.select_code_ranges([(col, "c", 10, 4000)], t)
             spans.append([
                 (s.device, s.kind, s.op, s.nbytes, s.seconds, s.phase)
-                for s in t._spans
+                for s in t.spans
             ])
             if budget == 0:
                 assert col._approx_cache is None  # genuinely stayed cold
