@@ -16,7 +16,10 @@ after it), the PR-15 code-width entries (``micro.unpack.w12.narrow`` — the
 decode an evicted 12-bit view is rebuilt with; ``scan.selection.evict`` —
 selections cycling over three columns under an 8 MiB view budget;
 ``join.theta.band.selected`` — the band join under a 10 % selection,
-approximate + refine), and the
+approximate + refine), the PR-18 ``serve.sumcount.b16`` /
+``shard.sumcount.s4`` (one fused batch of 16 windowed ``sum, count``
+through ``Session.serve`` / ``ShardedSession(4).serve``: served members
+that read their candidates' rows), and the
 ``serve.throughput.*`` family: the same mixed selection-query set pushed
 through the multi-query scheduler at batch widths 1/4/16, so
 ``b1 / b16`` is the measured batching speedup (PR 5's acceptance
@@ -619,6 +622,22 @@ def _run_shard_theta(fx: _Fixtures, n_shards: int) -> None:
     run_theta_once(*fx.shard_workload(n_shards))
 
 
+def _run_served_sumcount(session, ranges) -> None:
+    """One fused batch of 16 windowed ``sum, count`` through
+    ``session.serve()`` — served members that read their candidates' rows.
+    No other entry times that: ``serve.throughput.*`` serve counts, which
+    form no row, and ``shard.scan.s*`` run solo, which never carves."""
+    server = session.serve(max_batch=16, optimizer="heuristic")
+    handles = [
+        session.table("events").where("value", between=window)
+        .agg("sum", "value", alias="s").count(alias="n").submit(server)
+        for window in ranges[:16]
+    ]
+    server.drain()
+    for handle in handles:  # consume (and surface any failure)
+        handle.result()
+
+
 def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
     """The named benchmark suite.
 
@@ -673,6 +692,9 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         "shard.scan.s4": lambda: _run_shard_scan(fx, 4),
         "shard.theta.s1": lambda: _run_shard_theta(fx, 1),
         "shard.theta.s4": lambda: _run_shard_theta(fx, 4),
+        # Served aggregates that read rows (PR 18), on both session types.
+        "serve.sumcount.b16": lambda: _run_served_sumcount(*fx.serve_workload()),
+        "shard.sumcount.s4": lambda: _run_served_sumcount(*fx.shard_workload(4)),
         # Cost-based optimizer picks (PR 8): before = heuristic path,
         # after = optimizer="cost", so the recorded speedup IS the
         # optimizer's end-to-end win (or its planning overhead).

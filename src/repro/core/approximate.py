@@ -42,19 +42,6 @@ def _payload_from_codes(column: BwdColumn, codes: np.ndarray) -> IntervalColumn:
     return IntervalColumn.inexact(lo, lo + dec.max_error)
 
 
-def _carried_codes(
-    column: BwdColumn, label: str, candidates: Approximation
-) -> np.ndarray | None:
-    """``column``'s codes at the candidate ids, when the candidates already
-    carry its bucket bounds as payload ``label`` (the codes are the major
-    bits of the bounds — no second random gather), else None."""
-    carried = candidates.payloads.get(label)
-    if carried is None:
-        return None
-    dec = column.decomposition
-    return (carried.lo - dec.base) >> dec.residual_bits
-
-
 def select_conjunction_approx(
     gpu: SimulatedGPU,
     timeline: Timeline,
@@ -63,6 +50,7 @@ def select_conjunction_approx(
     candidates: Approximation | None = None,
     scramble: bool = True,
     precomputed_hits: CarvedHits | None = None,
+    in_order: bool = True,
 ) -> Approximation:
     """Approximate a conjunction of selections in one device pass.
 
@@ -79,7 +67,10 @@ def select_conjunction_approx(
     hits carved by a shared cooperative pass) skips the NumPy scan only;
     results and modeled charges are byte-identical.  A lone scan answered
     by them is billed and *counted* here, its rows left to their first
-    reader (:meth:`Approximation.deferred`).
+    reader (:meth:`Approximation.deferred`) — who gets them in the scan's
+    order, unless the caller's plan returns no row ``in_order`` (it only
+    aggregates): candidates are a set then, and form as the carved run
+    stands, ids and codes the slices they are.
     """
     ranges = [
         (column, label, *relax_to_code_range(vrange, column.decomposition))
@@ -102,15 +93,23 @@ def select_conjunction_approx(
         return formed(candidates.narrowed(keep))
     if precomputed_hits is not None and len(ranges) == 1:
         (column, label, vrange), = conjuncts
-        ids = gpu.select_carved(
-            ranges[0], timeline, precomputed_hits, scramble=scramble
-        )
+        hits, carve = precomputed_hits, (label, vrange, precomputed_hits)
+        ids = gpu.select_carved(ranges[0], timeline, hits, scramble=scramble)
+
+        def form() -> Approximation:
+            if in_order:  # the scan's: ascending, lane-major scattered
+                return formed(Approximation(ids(), not scramble, exact=True))
+            # A set: the run as it stands, its bounds from the codes beside it.
+            bounds = _payload_from_codes(column, hits.codes)
+            return formed(Approximation(
+                hits.run, False, {label: bounds}, exact=True, carve=carve
+            ))
+
         return Approximation.deferred(
-            precomputed_hits.size, (label,),
-            lambda: formed(Approximation(ids(), not scramble, exact=True)),
-            order_preserved=not scramble,
+            hits.size, (label,), form,
+            order_preserved=in_order and not scramble,
             exact=column.decomposition.residual_bits == 0,
-            boundary=(label, vrange, precomputed_hits.boundary),
+            carve=carve,
         )
     ids, _ = gpu.select_code_ranges(
         ranges, timeline, scramble=scramble, precomputed_hits=precomputed_hits
@@ -127,11 +126,12 @@ def select_approx(
     *,
     scramble: bool = True,
     precomputed_hits: CarvedHits | None = None,
+    in_order: bool = True,
 ) -> Approximation:
     """Approximate a selection: :func:`select_conjunction_approx` of one."""
     return select_conjunction_approx(
-        gpu, timeline, [(column, label, vrange)],
-        scramble=scramble, precomputed_hits=precomputed_hits,
+        gpu, timeline, [(column, label, vrange)], scramble=scramble,
+        precomputed_hits=precomputed_hits, in_order=in_order,
     )
 
 
@@ -163,14 +163,14 @@ def project_approx(
     bucket bounds as payload ``label`` and leaves ids untouched, so the
     output is positionally aligned with its input.  On a column the
     candidates already carry (``select sum(a) … where a between``) the
-    lookup is billed as ever and the payload stays: it is these bounds.
+    lookup is billed as ever, from their count, and the payload stays: it
+    is these bounds — no row is read for it.
     """
-    carried = _carried_codes(column, label, candidates)
-    codes = gpu.gather_codes(
-        column, candidates.ids, timeline, op=f"project.approx({label})",
-        precomputed_codes=carried,
-    )
-    if carried is None:
+    op = f"project.approx({label})"
+    if label in candidates.labels:
+        gpu.charge_gather(column, len(candidates), timeline, op)
+    else:
+        codes = gpu.gather_codes(column, candidates.ids, timeline, op)
         candidates.payloads[label] = _payload_from_codes(column, codes)
     if column.decomposition.residual_bits != 0:
         candidates.exact = False

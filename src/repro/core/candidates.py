@@ -23,10 +23,16 @@ Three candidate shapes exist:
   explosion to the **single materialization point**
   (:meth:`RunPairCandidates.canonicalized`) at the end of the pipeline.
 
-Unary candidates defer the same way: a scan answered out of the sorted-code
-view hands over :class:`CarvedHits` — a count and a run, nothing sorted —
-and the :class:`Approximation` built on them forms its rows when an
-operator first reads one (:meth:`Approximation.deferred`).
+Unary candidates obey the same contract between approximation and
+refinement: an :class:`Approximation` denotes a *set* of rows with their
+payloads aligned, and an aggregate over it is a commutative fold that
+cannot see order.  Order is formed only for a plan that returns rows (the
+Result then *is* that order).  So unary candidates defer the same way: a
+scan answered out of the sorted-code view hands over :class:`CarvedHits` —
+a count, a run and its codes, nothing sorted — and the
+:class:`Approximation` built on them forms its rows when an operator first
+reads one (:meth:`Approximation.deferred`): ascending and scattered for a
+plan that returns them, as the run stands for one that only aggregates.
 """
 
 from __future__ import annotations
@@ -46,14 +52,18 @@ class CarvedHits:
     counted, not yet put in order.
 
     ``run`` is the slice of the sort permutation whose codes fall in the
-    relaxed code range — the hit *set*; :meth:`ascending` sorts it into
-    exactly what the solo kernel's ``flatnonzero`` emits.  ``boundary``
-    holds the ids in ``run`` whose code lies outside the certain code
-    range (the two end buckets of the run at most): the only hits a
+    relaxed code range — the hit *set* — and ``codes`` the same slice of
+    the sorted codes, both read-only views of the column's cached ones;
+    :meth:`ascending` sorts the run into exactly what the solo kernel's
+    ``flatnonzero`` emits.  ``sure`` is the sub-run whose codes lie in the
+    certain code range: the hits before and after it (the two end buckets
+    of the run at most; ``boundary`` holds their ids) are the only ones a
     refinement can still drop.
     """
 
     run: np.ndarray
+    codes: np.ndarray
+    sure: slice
     boundary: np.ndarray
 
     @property
@@ -95,7 +105,7 @@ class Approximation:
 
     __slots__ = (
         "_ids", "_payloads", "order_preserved", "exact",
-        "_count", "_labels", "_form", "_boundary",
+        "_count", "_labels", "_form", "_carve",
     )
 
     def __init__(
@@ -104,6 +114,8 @@ class Approximation:
         order_preserved: bool = True,
         payloads: dict[str, IntervalColumn] | None = None,
         exact: bool = False,
+        *,
+        carve: tuple | None = None,
     ) -> None:
         self._ids = as_index_array(ids)
         self._payloads = {} if payloads is None else payloads
@@ -112,7 +124,11 @@ class Approximation:
                 raise ValueError(f"payload {name!r} misaligned with candidate ids")
         self.order_preserved = order_preserved
         self.exact = exact
-        self._form = self._boundary = None
+        self._form = None
+        #: ``(label, value range, CarvedHits)`` of the relaxed selection this
+        #: set answers, while its rows are as the carve left them: not yet
+        #: read, or formed in run order
+        self._carve = carve
 
     @classmethod
     def deferred(
@@ -123,12 +139,13 @@ class Approximation:
         *,
         order_preserved: bool,
         exact: bool,
-        boundary: tuple | None = None,
+        carve: tuple | None = None,
     ) -> "Approximation":
         """A set of ``count`` candidates carrying payloads ``labels`` whose
         rows ``form()`` — returning the formed set — produces when first
-        read.  ``boundary`` is ``(label, value range, ids)`` of the relaxed
-        selection the set answers, see :meth:`boundary`.
+        read.  ``carve`` is ``(label, value range, CarvedHits)`` of the
+        relaxed selection the set answers, see :meth:`boundary`; it stays
+        with the rows if ``form()`` hands it on, see :meth:`certain_run`.
 
         ``form`` must not refer back to the set it forms: a deferred set
         that is dropped unread has to die by reference count alone.
@@ -136,7 +153,7 @@ class Approximation:
         self = cls.__new__(cls)
         self._ids = self._payloads = None
         self._count, self._labels, self._form = count, tuple(labels), form
-        self._boundary = boundary
+        self._carve = carve
         self.order_preserved, self.exact = order_preserved, exact
         return self
 
@@ -149,7 +166,7 @@ class Approximation:
                 f"formed {len(formed)}"
             )
         self._ids, self._payloads = formed.ids, formed.payloads
-        self._form = self._boundary = None
+        self._form, self._carve = None, formed._carve
 
     @property
     def ids(self) -> np.ndarray:
@@ -168,14 +185,34 @@ class Approximation:
         """The payloads' names, in order — without forming a row."""
         return self._labels if self._ids is None else tuple(self._payloads)
 
+    def _carved(self, label: str, vrange):
+        carve = self._carve
+        if carve is not None and carve[0] == label and carve[1] == vrange:
+            return carve[2]
+        return None
+
     def boundary(self, label: str, vrange) -> np.ndarray | None:
         """While no row has been read: the ids that can still fail the
         selection ``label in vrange`` this set was carved for — every other
         candidate's whole bucket lies inside the range.  ``None`` once the
         rows are formed, and for any other selection."""
-        if self._boundary is not None and self._boundary[:2] == (label, vrange):
-            return self._boundary[2]
-        return None
+        hits = self._carved(label, vrange) if self._ids is None else None
+        return None if hits is None else hits.boundary
+
+    def certain_count(self, label: str, vrange) -> int | None:
+        """How many rows' whole bucket lies inside ``label in vrange`` —
+        known from the carve alone while the rows are as it left them."""
+        hits = self._carved(label, vrange)
+        return None if hits is None else hits.sure.stop - hits.sure.start
+
+    def certain_run(self, label: str, vrange) -> slice | None:
+        """Once formed in the run order of the carve answering ``label in
+        vrange``: the slice of this set's rows whose whole bucket lies
+        inside the range — only the rows before and after it can still
+        fail the selection.  ``None`` for rows in any other order, unread
+        ones, and any other selection."""
+        hits = self._carved(label, vrange) if self._ids is not None else None
+        return None if hits is None else hits.sure
 
     def __len__(self) -> int:
         return self._count if self._ids is None else len(self._ids)
@@ -198,17 +235,30 @@ class Approximation:
         self.payloads[name] = column
         return self
 
-    def narrowed(self, keep_mask: np.ndarray) -> "Approximation":
-        """Candidate subset selected by a boolean mask (order kept).
+    def narrowed(
+        self, keep, replacing: dict[str, IntervalColumn] | None = None
+    ) -> "Approximation":
+        """Candidate subset (order kept) selected by a boolean mask — or by
+        a function returning the kept rows of an array aligned with the
+        ids, for a caller that knows a cheaper way to them than a mask.
 
-        Payloads are sliced with the mask itself — no id re-intersection
-        and no ``flatnonzero`` materialization per payload.
+        Payloads are sliced with the selector itself — no id re-intersection
+        and no ``flatnonzero`` materialization per payload — except those
+        ``replacing`` names: its columns, already narrowed, stand in.
         """
-        keep_mask = np.asarray(keep_mask, dtype=bool)
+        if not callable(keep):
+            mask = np.asarray(keep, dtype=bool)
+
+            def keep(rows: np.ndarray) -> np.ndarray:
+                return rows[mask]
+        replacing = replacing or {}
         return Approximation(
-            ids=self.ids[keep_mask],
+            ids=keep(self.ids),
             order_preserved=self.order_preserved,
-            payloads={k: v.take(keep_mask) for k, v in self.payloads.items()},
+            payloads={
+                k: replacing[k] if k in replacing else v.take(keep)
+                for k, v in self.payloads.items()
+            },
             exact=self.exact,
         )
 

@@ -97,7 +97,11 @@ def select_refine(
     (:meth:`Approximation.boundary`) can fail the precise condition, so
     those alone are reconstructed and re-tested.  The bill is Algorithm 2's
     over every candidate either way, and the refined set — its count exact
-    — forms its rows by running Algorithm 2 over its formed parent.
+    — forms its rows by running Algorithm 2 over its formed parent.  Over
+    a parent formed in run order (:meth:`Approximation.certain_run`) the
+    precise condition is again put to the two end buckets only, and the
+    refined set is their survivors around the certain run: three slices
+    joined.
     """
     if column.decomposition.residual_bits == 0:
         # Fully device-resident: the approximation was already exact.
@@ -126,17 +130,26 @@ def select_refine(
         if not payload.is_exact:
             residuals = column.residual_at(candidates.ids)
             values = values + residuals.astype(np.int64)
-        mask = vrange.evaluate(values)
+        sure = candidates.certain_run(label, vrange)
+        if sure is None:
+            keep = vrange.evaluate(values)
+            exact = values[keep]
+        else:  # run order: only the rows around the certain run can fail
+            head = vrange.evaluate(values[: sure.start])
+            tail = vrange.evaluate(values[sure.stop :])
+
+            def keep(rows: np.ndarray) -> np.ndarray:
+                return np.concatenate(
+                    (rows[: sure.start][head], rows[sure], rows[sure.stop :][tail])
+                )
+            exact = keep(values)
         # Align every payload with the refined subset via the translucent
         # join.  Its traversal is fused into the refinement loop above ("the
-        # two operations can be performed in one loop", §IV-B): the
-        # keep-mask the predicate produced *is* the join's output positions,
-        # so no membership recomputation runs and no extra pass is charged;
-        # correctness still follows Algorithm 1 (the mask preserves the
-        # shared permutation).
-        out = candidates.narrowed(mask)
-        out.payloads[label] = IntervalColumn.exact(values[mask])
-        return out
+        # two operations can be performed in one loop", §IV-B): the rows the
+        # predicate kept *are* the join's output positions, so no membership
+        # recomputation runs and no extra pass is charged; correctness still
+        # follows Algorithm 1 (narrowing preserves the shared permutation).
+        return candidates.narrowed(keep, {label: IntervalColumn.exact(exact)})
 
     if boundary is None:
         return refined()

@@ -354,27 +354,27 @@ class SimulatedGPU:
         positions: np.ndarray,
         timeline: Timeline,
         op: str = "project.approx",
-        precomputed_codes: np.ndarray | None = None,
     ) -> np.ndarray:
         """Approximate projection: positional lookup of approximation codes.
 
         The invisible join of paper §IV-C, executed on the device.
-        ``precomputed_codes`` (from a caller that already holds the codes
-        at ``positions``) skips the NumPy gather only; the charge is a
-        function of ``positions.size``.
         """
         self._require_resident(column)
-        out = (
-            column.approx_at(positions)
-            if precomputed_codes is None else precomputed_codes
-        )
-        code_bytes = max(column.decomposition.approx_bits, 1) / 8.0
-        nbytes = int(positions.size * (code_bytes + _OID_BYTES))
-        self._charge(
-            timeline, op, nbytes, AccessPattern.RANDOM,
-            tuples=positions.size, op_class=OpClass.GATHER,
-        )
+        out = column.approx_at(positions)
+        self.charge_gather(column, positions.size, timeline, op)
         return out
+
+    def charge_gather(
+        self, column: BwdColumn, count: int, timeline: Timeline, op: str
+    ) -> None:
+        """The bill of :meth:`gather_codes` at ``count`` positions — all
+        there is to do for a caller that already holds those codes."""
+        self._require_resident(column)
+        code_bytes = max(column.decomposition.approx_bits, 1) / 8.0
+        self._charge(
+            timeline, op, int(count * (code_bytes + _OID_BYTES)),
+            AccessPattern.RANDOM, tuples=count, op_class=OpClass.GATHER,
+        )
 
     def full_scan_codes(
         self,

@@ -338,6 +338,10 @@ class ArExecutor:
             [(state.bwd(op.column), op.column, op.predicate.vrange) for op in ops],
             candidates=None if scan is not None else state.candidates,
             precomputed_hits=hits,
+            # Candidates that only feed aggregates are a set; a row that
+            # leaves the engine (or enters a theta join) does so in order.
+            in_order=bool(state.query.theta_joins)
+            or not state.query.is_aggregation(),
         )
 
     def _dispatch(self, op, state: _ExecState) -> None:
@@ -507,14 +511,33 @@ class ArExecutor:
     # ------------------------------------------------------------------
     # Aggregation (approximate side)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _sole_selection(state: _ExecState) -> tuple[str, ValueRange] | None:
+        """``(label, value range)`` of the query's one predicate when it is
+        a plain column range — the only certainty a carved scan decides by
+        itself (:meth:`Approximation.certain_count`, :meth:`~Approximation.
+        certain_run`)."""
+        where = state.query.where
+        if len(where) == 1 and where[0].is_simple_column:
+            return where[0].target.name, where[0].vrange
+        return None
+
     def _certainty(self, state: _ExecState) -> np.ndarray:
         """Rows certainly satisfying every predicate, judged on the device.
 
         Predicates not decidable on the device (host-only columns) force
         uncertainty — their rows may yet be eliminated in refinement.
+        Candidates in the run order of the carve that answered the query's
+        one predicate are certain in one slice of it: nothing is tested.
         """
         assert state.candidates is not None
         if state.certain is None:
+            sole = self._sole_selection(state)
+            sure = state.candidates.certain_run(*sole) if sole else None
+            if sure is not None:
+                state.certain = np.zeros(len(state.candidates), dtype=bool)
+                state.certain[sure] = True
+                return state.certain
             labels = state.candidates.labels
             where = state.query.where
             decidable = all(c in labels for pred in where for c in pred.columns())
@@ -527,19 +550,17 @@ class ArExecutor:
     def _certain_count(self, state: _ExecState) -> int:
         """How many candidates :meth:`_certainty` marks.
 
-        Candidates still deferred behind the scan of the query's one
-        predicate are certain off their boundary (the rows whose bucket
-        reaches outside the range), so they are counted, not formed.
+        Candidates as the scan of the query's one predicate carved them —
+        still deferred, or formed in its run order — are certain off their
+        boundary (the rows whose bucket reaches outside the range), so they
+        are counted, not formed.
         """
         assert state.candidates is not None
-        where = state.query.where
-        if len(where) == 1 and where[0].is_simple_column:
-            boundary = state.candidates.boundary(
-                where[0].target.name, where[0].vrange
-            )
-            if boundary is not None:
-                return len(state.candidates) - boundary.size
-        return int(self._certainty(state).sum())
+        sole = self._sole_selection(state)
+        known = state.candidates.certain_count(*sole) if sole else None
+        if known is not None:
+            return known
+        return int(np.count_nonzero(self._certainty(state)))
 
     @staticmethod
     def _candidate_groups(state: _ExecState) -> GroupAssignment:
@@ -594,7 +615,7 @@ class ArExecutor:
                 out = agg_kernels.grouped_count_interval(certain, groups)
             elif agg.func == "sum":
                 out = agg_kernels.grouped_sum_interval(
-                    self._vanishing(bounds, certain), groups
+                    bounds, groups, certain=certain
                 )
             elif agg.func in ("avg", "min", "max"):
                 lo = agg_kernels.grouped_min(bounds.lo, groups)
@@ -608,7 +629,7 @@ class ArExecutor:
         if n == 0:
             iv = Interval(0.0, 0.0) if agg.func == "sum" else None
         elif agg.func == "sum":
-            iv = self._vanishing(bounds, certain).sum_interval()
+            iv, = agg_kernels.grouped_sum_interval(bounds, None, certain=certain)
         elif agg.func == "avg":
             iv = Interval(float(bounds.lo.min()), float(bounds.hi.max()))
         elif agg.func == "min":
@@ -620,23 +641,6 @@ class ArExecutor:
         else:  # pragma: no cover
             raise ExecutionError(f"unknown aggregate {agg.func!r}")
         state.approximate.aggregates[agg.alias] = iv
-
-    @staticmethod
-    def _vanishing(bounds: IntervalColumn, certain: np.ndarray) -> IntervalColumn:
-        """Per-row sum contributions under candidacy uncertainty.
-
-        An uncertain row may yet vanish in refinement, so its contribution
-        is hulled with 0; when every row is certain the bounds stand as
-        they are (and stay degenerate if they were).
-        """
-        if certain.all():
-            return bounds
-        uncertain = ~certain
-        lo = bounds.lo.copy()
-        hi = bounds.hi.copy()
-        lo[uncertain] = np.minimum(lo[uncertain], 0)
-        hi[uncertain] = np.maximum(hi[uncertain], 0)
-        return IntervalColumn(lo, hi, refinable=False)
 
     def _minmax_prune(self, agg: Aggregate, state: _ExecState) -> None:
         assert state.candidates is not None and agg.expr is not None
@@ -938,10 +942,7 @@ class ArExecutor:
                 else np.array([n], dtype=np.int64)
             )
             return
-        groups = (
-            state.groups if grouped
-            else GroupAssignment(np.zeros(n, dtype=np.int64), 1, exact=True)
-        )
+        groups = state.groups if grouped else None  # ungrouped: one fold
 
         assert agg.expr is not None
         bounds = None
@@ -963,7 +964,7 @@ class ArExecutor:
                 max(len(agg.expr.columns()), 1) * n * _OID_BYTES,
                 tuples=n * (1 + agg.expr.op_count()), op_class=OpClass.AGG,
             )
-        if groups.n_groups == 0:
+        if grouped and groups.n_groups == 0:
             state.exact_aggregates[agg.alias] = np.array([], dtype=np.int64)
             return
         if agg.func in ("min", "max") and n == 0:

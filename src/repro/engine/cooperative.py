@@ -55,8 +55,10 @@ def cooperative_scan_hits(
     each request's relaxed and certain code ranges into positions of that
     view — two ``searchsorted`` calls for the whole batch — instead of one
     O(n) stream comparison per query.  Nothing is sorted here: a request's
-    hits are a slice of the sort permutation, *counted*, with the ids of
-    its boundary rows (relaxed range ∋ code ∉ certain range) set apart.
+    hits are a slice of the sort permutation beside the same slice of the
+    sorted codes, *counted*, with the sub-run of certain codes marked and
+    the ids outside it (relaxed range ∋ code ∉ certain range: the boundary
+    rows) set apart.
 
     Each label's :class:`~repro.core.candidates.CarvedHits`, once read
     through ``ascending()``, is **identical** to what the solo kernel's
@@ -91,10 +93,9 @@ def cooperative_scan_hits(
         sure_start = min(max(sure_start, start), stop)
         sure_stop = min(max(sure_stop, sure_start), stop)
         hits_by_label[request.label] = CarvedHits(
-            run=perm[start:stop],
-            boundary=np.concatenate(
-                (perm[start:sure_start], perm[sure_stop:stop])
-            ),
+            perm[start:stop], key[start:stop],
+            slice(sure_start - start, sure_stop - start),
+            np.concatenate((perm[start:sure_start], perm[sure_stop:stop])),
         )
     return hits_by_label
 

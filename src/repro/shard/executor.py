@@ -46,7 +46,9 @@ modeled seconds exceed ``hedge_factor`` × the ``hedge_quantile`` quantile
 of its siblings, the fragment is re-executed once and the faster attempt
 becomes the fragment's ledger (the loser's spans move to the recovery
 ledger) — tail latency *and* ledger fidelity are restored when the
-slowdown was transient.
+slowdown was transient.  Only an attached fault injector makes slowness
+transient in the model; a healthy executor never hedges — a window cut
+90/10 by a shard edge is uneven work, not a straggler.
 """
 
 from __future__ import annotations
@@ -215,7 +217,10 @@ class ShardExecutor:
             self._run_fragment(fragment, plan, scan_hits, recovery)
             for fragment in plan.fragments
         ]
-        if self.retry_policy.hedge:
+        # Without an injector every attempt on a shard replays the same
+        # modeled timeline: a hedge launched at the detection threshold
+        # cannot finish before the original, however uneven the fragments.
+        if self.retry_policy.hedge and self.injector is not None:
             self._maybe_hedge(outcomes, plan, scan_hits, recovery)
 
         fragments = [

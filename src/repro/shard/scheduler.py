@@ -255,16 +255,23 @@ class ShardScheduler(Scheduler):
                             ScanRequest(str(len(ops)), first.predicate.vrange)
                         )
                         ops.append((i, first))
-            if len(requests) < 2:
-                continue  # nothing on this shard to share
+            if not requests:
+                continue
+            # A fragment alone on its shard is carved like the rest, beside
+            # the same resident view; only a pass two or more fragments
+            # share counts as fused.
+            shared = len(requests) > 1
             hits_by_label = cooperative_scan_hits(column, requests)
-            total_hits = sum(h.size for h in hits_by_label.values())
-            self.stats.modeled_fused_scan_seconds += cooperative_pass_seconds(
-                shard.machine.gpu, column, len(requests), total_hits
-            )
+            if shared:
+                total_hits = sum(h.size for h in hits_by_label.values())
+                self.stats.modeled_fused_scan_seconds += cooperative_pass_seconds(
+                    shard.machine.gpu, column, len(requests), total_hits
+                )
             for label, (i, first) in enumerate(ops):
                 hits = hits_by_label[str(label)]
                 hits_for.setdefault(i, {})[shard.index] = {id(first): hits}
+                if not shared:
+                    continue
                 fused_members.add(i)
                 # What this member's fragment would bill for its solo scan
                 # on this shard — the baseline of the modeled sharing gain.

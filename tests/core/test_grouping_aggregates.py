@@ -258,3 +258,82 @@ class TestGroupedAggregates:
         got = grouped_sum(values, gids, n_groups)
         for g in range(n_groups):
             assert got[g] == int(values[gids == g].sum())
+
+    # ------------------------------------------------------------------
+    # One group is a reduction, not a scatter (PR 18)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _scattered(ufunc, start, values, gids, n_groups):
+        """The reference: ``ufunc.at`` into one slot per group."""
+        out = np.full(n_groups, start, dtype=np.int64)
+        ufunc.at(out, gids, np.asarray(values, dtype=np.int64))
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40),
+        st.sampled_from(["none", "bare", "assignment"]),
+    )
+    def test_one_group_reduces_exactly_like_the_scatter(self, values, how):
+        """Ungrouped (``None``), bare zeros or a checked one-group
+        assignment: the int64 fold the scatter computes, wrap-around,
+        empty input and all — and the same single float64 division."""
+        values = np.array(values, dtype=np.int64)
+        zeros = np.zeros(len(values), dtype=np.int64)
+        groups = {
+            "none": (None,), "bare": (zeros, 1),
+            "assignment": (GroupAssignment(zeros, 1, exact=True),),
+        }[how]
+        i64 = np.iinfo(np.int64)
+        for kernel, ufunc, start in (
+            (grouped_sum, np.add, 0),
+            (grouped_min, np.minimum, i64.max),
+            (grouped_max, np.maximum, i64.min),
+        ):
+            got = kernel(values, *groups)
+            assert got.dtype == np.int64 and got.shape == (1,)
+            assert np.array_equal(got, self._scattered(ufunc, start, values, zeros, 1))
+        if len(values):
+            want = self._scattered(np.add, 0, values, zeros, 1).astype(np.float64)
+            assert np.array_equal(grouped_avg(values, *groups), want / len(values))
+        else:
+            with pytest.raises(ExecutionError, match="avg over an empty group"):
+                grouped_avg(values, *groups)
+
+    def test_one_group_still_checks_alignment_and_range(self):
+        with pytest.raises(ExecutionError, match="misaligned"):
+            grouped_min(np.array([1, 2]), np.array([0]), 1)
+        with pytest.raises(ExecutionError, match="out of range"):
+            grouped_sum(np.array([1]), np.array([1]), 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n_groups=st.sampled_from([None, 1, 2, 7]),
+           degenerate=st.booleans(), big=st.booleans())
+    def test_vanishing_rows_adjust_the_sums(self, seed, n_groups, degenerate, big):
+        """``certain=``: the sums of the bounds hulled with 0 at every
+        uncertain row — the reference hulls copies of both bound arrays,
+        as the executor used to — without touching the bounds."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 60))
+        scale = 2**61 if big else 1_000    # big: the int64 sums wrap
+        lo = rng.integers(-scale, scale, n)
+        hi = lo if degenerate else lo + rng.integers(0, 50, n)
+        bounds = IntervalColumn.from_bounds(lo, hi)
+        certain = rng.random(n) < rng.choice([0.0, 0.5, 0.9, 1.0])
+        gids = rng.integers(0, n_groups or 1, n)
+        groups = (None,) if n_groups is None else (gids, n_groups)
+
+        want_lo, want_hi = np.array(lo), np.array(hi)
+        want_lo[~certain] = np.minimum(want_lo[~certain], 0)
+        want_hi[~certain] = np.maximum(want_hi[~certain], 0)
+        held = (bounds.lo.copy(), bounds.hi.copy())
+        try:
+            got = grouped_sum_interval(bounds, *groups, certain=certain)
+        except ExecutionError as exc:   # wrapped past each other: refused alike
+            assert big and "malformed interval" in str(exc)
+            return
+        assert np.array_equal(bounds.lo, held[0]) and np.array_equal(bounds.hi, held[1])
+        for g, interval in enumerate(got):
+            assert interval.lo == float(want_lo[gids == g].sum())
+            assert interval.hi == float(want_hi[gids == g].sum())
+        assert len(got) == (n_groups or 1)

@@ -1,25 +1,31 @@
-"""An oracle that is not us (ROADMAP direction D, first slice).
+"""An oracle that is not us (ROADMAP direction D, first two slices).
 
 Every other cross-check compares the system with itself.  This one runs the
 same SQL text through stdlib ``sqlite3`` and through the three entry points
 a served window takes — ``Session.execute``, ``Session.serve`` (one fused
-batch of 16) and ``ShardedSession(4).serve`` — over the shapes PR 17
-touches: windowed ``count(*)``, ``sum, count`` and ``group by``, under
+batch of 16) and ``ShardedSession(4).serve`` — over the shapes PRs 17 and 18
+touch: windowed ``count(*)``, ``sum, count`` and ``group by``, and (PR 18,
+the aggregates whose candidates form in run order) ``min``, ``max``, ``avg``
+and the ``sum`` of a second column, alone, together and grouped; under
 ``between`` / ``<`` / ``>=`` with literals drawn on and off the 256-value
 bucket edges; on the bulk load, with delta in flight, and after compaction.
 Exact answers must equal sqlite's; an ``approximate`` interval must contain
-it, or be ``None``.
+it, or be ``None``; where sqlite answers NULL (``min`` / ``max`` / ``avg``
+of no row) the exact modes must refuse with the engine's empty-input error.
 
 Seeded and bounded: a fixed seed list, a few seconds in tier-1.  A failing
 seed is shrunk to the one query that fails and added to ``REGRESSIONS``.
 """
 
+import math
+import re
 import sqlite3
 
 import numpy as np
 import pytest
 
 from repro import IntType, Session
+from repro.errors import ExecutionError
 from repro.shard import ShardedSession
 from repro.sql import bind, parse
 
@@ -66,23 +72,26 @@ def predicate(rng) -> str:
     return f"value between {a} and {a + width}"
 
 
+#: select lists of a wave, by position modulo their number; every statement
+#: opens with a scan of ``value``, so 16 of them are one fused batch
+SHAPES = [
+    "count(*) as n",
+    "sum(value) as s, count(*) as n",
+    "bucket, count(*) as n, sum(value) as s",
+    "min(value) as lo",                        # alone: ApproxMinMaxPrune
+    "max(other) as hi",
+    "min(value) as lo, max(value) as hi, count(*) as n",
+    "avg(value) as v, sum(other) as t",
+    "bucket, min(other) as lo, max(value) as hi, avg(other) as v, sum(other) as t",
+]
+
+
 def wave(rng) -> list[str]:
-    """16 statements, all opening with a scan of ``value``: one fused batch."""
     sqls = []
     for i in range(WAVE):
-        where = predicate(rng)
-        shape = i % 4
-        if shape < 2:
-            sqls.append(f"select count(*) as n from events where {where}")
-        elif shape == 2:
-            sqls.append(
-                f"select sum(value) as s, count(*) as n from events where {where}"
-            )
-        else:
-            sqls.append(
-                "select bucket, count(*) as n, sum(value) as s from events "
-                f"where {where} group by bucket"
-            )
+        shape = SHAPES[i % len(SHAPES)]
+        group = " group by bucket" if shape.startswith("bucket") else ""
+        sqls.append(f"select {shape} from events where {predicate(rng)}{group}")
     return sqls
 
 
@@ -90,6 +99,7 @@ def rows(rng, n) -> dict:
     return {
         "value": rng.integers(0, DOMAIN, n),
         "bucket": rng.integers(0, N_GROUPS, n),
+        "other": rng.integers(-300, 5_000, n),   # 4 residual bits, below zero too
     }
 
 
@@ -99,34 +109,41 @@ def rows(rng, n) -> dict:
 class Oracle:
     def __init__(self) -> None:
         self.db = sqlite3.connect(":memory:")
-        self.db.execute("create table events (value integer, bucket integer)")
+        self.db.execute(
+            "create table events (value integer, bucket integer, other integer)"
+        )
 
     def insert(self, data: dict) -> None:
         self.db.executemany(
-            "insert into events values (?, ?)",
-            zip(data["value"].tolist(), data["bucket"].tolist()),
+            "insert into events values (?, ?, ?)",
+            zip(*(data[c].tolist() for c in ("value", "bucket", "other"))),
         )
 
     def answer(self, sql: str) -> list[tuple]:
-        """Rows sorted by key; an aggregate over nothing sums to 0, as ours."""
-        out = self.db.execute(sql).fetchall()
-        return sorted(tuple(0 if v is None else v for v in row) for row in out)
+        """Rows sorted by key.  Over no row a ``sum`` is 0, as ours; the
+        NULL of a ``min`` / ``max`` / ``avg`` stays ``None``."""
+        names = select_list(sql)
+        return sorted(
+            tuple(0 if v is None and name in "st" else v for name, v in zip(names, row))
+            for row in self.db.execute(sql).fetchall()
+        )
 
 
 def loaded(session, data):
     session.create_table(
-        "events", {"value": IntType(), "bucket": IntType()}, data
+        "events",
+        {"value": IntType(), "bucket": IntType(), "other": IntType()}, data,
     )
     session.bwdecompose("events", "value", 24)
     session.bwdecompose("events", "bucket", 32)
+    session.bwdecompose("events", "other", 28)
     return session
 
 
 def select_list(sql: str) -> tuple[str, ...]:
     """Output names in select-list order — sqlite's column order."""
-    if "group by" in sql:
-        return ("bucket", "n", "s")
-    return ("s", "n") if " as s" in sql else ("n",)
+    names = tuple(re.findall(r" as (\w+)", sql))
+    return ("bucket", *names) if "group by" in sql else names
 
 
 def answer_of(result, sql: str) -> list[tuple]:
@@ -134,8 +151,16 @@ def answer_of(result, sql: str) -> list[tuple]:
     return sorted(zip(*columns))
 
 
+def attempt(produce):
+    """The Result, or the engine's refusal of an empty input."""
+    try:
+        return produce()
+    except ExecutionError as exc:
+        return exc
+
+
 def run_executed(session, sqls, mode):
-    return [session.execute(sql, mode=mode) for sql in sqls]
+    return [attempt(lambda: session.execute(sql, mode=mode)) for sql in sqls]
 
 
 def run_served(session, sqls, mode):
@@ -144,27 +169,47 @@ def run_served(session, sqls, mode):
         server.submit(bind(parse(sql), session.catalog)[0], mode=mode)
         for sql in sqls
     ]
-    results = [h.result() for h in handles]
-    if isinstance(session, Session):
+    results = [attempt(h.result) for h in handles]
+    if session.catalog.tables_with_delta():
+        # Over pending delta sharded serving peels every query to the solo
+        # path, and Session.serve the exact avg / min / max (no post-hoc fold).
+        assert isinstance(session, ShardedSession) or server.stats.fused_queries > 0
+    elif isinstance(session, Session):
         assert server.stats.fused_queries == len(sqls), "the wave did not fuse"
-    elif not session.catalog.tables_with_delta():
-        # (sharded serving peels queries over pending delta to the solo path)
+    else:
         assert server.stats.fused_queries > 0, "no shard fused its fragments"
     return results
+
+
+def same(got, want) -> bool:
+    if isinstance(want, float):  # avg: one float64 division on either side
+        return math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+    return got == want
 
 
 def check(oracle, sqls, results, mode, where):
     for sql, result in zip(sqls, results):
         want = oracle.answer(sql)
+        empty = any(v is None for row in want for v in row)
+        if mode == "ar" and empty:
+            assert isinstance(result, ExecutionError), (where, sql, result)
+            assert "empty" in str(result), (where, sql, result)
+            continue
+        assert not isinstance(result, Exception), (where, sql, result)
         if mode == "ar":
-            assert answer_of(result, sql) == want, (where, sql)
+            got = answer_of(result, sql)
+            assert len(got) == len(want) and all(
+                same(g, w) for g_row, w_row in zip(got, want)
+                for g, w in zip(g_row, w_row)
+            ), (where, sql, got, want)
             continue
         if "group by" in sql:
             continue  # per-approximate-group bounds carry no key to join on
         (row,) = want
         for alias, value in zip(select_list(sql), row):
             bound = result.approximate.aggregates[alias]
-            assert bound is None or bound.contains(value), (where, sql, bound, value)
+            assert bound is None or value is None or bound.contains(value), (
+                where, sql, bound, value)
 
 
 ENTRIES = {

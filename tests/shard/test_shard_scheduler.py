@@ -168,3 +168,90 @@ def test_fused_batch_sees_pending_delta_and_watermark_compacts():
     assert server.stats.fused_queries == fused_before + 4
     for s, h in zip(solo, again):
         assert np.array_equal(h.result().columns["n"], s.columns["n"])
+
+
+# ----------------------------------------------------------------------
+# Windows straddling a band edge (PR 18)
+# ----------------------------------------------------------------------
+def band_edge(session, k=1):
+    """The first value of shard ``k + 1``'s code band."""
+    dec = session.catalog.decomposition_of("events", "value").decomposition
+    cut = session.sharded_catalog.band_cuts["events"][k]
+    return dec.base + (cut + 1) * dec.bucket
+
+
+def assert_same_answer(solo, got):
+    assert solo.columns.keys() == got.columns.keys()
+    for k in solo.columns:
+        assert np.array_equal(solo.columns[k], got.columns[k])
+    assert solo.approximate == got.approximate
+    assert solo.timeline.span_tuples() == got.timeline.span_tuples()
+    assert solo.wall_clock_seconds == got.wall_clock_seconds
+
+
+def test_a_fragment_alone_on_its_shard_is_carved_too(session, monkeypatch):
+    """The neighbour-shard half of a straddling window shares its shard's
+    pass with nobody; it is carved beside the resident view all the same,
+    and only the shard two members meet on counts as a fused pass."""
+    edge = band_edge(session)
+    straddling, inside = (edge - 9_500, edge + 500), (edge - 8_000, edge - 2_000)
+    solo = [builder(session, w).run(mode="ar") for w in (straddling, inside)]
+    assert [len(r.fragment_seconds) for r in solo] == [2, 1]
+
+    injected = []
+    execute = session.executor.execute
+
+    def spy(plan, *, scan_hits=None):
+        injected.append({shard: len(hits) for shard, hits in (scan_hits or {}).items()})
+        return execute(plan, scan_hits=scan_hits)
+
+    monkeypatch.setattr(session.executor, "execute", spy)
+    with session.serve(max_batch=8) as server:
+        handles = [builder(session, w).submit(server) for w in (straddling, inside)]
+        got = [h.result() for h in handles]
+        stats = server.stats
+    assert injected == [{1: 1, 2: 1}, {1: 1}], "both fragments get scan_hits"
+    for s, g in zip(solo, got):
+        assert_same_answer(s, g)
+    assert (stats.fused_batches, stats.fused_queries) == (1, 2)
+    shared_only = stats.modeled_fused_scan_seconds
+
+    # Two windows that meet on no shard: carved, and no pass is shared.
+    apart = [(edge - 6_000, edge - 1_000), (edge + 1_000, edge + 6_000)]
+    solo = [builder(session, w).run(mode="ar") for w in apart]
+    del injected[:]
+    with session.serve(max_batch=8) as server:
+        handles = [builder(session, w).submit(server) for w in apart]
+        got = [h.result() for h in handles]
+        stats = server.stats
+    assert injected == [{1: 1}, {2: 1}]
+    for s, g in zip(solo, got):
+        assert_same_answer(s, g)
+    assert (stats.fused_batches, stats.fused_queries) == (0, 0)
+    assert stats.modeled_fused_scan_seconds == 0.0 < shared_only
+
+
+def test_a_healthy_shard_is_never_hedged():
+    """No injector, no transient slowness: every attempt on a shard replays
+    the same modeled timeline, so a hedge can never win — a window a band
+    edge cuts 95/5 is uneven work, not a straggler (it was re-executed, its
+    spans billed to the recovery ledger, on 21 of 1 024 ``shard.s4``
+    queries)."""
+    rng = np.random.default_rng(19)
+    big = ShardedSession(4)
+    big.create_table(
+        "events", {"value": IntType()},
+        {"value": rng.integers(0, DOMAIN, 40_000).astype(np.int64)},
+    )
+    big.bwdecompose("events", "value", 24)
+    assert big.executor.injector is None and big.executor.retry_policy.hedge
+    edge = band_edge(big)
+    for window, uneven in (
+        ((edge - 9_500, edge + 500), True), ((edge - 3_000, edge + 3_000), False),
+    ):
+        result = builder(big, window).run(mode="ar")
+        slow, fast = sorted(result.fragment_seconds, reverse=True)
+        assert (slow > 3 * fast) == uneven, "the 95/5 cut must look like a straggler"
+        assert result.hedged_shards == []
+        assert len(result.recovery_timeline) == 0
+        assert result.retries == 0
