@@ -1,12 +1,17 @@
-"""Setup shim.
+"""Setup script.
 
 The execution environment has setuptools but no ``wheel`` package and no
 network, so PEP 660 editable installs (``pip install -e .``) cannot build an
-editable wheel.  This shim lets the legacy ``python setup.py develop`` path
+editable wheel.  This script lets the legacy ``python setup.py develop`` path
 (used automatically by older pip, or directly) provide the editable install.
-All real metadata lives in ``pyproject.toml``.
+It holds all the metadata there is: the repository has no ``pyproject.toml``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -15,77 +15,134 @@ The A&R treatment per aggregate function:
   distributed data the device-side bounds cannot be sharpened into an exact
   result, so refinement recomputes from exact values on the host.  When all
   inputs are device-resident the approximate sum *is* exact.
+
+**The monoid.**  The exact side refines every aggregate the same way
+whatever produced its input, because that input is always a column of
+*partials* ``(count, sum, min, max)`` under one commutative, associative
+combine: counts and sums add in int64 — wrapping around exactly as one sum
+over all the rows wraps, which is what makes any split of the rows and any
+order of the parts give the same bytes — and ``min`` / ``max`` keep the
+extreme.  The identity is ``(0, 0, int64 max, int64 min)``: an empty part
+changes nothing.  A row of value ``v`` and multiplicity ``w`` is the
+partial ``(w, v·w, v, v)``; a run of a theta join's sorted right side, a
+shard fragment's output row and a base or delta part's are partials as
+they stand.  ``avg`` is not an element: it travels as its ``(sum, count)``
+and is divided once, in float64, at the end of :func:`fold`.  ``min`` /
+``max`` of no partial and ``avg`` over a zero count have no value; that is
+:class:`~repro.errors.EmptyInputError`, raised here only.
 """
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
-from ..errors import ExecutionError
+from ..errors import EmptyInputError, ExecutionError
 from .grouping import GroupAssignment
 from .intervals import Interval, IntervalColumn
 
 #: What every grouped kernel runs on: a :class:`GroupAssignment` —
-#: range-checked once when it was built, trusted here — or bare group ids
-#: followed by ``n_groups``, which are checked on every call; or ``None``,
-#: an ungrouped block: every row in the one group, no ids to say so.
-Groups = GroupAssignment | np.ndarray | None
+#: range-checked once when it was built, trusted here — or ``None``, an
+#: ungrouped block: every row in the one group, no ids to say so.
+Groups = GroupAssignment | None
 _INT64 = np.iinfo(np.int64)
 
 
-def grouped_sum(
-    values: np.ndarray, groups: Groups, n_groups: int | None = None
+def fold(
+    func: str, partials: Mapping[str, np.ndarray | int], groups: Groups
 ) -> np.ndarray:
+    """One aggregate per group over columns of partials — the only place
+    ``count`` / ``sum`` / ``min`` / ``max`` / ``avg`` combine.
+
+    ``partials`` holds whichever of the ``count`` / ``sum`` / ``min`` /
+    ``max`` columns ``func`` reads, aligned with ``groups``; where they came
+    from — rows (:func:`row_partials`), run payloads, shard fragments, base
+    and delta parts — does not matter, which is why every path that
+    aggregates is one call of this.  ``avg`` reads ``sum`` and ``count``.
+    """
+    if func == "count":
+        return _counts(partials["count"], groups)
+    if groups is not None and groups.n_groups == 0:
+        return np.array([], dtype=np.int64)
+    if func == "sum":
+        return grouped_sum(partials["sum"], groups)
+    if func == "avg":
+        counts = _counts(partials["count"], groups)
+        if bool((counts == 0).any()):
+            raise EmptyInputError("avg over an empty group")
+        return grouped_sum(partials["sum"], groups).astype(np.float64) / counts
+    if func not in ("min", "max"):
+        raise ExecutionError(f"unknown aggregate {func!r}")
+    if len(partials[func]) == 0:
+        raise EmptyInputError(f"{func} of an empty result")
+    return (grouped_min if func == "min" else grouped_max)(partials[func], groups)
+
+
+def row_partials(
+    func: str, values: np.ndarray | None, weights: np.ndarray | int
+) -> dict[str, np.ndarray | int]:
+    """Rows as the partials ``func`` folds: a row of value ``v`` and
+    multiplicity ``w`` *is* ``(w, v·w, v, v)``.
+
+    ``weights`` are the multiplicities (the weighted left-row view of a pair
+    set), or — rows that each count once — just how many rows there are.
+    """
+    if func == "count":
+        return {"count": weights}
+    if values is None:
+        raise ExecutionError(f"{func} requires an argument")
+    if func in ("min", "max"):  # multiplicity-blind: a row is there or not
+        return {func: values}
+    once = isinstance(weights, int)
+    return {"count": weights, "sum": values if once else values * weights}
+
+
+def _counts(column: np.ndarray | int, groups: Groups) -> np.ndarray:
+    """Per-group totals of a ``count`` column; an ``int`` stands for that
+    many rows of multiplicity one, which are counted, not summed."""
+    if not isinstance(column, int):
+        return grouped_sum(column, groups)
+    if groups is None:
+        return np.array([column], dtype=np.int64)
+    return grouped_count(groups)
+
+
+def grouped_sum(values: np.ndarray, groups: Groups) -> np.ndarray:
     """Exact per-group int64 sums — scattered once per assignment and
     read-only ``values`` array (:attr:`GroupAssignment.sums`; an array
     that can still be written to is summed every time)."""
-    groups = _assignment(groups, n_groups)
     if groups is None:
-        return _scatter(np.add, 0, values, None, None)
+        return _scatter(np.add, 0, values, None)
     for held, sums in groups.sums:
         if held is values:
             return sums.copy()
-    sums = _scatter(np.add, 0, values, groups, None)
+    sums = _scatter(np.add, 0, values, groups)
     if isinstance(values, np.ndarray) and not values.flags.writeable:
         groups.sums.append((values, sums.copy()))
     return sums
 
 
-def grouped_min(
-    values: np.ndarray, groups: Groups, n_groups: int | None = None
-) -> np.ndarray:
-    return _scatter(np.minimum, _INT64.max, values, groups, n_groups)
+def grouped_min(values: np.ndarray, groups: Groups) -> np.ndarray:
+    return _scatter(np.minimum, _INT64.max, values, groups)
 
 
-def grouped_max(
-    values: np.ndarray, groups: Groups, n_groups: int | None = None
-) -> np.ndarray:
-    return _scatter(np.maximum, _INT64.min, values, groups, n_groups)
+def grouped_max(values: np.ndarray, groups: Groups) -> np.ndarray:
+    return _scatter(np.maximum, _INT64.min, values, groups)
 
 
-def grouped_count(groups: Groups, n_groups: int | None = None) -> np.ndarray:
+def grouped_count(groups: GroupAssignment) -> np.ndarray:
     """Exact per-group row counts."""
-    return _assignment(groups, n_groups).counts.astype(np.int64)
+    return groups.counts.astype(np.int64)
 
 
-def grouped_avg(
-    values: np.ndarray, groups: Groups, n_groups: int | None = None
-) -> np.ndarray:
+def grouped_avg(values: np.ndarray, groups: Groups) -> np.ndarray:
     """Exact per-group means as float64."""
-    groups = _assignment(groups, n_groups)
-    sums = grouped_sum(values, groups).astype(np.float64)
-    counts = np.array([len(values)]) if groups is None else groups.counts
-    if bool((counts == 0).any()):
-        raise ExecutionError("avg over an empty group")
-    return sums / counts
+    return fold("avg", row_partials("avg", values, len(values)), groups)
 
 
 def grouped_sum_interval(
-    bounds: IntervalColumn,
-    groups: Groups,
-    n_groups: int | None = None,
-    *,
-    certain: np.ndarray | None = None,
+    bounds: IntervalColumn, groups: Groups, *, certain: np.ndarray | None = None
 ) -> list[Interval]:
     """Per-group strict sum bounds from per-row intervals (approximate sum).
 
@@ -94,23 +151,23 @@ def grouped_sum_interval(
     off the low sums and ``min(hi, 0)`` off the high ones at those rows —
     the int64 sums of the hulled bounds, no bound array copied.
     """
-    groups = _assignment(groups, n_groups)
     lo = grouped_sum(bounds.lo, groups)
     # degenerate bounds: one array, one sum
     hi = lo if bounds.hi is bounds.lo else grouped_sum(bounds.hi, groups)
     if certain is not None and not certain.all():
         rows = np.flatnonzero(~certain)
-        at = (None,) if groups is None else (groups.gids[rows], groups.n_groups)
-        lo = lo - grouped_sum(np.maximum(bounds.lo[rows], 0), *at)
-        hi = hi - grouped_sum(np.minimum(bounds.hi[rows], 0), *at)
+        at = None
+        if groups is not None:
+            at = GroupAssignment(groups.gids[rows], groups.n_groups, groups.exact)
+        lo = lo - grouped_sum(np.maximum(bounds.lo[rows], 0), at)
+        hi = hi - grouped_sum(np.minimum(bounds.hi[rows], 0), at)
     return [Interval(float(a), float(b)) for a, b in zip(lo, hi)]
 
 
 def grouped_count_interval(
-    certain_mask: np.ndarray, groups: Groups, n_groups: int | None = None
+    certain_mask: np.ndarray, groups: GroupAssignment
 ) -> list[Interval]:
     """Per-group count bounds: certain rows ≤ count ≤ candidate rows."""
-    groups = _assignment(groups, n_groups)
     total = groups.counts
     if certain_mask.all():
         certain = total
@@ -119,17 +176,10 @@ def grouped_count_interval(
     return [Interval(float(a), float(b)) for a, b in zip(certain, total)]
 
 
-def _assignment(groups: Groups, n_groups: int | None) -> GroupAssignment:
-    if n_groups is None:
-        return groups
-    return GroupAssignment(groups, n_groups, exact=True)
-
-
-def _scatter(ufunc, start: int, values, groups: Groups, n_groups) -> np.ndarray:
+def _scatter(ufunc, start: int, values, groups: Groups) -> np.ndarray:
     """``ufunc.at`` of ``values`` into one ``start``-valued slot per group
     — over one group there is nothing to scatter: the same int64 fold
     (wrap-around included) is ``ufunc.reduce``."""
-    groups = _assignment(groups, n_groups)
     values = np.asarray(values, dtype=np.int64)
     if groups is not None and values.shape != groups.gids.shape:
         raise ExecutionError("values and group ids misaligned")

@@ -65,6 +65,13 @@ class GroupAssignment:
         expression are one scatter."""
         return []
 
+    def representatives(self, keys: np.ndarray) -> np.ndarray:
+        """One of ``keys`` per group — any row's, which is sound where the
+        exact keys define the groups (every result's GROUP BY columns)."""
+        out = np.zeros(self.n_groups, dtype=np.int64)
+        out[self.gids] = keys
+        return out
+
 
 def combine_keys(gids: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, int]:
     """Fold one more key column into composite group ids.

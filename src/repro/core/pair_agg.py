@@ -10,9 +10,12 @@ what lets ``count(*)`` — and any grouped aggregate — over a band join finish
 without ever exploding a single pair.
 
 Both executors (``engine/ar_executor.py`` refinement side,
-``engine/bulk.py`` classic side) call these helpers on exact values, which
-is what guarantees the two modes return identical results.  Cost accounting
-stays at the call sites, which know which device ran the kernel.
+``engine/bulk.py`` classic side) hand that view — rows as partials,
+:func:`~repro.core.aggregates.row_partials`, or the run payloads of
+:func:`right_run_partials` — to the one :func:`~repro.core.aggregates.fold`
+on exact values, which is what guarantees the two modes return identical
+results.  Cost accounting stays at the call sites, which know which device
+ran the kernel.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
-from .aggregates import grouped_max, grouped_min, grouped_sum
 from .candidates import PairCandidates, RunPairCandidates
-from .grouping import combine_keys
+from .grouping import GroupAssignment, combine_keys
 
 
 def pair_rows(
@@ -32,15 +34,13 @@ def pair_rows(
     return pairs.left_multiplicities()
 
 
-def group_pair_rows(
-    key_columns: list[np.ndarray],
-) -> tuple[np.ndarray, int]:
+def group_pair_rows(key_columns: list[np.ndarray]) -> GroupAssignment:
     """Dense group ids over composite exact keys, aligned with the rows.
 
     Group numbering comes from ``np.unique`` over the composite key — a
     pure function of the key *values*, so the A&R refinement (producer-order
-    rows) and the classic executor (table-order rows) assign identical ids
-    to identical key tuples.
+    rows), the classic executor (table-order rows) and a merge of partial
+    results (part-order rows) assign identical ids to identical key tuples.
     """
     if not key_columns:
         raise ExecutionError("group_pair_rows needs at least one key column")
@@ -51,78 +51,22 @@ def group_pair_rows(
         keys = np.asarray(keys, dtype=np.int64)
         shifted = keys - int(keys.min()) if len(keys) else keys
         gids, n_groups = combine_keys(gids, shifted)
-    return gids, n_groups
-
-
-def ungrouped_pair_gids(n_rows: int) -> tuple[np.ndarray, int]:
-    """The trivial single-group assignment for ungrouped theta blocks."""
-    return np.zeros(n_rows, dtype=np.int64), 1
+    return GroupAssignment(gids, n_groups, exact=True)
 
 
 def pair_result_columns(
     group_by: tuple[str, ...],
     group_keys: dict[str, np.ndarray],
-    gids: np.ndarray,
-    n_groups: int,
+    groups: GroupAssignment | None,
     aggregate_columns: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """Assemble an aggregated theta block's result columns.
-
-    One representative key per group for each GROUP BY column (sound
-    because exact keys define the groups), then the aggregate outputs.
+    """Assemble an aggregated theta block's result columns: a representative
+    key per group for each GROUP BY column, then the aggregate outputs.
     Shared by both engines so the result layout cannot diverge.
     """
-    columns: dict[str, np.ndarray] = {}
-    for name in group_by:
-        out = np.zeros(n_groups, dtype=np.int64)
-        out[gids] = group_keys[name]
-        columns[name] = out
+    columns = {name: groups.representatives(group_keys[name]) for name in group_by}
     columns.update(aggregate_columns)
     return columns
-
-
-def aggregate_pairs(
-    func: str,
-    values: np.ndarray | None,
-    weights: np.ndarray,
-    gids: np.ndarray,
-    n_groups: int,
-) -> np.ndarray:
-    """One exact aggregate over the weighted left-row view.
-
-    ``values`` are the aggregate operand's exact values at the rows
-    (``None`` for ``count``); ``weights`` the pair multiplicities.  Matches
-    the unweighted kernels of :mod:`repro.core.aggregates` on the exploded
-    pair list, by construction:
-
-    * ``count``  — Σ weights per group,
-    * ``sum``    — Σ value·weight per group,
-    * ``avg``    — the two sums divided (float64, like ``grouped_avg``),
-    * ``min/max``— multiplicity-blind extrema (rows carry weight ≥ 1).
-    """
-    weights = np.asarray(weights, dtype=np.int64)
-    if func == "count":
-        return grouped_sum(weights, gids, n_groups)
-    if values is None:
-        raise ExecutionError(f"{func} requires an argument")
-    if n_groups == 0:
-        return np.array([], dtype=np.int64)
-    values = np.asarray(values, dtype=np.int64)
-    if func == "sum":
-        return grouped_sum(values * weights, gids, n_groups)
-    if func == "avg":
-        sums = grouped_sum(values * weights, gids, n_groups).astype(np.float64)
-        counts = grouped_sum(weights, gids, n_groups)
-        if bool((counts == 0).any()):
-            raise ExecutionError("avg over an empty group")
-        return sums / counts
-    if len(values) == 0:
-        raise ExecutionError(f"{func} of an empty result")
-    if func == "min":
-        return grouped_min(values, gids, n_groups)
-    if func == "max":
-        return grouped_max(values, gids, n_groups)
-    raise ExecutionError(f"unknown aggregate {func!r}")
 
 
 def right_run_partials(
@@ -159,38 +103,3 @@ def right_run_partials(
         "min": sorted_values[s] if len(s) else np.empty(0, dtype=np.int64),
         "max": sorted_values[e - 1] if len(e) else np.empty(0, dtype=np.int64),
     }
-
-
-def aggregate_pairs_right(
-    func: str,
-    partials: dict[str, np.ndarray],
-    gids: np.ndarray,
-    n_groups: int,
-) -> np.ndarray:
-    """One exact aggregate over right-side run payloads.
-
-    Matches :func:`aggregate_pairs` over the per-pair gathered right values
-    by construction: int64 partial sums/counts are associative, extrema
-    compose, and ``avg`` performs the single float64 division on the summed
-    int64 partials — so results are byte-identical whichever pair
-    representation (runs or materialized) produced them.
-    """
-    if n_groups == 0:
-        return np.array([], dtype=np.int64)
-    if func == "count":
-        return grouped_sum(partials["count"], gids, n_groups)
-    if func == "sum":
-        return grouped_sum(partials["sum"], gids, n_groups)
-    if func == "avg":
-        sums = grouped_sum(partials["sum"], gids, n_groups).astype(np.float64)
-        counts = grouped_sum(partials["count"], gids, n_groups)
-        if bool((counts == 0).any()):
-            raise ExecutionError("avg over an empty group")
-        return sums / counts
-    if len(partials["count"]) == 0:
-        raise ExecutionError(f"{func} of an empty result")
-    if func == "min":
-        return grouped_min(partials["min"], gids, n_groups)
-    if func == "max":
-        return grouped_max(partials["max"], gids, n_groups)
-    raise ExecutionError(f"unknown aggregate {func!r}")

@@ -25,13 +25,10 @@ from ..core.grouping import (
 )
 from ..core.intervals import Interval, IntervalColumn
 from ..core.pair_agg import (
-    aggregate_pairs,
-    aggregate_pairs_right,
     group_pair_rows,
     pair_result_columns,
     pair_rows,
     right_run_partials,
-    ungrouped_pair_gids,
 )
 from ..core.refine import (
     align_via_translucent,
@@ -89,10 +86,6 @@ from ..util import unique_inverse
 from .result import ApproximateAnswer, Result
 
 _OID_BYTES = 8
-_VALUE_KERNELS = {
-    "sum": agg_kernels.grouped_sum, "avg": agg_kernels.grouped_avg,
-    "min": agg_kernels.grouped_min, "max": agg_kernels.grouped_max,
-}
 
 
 class _ExecState:
@@ -114,7 +107,8 @@ class _ExecState:
         # Theta-join plans flow a candidate *pair* set instead of (or after)
         # the unary candidate set.
         self.pairs: PairCandidates | RunPairCandidates | None = None
-        self.pair_groups: tuple[np.ndarray, int] | None = None
+        #: the refined pairs' grouping; ``None`` for an ungrouped block
+        self.pair_groups: GroupAssignment | None = None
         self.pair_group_keys: dict[str, np.ndarray] = {}
         self._pair_rows: tuple[np.ndarray, np.ndarray] | None = None
         self._pair_values: dict[str, np.ndarray] = {}
@@ -731,11 +725,7 @@ class ArExecutor:
         machine, tl = self._machine, state.timeline
         rows, weights = state.pair_left_rows()
         n_pairs = len(state.pairs)
-        if state.query.group_by:
-            assert state.pair_groups is not None
-            gids, n_groups = state.pair_groups
-        else:
-            gids, n_groups = ungrouped_pair_gids(len(rows))
+        assert (state.pair_groups is not None) == bool(state.query.group_by)
         op_count = 1 if agg.expr is None else 1 + agg.expr.op_count()
         machine.cpu.charge(
             tl, f"agg.{agg.func}.refine.pairs({agg.alias})",
@@ -743,8 +733,8 @@ class ArExecutor:
             tuples=n_pairs * op_count, op_class=OpClass.AGG,
         )
         if self._is_right_side_agg(agg, state.query):
-            state.exact_aggregates[agg.alias] = self._aggregate_right_pairs(
-                agg, state, gids, n_groups
+            state.exact_aggregates[agg.alias] = agg_kernels.fold(
+                agg.func, self._right_pair_partials(agg, state), state.pair_groups
             )
             return
         if agg.expr is not None:
@@ -753,8 +743,9 @@ class ArExecutor:
             ).astype(np.int64)
         else:
             values = None
-        state.exact_aggregates[agg.alias] = aggregate_pairs(
-            agg.func, values, weights, gids, n_groups
+        state.exact_aggregates[agg.alias] = agg_kernels.fold(
+            agg.func, agg_kernels.row_partials(agg.func, values, weights),
+            state.pair_groups,
         )
 
     @staticmethod
@@ -766,21 +757,16 @@ class ArExecutor:
         qualified = f"{tj.right_table}.{tj.right_column}"
         return qualified in agg.expr.columns()
 
-    def _aggregate_right_pairs(
-        self,
-        agg: Aggregate,
-        state: _ExecState,
-        gids: np.ndarray,
-        n_groups: int,
-    ) -> np.ndarray:
-        """Aggregate the right-side theta values *at the pairs*.
+    def _right_pair_partials(self, agg: Aggregate, state: _ExecState) -> dict:
+        """The right-side theta values *at the pairs*, as partials to fold.
 
         Run-shaped pair sets stay exploded-free: the runs index the
         exact-sorted right permutation, so per-run count/sum/min/max
         payloads (:func:`right_run_partials`) replace the per-pair gather.
         Materialized pair sets gather ``right_values[right_positions]``
-        and reuse the ordinary weighted kernel (weights are all 1 there).
-        Both produce byte-identical outputs by construction.
+        as weighted rows (weights are all 1 there).  Both fold to
+        byte-identical outputs: int64 partial sums and counts are
+        associative, extrema compose, ``avg`` divides once at the end.
         """
         tj = state.query.theta_joins[0]
         rel = self._catalog.table(tj.right_table)
@@ -799,13 +785,10 @@ class ArExecutor:
                     "right-side aggregate over unrefined runs "
                     f"(order_key={pairs.order_key!r})"
                 )
-            partials = right_run_partials(
-                vals[pairs.order], pairs.starts, pairs.stops
-            )
-            return aggregate_pairs_right(agg.func, partials, gids, n_groups)
+            return right_run_partials(vals[pairs.order], pairs.starts, pairs.stops)
         _, weights = state.pair_left_rows()
-        return aggregate_pairs(
-            agg.func, vals[pairs.right_positions], weights, gids, n_groups
+        return agg_kernels.row_partials(
+            agg.func, vals[pairs.right_positions], weights
         )
 
     def _finalize_theta(self, state: _ExecState) -> Result:
@@ -839,19 +822,14 @@ class ArExecutor:
                 timeline=tl,
                 approximate=state.approximate,
             )
-        if query.group_by:
-            assert state.pair_groups is not None
-            gids, n_groups = state.pair_groups
-        else:
-            rows, _ = state.pair_left_rows()
-            gids, n_groups = ungrouped_pair_gids(len(rows))
+        groups = state.pair_groups
         columns = pair_result_columns(
-            query.group_by, state.pair_group_keys, gids, n_groups,
+            query.group_by, state.pair_group_keys, groups,
             {a.alias: state.exact_aggregates[a.alias] for a in query.aggregates},
         )
         return Result(
             columns=columns,
-            row_count=n_groups,
+            row_count=1 if groups is None else groups.n_groups,
             timeline=tl,
             approximate=state.approximate,
         )
@@ -932,17 +910,16 @@ class ArExecutor:
         if grouped:
             assert state.groups is not None and state.groups.exact
 
+        groups = state.groups if grouped else None  # ungrouped: one fold
         if agg.func == "count":
             machine.cpu.charge(
                 tl, f"agg.count.refine({agg.alias})", n * _OID_BYTES,
                 tuples=n, op_class=OpClass.AGG,
             )
-            state.exact_aggregates[agg.alias] = (
-                agg_kernels.grouped_count(state.groups) if grouped
-                else np.array([n], dtype=np.int64)
+            state.exact_aggregates[agg.alias] = agg_kernels.fold(
+                "count", {"count": n}, groups
             )
             return
-        groups = state.groups if grouped else None  # ungrouped: one fold
 
         assert agg.expr is not None
         bounds = None
@@ -964,15 +941,9 @@ class ArExecutor:
                 max(len(agg.expr.columns()), 1) * n * _OID_BYTES,
                 tuples=n * (1 + agg.expr.op_count()), op_class=OpClass.AGG,
             )
-        if grouped and groups.n_groups == 0:
-            state.exact_aggregates[agg.alias] = np.array([], dtype=np.int64)
-            return
-        if agg.func in ("min", "max") and n == 0:
-            raise ExecutionError(f"{agg.func} of an empty result")
-        kernel = _VALUE_KERNELS.get(agg.func)
-        if kernel is None:  # pragma: no cover
-            raise ExecutionError(f"unknown aggregate {agg.func!r}")
-        state.exact_aggregates[agg.alias] = kernel(values, groups)
+        state.exact_aggregates[agg.alias] = agg_kernels.fold(
+            agg.func, agg_kernels.row_partials(agg.func, values, n), groups
+        )
 
     # ------------------------------------------------------------------
     def _finalize(self, state: _ExecState) -> Result:
@@ -997,9 +968,9 @@ class ArExecutor:
             assert state.groups is not None
             n_groups = state.groups.n_groups
             for name in query.group_by:
-                out = np.zeros(n_groups, dtype=np.int64)
-                out[state.groups.gids] = state.exact_resolver(name)
-                columns[name] = out
+                columns[name] = state.groups.representatives(
+                    state.exact_resolver(name)
+                )
         for agg in query.aggregates:
             columns[agg.alias] = state.exact_aggregates[agg.alias]
         return Result(

@@ -12,23 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.aggregates import (
-    grouped_avg,
-    grouped_count,
-    grouped_max,
-    grouped_min,
-    grouped_sum,
-)
+from ..core.aggregates import fold, row_partials
 from ..core.candidates import RunPairCandidates
-from ..core.grouping import combine_keys
 from ..core.pair_agg import (
-    aggregate_pairs,
-    aggregate_pairs_right,
     group_pair_rows,
     pair_result_columns,
     pair_rows,
     right_run_partials,
-    ungrouped_pair_gids,
 )
 from ..core.theta import Theta, ThetaOp, exact_run_bounds
 from ..device.cpu import Cpu
@@ -142,32 +132,27 @@ class ClassicExecutor:
         # --------------------------------------------------------------
         # Grouping
         # --------------------------------------------------------------
-        if query.group_by:
-            gids = np.zeros(len(candidate_ids), dtype=np.int64)
-            n_groups = min(1, len(candidate_ids))
-            for name in query.group_by:
-                keys = resolve(name)
-                self._cpu.charge(
-                    timeline, f"cpu.group({name})",
-                    len(keys) * (_OID_BYTES + _OID_BYTES),
-                    tuples=len(keys), op_class=OpClass.HASH,
-                    pattern=AccessPattern.RANDOM, phase="approximate",
-                )
-                shifted = keys - int(keys.min()) if len(keys) else keys
-                gids, n_groups = combine_keys(gids, shifted)
-        else:
-            gids = np.zeros(len(candidate_ids), dtype=np.int64)
-            n_groups = 1
+        groups = None  # ungrouped: one group, no ids to say so
+        key_columns = []
+        for name in query.group_by:
+            keys = resolve(name)
+            self._cpu.charge(
+                timeline, f"cpu.group({name})",
+                len(keys) * (_OID_BYTES + _OID_BYTES),
+                tuples=len(keys), op_class=OpClass.HASH,
+                pattern=AccessPattern.RANDOM, phase="approximate",
+            )
+            key_columns.append(keys)
+        if key_columns:
+            groups = group_pair_rows(key_columns)
 
         # --------------------------------------------------------------
         # Aggregation
         # --------------------------------------------------------------
-        columns: dict[str, np.ndarray] = {}
-        for name in query.group_by:
-            keys = resolve(name)
-            out = np.zeros(n_groups, dtype=np.int64)
-            out[gids] = keys  # representative per group
-            columns[name] = out
+        columns = {
+            name: groups.representatives(keys)
+            for name, keys in zip(query.group_by, key_columns)
+        }
         for agg in query.aggregates:
             if agg.expr is not None:
                 values = np.broadcast_to(
@@ -187,8 +172,11 @@ class ClassicExecutor:
                 tuples=len(candidate_ids), op_class=OpClass.AGG,
                 phase="approximate",
             )
-            columns[agg.alias] = self._aggregate(agg.func, values, gids, n_groups)
+            columns[agg.alias] = fold(
+                agg.func, row_partials(agg.func, values, len(candidate_ids)), groups
+            )
 
+        n_groups = 1 if groups is None else groups.n_groups
         return Result(columns=columns, row_count=n_groups, timeline=timeline)
 
     # ------------------------------------------------------------------
@@ -209,8 +197,9 @@ class ClassicExecutor:
         pair set with a sort + two ``searchsorted`` sweeps so large classic
         runs stay feasible wall-clock.  Results — bare pairs in canonical
         order, or (grouped) aggregates over the pair set — are identical to
-        the A&R modes by construction: both feed the same exact values
-        through :mod:`repro.core.pair_agg`.
+        the A&R modes by construction: both feed the same exact values,
+        as the same weighted rows (:mod:`repro.core.pair_agg`), through the
+        one :func:`repro.core.aggregates.fold`.
         """
         tj = query.theta_joins[0]
         theta = Theta(ThetaOp(tj.op), tj.delta)
@@ -280,6 +269,7 @@ class ClassicExecutor:
                 row_cache[name] = values
             return row_cache[name]
 
+        groups = None
         if query.group_by:
             key_columns = []
             for name in query.group_by:
@@ -291,9 +281,7 @@ class ClassicExecutor:
                     pattern=AccessPattern.RANDOM, phase="approximate",
                 )
                 key_columns.append(keys)
-            gids, n_groups = group_pair_rows(key_columns)
-        else:
-            gids, n_groups = ungrouped_pair_gids(len(rows))
+            groups = group_pair_rows(key_columns)
 
         right_qualified = f"{tj.right_table}.{tj.right_column}"
         right_partials: dict[str, np.ndarray] | None = None
@@ -320,8 +308,8 @@ class ClassicExecutor:
                     tuples=n_pairs, op_class=OpClass.AGG,
                     phase="approximate",
                 )
-                aggregate_columns[agg.alias] = aggregate_pairs_right(
-                    agg.func, right_partials, gids, n_groups
+                aggregate_columns[agg.alias] = fold(
+                    agg.func, right_partials, groups
                 )
                 continue
             if agg.expr is not None:
@@ -336,36 +324,14 @@ class ClassicExecutor:
                 tuples=n_pairs, op_class=OpClass.AGG,
                 phase="approximate",
             )
-            aggregate_columns[agg.alias] = aggregate_pairs(
-                agg.func, values, weights, gids, n_groups
+            aggregate_columns[agg.alias] = fold(
+                agg.func, row_partials(agg.func, values, weights), groups
             )
         columns = pair_result_columns(
-            query.group_by, row_cache, gids, n_groups, aggregate_columns
+            query.group_by, row_cache, groups, aggregate_columns
         )
+        n_groups = 1 if groups is None else groups.n_groups
         return Result(columns=columns, row_count=n_groups, timeline=timeline)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _aggregate(func: str, values, gids, n_groups) -> np.ndarray:
-        if func == "count":
-            return grouped_count(gids, n_groups)
-        if values is None:
-            raise ExecutionError(f"{func} requires an argument")
-        if n_groups == 0:
-            return np.array([], dtype=np.int64)
-        if func == "sum":
-            return grouped_sum(values, gids, n_groups)
-        if func == "avg":
-            return grouped_avg(values, gids, n_groups)
-        if func == "min":
-            if len(values) == 0:
-                raise ExecutionError("min of an empty result")
-            return grouped_min(values, gids, n_groups)
-        if func == "max":
-            if len(values) == 0:
-                raise ExecutionError("max of an empty result")
-            return grouped_max(values, gids, n_groups)
-        raise ExecutionError(f"unknown aggregate {func!r}")
 
     # ------------------------------------------------------------------
     def _site(self, query: Query, name: str) -> tuple[str, str]:

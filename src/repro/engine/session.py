@@ -16,6 +16,7 @@ through :meth:`execute`; pre-built
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Mapping
 
 from ..device.machine import Machine
@@ -264,20 +265,31 @@ class Session:
         optimizer: str,
         timeline: Timeline | None,
     ) -> Result:
-        qt = obs_trace.ACTIVE
+        run_base = partial(
+            self._run_base, mode=mode, pushdown=pushdown,
+            predicate_order=predicate_order, optimizer=optimizer,
+        )
         if self.catalog.tables_with_delta():
-            from ..ingest.union import delta_tables, run_with_delta
+            from ..ingest.union import run_with_delta
 
-            if delta_tables(query, self.catalog):
-                return run_with_delta(
-                    self, query, mode=mode, pushdown=pushdown,
-                    predicate_order=predicate_order, optimizer=optimizer,
-                    timeline=timeline,
-                    plan_factory=lambda q: self.plan_for(
-                        q, pushdown=pushdown,
-                        predicate_order=predicate_order, optimizer=optimizer,
-                    ),
-                )
+            return run_with_delta(
+                self.catalog, self.machine.cpu, query, run_base,
+                mode=mode, timeline=timeline,
+            )
+        return run_base(query, timeline)
+
+    def _run_base(
+        self,
+        query: Query,
+        timeline: Timeline | None,
+        *,
+        mode: str,
+        pushdown: bool,
+        predicate_order: str,
+        optimizer: str,
+    ) -> Result:
+        """Answer ``query`` from the packed base segments alone."""
+        qt = obs_trace.ACTIVE
         if mode == "classic":
             if qt is None:
                 return self._classic.run(query, timeline)

@@ -102,6 +102,17 @@ class ExecutionError(ReproError):
     """An operator failed at run time (type mismatch, misaligned inputs)."""
 
 
+class EmptyInputError(ExecutionError):
+    """An aggregate has no input to take its value from.
+
+    ``min`` / ``max`` of no row and ``avg`` over an empty group, raised by
+    :func:`repro.core.aggregates.fold` and nowhere else.  To a merge of
+    partial results (shard fragments, base + delta parts) a part that
+    raises it contributes nothing; the merge raises it again, with the
+    message one run over all the rows gives, when every part did.
+    """
+
+
 class AdmissionError(ExecutionError):
     """A served query can never be admitted (or was not admitted in time).
 

@@ -18,28 +18,30 @@ Two contributions cover every union shape:
   dimension — a dimension with pending delta is rejected, see
   :func:`delta_tables`).
 
-Base(b×b) + A(d×all) + B(b×d) partitions the union's row/pair set, so
-merging finals reproduces a bulk run over base+delta bit-for-bit: grouped
-merges ride the same ``np.unique``-ordered group ids the single-machine
-engine uses (the PR-6 shard-merge idiom), pair sets concatenate under
-position offsets and re-sort canonically, and ``avg`` merges from lowered
-sum/count partials.
+Base(b×b) + A(d×all) + B(b×d) partitions the union's row/pair set, so the
+base Result and the contributions are the parts of
+:func:`repro.engine.merge.merge` — the same fold that merges shard
+fragments — and reproduce a bulk run over base+delta bit-for-bit.  What is
+written here is what only a delta knows: which contributions to run
+(:func:`_contribution_parts`), their billing (``ingest.delta.*``), and how
+the base's approximate answer moves under exact delta totals
+(:func:`_merged_answer`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
-from ..core.aggregates import grouped_max, grouped_min, grouped_sum
 from ..core.intervals import Interval
-from ..core.pair_agg import group_pair_rows
 from ..device.model import OpClass
 from ..device.timeline import Timeline
+from ..engine.merge import Part, fold_parts, lower_aggregates, merge
 from ..engine.result import ApproximateAnswer, Result
-from ..errors import ExecutionError
+from ..errors import EmptyInputError, ExecutionError
 from ..obs import trace as obs_trace
 from ..plan.expr import ColRef
 from ..plan.logical import Aggregate, Query
@@ -60,20 +62,6 @@ _ROWS_ALIAS = "__delta_rows__"
 #: distinct from the fact name so self theta joins stay expressible when
 #: fact and right union different row sets.
 _RIGHT_ALIAS = "__ingest_right__"
-
-#: Engine messages meaning "this input slice was empty".  A part (base or
-#: contribution) raising one simply contributes nothing; if every part is
-#: empty the merge re-raises, matching a bulk run over the same rows.
-_EMPTY_INPUT_ERRORS = (
-    "min of an empty result",
-    "max of an empty result",
-    "avg over an empty group",
-)
-
-
-def _is_empty_error(exc: ExecutionError) -> bool:
-    text = str(exc)
-    return any(msg in text for msg in _EMPTY_INPUT_ERRORS)
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +142,7 @@ class ContributionCache:
     def parts(
         self, catalog: Catalog, cpu, query: Query, deltas: dict,
         timeline: Timeline,
-    ) -> list["_Part"]:
+    ) -> list[Part]:
         try:
             key = (
                 query, catalog.epoch,
@@ -192,7 +180,7 @@ class ContributionCache:
 
 def _parts_for(
     catalog, cpu, query, deltas, timeline, cache: ContributionCache | None
-) -> list["_Part"]:
+) -> list[Part]:
     if cache is None:
         return _contribution_parts(catalog, cpu, query, deltas, timeline)
     return cache.parts(catalog, cpu, query, deltas, timeline)
@@ -202,67 +190,40 @@ def _parts_for(
 # Entry points
 # ----------------------------------------------------------------------
 def run_with_delta(
-    session,
+    catalog: Catalog,
+    cpu,
     query: Query,
+    run_base: Callable[[Query, Timeline], Result],
     *,
     mode: str = "ar",
-    pushdown: bool = True,
-    predicate_order: str = "query",
-    optimizer: str = "heuristic",
     timeline: Timeline | None = None,
-    plan_factory: Callable[[Query], object] | None = None,
     contribution_cache: ContributionCache | None = None,
 ) -> Result:
     """Run ``query`` over base+delta: base exactly as today, delta exact.
 
-    ``plan_factory`` (serve layer) maps a logical query to a physical plan
-    — the plan-cache hook; when ``None`` the rewriter is called directly.
-    ``contribution_cache`` (also the serve layer) memoizes the delta
+    ``run_base(query, timeline)`` answers a query from the packed base
+    alone, billing onto ``timeline`` — the caller's executor, plan cache
+    and fragments, whatever they are; it is handed the *lowered* query
+    when an exact ``avg`` has to merge from partials.  A base slice that is
+    empty (:class:`EmptyInputError`) contributes nothing.
+    ``contribution_cache`` (the serve layer) memoizes the delta
     contribution runs per (query, epoch, delta version).
     """
-    from ..plan.rewriter import rewrite_to_ar_plan
-
     timeline = timeline if timeline is not None else Timeline()
-    catalog = session.catalog
-    cpu = session.machine.cpu
     deltas = delta_tables(query, catalog)
     if not deltas:
-        return session.query(
-            query, mode=mode, pushdown=pushdown,
-            predicate_order=predicate_order, optimizer=optimizer,
-            timeline=timeline,
-        )
-    lowered = mode != "approximate" and any(
-        a.func == "avg" for a in query.aggregates
-    )
-    base_query = _lowered_query(query) if lowered else query
-    base: Result | None = None
-    base_error: str | None = None
+        return run_base(query, timeline)
+    base_query = query
+    if mode != "approximate" and any(a.func == "avg" for a in query.aggregates):
+        base_query = replace(query, aggregates=lower_aggregates(query.aggregates))
     try:
-        if mode == "classic":
-            base = session._classic.run(base_query, timeline)
-        else:
-            if plan_factory is not None:
-                plan = plan_factory(base_query)
-            else:
-                plan = rewrite_to_ar_plan(
-                    base_query, catalog, pushdown=pushdown,
-                    predicate_order=predicate_order, optimizer=optimizer,
-                )
-            base = session._ar.run(
-                plan, timeline, approximate_only=(mode == "approximate")
-            )
-    except ExecutionError as exc:
-        if not _is_empty_error(exc):
-            raise
-        base_error = str(exc)
+        base = run_base(base_query, timeline)
+    except EmptyInputError:
+        base = None
     contribs = _parts_for(
         catalog, cpu, query, deltas, timeline, contribution_cache
     )
-    return _merge(
-        query, mode, base, base_error, contribs, timeline, catalog, cpu,
-        lowered=lowered,
-    )
+    return _merge(query, mode, base, contribs, timeline, cpu)
 
 
 def apply_delta(
@@ -295,35 +256,24 @@ def apply_delta(
     contribs = _parts_for(
         catalog, cpu, query, deltas, timeline, contribution_cache
     )
-    return _merge(
-        query, mode, base_result, None, contribs, timeline, catalog, cpu,
-        lowered=False,
-    )
+    return _merge(query, mode, base_result, contribs, timeline, cpu)
 
 
 # ----------------------------------------------------------------------
 # Contribution runs: classic exact evaluation over scratch catalogs
 # ----------------------------------------------------------------------
-@dataclass
-class _Part:
-    """One contribution result plus its position offsets into the union."""
-
-    result: Result | None
-    error: str | None
-    left_off: int
-    right_off: int
-
-
 def _contribution_parts(
     catalog: Catalog,
     cpu,
     query: Query,
     deltas: dict,
     timeline: Timeline,
-) -> list[_Part]:
+) -> list[Part]:
+    """The contributions that matched a row, as parts of the union (one
+    over an empty slice contributes nothing and is left out)."""
     tj = query.theta_joins[0] if query.theta_joins else None
     cquery = _contribution_query(query)
-    parts: list[_Part] = []
+    parts: list[Part | None] = []
 
     fact_delta = deltas.get(query.table)
     base_fact = catalog.table(query.table)
@@ -356,7 +306,7 @@ def _contribution_parts(
             scratch, cquery, cpu, timeline,
             left_off=0, right_off=len(catalog.table(tj.right_table)),
         ))
-    return parts
+    return [p for p in parts if p is not None]
 
 
 def _run_part(
@@ -367,55 +317,30 @@ def _run_part(
     *,
     left_off: int,
     right_off: int,
-) -> _Part:
-    qt = obs_trace.ACTIVE
-    if qt is None:
-        return _evaluate_part(
-            scratch, cquery, cpu, timeline,
-            left_off=left_off, right_off=right_off,
-        )[0]
-    with qt.span(
-        "ingest.delta.part", track="ingest",
-        left_off=left_off, right_off=right_off,
-    ) as rec:
-        part, modeled = _evaluate_part(
-            scratch, cquery, cpu, timeline,
-            left_off=left_off, right_off=right_off,
-        )
-        rec.modeled = modeled
-        rec.args["rows"] = (
-            part.result.row_count if part.result is not None else 0
-        )
-        return part
-
-
-def _evaluate_part(
-    scratch: Catalog,
-    cquery: Query,
-    cpu,
-    timeline: Timeline,
-    *,
-    left_off: int,
-    right_off: int,
-) -> tuple[_Part, float]:
+) -> Part | None:
+    """One contribution: classic exact evaluation over ``scratch``, billed
+    under the delta ledger; ``None`` when its slice was empty."""
     from ..engine.bulk import ClassicExecutor
 
-    scratch_tl = Timeline()
-    try:
-        result = ClassicExecutor(scratch, cpu).run(cquery, scratch_tl)
-    except ExecutionError as exc:
-        if not _is_empty_error(exc):
-            raise
-        _rebill(timeline, scratch_tl)
-        return (
-            _Part(None, str(exc), left_off, right_off),
-            scratch_tl.total_seconds(),
-        )
-    _rebill(timeline, scratch_tl)
-    return (
-        _Part(result, None, left_off, right_off),
-        scratch_tl.total_seconds(),
+    qt = obs_trace.ACTIVE
+    span = nullcontext() if qt is None else qt.span(
+        "ingest.delta.part", track="ingest",
+        left_off=left_off, right_off=right_off,
     )
+    scratch_tl = Timeline()
+    with span as rec:
+        try:
+            part = Part(
+                ClassicExecutor(scratch, cpu).run(cquery, scratch_tl),
+                left=left_off, right=right_off,
+            )
+        except EmptyInputError:
+            part = None
+        _rebill(timeline, scratch_tl)
+        if rec is not None:
+            rec.modeled = scratch_tl.total_seconds()
+            rec.args["rows"] = part.result.row_count if part else 0
+    return part
 
 
 def _rebill(timeline: Timeline, scratch: Timeline) -> None:
@@ -430,12 +355,11 @@ def _rebill(timeline: Timeline, scratch: Timeline) -> None:
 def _contribution_query(query: Query) -> Query:
     """The query a contribution runs: lowered avg + hidden row counter,
     theta right side re-pointed at the scratch alias."""
-    from ..shard.planner import _lower_aggregates
-
     aggregates = query.aggregates
     if aggregates:
-        lowered, _ = _lower_aggregates(aggregates)
-        aggregates = lowered + (Aggregate("count", None, _ROWS_ALIAS),)
+        aggregates = lower_aggregates(aggregates) + (
+            Aggregate("count", None, _ROWS_ALIAS),
+        )
     if not query.theta_joins:
         return replace(query, aggregates=aggregates)
     tj = query.theta_joins[0]
@@ -454,13 +378,6 @@ def _contribution_query(query: Query) -> Query:
     )
 
 
-def _lowered_query(query: Query) -> Query:
-    from ..shard.planner import _lower_aggregates
-
-    lowered, _ = _lower_aggregates(query.aggregates)
-    return replace(query, aggregates=lowered)
-
-
 def _renamed(rel: Relation, name: str) -> Relation:
     """The same rows under another name (arrays are shared, not copied)."""
     return Relation.create(
@@ -475,222 +392,42 @@ def _merge(
     query: Query,
     mode: str,
     base: Result | None,
-    base_error: str | None,
-    contribs: list[_Part],
+    contribs: list[Part],
     timeline: Timeline,
-    catalog: Catalog,
     cpu,
-    *,
-    lowered: bool,
 ) -> Result:
+    """The base Result (``None``: its slice was empty) and the contributions
+    as one Result over base+delta; whatever else the base carries (a
+    sharded run's fragment seconds, its coverage) it keeps."""
     matched = _matched_rows(query, contribs)
     _bill_merge(cpu, timeline, query, contribs)
     answer = _merged_answer(
         query, mode, base.approximate if base is not None else None,
         contribs, matched,
     )
-    scales = dict(base.decimal_scales) if base is not None else {}
-    if mode == "approximate":
+    columns, row_count = {}, 0
+    if mode != "approximate":
+        # Base rows sit before delta rows in the union: part order is
+        # position order.
+        parts = [Part(base)] if base is not None else []
+        columns, row_count = merge(query, parts + contribs)
+    if base is None:
         return Result(
-            columns={}, row_count=0, timeline=timeline,
-            approximate=answer, decimal_scales=scales,
+            columns=columns, row_count=row_count, timeline=timeline,
+            approximate=answer,
         )
-    if query.theta_joins and not query.is_aggregation():
-        return _merge_pairs(base, contribs, timeline, answer, scales)
-    if not query.is_aggregation():
-        return _merge_select(query, base, contribs, timeline, answer, scales)
-    if query.group_by:
-        return _merge_grouped(
-            query, base, contribs, timeline, answer, scales, lowered=lowered
-        )
-    return _merge_ungrouped(
-        query, base, base_error, contribs, timeline, answer, scales,
-        lowered=lowered,
-    )
-
-
-def _present(base: Result | None, contribs: list[_Part]) -> list[Result]:
-    parts = [base] if base is not None else []
-    parts += [p.result for p in contribs if p.result is not None]
-    return parts
-
-
-def _merge_ungrouped(
-    query, base, base_error, contribs, timeline, answer, scales, *, lowered
-) -> Result:
-    from ..shard.planner import AVG_CNT_SUFFIX, AVG_SUM_SUFFIX
-
-    parts = _present(base, contribs)
-    errors = [e for e in [base_error] + [p.error for p in contribs] if e]
-    columns: dict[str, np.ndarray] = {}
-    for agg in query.aggregates:
-        if agg.func in ("count", "sum"):
-            vals = _scalars(agg.alias, parts)
-            # int64 accumulation: wraps exactly like the one-machine sum.
-            columns[agg.alias] = np.array(
-                [np.array(vals, dtype=np.int64).sum()], dtype=np.int64
-            )
-        elif agg.func in ("min", "max"):
-            vals = _scalars(agg.alias, parts)
-            if not vals:
-                raise ExecutionError(_empty_message(agg, errors))
-            combine = min if agg.func == "min" else max
-            columns[agg.alias] = np.array([combine(vals)], dtype=np.int64)
-        elif agg.func == "avg":
-            sums = _scalars(agg.alias + AVG_SUM_SUFFIX, parts)
-            counts = _scalars(agg.alias + AVG_CNT_SUFFIX, parts)
-            total = int(np.array(counts, dtype=np.int64).sum())
-            if total == 0:
-                raise ExecutionError("avg over an empty group")
-            columns[agg.alias] = (
-                np.array(
-                    [np.array(sums, dtype=np.int64).sum()], dtype=np.int64
-                ).astype(np.float64)
-                / np.array([total], dtype=np.int64)
-            )
-        else:
-            raise ExecutionError(f"unknown aggregate {agg.func!r}")
-    return Result(
-        columns=columns, row_count=1, timeline=timeline,
-        approximate=answer, decimal_scales=scales,
-    )
-
-
-def _scalars(alias: str, parts: list[Result]) -> list[int]:
-    return [
-        int(r.columns[alias][0]) for r in parts if alias in r.columns
-    ]
-
-
-def _empty_message(agg, errors: list[str]) -> str:
-    """Re-raise what a bulk run over the union would have said."""
-    for error in errors:
-        if agg.func in error:
-            return error
-    return f"{agg.func} of an empty result"
-
-
-def _merge_grouped(
-    query, base, contribs, timeline, answer, scales, *, lowered
-) -> Result:
-    from ..shard.planner import AVG_CNT_SUFFIX, AVG_SUM_SUFFIX
-
-    parts = _present(base, contribs)
-    keys = {
-        name: np.concatenate(
-            [r.columns[name] for r in parts]
-            or [np.empty(0, dtype=np.int64)]
-        )
-        for name in query.group_by
-    }
-    n_rows = len(next(iter(keys.values())))
-    if n_rows == 0:
-        gids, n_groups = np.empty(0, dtype=np.int64), 0
-    else:
-        # np.unique-ordered group ids — a pure function of the key values,
-        # identical to what one bulk run over base+delta produces.
-        gids, n_groups = group_pair_rows(
-            [keys[name] for name in query.group_by]
-        )
-    columns: dict[str, np.ndarray] = {}
-    for name in query.group_by:
-        out = np.zeros(n_groups, dtype=np.int64)
-        out[gids] = keys[name]
-        columns[name] = out
-
-    def concat(alias: str) -> np.ndarray:
-        arrs = [r.columns[alias] for r in parts if alias in r.columns]
-        return (
-            np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
-        )
-
-    for agg in query.aggregates:
-        if n_groups == 0:
-            columns[agg.alias] = np.array([], dtype=np.int64)
-        elif agg.func in ("count", "sum"):
-            columns[agg.alias] = grouped_sum(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        elif agg.func == "min":
-            columns[agg.alias] = grouped_min(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        elif agg.func == "max":
-            columns[agg.alias] = grouped_max(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        elif agg.func == "avg":
-            sums = grouped_sum(
-                concat(agg.alias + AVG_SUM_SUFFIX).astype(np.int64),
-                gids, n_groups,
-            ).astype(np.float64)
-            counts = grouped_sum(
-                concat(agg.alias + AVG_CNT_SUFFIX).astype(np.int64),
-                gids, n_groups,
-            )
-            if bool((counts == 0).any()):
-                raise ExecutionError("avg over an empty group")
-            columns[agg.alias] = sums / counts
-        else:
-            raise ExecutionError(f"unknown aggregate {agg.func!r}")
-    return Result(
-        columns=columns, row_count=n_groups, timeline=timeline,
-        approximate=answer, decimal_scales=scales,
-    )
-
-
-def _merge_pairs(base, contribs, timeline, answer, scales) -> Result:
-    lefts, rights = [], []
-    if base is not None:
-        lefts.append(np.asarray(base.columns["left_pos"], dtype=np.int64))
-        rights.append(np.asarray(base.columns["right_pos"], dtype=np.int64))
-    for p in contribs:
-        if p.result is None:
-            continue
-        lefts.append(
-            np.asarray(p.result.columns["left_pos"], dtype=np.int64)
-            + p.left_off
-        )
-        rights.append(
-            np.asarray(p.result.columns["right_pos"], dtype=np.int64)
-            + p.right_off
-        )
-    left = np.concatenate(lefts) if lefts else np.empty(0, dtype=np.int64)
-    right = np.concatenate(rights) if rights else np.empty(0, dtype=np.int64)
-    order = np.lexsort((right, left))  # canonical (left, right) order
-    return Result(
-        columns={"left_pos": left[order], "right_pos": right[order]},
-        row_count=len(left), timeline=timeline,
-        approximate=answer, decimal_scales=scales,
-    )
-
-
-def _merge_select(query, base, contribs, timeline, answer, scales) -> Result:
-    # Base rows sit before delta rows in the union, so concatenating in
-    # part order reproduces the bulk run's position order.
-    parts = _present(base, contribs)
-    columns = {
-        name: np.concatenate(
-            [r.columns[name] for r in parts]
-            or [np.empty(0, dtype=np.int64)]
-        )
-        for name in query.select
-    }
-    return Result(
-        columns=columns,
-        row_count=sum(r.row_count for r in parts),
-        timeline=timeline, approximate=answer, decimal_scales=scales,
+    return replace(
+        base, columns=columns, row_count=row_count, timeline=timeline,
+        approximate=answer,
     )
 
 
 # ----------------------------------------------------------------------
 # Approximate-answer adjustment (sound bounds with delta in flight)
 # ----------------------------------------------------------------------
-def _matched_rows(query: Query, contribs: list[_Part]) -> int:
+def _matched_rows(query: Query, contribs: list[Part]) -> int:
     total = 0
     for p in contribs:
-        if p.result is None:
-            continue
         if query.aggregates:
             col = p.result.columns[_ROWS_ALIAS]
             total += int(np.asarray(col, dtype=np.int64).sum())
@@ -703,14 +440,20 @@ def _merged_answer(
     query: Query,
     mode: str,
     base_answer: ApproximateAnswer | None,
-    contribs: list[_Part],
+    contribs: list[Part],
     matched: int,
 ) -> ApproximateAnswer | None:
+    """The union's approximate answer, keyed by the *query's* aliases — a
+    base that ran lowered answers under avg's partial aliases, which are
+    not the user's: such an ``avg`` reads ``None``."""
     if mode == "classic" or base_answer is None:
         return base_answer
     if matched == 0:
         # No delta row qualified: every base bound is already the union's.
-        return base_answer
+        return replace(base_answer, aggregates={
+            agg.alias: base_answer.aggregates.get(agg.alias)
+            for agg in query.aggregates
+        })
     aggregates: dict = {}
     if query.group_by:
         # Delta rows may add or move groups; per-group intervals have no
@@ -736,32 +479,16 @@ def _merged_answer(
     )
 
 
-def _delta_scalars(query: Query, contribs: list[_Part]) -> dict:
-    """Exact ungrouped delta totals per alias (merged across contributions)."""
-    from ..shard.planner import AVG_CNT_SUFFIX, AVG_SUM_SUFFIX
-
-    parts = [p.result for p in contribs if p.result is not None]
+def _delta_scalars(query: Query, contribs: list[Part]) -> dict:
+    """Exact ungrouped delta totals per alias (merged across contributions);
+    an aggregate no delta row reached has none."""
+    results = [p.result for p in contribs]
     out: dict = {}
     for agg in query.aggregates:
-        if agg.func in ("count", "sum"):
-            out[agg.alias] = int(
-                np.array(_scalars(agg.alias, parts), dtype=np.int64).sum()
-            )
-        elif agg.func in ("min", "max"):
-            vals = _scalars(agg.alias, parts)
-            if vals:
-                out[agg.alias] = (min if agg.func == "min" else max)(vals)
-        elif agg.func == "avg":
-            counts = _scalars(agg.alias + AVG_CNT_SUFFIX, parts)
-            total = int(np.array(counts, dtype=np.int64).sum())
-            if total:
-                dsum = int(
-                    np.array(
-                        _scalars(agg.alias + AVG_SUM_SUFFIX, parts),
-                        dtype=np.int64,
-                    ).sum()
-                )
-                out[agg.alias] = dsum / total
+        try:
+            out[agg.alias] = fold_parts(agg, results)[0].item()
+        except EmptyInputError:
+            pass
     return out
 
 
@@ -790,9 +517,7 @@ def _shifted(agg, raw: Interval, scalars: dict) -> Interval | None:
 # ----------------------------------------------------------------------
 def _bill_merge(cpu, timeline: Timeline, query: Query, contribs) -> None:
     """One combine pass over the contribution outputs (delta ledger)."""
-    items = sum(
-        p.result.row_count for p in contribs if p.result is not None
-    )
+    items = sum(p.result.row_count for p in contribs)
     width = max(
         1,
         len(query.group_by) + len(query.aggregates) + len(query.select)

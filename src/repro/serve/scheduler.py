@@ -606,9 +606,7 @@ class Scheduler:
         self._expire_stale()
         if not self._queue:
             return
-        budget = self.session.machine.gpu.pool.headroom(
-            self.policy.device_headroom_fraction
-        )
+        budget = self._batch_budget()
         if qt is None:
             batch, split = self._queue.pop_batch(self.policy, budget)
         else:
@@ -661,6 +659,12 @@ class Scheduler:
                 self._run_solo(pending)
         self._maybe_compact()
 
+    def _batch_budget(self) -> int | None:
+        """Device scratch one batch may claim: the pool's scaled headroom."""
+        return self.session.machine.gpu.pool.headroom(
+            self.policy.device_headroom_fraction
+        )
+
     def _gate_allows_fuse(self, batch: list[_Pending]) -> bool:
         """Cost-gate one scan batch: fuse only when the estimated
         cooperative pass beats per-member solo scans.
@@ -696,36 +700,11 @@ class Scheduler:
         return decision.chosen == "fused"
 
     def _note_result(self, pending: _Pending, result) -> None:
-        """Shared completion accounting (fault counters included)."""
+        """Shared completion accounting."""
         pending.handle._fulfill(result)
         self.stats.completed += 1
         if result.degraded:
             self.stats.degraded += 1
-        self.stats.retries += getattr(result, "retries", 0)
-        self.stats.hedged_fragments += len(
-            getattr(result, "hedged_shards", ()) or ()
-        )
-        self._refresh_breaker_stats()
-
-    def _refresh_breaker_stats(self) -> None:
-        """Mirror the sharded executor's circuit breakers into the stats.
-
-        No-op on a single-device scheduler (the session has no executor).
-        """
-        executor = getattr(self.session, "executor", None)
-        breakers = getattr(executor, "breakers", None)
-        if not breakers:
-            return
-        self.stats.breaker_states = {
-            i: b.state for i, b in sorted(breakers.items())
-        }
-        self.stats.breaker_open_events = sum(
-            b.opened_count for b in breakers.values()
-        )
-        self.stats.breaker_probes = sum(b.probes for b in breakers.values())
-        self.stats.quarantined_shards = tuple(
-            sorted(executor.quarantined_shards())
-        )
 
     #: ServeStats counters mirrored into the metrics registry each batch.
     _SAMPLED_COUNTERS = (
@@ -811,39 +790,42 @@ class Scheduler:
     def _execute_solo(self, pending: _Pending):
         """One member, no fusing — through the plan cache where possible.
 
-        Classic mode and sessions without an A&R executor (the sharded
-        session) go through ``session.query`` unchanged; those paths have
-        no rewritten plan to cache.
+        Classic mode goes through ``session.query`` unchanged; that path
+        has no rewritten plan to cache.
         """
         session = self.session
-        if pending.mode == "classic" or not hasattr(session, "_ar"):
+        if pending.mode == "classic":
             return session.query(
                 pending.query, mode=pending.mode, pushdown=pending.pushdown,
                 predicate_order=pending.predicate_order,
                 optimizer=self.policy.optimizer,
             )
-        if session.catalog.tables_with_delta():
-            from ..ingest.union import delta_tables, run_with_delta
 
-            if delta_tables(pending.query, session.catalog):
-                return run_with_delta(
-                    session, pending.query, mode=pending.mode,
-                    pushdown=pending.pushdown,
-                    predicate_order=pending.predicate_order,
-                    optimizer=self.policy.optimizer,
-                    plan_factory=lambda q: self._plan_for(
-                        q, pending.pushdown, pending.predicate_order
-                    ),
-                    contribution_cache=self._delta_cache,
-                )
-        plan = self._plan_for(
-            pending.query, pending.pushdown, pending.predicate_order
+        def run_base(query: Query, timeline=None):
+            plan = self._plan_for(
+                query, pending.pushdown, pending.predicate_order
+            )
+            result = self._execute_plan(pending, plan, timeline=timeline)
+            self._observe_feedback(plan, result)
+            return result
+
+        if session.catalog.tables_with_delta():
+            from ..ingest.union import run_with_delta
+
+            return run_with_delta(
+                session.catalog, session.machine.cpu, pending.query, run_base,
+                mode=pending.mode, contribution_cache=self._delta_cache,
+            )
+        return run_base(pending.query)
+
+    def _execute_plan(self, pending: _Pending, plan, *, timeline=None,
+                      scan_hits=None, theta_runs=None):
+        """Run one member's rewritten plan over the base segments."""
+        return self.session._ar.run(
+            plan, timeline,
+            approximate_only=(pending.mode == "approximate"),
+            scan_hits=scan_hits, theta_runs=theta_runs,
         )
-        result = session._ar.run(
-            plan, approximate_only=(pending.mode == "approximate")
-        )
-        self._observe_feedback(plan, result)
-        return result
 
     def _fold_delta(self, pending: _Pending, result):
         """Fold pending delta rows into a base result computed without
@@ -880,13 +862,9 @@ class Scheduler:
             if qt is not None else None
         )
         try:
-            result = self.session._ar.run(
-                plan,
-                approximate_only=(pending.mode == "approximate"),
-                scan_hits=scan_hits,
-                theta_runs=theta_runs,
-            )
-            result = self._fold_delta(pending, result)
+            result = self._fold_delta(pending, self._execute_plan(
+                pending, plan, scan_hits=scan_hits, theta_runs=theta_runs
+            ))
         except ReproError as exc:
             if span is not None:
                 span.record.args["error"] = type(exc).__name__

@@ -3,17 +3,17 @@
 Each fragment runs on its shard's own simulated machine with its own
 :class:`Timeline`; the modeled devices work **concurrently**, so the
 sharded wall clock is the *maximum* fragment completion plus the
-coordinator's merge — not the sum.  The merge combines per-fragment
-partials with the associative int64 kernels of
-:mod:`repro.core.aggregates` (one float64 division for ``avg``, after
-summation), which is bit-for-bit what the single-device engines compute —
-the merged Result is byte-identical to the one-machine run in every mode
-× strategy × emit shape.
+coordinator's merge — not the sum.  The merge itself is not written here:
+the fragments' Results are the parts of :func:`repro.engine.merge.merge`
+(the same fold that combines base and delta parts), which is bit-for-bit
+what the single-device engines compute — the merged Result is
+byte-identical to the one-machine run in every mode × strategy × emit
+shape.  This module bills it (``shard.merge.*`` on the coordinator) and
+composes the approximate answers (:meth:`ShardExecutor._merged_approximate`).
 
-A fragment that raises one of the engines' empty-input errors ("min of an
-empty result", "avg over an empty group") simply contributes nothing; if
-*no* fragment contributes, the merge re-raises the same error the
-single-device run would have raised.
+A fragment whose slice is empty (:class:`~repro.errors.EmptyInputError`:
+``min`` of no row) simply contributes nothing; if *no* fragment
+contributes, the merge raises the same error the single-device run raises.
 
 **Failure handling (PR 7).**  Fragment dispatch goes through a
 per-fragment retry loop governed by a :class:`~repro.faults.RetryPolicy`:
@@ -57,29 +57,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.aggregates import grouped_max, grouped_min, grouped_sum
 from ..core.intervals import Interval
-from ..core.pair_agg import group_pair_rows
 from ..device.model import OpClass
 from ..device.timeline import Timeline
+from ..engine.merge import Part, merge
 from ..engine.result import ApproximateAnswer, Result
-from ..errors import DeviceFailure, ExecutionError, TransientAllocationError
+from ..errors import DeviceFailure, EmptyInputError, TransientAllocationError
 from ..faults.breaker import CircuitBreaker
 from ..obs import trace as obs_trace
 from ..faults.policy import RetryPolicy
 from ..faults.profile import AttemptFaults, FaultInjector
 from .catalog import ShardedCatalog
-from .planner import AVG_CNT_SUFFIX, AVG_SUM_SUFFIX, Fragment, ShardedPlan
+from .planner import Fragment, ShardedPlan
 
 _OID_BYTES = 8
-
-#: Engine errors that mean "this input slice was empty" — a fragment
-#: raising one contributes nothing instead of failing the sharded query.
-_EMPTY_INPUT_ERRORS = (
-    "min of an empty result",
-    "max of an empty result",
-    "avg over an empty group",
-)
 
 #: Failures the retry loop absorbs; anything else propagates unchanged.
 _RETRYABLE = (DeviceFailure, TransientAllocationError)
@@ -127,8 +118,9 @@ class _Outcome:
     """One fragment's fate after the retry loop."""
 
     fragment: Fragment
+    #: None when the fragment died — or ran over an empty slice, which
+    #: contributes nothing to the merge (a ledger, no result).
     result: Result | None = None
-    empty_error: str | None = None
     #: Clean ledger of the winning attempt (None when the fragment died).
     timeline: Timeline | None = None
     #: Completion time: winning attempt + this fragment's recovery spend.
@@ -224,10 +216,10 @@ class ShardExecutor:
             self._maybe_hedge(outcomes, plan, scan_hits, recovery)
 
         fragments = [
-            (o.fragment, o.result, o.empty_error) for o in outcomes
+            (o.fragment, o.result) for o in outcomes if o.result is not None
         ]
         dead_indices = [o.fragment.shard_index for o in outcomes if o.dead]
-        if dead_indices and not any(o.result is not None for o in outcomes):
+        if dead_indices and not fragments:
             raise DeviceFailure(
                 "every contributing shard failed "
                 f"(dead: {sorted(dead_indices)}); no surviving fragment "
@@ -285,12 +277,8 @@ class ShardExecutor:
         self, plan, fragments, merge_timeline, dead_indices
     ) -> Result:
         try:
-            if plan.mode == "approximate":
-                return self._merge_approximate(plan, fragments, merge_timeline)
-            if plan.merge is not None and plan.merge.kind == "pairs":
-                return self._merge_pairs(plan, fragments, merge_timeline)
-            return self._merge_aggregates(plan, fragments, merge_timeline)
-        except ExecutionError as exc:
+            return self._merge(plan, fragments, merge_timeline)
+        except EmptyInputError as exc:
             if not dead_indices:
                 raise
             # Survivors were empty AND shards died: there is no sound
@@ -454,11 +442,9 @@ class ShardExecutor:
                     approximate_only=(plan.mode == "approximate"),
                     scan_hits=hits,
                 )
-        except ExecutionError as exc:
-            if str(exc) not in _EMPTY_INPUT_ERRORS:
-                raise
+        except EmptyInputError:
             return _Outcome(
-                fragment, empty_error=str(exc), timeline=timeline,
+                fragment, timeline=timeline,
                 completion_seconds=timeline.total_seconds(),
             )
         except _RETRYABLE as exc:
@@ -534,7 +520,6 @@ class ShardExecutor:
         )
         if winner is hedge:
             slowest.result = hedge.result
-            slowest.empty_error = hedge.empty_error
             slowest.timeline = hedge.timeline
             slowest.completion_seconds = (
                 hedge_completion
@@ -603,211 +588,45 @@ class ShardExecutor:
         return total, total if 0 in dead_indices else 0
 
     # ------------------------------------------------------------------
-    # Merge: grouped / ungrouped aggregates
+    # Merge: billed here, computed by repro.engine.merge
     # ------------------------------------------------------------------
-    def _merge_aggregates(
+    def _merge(
         self,
         plan: ShardedPlan,
-        fragments: list[tuple[Fragment, Result | None, str | None]],
+        fragments: list[tuple[Fragment, Result]],
         timeline: Timeline,
     ) -> Result:
         query = plan.query
-        contributed = [
-            (f, r) for f, r, _ in fragments if r is not None
-        ]
-        self._bill_merge(
-            timeline,
-            items=sum(r.row_count for _, r in contributed),
-            item_bytes=_OID_BYTES * max(
-                1, len(query.group_by) + len(query.aggregates)
-            ),
-        )
-        if query.group_by:
-            return self._merge_grouped(plan, fragments, contributed)
-        return self._merge_ungrouped(plan, fragments, contributed)
-
-    def _merge_ungrouped(self, plan, fragments, contributed) -> Result:
-        query = plan.query
-        columns: dict[str, np.ndarray] = {}
-        for agg in query.aggregates:
-            partials = self._scalar_partials(agg, contributed)
-            if agg.func in ("count", "sum"):
-                # int64 accumulation: wraps exactly like the one-machine sum.
-                columns[agg.alias] = np.array(
-                    [np.array(partials, dtype=np.int64).sum()],
-                    dtype=np.int64,
-                )
-            elif agg.func in ("min", "max"):
-                if not partials:
-                    raise ExecutionError(
-                        self._empty_error(agg, fragments)
-                    )
-                combine = min if agg.func == "min" else max
-                columns[agg.alias] = np.array(
-                    [combine(partials)], dtype=np.int64
-                )
-            elif agg.func == "avg":
-                sums = self._scalar_partials_by_alias(
-                    agg.alias + AVG_SUM_SUFFIX, contributed
-                )
-                counts = self._scalar_partials_by_alias(
-                    agg.alias + AVG_CNT_SUFFIX, contributed
-                )
-                total = int(np.array(counts, dtype=np.int64).sum())
-                if total == 0:
-                    raise ExecutionError("avg over an empty group")
-                columns[agg.alias] = (
-                    np.array(
-                        [np.array(sums, dtype=np.int64).sum()],
-                        dtype=np.int64,
-                    ).astype(np.float64)
-                    / np.array([total], dtype=np.int64)
-                )
-            else:
-                raise ExecutionError(f"unknown aggregate {agg.func!r}")
-        return Result(
-            columns=columns, row_count=1, timeline=Timeline(),
-            approximate=self._merged_approximate(plan, fragments),
-        )
-
-    def _scalar_partials(self, agg, contributed) -> list[int]:
-        if agg.func == "avg":
-            return []
-        return self._scalar_partials_by_alias(agg.alias, contributed)
-
-    @staticmethod
-    def _scalar_partials_by_alias(alias: str, contributed) -> list[int]:
-        values = []
-        for _, result in contributed:
-            if alias in result.columns:
-                values.append(int(result.columns[alias][0]))
-        return values
-
-    def _empty_error(self, agg, fragments) -> str:
-        """Re-raise what the single-device run would have said."""
-        for _, result, error in fragments:
-            if result is None and error is not None and agg.func in error:
-                return error
-        return f"{agg.func} of an empty result"
-
-    def _merge_grouped(self, plan, fragments, contributed) -> Result:
-        query = plan.query
-        keys = {
-            name: np.concatenate(
-                [r.columns[name] for _, r in contributed]
-                or [np.empty(0, dtype=np.int64)]
+        answer = self._merged_approximate(plan, [r for _, r in fragments])
+        if plan.mode == "approximate":
+            self._bill_merge(
+                timeline,
+                items=max(1, len(plan.fragments)) * max(1, len(query.aggregates)),
+                item_bytes=2 * _OID_BYTES,
             )
-            for name in query.group_by
-        }
-        n_rows = len(next(iter(keys.values())))
-        if n_rows == 0:
-            gids, n_groups = np.empty(0, dtype=np.int64), 0
+            return Result(
+                columns={}, row_count=0, timeline=Timeline(), approximate=answer
+            )
+        if plan.merge is not None and plan.merge.kind == "pairs":
+            row_maps = self.catalog.row_maps[query.table]
+            parts = [Part(r, left=row_maps[f.shard_index]) for f, r in fragments]
+            width = 2
         else:
-            gids, n_groups = group_pair_rows(
-                [keys[name] for name in query.group_by]
-            )
-        columns: dict[str, np.ndarray] = {}
-        for name in query.group_by:
-            out = np.zeros(n_groups, dtype=np.int64)
-            out[gids] = keys[name]
-            columns[name] = out
-        for agg in query.aggregates:
-            columns[agg.alias] = self._merge_grouped_aggregate(
-                agg, contributed, gids, n_groups
-            )
-        return Result(
-            columns=columns, row_count=n_groups, timeline=Timeline(),
-            approximate=self._merged_approximate(plan, fragments),
-        )
-
-    def _merge_grouped_aggregate(
-        self, agg, contributed, gids, n_groups
-    ) -> np.ndarray:
-        def concat(alias: str) -> np.ndarray:
-            parts = [
-                r.columns[alias] for _, r in contributed
-                if alias in r.columns
-            ]
-            return (
-                np.concatenate(parts) if parts
-                else np.empty(0, dtype=np.int64)
-            )
-
-        if n_groups == 0:
-            return np.array([], dtype=np.int64)
-        if agg.func in ("count", "sum"):
-            return grouped_sum(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        if agg.func == "min":
-            return grouped_min(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        if agg.func == "max":
-            return grouped_max(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        if agg.func == "avg":
-            sums = grouped_sum(
-                concat(agg.alias + AVG_SUM_SUFFIX).astype(np.int64),
-                gids, n_groups,
-            ).astype(np.float64)
-            counts = grouped_sum(
-                concat(agg.alias + AVG_CNT_SUFFIX).astype(np.int64),
-                gids, n_groups,
-            )
-            if bool((counts == 0).any()):
-                raise ExecutionError("avg over an empty group")
-            return sums / counts
-        raise ExecutionError(f"unknown aggregate {agg.func!r}")
-
-    # ------------------------------------------------------------------
-    # Merge: bare theta-join pair sets
-    # ------------------------------------------------------------------
-    def _merge_pairs(self, plan, fragments, timeline) -> Result:
-        query = plan.query
-        row_maps = self.catalog.row_maps[query.table]
-        lefts, rights = [], []
-        for fragment, result, _ in fragments:
-            if result is None:
-                continue
-            rows = row_maps[fragment.shard_index]
-            lefts.append(rows[result.columns["left_pos"]])
-            rights.append(result.columns["right_pos"])
-        left = (
-            np.concatenate(lefts) if lefts else np.empty(0, dtype=np.int64)
-        )
-        right = (
-            np.concatenate(rights) if rights else np.empty(0, dtype=np.int64)
-        )
-        self._bill_merge(
-            timeline, items=len(left), item_bytes=2 * _OID_BYTES
-        )
-        order = np.lexsort((right, left))
-        return Result(
-            columns={"left_pos": left[order], "right_pos": right[order]},
-            row_count=len(left),
-            timeline=Timeline(),
-            approximate=self._merged_approximate(plan, fragments),
-        )
-
-    # ------------------------------------------------------------------
-    # Merge: approximate-only mode
-    # ------------------------------------------------------------------
-    def _merge_approximate(self, plan, fragments, timeline) -> Result:
-        query = plan.query
-        answer = self._merged_approximate(plan, fragments)
+            parts = [Part(r) for _, r in fragments]
+            width = max(1, len(query.group_by) + len(query.aggregates))
         self._bill_merge(
             timeline,
-            items=max(1, len(plan.fragments)) * max(1, len(query.aggregates)),
-            item_bytes=2 * _OID_BYTES,
+            items=sum(r.row_count for _, r in fragments),
+            item_bytes=_OID_BYTES * width,
         )
+        columns, row_count = merge(query, parts)
         return Result(
-            columns={}, row_count=0, timeline=Timeline(), approximate=answer
+            columns=columns, row_count=row_count, timeline=Timeline(),
+            approximate=answer,
         )
 
     def _merged_approximate(
-        self, plan, fragments
+        self, plan, results: list[Result]
     ) -> ApproximateAnswer | None:
         """Combine the fragments' free approximate answers.
 
@@ -820,7 +639,6 @@ class ShardExecutor:
         if plan.mode == "classic":
             return None  # classic runs carry no approximate answer
         answer = ApproximateAnswer()
-        results = [r for _, r, _ in fragments if r is not None]
         answer.candidate_rows = sum(
             r.approximate.candidate_rows
             for r in results

@@ -16,10 +16,10 @@ placement rules:
   satisfy θ against the right hull (:meth:`Theta.possible` on the
   interval hulls — monotone under interval inclusion, hence sound).
 
-Fragment queries rewrite ``avg(e) AS a`` into ``sum(e) AS "a#sum"`` plus
-``count AS "a#cnt"`` partials; the merge performs the single float64
-division — which is exactly what the single-device engines compute, so
-the merged value is byte-identical.
+Fragment queries are *lowered* (:func:`repro.engine.merge.lower_aggregates`:
+``avg(e) AS a`` becomes ``sum(e) AS "a#sum"`` plus ``count AS "a#cnt"``);
+the merge performs the single float64 division — which is exactly what the
+single-device engines compute, so the merged value is byte-identical.
 """
 
 from __future__ import annotations
@@ -30,16 +30,12 @@ import numpy as np
 
 from ..core.relax import relax_to_code_range
 from ..core.theta import Theta, ThetaOp
+from ..engine.merge import lower_aggregates
 from ..errors import PlanError
-from ..plan.logical import Aggregate, Query
+from ..plan.logical import Query
 from ..plan.physical import PhysicalPlan, ShardMerge
 from ..plan.rewriter import rewrite_to_ar_plan
 from .catalog import ShardedCatalog, ShardStats
-
-#: Suffixes of the fragment-only partial-aggregate aliases an ``avg``
-#: lowers into (dropped from the merged result).
-AVG_SUM_SUFFIX = "#sum"
-AVG_CNT_SUFFIX = "#cnt"
 
 
 @dataclass(frozen=True)
@@ -62,9 +58,6 @@ class ShardedPlan:
     fragments: list[Fragment] = field(default_factory=list)
     pruned: list[int] = field(default_factory=list)
     merge: ShardMerge | None = None
-    #: aliases the fragments compute that the merge consumes but the
-    #: merged result drops (the avg partials).
-    partial_aliases: tuple[str, ...] = ()
     #: Optimizer audit trail under ``optimizer="cost"`` (PR 8): the
     #: fragment-shape decision (per-shard run-vs-prune with estimated
     #: fragment seconds, plus the estimated merge charge) and each
@@ -112,13 +105,12 @@ class ShardPlanner:
         optimizer: str = "heuristic",
     ) -> ShardedPlan:
         self._check_scope(query)
-        fragment_aggs, partial_aliases = _lower_aggregates(query.aggregates)
+        fragment_aggs = lower_aggregates(query.aggregates)
         routed = self._route(query)
         kind = self._merge_kind(query, mode)
         plan = ShardedPlan(
             query=query, mode=mode, pushdown=pushdown,
             predicate_order=predicate_order,
-            partial_aliases=partial_aliases,
         )
         for shard_index in range(self.catalog.n_shards):
             if shard_index not in routed:
@@ -327,27 +319,3 @@ def _approx_hull(stats: ShardStats, global_bwd) -> tuple[int, int]:
     """
     dec = global_bwd.decomposition
     return int(dec.value_floor(stats.code_lo)), int(dec.value_ceil(stats.code_hi))
-
-
-def _lower_aggregates(
-    aggregates: tuple[Aggregate, ...],
-) -> tuple[tuple[Aggregate, ...], tuple[str, ...]]:
-    """Fragment aggregates: ``avg`` splits into mergeable partials."""
-    lowered: list[Aggregate] = []
-    partials: list[str] = []
-    taken = {a.alias for a in aggregates}
-    for agg in aggregates:
-        if agg.func != "avg":
-            lowered.append(agg)
-            continue
-        sum_alias = agg.alias + AVG_SUM_SUFFIX
-        cnt_alias = agg.alias + AVG_CNT_SUFFIX
-        if sum_alias in taken or cnt_alias in taken:
-            raise PlanError(
-                f"aggregate alias {agg.alias!r} collides with the avg "
-                f"partial aliases ({sum_alias!r}, {cnt_alias!r})"
-            )
-        lowered.append(Aggregate("sum", agg.expr, sum_alias))
-        lowered.append(Aggregate("count", None, cnt_alias))
-        partials.extend((sum_alias, cnt_alias))
-    return tuple(lowered), tuple(partials)

@@ -21,6 +21,11 @@ placement-aware twists:
 Theta batches run member-by-member (their fragments already share the
 replicated right side's memoized views back to back, the PR-5 locality
 story; the cross-member fused sweep remains single-device-only).
+
+Everything else — batch forming, the peel of members whose delta cannot be
+folded post-hoc, the post-hoc fold itself, compaction at the watermark — is
+the parent's loop, so a fused batch over pending delta comes out fused here
+exactly as it does on one device.
 """
 
 from __future__ import annotations
@@ -30,9 +35,7 @@ from ..engine.cooperative import (
     cooperative_pass_seconds,
     cooperative_scan_hits,
 )
-from ..errors import ExecutionError, ReproError
-from ..ingest.union import delta_tables
-from ..obs import trace as obs_trace
+from ..errors import ReproError
 from ..plan.physical import ApproxScanSelect
 from ..serve.scheduler import AdmissionPolicy, Scheduler, _Pending
 
@@ -43,7 +46,8 @@ class ShardScheduler(Scheduler):
     """A :class:`Scheduler` whose batches execute across the shards."""
 
     # ``session`` is a ShardedSession: provides .catalog (the global
-    # planning catalog, what _estimate_scratch_bytes reads) and .query().
+    # planning catalog, what _estimate_scratch_bytes reads), .machine (the
+    # coordinator, where pending delta is folded in) and .query().
 
     # ------------------------------------------------------------------
     # Admission: budget and scratch become placement-aware
@@ -66,6 +70,9 @@ class ShardScheduler(Scheduler):
         ]
         bounded = [h for h in headrooms if h is not None]
         return min(bounded) if bounded else None
+
+    def _batch_budget(self) -> int | None:
+        return self._min_shard_headroom()
 
     def _admission_capacity(self) -> int | None:
         """Fail-fast bound: the smallest healthy shard pool's capacity."""
@@ -103,101 +110,53 @@ class ShardScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Batch execution
     # ------------------------------------------------------------------
-    def _run_batch_inner(self) -> None:
-        qt = obs_trace.ACTIVE
-        self._expire_stale()
-        if not self._queue:
-            return
-        if qt is None:
-            batch, split = self._queue.pop_batch(
-                self.policy, self._min_shard_headroom()
-            )
-        else:
-            with qt.span("batch.form", track="scheduler") as rec:
-                batch, split = self._queue.pop_batch(
-                    self.policy, self._min_shard_headroom()
-                )
-                rec.args["queries"] = len(batch)
-                rec.args["split"] = split
-        self.stats.batches += 1
-        size = len(batch)
-        self.stats.batch_size_counts[size] = (
-            self.stats.batch_size_counts.get(size, 0) + 1
+    def _execute_solo(self, pending: _Pending):
+        """One member, no fusing: the sharded session plans the fragments
+        (and unions pending delta in) itself."""
+        return self.session.query(
+            pending.query, mode=pending.mode, pushdown=pending.pushdown,
+            predicate_order=pending.predicate_order,
+            optimizer=self.policy.optimizer,
         )
-        self.stats.largest_batch = max(self.stats.largest_batch, size)
-        if split:
-            self.stats.memory_splits += 1
+
+    def _execute_plan(self, pending: _Pending, plan, *, timeline=None,
+                      scan_hits=None, theta_runs=None):
+        """Run one member's already-lowered ShardedPlan."""
+        return self.session.executor.execute(plan, scan_hits=scan_hits)
+
+    def _fold_delta(self, pending: _Pending, result):
+        folded = super()._fold_delta(pending, result)
+        if folded is result:
+            return result
+        return self.session.absorb_delta(folded)
+
+    def _run_fused_theta_batch(self, batch: list[_Pending]) -> None:
+        # Members still share the replicated right side's memoized views
+        # back to back (the PR-5 locality win).
         for pending in batch:
-            pending.handle._begin()
-        if self.session.catalog.tables_with_delta():
-            # The per-shard fused pass sees base rows only; members whose
-            # tables hold delta take the solo path, which unions it in.
-            keep: list[_Pending] = []
-            for pending in batch:
-                if self._reads_delta(pending):
-                    self._run_solo(pending)
-                else:
-                    keep.append(pending)
-            batch = keep
-            if not batch:
-                self._maybe_compact()
-                return
-        kind = batch[0].group[0][0]
-        if (
-            kind == "scan"
-            and len(batch) > 1
-            and batch[0].mode in ("ar", "approximate")
-        ):
-            if (
-                self.policy.optimizer == "cost"
-                and not self._gate_allows_fuse(batch)
-            ):
-                self.stats.cost_gated_solo += 1
-                for pending in batch:
-                    self._run_solo(pending)
-            else:
-                self._run_fused_scan_batch(batch)
-        else:
-            if kind == "theta" and len(batch) > 1:
-                # Members still share the replicated right side's memoized
-                # views back to back (the PR-5 locality win).
-                self.stats.shared_right_batches += 1
-            for pending in batch:
-                self._run_solo(pending)
-        self._maybe_compact()
+            self._run_solo(pending)
 
-    def _reads_delta(self, pending: _Pending) -> bool:
-        try:
-            return bool(delta_tables(pending.query, self.session.catalog))
-        except ExecutionError:
-            return True  # dim-delta rejection: surface it on the solo path
-
-    def _run_sharded_plan(self, pending: _Pending, plan, scan_hits=None):
-        """Execute an already-lowered ShardedPlan for one pending query."""
-        qt = obs_trace.ACTIVE
-        span = None
-        if qt is not None:
-            span = qt.span(
-                f"query#{pending.handle.seq}", track="scheduler",
-                mode=pending.mode,
-                kind="fused" if scan_hits else "member",
-            )
-            span.__enter__()
-        try:
-            result = self.session.executor.execute(plan, scan_hits=scan_hits)
-        except ReproError as exc:
-            if span is not None:
-                span.record.args["error"] = type(exc).__name__
-                span.__exit__(None, None, None)
-            pending.handle._fail(exc)
-            self.stats.failed += 1
-            return None
-        if span is not None:
-            span.record.modeled = result.timeline.total_seconds()
-            span.__exit__(None, None, None)
-            qt.add_timeline(result.timeline)
-        self._note_result(pending, result)
-        return result
+    def _note_result(self, pending: _Pending, result) -> None:
+        """Completion accounting plus the fault layer's: retry and hedge
+        totals off the result, the executor's circuit breakers mirrored."""
+        super()._note_result(pending, result)
+        self.stats.retries += result.retries
+        self.stats.hedged_fragments += len(result.hedged_shards)
+        executor = self.session.executor
+        if not executor.breakers:
+            return
+        self.stats.breaker_states = {
+            i: b.state for i, b in sorted(executor.breakers.items())
+        }
+        self.stats.breaker_open_events = sum(
+            b.opened_count for b in executor.breakers.values()
+        )
+        self.stats.breaker_probes = sum(
+            b.probes for b in executor.breakers.values()
+        )
+        self.stats.quarantined_shards = tuple(
+            sorted(executor.quarantined_shards())
+        )
 
     def _run_fused_scan_batch(self, batch: list[_Pending]) -> None:
         """Per-shard cooperative passes for the batch's shared first scans.
@@ -284,4 +243,4 @@ class ShardScheduler(Scheduler):
             self.stats.fused_batches += 1
             self.stats.fused_queries += len(fused_members)
         for i, (pending, plan) in enumerate(lowered):
-            self._run_sharded_plan(pending, plan, scan_hits=hits_for.get(i))
+            self._run_with_plan(pending, plan, scan_hits=hits_for.get(i))

@@ -11,12 +11,14 @@ max-over-shards wall clock next to the byte-identical merged columns.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Mapping
 
 from ..device.timeline import Timeline
 from ..errors import PlanError
 from ..faults.policy import RetryPolicy
 from ..faults.profile import FaultInjector, FaultProfile
+from ..ingest.union import DELTA_PHASE, run_with_delta
 from ..obs import trace as obs_trace
 from ..plan.logical import Query
 from ..storage.column import ColumnType
@@ -90,6 +92,12 @@ class ShardedSession:
     def catalog(self):
         """The global (planning) catalog — what the builder introspects."""
         return self.sharded_catalog.global_catalog
+
+    @property
+    def machine(self):
+        """The coordinator: where fragments merge and pending delta rows
+        are evaluated (``ingest.delta.*`` spans bill on its CPU)."""
+        return self.sharded_catalog.coordinator
 
     # ------------------------------------------------------------------
     # DDL / loading
@@ -216,71 +224,20 @@ class ShardedSession:
         self.last_compaction = {c: "re-sharded" for c, _ in args_list}
         return n
 
-    def _query_with_delta(
-        self, query: Query, deltas: dict, *, mode: str, pushdown: bool,
-        predicate_order: str, optimizer: str, timeline: Timeline | None,
-    ) -> ShardedResult:
-        """Base fragments exactly as today + central delta contributions.
-
-        Delta rows are evaluated exactly on the coordinator (billed as
-        ``ingest.delta.*`` spans on its CPU) against the global catalog and
-        merged into the sharded base result; the coordinator work extends
-        ``merge_seconds``/``wall_clock_seconds``.
-        """
-        from dataclasses import replace as dc_replace
-
-        from ..errors import ExecutionError
-        from ..ingest.union import (
-            _contribution_parts, _is_empty_error, _lowered_query, _merge,
-        )
-
-        gcat = self.catalog
-        cpu = self.sharded_catalog.coordinator.cpu
-        lowered = mode != "approximate" and any(
-            a.func == "avg" for a in query.aggregates
-        )
-        base_query = _lowered_query(query) if lowered else query
-        base: ShardedResult | None = None
-        base_error: str | None = None
-        try:
-            plan = self._plan(
-                base_query, mode=mode, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer=optimizer,
-            )
-            base = self.executor.execute(plan)
-        except ExecutionError as exc:
-            if not _is_empty_error(exc):
-                raise
-            base_error = str(exc)
-        tl = base.timeline if base is not None else Timeline()
-        before = len(tl.spans)
-        contribs = _contribution_parts(gcat, cpu, query, deltas, tl)
-        merged = _merge(
-            query, mode, base, base_error, contribs, tl, gcat, cpu,
-            lowered=lowered,
-        )
-        delta_seconds = sum(s.seconds for s in tl.spans[before:])
-        if base is not None:
-            out = dc_replace(
-                base,
+    def absorb_delta(self, merged) -> ShardedResult:
+        """A base+delta Result as a sharded one: the delta contributions ran
+        on the coordinator after the fragments merged, so their modeled
+        seconds extend ``merge_seconds`` / ``wall_clock_seconds``."""
+        seconds = merged.timeline.total_seconds(phases=(DELTA_PHASE,))
+        if not isinstance(merged, ShardedResult):
+            # Every fragment's slice was empty: the delta is all there is.
+            merged = ShardedResult(
                 columns=merged.columns, row_count=merged.row_count,
-                approximate=merged.approximate,
-                decimal_scales=merged.decimal_scales,
-                merge_seconds=base.merge_seconds + delta_seconds,
-                wall_clock_seconds=base.wall_clock_seconds + delta_seconds,
+                timeline=merged.timeline, approximate=merged.approximate,
             )
-        else:
-            out = ShardedResult(
-                columns=merged.columns, row_count=merged.row_count,
-                timeline=tl, approximate=merged.approximate,
-                decimal_scales=merged.decimal_scales,
-                merge_seconds=delta_seconds,
-                wall_clock_seconds=delta_seconds,
-            )
-        if timeline is not None:
-            timeline.extend(out.timeline)
-            out.timeline = timeline
-        return out
+        merged.merge_seconds += seconds
+        merged.wall_clock_seconds += seconds
+        return merged
 
     # ------------------------------------------------------------------
     # Query building / execution
@@ -345,17 +302,34 @@ class ShardedSession:
         optimizer: str,
         timeline: Timeline | None,
     ) -> ShardedResult:
-        qt = obs_trace.ACTIVE
-        if self.catalog.tables_with_delta():
-            from ..ingest.union import delta_tables
+        run_base = partial(
+            self._run_base, mode=mode, pushdown=pushdown,
+            predicate_order=predicate_order, optimizer=optimizer,
+        )
+        if not self.catalog.tables_with_delta():
+            return run_base(query, timeline)
+        # The union runs on a ledger of its own, so what it bills in the
+        # delta phase is this query's and nothing the caller held before.
+        result = self.absorb_delta(run_with_delta(
+            self.catalog, self.machine.cpu, query, run_base, mode=mode,
+        ))
+        if timeline is not None:
+            timeline.extend(result.timeline)
+            result.timeline = timeline
+        return result
 
-            deltas = delta_tables(query, self.catalog)
-            if deltas:
-                return self._query_with_delta(
-                    query, deltas, mode=mode, pushdown=pushdown,
-                    predicate_order=predicate_order, optimizer=optimizer,
-                    timeline=timeline,
-                )
+    def _run_base(
+        self,
+        query: Query,
+        timeline: Timeline | None,
+        *,
+        mode: str,
+        pushdown: bool,
+        predicate_order: str,
+        optimizer: str,
+    ) -> ShardedResult:
+        """Plan per-shard fragments, run them, merge: the packed base alone."""
+        qt = obs_trace.ACTIVE
         if qt is None:
             plan = self._plan(
                 query, mode=mode, pushdown=pushdown,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import (
+    fold,
     grouped_avg,
     grouped_count,
     grouped_count_interval,
@@ -13,6 +14,7 @@ from repro.core.aggregates import (
     grouped_min,
     grouped_sum,
     grouped_sum_interval,
+    row_partials,
 )
 from repro.core.candidates import Approximation
 from repro.core.grouping import (
@@ -22,8 +24,14 @@ from repro.core.grouping import (
     group_refine,
 )
 from repro.core.intervals import IntervalColumn
+from repro.core.pair_agg import group_pair_rows
 from repro.device.machine import Machine
-from repro.errors import ExecutionError
+from repro.device.timeline import Timeline
+from repro.engine.merge import Part, lower_aggregates, merge
+from repro.engine.result import Result
+from repro.errors import EmptyInputError, ExecutionError
+from repro.plan.expr import ColRef
+from repro.plan.logical import Aggregate, Query
 from repro.storage.decompose import decompose_values
 from repro.util import unique_inverse
 
@@ -41,6 +49,11 @@ def load(machine, values, residual_bits, label):
 
 def all_rows(n):
     return Approximation(ids=np.arange(n, dtype=np.int64))
+
+
+def assigned(gids, n_groups):
+    """A checked assignment over bare ids — what every kernel runs on."""
+    return GroupAssignment(gids, n_groups, exact=True)
 
 
 def classic_groups(*key_columns):
@@ -161,12 +174,12 @@ class TestGroupAssignmentValidation:
         with pytest.raises(ExecutionError, match="group id out of range"):
             GroupAssignment(gids=np.array([1, -1]), n_groups=2, exact=True)
         with pytest.raises(ExecutionError, match="group id out of range"):
-            grouped_count(np.array([-1]), 2)
+            grouped_count(assigned(np.array([-1]), 2))
 
     def test_kernels_take_a_checked_assignment(self):
         groups = GroupAssignment(gids=np.array([0, 1, 0]), n_groups=2, exact=True)
         values = np.array([4, 5, 6])
-        assert np.array_equal(grouped_sum(values, groups), grouped_sum(values, groups.gids, 2))
+        assert np.array_equal(grouped_sum(values, groups), [10, 5])
         assert np.array_equal(grouped_count(groups), [2, 1])
         assert np.allclose(grouped_avg(values, groups), [5.0, 5.0])
         with pytest.raises(ExecutionError, match="misaligned"):
@@ -214,37 +227,37 @@ class TestUniqueInverse:
 class TestGroupedAggregates:
     def test_sum_count_min_max_avg(self):
         values = np.array([1, 2, 3, 4, 5])
-        gids = np.array([0, 1, 0, 1, 0])
-        assert np.array_equal(grouped_sum(values, gids, 2), [9, 6])
-        assert np.array_equal(grouped_count(gids, 2), [3, 2])
-        assert np.array_equal(grouped_min(values, gids, 2), [1, 2])
-        assert np.array_equal(grouped_max(values, gids, 2), [5, 4])
-        assert np.allclose(grouped_avg(values, gids, 2), [3.0, 3.0])
+        groups = assigned(np.array([0, 1, 0, 1, 0]), 2)
+        assert np.array_equal(grouped_sum(values, groups), [9, 6])
+        assert np.array_equal(grouped_count(groups), [3, 2])
+        assert np.array_equal(grouped_min(values, groups), [1, 2])
+        assert np.array_equal(grouped_max(values, groups), [5, 4])
+        assert np.allclose(grouped_avg(values, groups), [3.0, 3.0])
 
     def test_empty_group_in_avg_rejected(self):
         with pytest.raises(ExecutionError):
-            grouped_avg(np.array([1]), np.array([0]), 2)
+            grouped_avg(np.array([1]), assigned(np.array([0]), 2))
 
     def test_misaligned_rejected(self):
         with pytest.raises(ExecutionError):
-            grouped_sum(np.array([1, 2]), np.array([0]), 1)
+            grouped_sum(np.array([1, 2]), assigned(np.array([0]), 1))
 
     def test_gid_out_of_range_rejected(self):
         with pytest.raises(ExecutionError):
-            grouped_sum(np.array([1]), np.array([5]), 2)
+            grouped_sum(np.array([1]), assigned(np.array([5]), 2))
 
     def test_interval_sums_bracket_exact(self):
         lo = np.array([1, 10, 100])
         hi = np.array([3, 12, 104])
-        gids = np.array([0, 0, 1])
-        bounds = grouped_sum_interval(IntervalColumn.from_bounds(lo, hi), gids, 2)
+        groups = assigned(np.array([0, 0, 1]), 2)
+        bounds = grouped_sum_interval(IntervalColumn.from_bounds(lo, hi), groups)
         assert bounds[0].lo == 11 and bounds[0].hi == 15
         assert bounds[1].lo == 100 and bounds[1].hi == 104
 
     def test_count_intervals(self):
-        gids = np.array([0, 0, 1, 1, 1])
+        groups = assigned(np.array([0, 0, 1, 1, 1]), 2)
         certain = np.array([True, False, True, True, False])
-        bounds = grouped_count_interval(certain, gids, 2)
+        bounds = grouped_count_interval(certain, groups)
         assert (bounds[0].lo, bounds[0].hi) == (1.0, 2.0)
         assert (bounds[1].lo, bounds[1].hi) == (2.0, 3.0)
 
@@ -255,7 +268,7 @@ class TestGroupedAggregates:
         n = int(rng.integers(1, 200))
         values = rng.integers(-50, 50, n)
         gids = rng.integers(0, n_groups, n)
-        got = grouped_sum(values, gids, n_groups)
+        got = grouped_sum(values, assigned(gids, n_groups))
         for g in range(n_groups):
             assert got[g] == int(values[gids == g].sum())
 
@@ -272,39 +285,36 @@ class TestGroupedAggregates:
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40),
-        st.sampled_from(["none", "bare", "assignment"]),
+        st.sampled_from(["none", "assignment"]),
     )
     def test_one_group_reduces_exactly_like_the_scatter(self, values, how):
-        """Ungrouped (``None``), bare zeros or a checked one-group
-        assignment: the int64 fold the scatter computes, wrap-around,
-        empty input and all — and the same single float64 division."""
+        """Ungrouped (``None``) or a checked one-group assignment: the int64
+        fold the scatter computes, wrap-around, empty input and all — and
+        the same single float64 division."""
         values = np.array(values, dtype=np.int64)
         zeros = np.zeros(len(values), dtype=np.int64)
-        groups = {
-            "none": (None,), "bare": (zeros, 1),
-            "assignment": (GroupAssignment(zeros, 1, exact=True),),
-        }[how]
+        groups = {"none": None, "assignment": assigned(zeros, 1)}[how]
         i64 = np.iinfo(np.int64)
         for kernel, ufunc, start in (
             (grouped_sum, np.add, 0),
             (grouped_min, np.minimum, i64.max),
             (grouped_max, np.maximum, i64.min),
         ):
-            got = kernel(values, *groups)
+            got = kernel(values, groups)
             assert got.dtype == np.int64 and got.shape == (1,)
             assert np.array_equal(got, self._scattered(ufunc, start, values, zeros, 1))
         if len(values):
             want = self._scattered(np.add, 0, values, zeros, 1).astype(np.float64)
-            assert np.array_equal(grouped_avg(values, *groups), want / len(values))
+            assert np.array_equal(grouped_avg(values, groups), want / len(values))
         else:
             with pytest.raises(ExecutionError, match="avg over an empty group"):
-                grouped_avg(values, *groups)
+                grouped_avg(values, groups)
 
     def test_one_group_still_checks_alignment_and_range(self):
         with pytest.raises(ExecutionError, match="misaligned"):
-            grouped_min(np.array([1, 2]), np.array([0]), 1)
+            grouped_min(np.array([1, 2]), assigned(np.array([0]), 1))
         with pytest.raises(ExecutionError, match="out of range"):
-            grouped_sum(np.array([1]), np.array([1]), 1)
+            grouped_sum(np.array([1]), assigned(np.array([1]), 1))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n_groups=st.sampled_from([None, 1, 2, 7]),
@@ -321,14 +331,14 @@ class TestGroupedAggregates:
         bounds = IntervalColumn.from_bounds(lo, hi)
         certain = rng.random(n) < rng.choice([0.0, 0.5, 0.9, 1.0])
         gids = rng.integers(0, n_groups or 1, n)
-        groups = (None,) if n_groups is None else (gids, n_groups)
+        groups = None if n_groups is None else assigned(gids, n_groups)
 
         want_lo, want_hi = np.array(lo), np.array(hi)
         want_lo[~certain] = np.minimum(want_lo[~certain], 0)
         want_hi[~certain] = np.maximum(want_hi[~certain], 0)
         held = (bounds.lo.copy(), bounds.hi.copy())
         try:
-            got = grouped_sum_interval(bounds, *groups, certain=certain)
+            got = grouped_sum_interval(bounds, groups, certain=certain)
         except ExecutionError as exc:   # wrapped past each other: refused alike
             assert big and "malformed interval" in str(exc)
             return
@@ -337,3 +347,125 @@ class TestGroupedAggregates:
             assert interval.lo == float(want_lo[gids == g].sum())
             assert interval.hi == float(want_hi[gids == g].sum())
         assert len(got) == (n_groups or 1)
+
+
+# ----------------------------------------------------------------------
+# The algebra (PR 19): fold each part, merge the folds ≡ one fold over all
+# ----------------------------------------------------------------------
+FUNCS = ("count", "sum", "min", "max", "avg")
+_I64 = st.integers(-(2**63), 2**63 - 1)          # sums (and v·w) wrap
+_ROW = st.tuples(_I64, st.integers(1, 9), st.integers(-2, 2), st.integers(0, 1),
+                 st.integers(0, 4))              # value, weight, key, key, part
+
+
+def _query(func, grouped):
+    expr = None if func == "count" else ColRef("v")
+    return Query(
+        table="t", group_by=("k1", "k2") if grouped else (),
+        aggregates=(Aggregate(func, expr, "x"),),
+    )
+
+
+def _run(query, values, weights, k1, k2, *, lowered=True):
+    """What an engine answers over these weighted rows, every aggregate one
+    fold of the rows as partials: the *lowered* query (what a part runs), or
+    the query as written (``avg`` divided) — one run's final answer."""
+    groups, columns = None, {}
+    if query.group_by:
+        groups = group_pair_rows([k1, k2])
+        columns = {"k1": groups.representatives(k1), "k2": groups.representatives(k2)}
+    aggregates = lower_aggregates(query.aggregates) if lowered else query.aggregates
+    for agg in aggregates:
+        operand = None if agg.func == "count" else values
+        columns[agg.alias] = fold(
+            agg.func, row_partials(agg.func, operand, weights), groups
+        )
+    n_groups = 1 if groups is None else groups.n_groups
+    return Result(columns=columns, row_count=n_groups, timeline=Timeline())
+
+
+def _attempt(thunk):
+    try:
+        return thunk()
+    except EmptyInputError as exc:
+        return str(exc)
+
+
+def _same_bytes(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    (cols_a, rows_a), (cols_b, rows_b) = a, b
+    return rows_a == rows_b and list(cols_a) == list(cols_b) and all(
+        cols_a[c].dtype == cols_b[c].dtype and cols_a[c].tobytes() == cols_b[c].tobytes()
+        for c in cols_a
+    )
+
+
+class TestPartialAggregatesAreAMonoid:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(_ROW, max_size=24), n_parts=st.integers(1, 5),
+        grouped=st.booleans(), order=st.randoms(use_true_random=False),
+    )
+    def test_fold_the_parts_merge_the_folds(self, rows, n_parts, grouped, order):
+        """Any split of the rows into parts — some empty, some holding groups
+        no other part has — merged in any order is one fold over all the
+        rows, byte for byte; an empty part is the identity; the empty-input
+        error is raised iff every part is empty, worded as one run words it."""
+        cols = [np.array(c, dtype=np.int64) for c in zip(*rows)] or [
+            np.empty(0, dtype=np.int64)] * 5
+        values, weights, k1, k2, part_of = cols
+        part_of = part_of % n_parts
+        for func in FUNCS:
+            query = _query(func, grouped)
+            rows_ = (values, weights, k1, k2)
+            whole = _attempt(lambda: _run(query, *rows_, lowered=False))
+            if not isinstance(whole, str):
+                whole = (whole.columns, whole.row_count)
+            alone = _attempt(lambda: merge(query, [Part(_run(query, *rows_))]))
+            assert _same_bytes(alone, whole), "a merge of one part is that part"
+
+            parts = []
+            for p in range(n_parts):
+                at = part_of == p
+                run = _attempt(lambda: _run(query, values[at], weights[at], k1[at], k2[at]))
+                if not isinstance(run, str):    # an empty slice contributes nothing
+                    parts.append(Part(run))
+                else:
+                    assert not at.any() and func in ("min", "max")
+            merged = _attempt(lambda: merge(query, parts))
+            assert _same_bytes(merged, whole), (func, grouped)
+
+            shuffled = list(parts)
+            order.shuffle(shuffled)
+            assert _same_bytes(_attempt(lambda: merge(query, shuffled)), whole)
+
+            none = np.empty(0, dtype=np.int64)
+            identity = _attempt(lambda: _run(query, none, none, none, none))
+            if not isinstance(identity, str):
+                assert _same_bytes(
+                    _attempt(lambda: merge(query, parts + [Part(identity)])), whole
+                )
+
+            raises = isinstance(whole, str)
+            assert raises == (len(values) == 0 and not grouped and func in ("min", "max", "avg"))
+            if raises:
+                assert whole == ("avg over an empty group" if func == "avg"
+                                 else f"{func} of an empty result")
+
+    def test_unit_rows_are_counted_not_summed(self):
+        """``weights`` an ``int``: that many rows of multiplicity one."""
+        values = np.array([5, 7, 9, 11])
+        groups = assigned(np.array([0, 1, 0, 0]), 2)
+        ones = np.ones(4, dtype=np.int64)
+        for func in FUNCS:
+            operand = None if func == "count" else values
+            for g in (groups, None):
+                assert np.array_equal(
+                    fold(func, row_partials(func, operand, 4), g),
+                    fold(func, row_partials(func, operand, ones), g),
+                )
+        with pytest.raises(ExecutionError, match="sum requires an argument"):
+            row_partials("sum", None, 4)
+        with pytest.raises(ExecutionError, match="unknown aggregate"):
+            fold("median", row_partials("sum", values, 4), None)

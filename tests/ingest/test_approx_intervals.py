@@ -54,8 +54,8 @@ def make_bulk():
     return s
 
 
-def make_base_only():
-    s = Session()
+def make_base_only(make=Session):
+    s = make()
     s.create_table("t", {"v": IntType(), "w": IntType()}, BASE)
     s.bwdecompose("t", "v", 24)
     s.bwdecompose("t", "w", 24)
@@ -168,3 +168,47 @@ def test_delta_only_window_still_bounds_truth():
     if iv is not None:
         assert iv.lo <= 8 <= iv.hi
     assert r.approximate.candidate_rows >= 8
+
+
+# ----------------------------------------------------------------------
+# The merged answer is keyed by the query's aliases (PR 19)
+# ----------------------------------------------------------------------
+def _four_shards():
+    from repro.shard import ShardedSession
+
+    return ShardedSession(4)
+
+
+def _served(session, query, mode):
+    with session.serve() as server:
+        return server.submit(query, mode=mode).result()
+
+
+@pytest.mark.parametrize("make", [Session, _four_shards],
+                         ids=["Session", "ShardedSession(4)"])
+@pytest.mark.parametrize("matched", [0, 3])
+def test_avg_partial_aliases_never_reach_the_user(make, matched):
+    """In ``ar`` mode over pending delta the base runs the *lowered* query
+    (``avg`` as ``a#sum`` / ``a#cnt``); with no delta row in the window the
+    base answer used to come back as it stood — ``{'a#sum': …, 'a#cnt': …,
+    'n': …}`` and no ``'a'``."""
+    s = make_base_only(make)
+    window = (2_000, 25_000)
+    inside = np.full(matched, 10_000, dtype=np.int64)
+    outside = np.array([DOMAIN + 7, DOMAIN + 9], dtype=np.int64)
+    v = np.concatenate([inside, outside])
+    s.append("t", {"v": v, "w": np.full(len(v), 5, dtype=np.int64)})
+    query = (
+        s.table("t").where("v", between=window).avg("w", "a").count("n").build()
+    )
+    exact = s.query(query, mode="classic")
+    for run in (s.query, lambda q, mode: _served(s, q, mode)):
+        answer = run(query, mode="ar").approximate
+        assert set(answer.aggregates) == {"a", "n"}, answer.aggregates
+        assert answer.aggregates["a"] is None  # "contains the value, or None"
+        assert answer.aggregates["n"].contains(exact.scalar("n"))
+        # approximate mode never lowers: one device keeps a real avg bound
+        free = run(query, mode="approximate").approximate
+        assert set(free.aggregates) == {"a", "n"}
+        bound = free.aggregates["a"]
+        assert bound.contains(exact.scalar("a")) if make is Session else bound is None

@@ -1,4 +1,4 @@
-"""An oracle that is not us (ROADMAP direction D, first two slices).
+"""An oracle that is not us (ROADMAP direction D, first three slices).
 
 Every other cross-check compares the system with itself.  This one runs the
 same SQL text through stdlib ``sqlite3`` and through the three entry points
@@ -12,6 +12,11 @@ bucket edges; on the bulk load, with delta in flight, and after compaction.
 Exact answers must equal sqlite's; an ``approximate`` interval must contain
 it, or be ``None``; where sqlite answers NULL (``min`` / ``max`` / ``avg``
 of no row) the exact modes must refuse with the engine's empty-input error.
+PR 19 adds band joins — ``join dim on events.value within d of dim.pivot``,
+which one regex turns into ``abs(a - b) <= d`` for sqlite — under the same
+windows, with ``count(*)`` and ``min`` / ``max`` / ``avg`` / ``sum`` of the
+left column (the weighted fold), and with delta in flight on either side of
+the join or both.
 
 Seeded and bounded: a fixed seed list, a few seconds in tier-1.  A failing
 seed is shrunk to the one query that fails and added to ``REGRESSIONS``.
@@ -35,6 +40,7 @@ DOMAIN = 40_000      # 16 value bits; bwdecompose(value, 24) leaves 8 residual
 BUCKET = 256
 N_GROUPS = 6
 WAVE = 16
+N_DIM = 16           # band-join right side: a few pairs per fact row
 
 SEEDS = [101, 202, 303, 404]
 
@@ -86,12 +92,30 @@ SHAPES = [
 ]
 
 
-def wave(rng) -> list[str]:
+#: over a band join the binder takes left-side columns only (the run-payload
+#: fold of a right column stays with tests/engine/test_right_projection.py)
+JOIN_SHAPES = [
+    "count(*) as n",
+    "sum(value) as s, count(*) as n",
+    "bucket, count(*) as n, sum(other) as t",
+    "min(value) as lo",
+    "max(other) as hi, avg(value) as v",
+    "min(other) as lo, max(value) as hi, avg(other) as v, sum(value) as s, count(*) as n",
+    "avg(other) as v",
+    "bucket, min(value) as lo, max(other) as hi, avg(value) as v, sum(other) as t",
+]
+
+
+def wave(rng, shapes=SHAPES, join=False) -> list[str]:
     sqls = []
     for i in range(WAVE):
-        shape = SHAPES[i % len(SHAPES)]
+        shape = shapes[i % len(shapes)]
         group = " group by bucket" if shape.startswith("bucket") else ""
-        sqls.append(f"select {shape} from events where {predicate(rng)}{group}")
+        band = ""
+        if join:
+            d = int(rng.choice([0, 1, BUCKET - 1, BUCKET, 700]))
+            band = f" join dim on events.value within {d} of dim.pivot"
+        sqls.append(f"select {shape} from events{band} where {predicate(rng)}{group}")
     return sqls
 
 
@@ -112,21 +136,28 @@ class Oracle:
         self.db.execute(
             "create table events (value integer, bucket integer, other integer)"
         )
+        self.db.execute("create table dim (pivot integer)")
+        self.answers: dict[str, list[tuple]] = {}   # asked once per data state
 
-    def insert(self, data: dict) -> None:
+    def insert(self, data: dict, table: str = "events") -> None:
+        self.answers.clear()
+        marks = ", ".join("?" * len(data))
         self.db.executemany(
-            "insert into events values (?, ?, ?)",
-            zip(*(data[c].tolist() for c in ("value", "bucket", "other"))),
+            f"insert into {table} values ({marks})",
+            zip(*(column.tolist() for column in data.values())),
         )
 
     def answer(self, sql: str) -> list[tuple]:
         """Rows sorted by key.  Over no row a ``sum`` is 0, as ours; the
         NULL of a ``min`` / ``max`` / ``avg`` stays ``None``."""
-        names = select_list(sql)
-        return sorted(
-            tuple(0 if v is None and name in "st" else v for name, v in zip(names, row))
-            for row in self.db.execute(sql).fetchall()
-        )
+        if sql not in self.answers:
+            names = select_list(sql)
+            ours = re.sub(r"on (\S+) within (\d+) of (\S+)", r"on abs(\1 - \3) <= \2", sql)
+            self.answers[sql] = sorted(
+                tuple(0 if v is None and name in "st" else v for name, v in zip(names, row))
+                for row in self.db.execute(ours).fetchall()
+            )
+        return self.answers[sql]
 
 
 def loaded(session, data):
@@ -137,6 +168,14 @@ def loaded(session, data):
     session.bwdecompose("events", "value", 24)
     session.bwdecompose("events", "bucket", 32)
     session.bwdecompose("events", "other", 28)
+    return session
+
+
+def with_dim(session, pivots):
+    """The band join's right side — replicated where there are shards."""
+    sharded = {"partition": False} if isinstance(session, ShardedSession) else {}
+    session.create_table("dim", {"pivot": IntType()}, pivots, **sharded)
+    session.bwdecompose("dim", "pivot", 24)
     return session
 
 
@@ -170,14 +209,15 @@ def run_served(session, sqls, mode):
         for sql in sqls
     ]
     results = [attempt(h.result) for h in handles]
-    if session.catalog.tables_with_delta():
-        # Over pending delta sharded serving peels every query to the solo
-        # path, and Session.serve the exact avg / min / max (no post-hoc fold).
-        assert isinstance(session, ShardedSession) or server.stats.fused_queries > 0
-    elif isinstance(session, Session):
+    if " join " in sqls[0]:
+        assert server.stats.shared_right_batches > 0, "one right side, one batch"
+    elif isinstance(session, Session) and not session.catalog.tables_with_delta():
         assert server.stats.fused_queries == len(sqls), "the wave did not fuse"
     else:
-        assert server.stats.fused_queries > 0, "no shard fused its fragments"
+        # Shards fuse the fragments that meet; over pending delta only the
+        # exact avg / min / max leave the batch (no post-hoc fold), on
+        # either session type.
+        assert server.stats.fused_queries > 0, "nothing fused"
     return results
 
 
@@ -242,13 +282,46 @@ def test_windowed_aggregates_against_sqlite(seed, entry):
     phase("compacted")
 
 
+@pytest.mark.parametrize("entry", list(ENTRIES))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_band_joins_against_sqlite(seed, entry):
+    make, run = ENTRIES[entry]
+    rng = np.random.default_rng(seed)
+    base, delta = rows(rng, N_ROWS), rows(rng, N_DELTA)
+    pivots = {"pivot": rng.integers(-BUCKET, DOMAIN + BUCKET, N_DIM)}
+    late = {"pivot": rng.integers(0, DOMAIN, N_DIM // 3)}
+    oracle = Oracle()
+    oracle.insert(base)
+    oracle.insert(pivots, "dim")
+    session = with_dim(loaded(make(), base), pivots)
+
+    def phase(name):
+        sqls = wave(rng, JOIN_SHAPES, join=True)
+        for mode in ("ar", "approximate"):
+            check(oracle, sqls, run(session, sqls, mode), mode, (entry, seed, name, mode))
+
+    phase("bulk")
+    session.append("events", delta)
+    oracle.insert(delta)
+    phase("delta on events")            # A: delta rows against all of dim
+    session.append("dim", late)
+    oracle.insert(late, "dim")
+    phase("delta on both sides")        # A, and B: base rows against late dim
+    session.compact("events")
+    phase("delta on dim")               # B alone
+    session.compact()
+    phase("compacted")
+
+
 @pytest.mark.parametrize("sql, why", REGRESSIONS)
 def test_regressions(sql, why):
     rng = np.random.default_rng(0)
     base = rows(rng, N_ROWS)
     oracle = Oracle()
     oracle.insert(base)
+    pivots = {"pivot": rng.integers(0, DOMAIN, N_DIM)}
+    oracle.insert(pivots, "dim")
     for entry, (make, run) in ENTRIES.items():
-        session = loaded(make(), base)
+        session = with_dim(loaded(make(), base), pivots)
         for mode in ("ar", "approximate"):
             check(oracle, [sql] * 2, run(session, [sql] * 2, mode), mode, (entry, why))

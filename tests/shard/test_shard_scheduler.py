@@ -255,3 +255,88 @@ def test_a_healthy_shard_is_never_hedged():
         assert result.hedged_shards == []
         assert len(result.recovery_timeline) == 0
         assert result.retries == 0
+
+
+# ----------------------------------------------------------------------
+# Fused ≡ solo with delta in flight (PR 19): the parent's loop, not a copy
+# ----------------------------------------------------------------------
+def make_keyed(seed=23):
+    rng = np.random.default_rng(seed)
+    s = ShardedSession(4)
+    s.create_table(
+        "events", {"value": IntType(), "bucket": IntType()},
+        {"value": rng.integers(0, DOMAIN, N).astype(np.int64),
+         "bucket": rng.integers(0, 5, N).astype(np.int64)},
+    )
+    s.bwdecompose("events", "value", 24)
+    s.bwdecompose("events", "bucket", 32)
+    s.append("events", {
+        "value": rng.integers(0, DOMAIN, 700).astype(np.int64),
+        "bucket": rng.integers(0, 7, 700).astype(np.int64),  # two new groups
+    })
+    return s
+
+
+def member(session, i, shapes):
+    window = (i * 1_500, i * 1_500 + 26_000)  # wide: every shard is shared
+    block = session.table("events").where("value", between=window)
+    return shapes[i % len(shapes)](block).build()
+
+
+FOLDABLE = [
+    lambda b: b.count("n"),
+    lambda b: b.sum("value", "s").count("n"),
+    lambda b: b.group_by("bucket").count("n").sum("value", "s"),
+]
+SOLO_ONLY = [
+    lambda b: b.avg("value", "a").count("n"),
+    lambda b: b.min("value", "lo").max("value", "hi"),
+    lambda b: b.group_by("bucket").avg("value", "a").min("value", "lo"),
+]
+
+
+def assert_same_sharded_result(solo, got):
+    assert_same_answer(solo, got)
+    assert solo.row_count == got.row_count
+    assert solo.merge_seconds == got.merge_seconds
+    assert solo.fragment_seconds == got.fragment_seconds
+    assert solo.pruned_shards == got.pruned_shards
+
+
+@pytest.mark.parametrize("mode", ["ar", "approximate"])
+def test_a_fused_batch_over_pending_delta_comes_out_fused(mode):
+    """The direction-C side-condition: 16 windowed members over 4 shards
+    with delta in flight fuse — every one of them — and each equals the
+    sharded session's own delta-union run, ledger and wall clock included."""
+    session = make_keyed()
+    queries = [member(session, i, FOLDABLE) for i in range(16)]
+    solo = [session.query(q, mode=mode, optimizer="heuristic") for q in queries]
+    with session.serve(max_batch=16) as server:
+        handles = server.submit_many(queries, mode=mode)
+        got = [h.result() for h in handles]
+        stats = server.stats
+    assert (stats.batches, stats.fused_queries) == (1, 16)
+    assert session.catalog.delta_rows("events") == 700, "nothing compacted"
+    for s, g in zip(solo, got):
+        assert_same_sharded_result(s, g)
+        assert any(t[5] == "ingest.delta" for t in g.timeline.span_tuples())
+    if mode == "ar":  # and the delta mattered: a base-only answer differs
+        base = session.catalog.table("events").values("value")
+        lo, hi = 0, 26_000
+        assert got[0].scalar("n") > int(((base >= lo) & (base <= hi)).sum())
+
+
+def test_exact_avg_min_max_members_are_still_peeled_and_still_equal():
+    """``needs_solo_delta``: finals of ``avg`` do not merge and an empty base
+    slice of a ``min`` would raise, so those members leave the batch for the
+    solo delta-union run; their batch mates still fuse."""
+    session = make_keyed()
+    queries = [member(session, i, SOLO_ONLY + FOLDABLE) for i in range(12)]
+    solo = [session.query(q, mode="ar", optimizer="heuristic") for q in queries]
+    with session.serve(max_batch=16) as server:
+        handles = server.submit_many(queries, mode="ar")
+        got = [h.result() for h in handles]
+        stats = server.stats
+    assert (stats.batches, stats.fused_queries) == (1, 6)
+    for s, g in zip(solo, got):
+        assert_same_sharded_result(s, g)
