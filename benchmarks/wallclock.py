@@ -84,6 +84,7 @@ import numpy as np
 
 from repro.core.approximate import select_approx, select_conjunction_approx
 from repro.core.candidates import RunPairCandidates
+from repro.core.grouping import group_approx_from_keys
 from repro.core.refine import ship_pairs
 from repro.core.relax import ValueRange
 from repro.core.theta import Theta, ThetaOp, theta_join_approx, theta_join_refine
@@ -187,6 +188,16 @@ class _Fixtures:
         self.packed8 = pack_codes(self.codes8, 8)
         self.packed12 = pack_codes(self.codes12, 12)
         self.positions = rng.integers(0, n, size=n // 8, dtype=np.int64)
+        # A candidate set of most of a column, in no order (PR 22): what an
+        # aggregation over an unselective window gathers at, and the 3 x 2
+        # key box TPC-H Q1 groups it by.  Their own generator, so every
+        # fixture above keeps its values.
+        dense = np.random.default_rng(43)
+        self.dense_positions = dense.permutation(n)[: int(n * 0.97)]
+        self.q1_keys = [
+            ("returnflag", dense.integers(65, 68, size=n), True),
+            ("linestatus", dense.integers(70, 72, size=n), True),
+        ]
 
         self.machine = Machine.paper_testbed()
         self.columns = []
@@ -661,6 +672,12 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         ),
         "micro.gather.w12": lambda: gather_codes(
             fx.packed12, 12, n, fx.positions
+        ),
+        "micro.gather.w12.dense": lambda: gather_codes(
+            fx.packed12, 12, n, fx.dense_positions, np.uint16
+        ),
+        "group.keys.q1": lambda: group_approx_from_keys(
+            fx.machine.gpu, Timeline(), fx.q1_keys
         ),
         "scan.selection": lambda: _run_selection(fx),
         "scan.selection.evict": lambda: _run_selection_evict(fx),

@@ -26,6 +26,8 @@ This walkthrough drives the works through one serving window:
 Run: ``PYTHONPATH=src python examples/observability.py``
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from repro.faults import FaultProfile, RetryPolicy
@@ -82,7 +84,8 @@ folded = session.compact("events")
 print(f"\ncompacted {folded} delta rows (epoch now "
       f"{session.catalog.epoch})")
 
-out = "observability_trace.json"
+out = Path(__file__).resolve().parent / "out" / "observability_trace.json"
+out.parent.mkdir(exist_ok=True)  # ignored by git: every run rewrites it
 n_events = tracer.export(out)
 print(f"wrote {n_events} Chrome-trace events ({len(tracer.traces)} traces) "
       f"to {out} — open it at https://ui.perfetto.dev")

@@ -14,6 +14,7 @@ approximate group by the residual bits on the host.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,14 +22,14 @@ import numpy as np
 
 from ..device.gpu import SimulatedGPU
 from ..device.cpu import Cpu
-from ..device.model import AccessPattern, OpClass
+from ..device.model import OpClass
 from ..device.timeline import Timeline
 from ..errors import ExecutionError
+from ..storage.bitpack import code_dtype
 from ..storage.decompose import BwdColumn
-from ..util import unique_inverse
+from ..util import bits_for_range, unique_inverse
 from .candidates import Approximation
 
-_OID_BYTES = 8
 _COMBINE_LIMIT = 1 << 62
 
 
@@ -91,40 +92,6 @@ def combine_keys(gids: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, int]:
     return new_gids, len(uniques)
 
 
-def group_approx(
-    gpu: SimulatedGPU,
-    timeline: Timeline,
-    candidates: Approximation,
-    columns: list[tuple[str, BwdColumn]],
-) -> GroupAssignment:
-    """Device-side pre-grouping of the candidate rows on approximate values.
-
-    Gathers each grouping column's approximation codes at the candidate ids
-    and hash-groups the composite key.  ``exact`` is set when every column
-    is fully device-resident.
-    """
-    if not columns:
-        raise ExecutionError("group_approx needs at least one column")
-    gids = np.zeros(len(candidates), dtype=np.int64)
-    n_groups = min(1, len(candidates))
-    exact = True
-    for label, column in columns:
-        codes = gpu.gather_codes(
-            column, candidates.ids, timeline, op=f"group.gather({label})"
-        )
-        span = int(codes.max(initial=0)) + 2
-        if (n_groups + 1) * span >= _COMBINE_LIMIT:
-            raise ExecutionError("composite grouping key exceeds 62 bits")
-        hashed_gids, uniques = gpu.hash_group(
-            gids * span + codes.astype(np.int64),
-            timeline,
-            op=f"group.approx({label})",
-        )
-        gids, n_groups = hashed_gids, len(uniques)
-        exact = exact and column.decomposition.residual_bits == 0
-    return GroupAssignment(gids=gids, n_groups=n_groups, exact=exact)
-
-
 def group_approx_from_keys(
     gpu: SimulatedGPU,
     timeline: Timeline,
@@ -135,28 +102,65 @@ def group_approx_from_keys(
     ``keyed`` holds ``(label, keys, exact)`` triples — typically the bucket
     floors of candidate payloads (projections or FK-join outputs, including
     dimension columns), whose gather cost was charged when they were
-    produced.  Only the hash grouping itself is charged here.
+    produced.  Only the hash grouping itself is charged here, one pass per
+    column.
+
+    Group ids are the dense ranks of the key tuples in lexicographic
+    order.  The columns fold into one composite — each shifted to its
+    minimum, at the narrowest unsigned width holding their value box —
+    that is ranked once; the ranks stand in for the columns folded so far
+    only where the box would pass 62 bits.
     """
     if not keyed:
         raise ExecutionError("group_approx_from_keys needs at least one column")
     n = len(keyed[0][1])
-    gids = np.zeros(n, dtype=np.int64)
-    n_groups = min(1, n)
-    exact = True
-    for label, keys, key_exact in keyed:
+    composite, box = None, 1  # the columns folded so far; how many values
+    folded: list[tuple[str, int]] = []  # their (label, span), yet to be billed
+    for label, keys, _ in keyed:
         keys = np.asarray(keys, dtype=np.int64)
         if len(keys) != n:
             raise ExecutionError(f"grouping key {label!r} misaligned")
-        shifted = keys - int(keys.min()) if len(keys) else keys
-        span = int(shifted.max(initial=0)) + 2
-        if (n_groups + 1) * span >= _COMBINE_LIMIT:
+        lo, hi = (int(keys.min()), int(keys.max())) if n else (0, 0)
+        span = hi - lo + 1  # Python ints: an int64 subtraction would wrap
+        if box * span >= _COMBINE_LIMIT and folded:
+            composite, box = _rank(gpu, timeline, composite, folded)
+            folded = []
+        if box * span >= _COMBINE_LIMIT:
             raise ExecutionError("composite grouping key exceeds 62 bits")
-        hashed_gids, uniques = gpu.hash_group(
-            gids * span + shifted, timeline, op=f"group.approx({label})"
+        dtype = code_dtype(bits_for_range(box * span - 1))
+        shifted = np.subtract(
+            keys, lo, out=np.empty(n, dtype=dtype), casting="unsafe"
         )
-        gids, n_groups = hashed_gids, len(uniques)
-        exact = exact and key_exact
-    return GroupAssignment(gids=gids, n_groups=n_groups, exact=exact)
+        if box > 1:  # a one-value prefix tells no two rows apart
+            shifted += composite.astype(dtype, copy=False) * dtype.type(span)
+        composite, box = shifted, box * span
+        folded.append((label, span))
+    gids, n_groups = _rank(gpu, timeline, composite, folded)
+    return GroupAssignment(
+        gids=gids, n_groups=n_groups, exact=all(exact for _, _, exact in keyed)
+    )
+
+
+def _rank(
+    gpu: SimulatedGPU,
+    timeline: Timeline,
+    composite: np.ndarray,
+    folded: list[tuple[str, int]],
+) -> tuple[np.ndarray, int]:
+    """Dense ranks of ``composite`` and how many there are, billing each of
+    the ``folded`` columns its hash pass: the table a column's pass fills
+    has one entry per distinct key prefix through that column, counted off
+    the sorted uniques."""
+    uniques, gids = unique_inverse(composite)
+    keys = uniques.astype(np.int64)
+    divisor = math.prod(span for _, span in folded)
+    for label, span in folded:
+        divisor //= span
+        prefixes = np.count_nonzero(np.diff(keys // divisor)) + min(1, len(keys))
+        gpu.charge_hash_group(
+            len(gids), prefixes, timeline, f"group.approx({label})"
+        )
+    return gids, len(uniques)
 
 
 def group_refine(

@@ -19,8 +19,7 @@ import numpy as np
 from ..device.bus import PciBus
 from ..device.cpu import Cpu
 from ..device.timeline import Timeline
-from ..device.model import AccessPattern, OpClass
-from ..errors import ExecutionError
+from ..device.model import OpClass
 from ..storage.decompose import BwdColumn
 from .candidates import Approximation, PairCandidates, RunPairCandidates
 from .intervals import IntervalColumn
@@ -285,55 +284,3 @@ def reconstruct_exact(
     )
     candidates.payloads[label] = IntervalColumn.exact(values)
     return values
-
-
-# ----------------------------------------------------------------------
-# Aggregation refinements (§IV-F)
-# ----------------------------------------------------------------------
-def sum_refine(cpu: Cpu, timeline: Timeline, values: np.ndarray, label: str) -> int:
-    """Exact sum on the host (the destructive-distributivity fallback)."""
-    cpu.charge(
-        timeline, f"agg.sum.refine({label})", values.nbytes,
-        tuples=values.size, op_class=OpClass.AGG,
-    )
-    return int(values.sum())
-
-
-def count_refine(cpu: Cpu, timeline: Timeline, candidates: Approximation) -> int:
-    cpu.charge(
-        timeline, "agg.count.refine", len(candidates) * _OID_BYTES,
-        tuples=len(candidates), op_class=OpClass.AGG,
-    )
-    return len(candidates)
-
-
-def avg_refine(
-    cpu: Cpu, timeline: Timeline, values: np.ndarray, label: str
-) -> float:
-    if values.size == 0:
-        raise ExecutionError("avg of an empty result")
-    cpu.charge(
-        timeline, f"agg.avg.refine({label})", values.nbytes,
-        tuples=values.size, op_class=OpClass.AGG,
-    )
-    return float(values.mean())
-
-
-def minmax_refine(
-    cpu: Cpu,
-    timeline: Timeline,
-    values: np.ndarray,
-    label: str,
-    *,
-    find_min: bool,
-) -> int:
-    """Exact extremum over the refined candidate values (§IV-F):
-    'a join of the candidate set with the input residuals and the
-    calculation of the minimum'."""
-    if values.size == 0:
-        raise ExecutionError("min/max of an empty result")
-    cpu.charge(
-        timeline, f"agg.minmax.refine({label})", values.nbytes,
-        tuples=values.size, op_class=OpClass.AGG,
-    )
-    return int(values.min() if find_min else values.max())

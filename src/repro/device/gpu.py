@@ -398,19 +398,24 @@ class SimulatedGPU:
         """Hash-based pre-grouping of approximate values (paper §IV-E).
 
         Returns ``(group_ids, unique_codes)`` with group ids positionally
-        aligned to the input.  The conflict model charges extra time when
-        few groups force many parallel writers onto the same table entries.
+        aligned to the input.
         """
         unique_codes, group_ids = unique_inverse(codes)
-        n = codes.size
-        groups = max(1, unique_codes.size)
-        conflict_multiplier = 1.0 + _CONFLICT_SCALE / groups
+        self.charge_hash_group(codes.size, unique_codes.size, timeline, op)
+        return group_ids, unique_codes
+
+    def charge_hash_group(
+        self, n: int, groups: int, timeline: Timeline, op: str
+    ) -> None:
+        """The bill of :meth:`hash_group` over ``n`` rows falling into
+        ``groups`` groups.  The conflict model charges extra time when few
+        groups force many parallel writers onto the same table entries."""
+        conflict_multiplier = 1.0 + _CONFLICT_SCALE / max(1, groups)
         self._charge(
             timeline, op, n * (_OID_BYTES + _OID_BYTES),
             AccessPattern.RANDOM, multiplier=conflict_multiplier,
             tuples=n, op_class=OpClass.HASH,
         )
-        return group_ids, unique_codes
 
     def minmax_candidates(
         self,

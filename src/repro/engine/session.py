@@ -27,6 +27,7 @@ from ..opt.plan_cache import PlanCache
 from ..plan.explain import explain as explain_plan
 from ..plan.logical import Query
 from ..plan.rewriter import rewrite_to_ar_plan
+from ..storage import decompose
 from ..storage.catalog import Catalog
 from ..storage.column import ColumnType
 from ..storage.relation import Relation, Schema
@@ -404,3 +405,18 @@ class Session:
     def device_footprint(self) -> int:
         """Device bytes currently held by decomposed approximations."""
         return self.catalog.device_footprint()
+
+    def set_view_budget(
+        self, nbytes: int | None, *, segment_rows: int | None = None
+    ) -> None:
+        """Cap the decoded code views' bytes (one cache per process today);
+        see :func:`repro.storage.decompose.set_view_budget`."""
+        decompose.set_view_budget(nbytes, segment_rows=segment_rows)
+
+    def view_cache_bytes(self) -> int:
+        """Bytes of decoded views currently held."""
+        return decompose.view_cache_bytes()
+
+    def view_eviction_stats(self) -> tuple[int, int]:
+        """Lifetime ``(eviction events, bytes released)`` under the budget."""
+        return decompose.view_eviction_stats()

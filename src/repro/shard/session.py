@@ -21,8 +21,8 @@ from ..faults.profile import FaultInjector, FaultProfile
 from ..ingest.union import DELTA_PHASE, run_with_delta
 from ..obs import trace as obs_trace
 from ..plan.logical import Query
+from ..storage import decompose
 from ..storage.column import ColumnType
-from ..storage.decompose import set_view_budget
 from ..storage.relation import Relation, Schema
 from .catalog import ShardedCatalog
 from .executor import ShardedResult, ShardExecutor
@@ -147,7 +147,15 @@ class ShardedSession:
             None if per_shard_nbytes is None
             else per_shard_nbytes * self.n_shards
         )
-        set_view_budget(total, segment_rows=segment_rows)
+        decompose.set_view_budget(total, segment_rows=segment_rows)
+
+    def view_cache_bytes(self) -> int:
+        """Bytes of decoded views currently held, all shards together."""
+        return decompose.view_cache_bytes()
+
+    def view_eviction_stats(self) -> tuple[int, int]:
+        """Lifetime ``(eviction events, bytes released)`` under the budget."""
+        return decompose.view_eviction_stats()
 
     # ------------------------------------------------------------------
     # Streaming ingestion (PR 9)

@@ -43,6 +43,13 @@ from ..util import check_bits, mask
 
 _WORD_BITS = 64
 
+#: ``gather_codes`` decodes the span its positions cover, instead of reading
+#: each position, when the span holds at most this many codes per position:
+#: the measured crossover of the two kernels lies between 12 % and 30 %
+#: density for widths 4–32 (PERFORMANCE.md, "storage + core — dense
+#: candidate sets").
+_DENSE_SPAN_PER_POSITION = 3
+
 
 def _is_aligned(bits: int) -> bool:
     """True when codes of this width never straddle a word boundary."""
@@ -383,16 +390,24 @@ def gather_codes(
 
     Equivalent to ``unpack_codes(words, bits, count, dtype)[positions]`` but
     touches only the requested words — this is what a positional
-    (invisible-join) lookup on a packed column does.
+    (invisible-join) lookup on a packed column does.  Positions that cover
+    their span densely (a candidate set of most of a column, in any order)
+    decode that span once and index it instead.
     """
     check_bits(bits)
     dtype = _out_dtype(bits, dtype)
     positions = np.ascontiguousarray(positions, dtype=np.int64)
     if positions.size == 0:
         return np.empty(0, dtype=dtype)
-    if int(positions.min()) < 0 or int(positions.max()) >= count:
+    first, last = int(positions.min()), int(positions.max())
+    if first < 0 or last >= count:
         raise IndexError("gather position out of range")
     words = np.ascontiguousarray(words, dtype=np.uint64)
+
+    start = first - first % 64  # word-aligned for every width
+    if last + 1 - start <= _DENSE_SPAN_PER_POSITION * positions.size:
+        span = unpack_codes_range(words, bits, start, last + 1, dtype)
+        return span[positions - start if start else positions]
 
     aligned = _is_aligned(bits)
     if aligned:

@@ -77,7 +77,7 @@ def as_index_array(values: np.ndarray | list[int]) -> np.ndarray:
 
 
 def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` over int64 keys, sort-free
+    """``np.unique(keys, return_inverse=True)`` over integer keys, sort-free
     when it can be.
 
     Group numbering everywhere is "rank among the sorted distinct keys".
@@ -85,9 +85,12 @@ def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes, dates and composite group ids always do — that rank is a running
     count over a presence table, O(n + span); sparse keys are sorted,
     O(n log n).  The switch reads only the keys, and both sides return the
-    same ``(sorted uniques, int64 inverse)``.
+    same ``(sorted uniques, int64 inverse)``.  Unsigned keys are read at
+    their own width; any other dtype is taken as int64.
     """
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = np.asarray(keys)
+    if keys.dtype.kind != "u":
+        keys = keys.astype(np.int64, copy=False)
     if keys.size == 0:
         return keys, np.empty(0, dtype=np.int64)
     lo = int(keys.min())
@@ -95,9 +98,11 @@ def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if span > keys.size:
         uniques, inverse = np.unique(keys, return_inverse=True)
         return uniques, inverse.astype(np.int64, copy=False)
-    offsets = keys - lo
+    offsets = np.subtract(
+        keys, lo, out=np.empty(keys.shape, dtype=np.int64), casting="unsafe"
+    )
     present = np.bincount(offsets, minlength=span) > 0
-    uniques = np.flatnonzero(present)
+    uniques = np.flatnonzero(present).astype(keys.dtype) + lo
     if uniques.size == span:  # every value occurs: offsets are the ranks
-        return uniques + lo, offsets
-    return uniques + lo, (np.cumsum(present) - 1)[offsets]
+        return uniques, offsets
+    return uniques, (np.cumsum(present) - 1)[offsets]

@@ -16,11 +16,12 @@ from repro.core.aggregates import (
     grouped_sum_interval,
     row_partials,
 )
+from repro.core.approximate import project_approx
 from repro.core.candidates import Approximation
 from repro.core.grouping import (
     GroupAssignment,
     combine_keys,
-    group_approx,
+    group_approx_from_keys,
     group_refine,
 )
 from repro.core.intervals import IntervalColumn
@@ -80,12 +81,41 @@ class TestCombineKeys:
             combine_keys(np.array([1 << 40]), np.array([1 << 40]))
 
 
+_KEY_CASES = {
+    "empty": [],
+    "single": [42],
+    "all-equal": [7] * 9,
+    "negative": [-5, 3, -5, 0, -9, 3],
+    "span == n": [10, 13, 10, 12],  # 10..13 over 4 keys: presence table
+    "span == n + 1": [10, 14, 10, 12],  # 10..14 over 4 keys: sorted
+    "span 2**61": [0, 1 << 61, 5, 0],
+    "int64 ends": [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0],
+    # a span past int64: ``keys - keys.min()`` wraps (PR 22)
+    "span 2**64": [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0,
+                   np.iinfo(np.int64).max],
+    "span 2**63 + 6": [np.iinfo(np.int64).min, 0, 5, 0],
+    "span 2**63 + 1": [-(1 << 62), 1 << 62, 0, 1 << 62],
+}
+
+
+def pre_group(machine, tl, candidates, columns):
+    """The engine's pre-grouping: project each column's bucket floors onto
+    the candidates, then group on those payloads."""
+    keyed = []
+    for label, col in columns:
+        payload = project_approx(
+            machine.gpu, tl, col, label, candidates
+        ).payload(label)
+        keyed.append((label, payload.lo, payload.is_exact))
+    return group_approx_from_keys(machine.gpu, tl, keyed)
+
+
 class TestGroupApprox:
     def test_exact_when_fully_resident(self, machine):
         keys = np.array([3, 1, 3, 2, 1, 3])
         col = load(machine, keys, 0, "k")
         tl = machine.new_timeline()
-        out = group_approx(machine.gpu, tl, all_rows(6), [("k", col)])
+        out = pre_group(machine, tl, all_rows(6), [("k", col)])
         assert out.exact
         assert out.n_groups == 3
         assert np.array_equal(out.gids, classic_groups(keys))
@@ -96,7 +126,7 @@ class TestGroupApprox:
         keys = np.array([0, 1, 2, 3, 4, 5, 6, 7])
         col = load(machine, keys, 2, "k")  # buckets of 4
         tl = machine.new_timeline()
-        out = group_approx(machine.gpu, tl, all_rows(8), [("k", col)])
+        out = pre_group(machine, tl, all_rows(8), [("k", col)])
         assert not out.exact
         assert out.n_groups == 2  # two buckets
         refined = group_refine(
@@ -112,32 +142,142 @@ class TestGroupApprox:
         col_a = load(machine, a, 0, "a")
         col_b = load(machine, b, 0, "b")
         tl = machine.new_timeline()
-        out = group_approx(machine.gpu, tl, all_rows(500), [("a", col_a), ("b", col_b)])
-        truth = classic_groups(a, b)
-        assert out.n_groups == len(np.unique(truth))
-        # same partition (up to renumbering)
-        for g in range(out.n_groups):
-            members = truth[out.gids == g]
-            assert len(np.unique(members)) == 1
+        out = pre_group(machine, tl, all_rows(500), [("a", col_a), ("b", col_b)])
+        assert out.n_groups == 6
+        assert np.array_equal(out.gids, classic_groups(a, b))
 
     def test_grouping_over_candidate_subset(self, machine):
         keys = np.array([9, 9, 5, 5, 7])
         col = load(machine, keys, 0, "k")
         tl = machine.new_timeline()
         cand = Approximation(ids=np.array([4, 2, 0]))
-        out = group_approx(machine.gpu, tl, cand, [("k", col)])
+        out = pre_group(machine, tl, cand, [("k", col)])
         assert out.n_groups == 3
 
     def test_requires_columns(self, machine):
         with pytest.raises(ExecutionError):
-            group_approx(machine.gpu, machine.new_timeline(), all_rows(3), [])
+            group_approx_from_keys(machine.gpu, machine.new_timeline(), [])
+
+    def test_misaligned_column_rejected(self, machine):
+        with pytest.raises(ExecutionError, match="'b' misaligned"):
+            group_approx_from_keys(
+                machine.gpu, machine.new_timeline(),
+                [("a", np.arange(3), True), ("b", np.arange(2), True)],
+            )
 
     def test_group_refine_noop_when_exact(self, machine):
         keys = np.array([1, 2, 1])
         col = load(machine, keys, 0, "k")
         tl = machine.new_timeline()
-        out = group_approx(machine.gpu, tl, all_rows(3), [("k", col)])
+        out = pre_group(machine, tl, all_rows(3), [("k", col)])
         assert group_refine(machine.cpu, tl, out, [("k", col)], all_rows(3)) is out
+
+    @pytest.mark.parametrize("case", list(_KEY_CASES))
+    def test_key_lattice_ranks_in_key_order_or_refuses(self, machine, case):
+        """One column over the key lattice: the sorted rank, or — where the
+        keys span 62 bits or more — the documented refusal.  A span taken
+        in int64 wraps and used to number such keys out of order."""
+        keys = np.array(_KEY_CASES[case], dtype=np.int64)
+        tl = machine.new_timeline()
+        span = int(keys.max()) - int(keys.min()) + 1 if keys.size else 1
+        if span >= 1 << 62:
+            with pytest.raises(ExecutionError, match="exceeds 62 bits"):
+                group_approx_from_keys(machine.gpu, tl, [("k", keys, True)])
+            return
+        out = group_approx_from_keys(machine.gpu, tl, [("k", keys, True)])
+        want_u, want_i = np.unique(keys, return_inverse=True)
+        assert np.array_equal(out.gids, want_i) and out.n_groups == len(want_u)
+
+
+def reference_group_from_keys(gpu, timeline, keyed):
+    """The loop ``group_approx_from_keys`` replaced: rank after every
+    column, one ``hash_group`` each (sound while no span wraps int64)."""
+    n = len(keyed[0][1])
+    gids, exact = np.zeros(n, dtype=np.int64), True
+    n_groups = min(1, n)
+    for label, keys, key_exact in keyed:
+        keys = np.asarray(keys, dtype=np.int64)
+        shifted = keys - int(keys.min()) if len(keys) else keys
+        span = int(shifted.max(initial=0)) + 2
+        gids, uniques = gpu.hash_group(
+            gids * span + shifted, timeline, op=f"group.approx({label})"
+        )
+        n_groups, exact = len(uniques), exact and key_exact
+    return GroupAssignment(gids=gids, n_groups=n_groups, exact=exact)
+
+
+#: ``(lowest key, number of distinct values)`` per column shape.  Two
+#: ``wide`` columns fill 60 bits of box; whatever follows forces the
+#: mid-way renumbering.
+_COLUMN_SHAPES = {
+    "constant": (-7, 1),
+    "narrow": (-3, 6),
+    "medium": (-1000, 70_000),
+    "wide": (-(1 << 29), 1 << 30),
+}
+
+
+GOLDEN_Q1_BOX_SPANS = [
+    ("GTX 680", "gpu", "group.approx(returnflag)", 16000, 0.0002046, "approximate"),
+    ("GTX 680", "gpu", "group.approx(linestatus)", 16000, 0.00010540000000000001,
+     "approximate"),
+]
+
+
+class TestGroupFromKeysEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.sampled_from([0, 1, 2, 50, 400]),
+        shapes=st.lists(st.sampled_from(list(_COLUMN_SHAPES)), min_size=1, max_size=4),
+        exact=st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_property_lexicographic_ranks_and_the_old_loops_ledger(
+        self, seed, n, shapes, exact
+    ):
+        machine = Machine.paper_testbed()
+        rng = np.random.default_rng(seed)
+        columns = [
+            rng.integers(0, _COLUMN_SHAPES[shape][1], n) + _COLUMN_SHAPES[shape][0]
+            for shape in shapes
+        ]
+        keyed = [
+            (f"c{i}", column, exact[i]) for i, column in enumerate(columns)
+        ]
+        tl, want_tl = machine.new_timeline(), machine.new_timeline()
+        out = group_approx_from_keys(machine.gpu, tl, keyed)
+        want = reference_group_from_keys(machine.gpu, want_tl, keyed)
+        assert out.gids.dtype == np.int64
+        assert np.array_equal(out.gids, want.gids)
+        assert (out.n_groups, out.exact) == (want.n_groups, want.exact)
+        assert tl.span_tuples() == want_tl.span_tuples()
+        if n:
+            assert np.array_equal(out.gids, classic_groups(*columns))
+
+    def test_wide_boxes_renumber_midway(self, machine):
+        """Three 30-bit columns: a 90-bit box, ranked in two stages."""
+        rng = np.random.default_rng(3)
+        columns = [rng.integers(-(1 << 29), 1 << 29, 200) for _ in range(3)]
+        columns[1][::2] = columns[1][0]  # shared prefixes survive the stage
+        keyed = [(f"c{i}", c, True) for i, c in enumerate(columns)]
+        tl, want_tl = machine.new_timeline(), machine.new_timeline()
+        out = group_approx_from_keys(machine.gpu, tl, keyed)
+        reference_group_from_keys(machine.gpu, want_tl, keyed)
+        assert np.array_equal(out.gids, classic_groups(*columns))
+        assert tl.span_tuples() == want_tl.span_tuples()
+
+    def test_golden_ledger_of_a_q1_shaped_box(self, machine):
+        """Charges recorded from the rank-after-every-column loop at the
+        commit before it was deleted (3 x 2 box, 1 000 rows, seed 11)."""
+        rng = np.random.default_rng(11)
+        keyed = [
+            ("returnflag", rng.integers(65, 68, 1000), True),
+            ("linestatus", rng.integers(70, 72, 1000), True),
+        ]
+        tl = machine.new_timeline()
+        out = group_approx_from_keys(machine.gpu, tl, keyed)
+        assert out.n_groups == 6
+        assert tl.span_tuples() == GOLDEN_Q1_BOX_SPANS
 
 
 class TestGroupRefineEquivalence:
@@ -156,7 +296,7 @@ class TestGroupRefineEquivalence:
         col = decompose_values(keys, residual_bits=residual_bits)
         machine.gpu.load_column("k", col, None)
         tl = machine.new_timeline()
-        approx = group_approx(machine.gpu, tl, all_rows(300), [("k", col)])
+        approx = pre_group(machine, tl, all_rows(300), [("k", col)])
         refined = group_refine(machine.cpu, tl, approx, [("k", col)], all_rows(300))
         truth = classic_groups(keys)
         assert refined.n_groups == len(np.unique(truth))
@@ -186,18 +326,6 @@ class TestGroupAssignmentValidation:
             grouped_min(values[:2], groups)
 
 
-_KEY_CASES = {
-    "empty": [],
-    "single": [42],
-    "all-equal": [7] * 9,
-    "negative": [-5, 3, -5, 0, -9, 3],
-    "span == n": [10, 13, 10, 12],  # 10..13 over 4 keys: presence table
-    "span == n + 1": [10, 14, 10, 12],  # 10..14 over 4 keys: sorted
-    "span 2**61": [0, 1 << 61, 5, 0],
-    "int64 ends": [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0],
-}
-
-
 class TestUniqueInverse:
     @pytest.mark.parametrize("case", list(_KEY_CASES))
     def test_equals_np_unique(self, case):
@@ -206,6 +334,26 @@ class TestUniqueInverse:
         want_u, want_i = np.unique(keys, return_inverse=True)
         assert np.array_equal(uniques, want_u) and np.array_equal(inverse, want_i)
         assert uniques.dtype == np.int64 and inverse.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int32]
+    )
+    def test_narrow_keys_are_not_widened_and_do_not_wrap(self, dtype):
+        """Unsigned keys are ranked at their own width; a narrow signed
+        ``keys - lo`` that would wrap is taken in int64."""
+        info = np.iinfo(dtype)
+        top = np.array([info.max], dtype=dtype)
+        for keys in (
+            np.array([info.min, info.max, info.min], dtype=dtype),  # sorted
+            top - np.array([0, 2, 0, 1, 3, 2, 2], dtype=dtype),  # every value
+            top - np.array([0, 3, 0, 3, 3, 0], dtype=dtype),  # with gaps
+            (np.arange(200).repeat(2) + info.min).astype(dtype),  # span > int8
+        ):
+            uniques, inverse = unique_inverse(keys)
+            want_u, want_i = np.unique(keys, return_inverse=True)
+            assert np.array_equal(uniques, want_u) and np.array_equal(inverse, want_i)
+            assert inverse.dtype == np.int64
+            assert uniques.dtype == (dtype if info.min == 0 else np.int64)
 
     @settings(max_examples=120, deadline=None)
     @given(

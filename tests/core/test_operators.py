@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.aggregates import fold, row_partials
 from repro.core.approximate import (
     avg_approx,
     count_approx,
@@ -25,15 +26,11 @@ from repro.core.approximate import (
 from repro.core.candidates import Approximation
 from repro.core.refine import (
     align_via_translucent,
-    avg_refine,
-    count_refine,
     fk_join_refine,
-    minmax_refine,
     project_refine,
     reconstruct_exact,
     select_refine,
     ship_candidates,
-    sum_refine,
 )
 from repro.core.relax import ValueRange
 from repro.device.machine import Machine
@@ -50,6 +47,11 @@ def load(machine, values, residual_bits, label="col"):
     col = decompose_values(np.asarray(values), residual_bits=residual_bits)
     machine.gpu.load_column(label, col, None)
     return col
+
+
+def exact_fold(func, values, n):
+    """The exact aggregate over ``n`` refined rows, as the engines take it."""
+    return fold(func, row_partials(func, values, n), None)[0]
 
 
 def full_candidates(n):
@@ -293,7 +295,7 @@ class TestAggregates:
         truth = int(vr.evaluate(values).sum())
         assert bounds.lo <= truth <= bounds.hi
         refined = select_refine(machine.cpu, tl, col, "v", vr, cand)
-        assert count_refine(machine.cpu, tl, refined) == truth
+        assert exact_fold("count", None, len(refined)) == truth
 
     def test_sum_bounds_contain_truth(self, machine):
         rng = np.random.default_rng(7)
@@ -305,9 +307,7 @@ class TestAggregates:
         # the approximate sum over *refined* candidates brackets the truth
         bounds = sum_approx(machine.gpu, tl, refined, "v")
         assert bounds.lo <= truth <= bounds.hi
-        assert sum_refine(
-            machine.cpu, tl, refined.payload("v").lo, "v"
-        ) == truth
+        assert exact_fold("sum", refined.payload("v").lo, len(refined)) == truth
 
     def test_avg_bounds_and_refined(self, machine):
         rng = np.random.default_rng(8)
@@ -317,7 +317,7 @@ class TestAggregates:
         bounds = avg_approx(machine.gpu, tl, cand, "v")
         assert bounds.lo <= float(values.mean()) <= bounds.hi
         exact = reconstruct_exact(machine.cpu, tl, col, "v", cand)
-        assert avg_refine(machine.cpu, tl, exact, "v") == pytest.approx(
+        assert exact_fold("avg", exact, len(cand)) == pytest.approx(
             values[cand.ids].mean()
         )
 
@@ -344,21 +344,8 @@ class TestAggregates:
         # full refinement: exact selection, then exact min
         refined = select_refine(machine.cpu, tl, col_x, "x", vr, pruned)
         refined = project_refine(machine.cpu, tl, col_y, "y", refined)
-        got = minmax_refine(
-            machine.cpu, tl, refined.payload("y").lo, "y", find_min=True
-        )
+        got = exact_fold("min", refined.payload("y").lo, len(refined))
         assert got == int(y[qualifying].min())
-
-    def test_minmax_empty_rejected(self, machine):
-        with pytest.raises(ExecutionError):
-            minmax_refine(
-                machine.cpu, machine.new_timeline(), np.array([], dtype=np.int64),
-                "v", find_min=True,
-            )
-
-    def test_avg_empty_rejected(self, machine):
-        with pytest.raises(ExecutionError):
-            avg_refine(machine.cpu, machine.new_timeline(), np.array([]), "v")
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BitWidthError
+from repro.storage import bitpack
 from repro.storage.bitpack import (
     append_codes,
+    code_dtype,
     gather_codes,
     pack_codes,
     packed_nbytes,
@@ -164,6 +166,87 @@ class TestGather:
         packed = pack_codes(codes, 8)
         got = gather_codes(packed, 8, 4, np.array([3, 0, 3]))
         assert np.array_equal(got, [40, 10, 40])
+
+
+def gather_by(path, *args):
+    """``gather_codes`` with one of its two kernels forced: ``"span"``
+    decodes the covered span and indexes it, ``"positions"`` reads each
+    position — the density constant is all that picks between them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            bitpack, "_DENSE_SPAN_PER_POSITION", (1 << 30) if path == "span" else 0
+        )
+        return gather_codes(*args)
+
+
+#: Position sets over a stream of ``_GATHER_COUNT`` codes — 70 past a
+#: multiple of 64, so the stream ends inside a partial period of every
+#: width.
+_GATHER_COUNT = 64 * 5 + 70
+_GATHER_POSITIONS = {
+    "empty": [],
+    "single": [133],
+    "first": [0],
+    "last": [_GATHER_COUNT - 1],
+    "unsorted": [200, 7, 131, 64, 389, 65],
+    "duplicated": [300, 300, 71, 300, 71],
+    "start off the 64-grid": list(range(67, 190)),
+    "ends in the last partial period": list(range(322, _GATHER_COUNT)),
+    "whole stream, reversed": list(range(_GATHER_COUNT - 1, -1, -1)),
+}
+
+
+class TestGatherKernelsAgree:
+    """The span kernel and the per-position kernel are one function: equal
+    values, equal dtype, the same ``IndexError`` — at every width."""
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_every_width_over_the_position_lattice(self, bits):
+        rng = np.random.default_rng(bits * 107)
+        codes = rng.integers(
+            0, (1 << bits) - 1, size=_GATHER_COUNT, endpoint=True, dtype=np.uint64
+        )
+        words = naive_pack(codes, bits)
+        for dtype in (code_dtype(bits), np.dtype(np.uint64)):
+            for name, positions in _GATHER_POSITIONS.items():
+                positions = np.array(positions, dtype=np.int64)
+                args = (words, bits, _GATHER_COUNT, positions, dtype)
+                span, each = gather_by("span", *args), gather_by("positions", *args)
+                assert span.dtype == each.dtype == dtype, name
+                assert np.array_equal(span, each), name
+                assert np.array_equal(span, codes[positions]), name
+            for bad in (-1, _GATHER_COUNT):
+                positions = np.array([5, bad, 9])
+                for path in ("span", "positions"):
+                    with pytest.raises(IndexError, match="gather position out of range"):
+                        gather_by(path, words, bits, _GATHER_COUNT, positions, dtype)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bits=st.integers(min_value=1, max_value=64),
+        count=st.integers(min_value=1, max_value=400),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        data=st.data(),
+    )
+    def test_property_any_positions_any_density(self, bits, count, seed, data):
+        """Whatever the default constant picks is what both kernels give."""
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(
+            0, (1 << bits) - 1, size=count, endpoint=True, dtype=np.uint64
+        )
+        words = pack_codes(codes, bits)
+        first = data.draw(st.integers(0, count - 1))
+        positions = np.array(data.draw(
+            st.lists(st.integers(first, count - 1), min_size=0, max_size=60)
+        ), dtype=np.int64)
+        dtype = data.draw(st.sampled_from([code_dtype(bits), np.dtype(np.uint64)]))
+        args = (words, bits, count, positions, dtype)
+        got = gather_codes(*args)
+        for path in ("span", "positions"):
+            forced = gather_by(path, *args)
+            assert forced.dtype == got.dtype == dtype
+            assert np.array_equal(forced, got)
+        assert np.array_equal(got, codes[positions])
 
 
 def naive_pack(codes, bits):

@@ -9,9 +9,11 @@ invariant extends to eviction.
 import numpy as np
 import pytest
 
+from repro import IntType, Session
 from repro.device.gpu import SimulatedGPU
 from repro.device.model import DeviceSpec
 from repro.device.timeline import Timeline
+from repro.shard import ShardedSession
 from repro.storage.decompose import (
     VIEW_SEGMENT_ROWS,
     _PartialView,
@@ -19,6 +21,7 @@ from repro.storage.decompose import (
     set_view_budget,
     view_budget,
     view_cache_bytes,
+    view_eviction_stats,
     view_segment_rows,
 )
 
@@ -112,6 +115,25 @@ class TestBudgetKnob:
         col = decompose_values(np.arange(512), residual_bits=0)
         view = col.approx_codes()
         assert view_cache_bytes() >= base + view.nbytes
+
+    @pytest.mark.parametrize("make", [Session, lambda: ShardedSession(2)])
+    def test_sessions_expose_the_budget_and_its_readers(self, make):
+        """What a harness needs without importing this module's functions:
+        the setter and both readers on either session type."""
+        session = make()
+        session.create_table(
+            "t", {"v": IntType()}, {"v": np.arange(4096) % 1000}
+        )
+        session.bwdecompose("t", "v", 32)
+        session.set_view_budget(None, segment_rows=512)
+        session.table("t").where("v", "<", 500).count("n").run()
+        assert session.view_cache_bytes() == view_cache_bytes() > 0
+        before = session.view_eviction_stats()
+        session.set_view_budget(0)
+        assert session.view_cache_bytes() == 0
+        events, released = session.view_eviction_stats()
+        assert events > before[0] and released > before[1]
+        assert (events, released) == view_eviction_stats()
 
 
 class TestSegmentGranularEviction:
