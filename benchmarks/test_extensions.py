@@ -1,8 +1,7 @@
 """Benchmarks for the §VII-B future-work extensions we implemented.
 
-Cooperative scans, radix-clustered storage locality, the A&R theta join,
-string-prefix selection and the disk-tier hierarchy — each with the shape
-claim that motivated it.
+Cooperative scans and the A&R theta join — each with the shape claim that
+motivated it.
 """
 
 import numpy as np
@@ -10,21 +9,13 @@ from conftest import show
 
 from repro.bench.harness import Experiment
 from repro.core.relax import ValueRange
-from repro.core.strings import (
-    StringPredicate,
-    StringPrefixColumn,
-    string_select_approx,
-    string_select_refine,
-)
 from repro.core.theta import Theta, ThetaOp, theta_join_approx, theta_join_refine
-from repro.device.hierarchies import disk_hierarchy
 from repro.device.machine import Machine
 from repro.engine.cooperative import (
     ScanRequest,
     cooperative_select_approx,
     individual_scan_seconds,
 )
-from repro.storage.cluster import RadixClusteredColumn
 from repro.storage.decompose import decompose_values
 from repro.workloads.microbench import unique_shuffled_ints
 
@@ -58,31 +49,6 @@ def test_extension_cooperative_scans(benchmark, bench_n):
     assert coop < 0.6 * solo
 
 
-def test_extension_clustered_locality(benchmark, bench_n):
-    """§VI-C3: clustering buys compression *and* scan locality."""
-    n = min(bench_n, 1_000_000)
-    rng = np.random.default_rng(2)
-    centers = rng.integers(0, 2**24, 256)
-    values = np.concatenate(
-        [c + rng.integers(0, 2**8, n // 256) for c in centers]
-    )
-
-    column = benchmark(RadixClusteredColumn, values, 8)
-    ids, touched = column.range_scan(0, 2**16)
-    exp = Experiment(
-        exp_id="ext-cluster", title="Radix clustering: bytes for a narrow scan",
-        x_label="",
-    )
-    full = column.range_scan(None, None)[1]
-    exp.new_series("narrow range").add(0, touched)
-    exp.new_series("full scan").add(0, full)
-    show(exp)
-    assert touched < full / 10
-    assert column.packed_nbytes < column.flat_packed_nbytes
-    expected = np.flatnonzero(values <= 2**16)
-    assert sorted(ids.tolist()) == sorted(expected.tolist())
-
-
 def test_extension_theta_join(benchmark):
     """§IV-D: the approximation turns |L|x|R| work into candidate work."""
     machine = Machine.paper_testbed()
@@ -111,56 +77,3 @@ def test_extension_theta_join(benchmark):
         left_v[final.left_positions] - right_v[final.right_positions]
     )
     assert int(sample.max(initial=0)) <= theta.delta
-
-
-def test_extension_string_prefix_selection(benchmark):
-    """§VII-B: fixed-length prefixes make string scans device-friendly."""
-    rng = np.random.default_rng(4)
-    syllables = ["pro", "mo", "eco", "sta", "lar", "ge", "bra", "ss"]
-    words = [
-        "".join(rng.choice(syllables, size=rng.integers(2, 5)))
-        for _ in range(30_000)
-    ]
-    machine = Machine.paper_testbed()
-    column = StringPrefixColumn(words, prefix_bytes=4)
-    pred = StringPredicate.startswith("promo")
-
-    def run():
-        tl = machine.new_timeline()
-        cand = string_select_approx(machine.gpu, tl, column, pred)
-        refined = string_select_refine(machine.cpu, tl, column, pred, cand)
-        return refined
-
-    refined = benchmark(run)
-    truth = [i for i, w in enumerate(words) if w.startswith("promo")]
-    assert sorted(refined.tolist()) == truth
-    # the device held 4 bytes/string, not the variable-length data
-    assert column.device_nbytes == 4 * len(words)
-
-
-def test_extension_disk_hierarchy(benchmark, bench_n):
-    """§VII-B: the same A&R plans on an SSD/HDD hierarchy."""
-    from repro import IntType, Session
-
-    n = min(bench_n, 500_000)
-    rng = np.random.default_rng(5)
-    session = Session(disk_hierarchy())
-    session.create_table("t", {"v": IntType()}, {"v": rng.integers(0, 10**6, n)})
-    session.execute("select bwdecompose(v, 24) from t")
-    sql = "select count(*) from t where v < 50000"
-
-    ar = benchmark(session.execute, sql)
-    classic = session.execute(sql, mode="classic")
-    exp = Experiment(
-        exp_id="ext-disk", title="A&R on an SSD/HDD hierarchy",
-        x_label="",
-    )
-    exp.new_series("A&R (SSD approx + HDD residual)").add(
-        0, ar.timeline.total_seconds(), ar.timeline.seconds_by_kind()
-    )
-    exp.new_series("full scan from HDD").add(
-        0, classic.timeline.total_seconds(), classic.timeline.seconds_by_kind()
-    )
-    show(exp)
-    assert ar.scalar("count_0") == classic.scalar("count_0")
-    assert ar.timeline.total_seconds() < classic.timeline.total_seconds()

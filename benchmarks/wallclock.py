@@ -5,9 +5,15 @@ paths the perf PRs target: bit-(un)packing, the relaxed selection scan, a
 three-predicate conjunction, the theta/band join (sorted interval join vs
 the brute-force oracle; large and extra-large sizes only the sorted path —
 and at xlarge only its *run-length* emission — can touch; a repeated-join
-entry for the memoized sort permutations; the whole run-length A&R
-pipeline; a builder-path ``count(*)`` over the large band join that
-*asserts* the aggregate-only fast path never materializes a pair), a
+entry for the memoized sort permutations; since PR 23 every entry that
+calls ``theta_join_approx`` alone and discards the result —
+``join.theta.band``, ``.large``, ``.xlarge``, ``.repeat`` — times
+*counting* the candidate pairs, not forming their per-row runs, so the
+entries that read the refined result carry a claim about the join: the
+whole run-length A&R pipeline, ``join.theta.pipeline.large``, and a
+builder-path ``count(*)`` over the large band join,
+``join.theta.count.large``, that *asserts* the aggregate-only fast path
+never materializes a pair), a
 TPC-H Q6-shaped A&R run at ≥ 1M lineitem rows, TPC-H Q1 on the same
 session (the one grouped query: 8 aggregates over 4 groups of ~1M
 candidates, every column device-resident), ``ingest.compact.wm4k`` (a
@@ -45,11 +51,11 @@ Three entry points:
 
 * **Trajectory recorder** (plain script)::
 
-      PYTHONPATH=src python benchmarks/wallclock.py --label after --out BENCH_PR3.json
+      PYTHONPATH=src python benchmarks/wallclock.py --label after --out BENCH_PR23.json
 
   Times every benchmark (best of ``--reps``) and merges the results into
-  the ``--out`` file (default ``BENCH_PR3.json``) at the repo root under
-  the given label.  When both ``before`` and ``after`` labels are present,
+  the ``--out`` file under the given label; ``--out`` is required, so a
+  recording can never land in an older PR's trajectory by default.  When both ``before`` and ``after`` labels are present,
   per-benchmark speedups are (re)computed, giving future PRs a wall-clock
   perf trajectory.  Each PR's ``before`` point is seeded from the previous
   PR file's ``after`` (the prior code's measurements);
@@ -151,10 +157,6 @@ EVICT_BUDGET = 8 << 20
 
 #: Share of the left side ``join.theta.band.selected`` joins.
 THETA_SELECTED_SHARE = 0.1
-
-#: Per-PR trajectory file; older PRs' files (BENCH_PR1..PR14) are kept as
-#: recorded history and compared against via ``--compare``.
-_RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR15.json"
 
 #: The opt.pick.theta fixture's small right side: under the heuristic's
 #: sort cutoff, so "before" (the heuristic) brute-forces while "after"
@@ -443,6 +445,10 @@ def _theta_cols(fx: _Fixtures, size: str):
 def _run_theta_band(
     fx: _Fixtures, strategy: str, size: str = "base", emit: str = "auto"
 ) -> None:
+    """The approximate phase alone, its result discarded: on the sorted
+    path that is *counting* the candidate pairs (one run per distinct code,
+    weighted by the rows carrying it) — no per-row run is formed unless
+    ``emit="pairs"`` or the brute-force producer asks for pairs."""
     left, right = _theta_cols(fx, size)
     theta_join_approx(
         fx.machine.gpu, Timeline(), left, right,
@@ -470,7 +476,8 @@ def _run_theta_repeat(fx: _Fixtures) -> None:
 
     The dimension side's sort permutation is memoized on the column
     (PR 3), so every join after the first skips the argsort — the
-    repeated-join amortization the ROADMAP follow-on asked for.
+    repeated-join amortization the ROADMAP follow-on asked for.  Each
+    join's result is dropped unread: counted, never formed.
     """
     theta = Theta(ThetaOp.WITHIN, 64)
     for left in fx.theta_repeat_lefts:
@@ -482,7 +489,9 @@ def _run_theta_repeat(fx: _Fixtures) -> None:
 
 def _run_theta_pipeline_large(fx: _Fixtures) -> None:
     """Whole A&R join pipeline at the large size, run-length end to end:
-    approx → ship (by count) → run-narrowing refine → the one materialize."""
+    approx (counted) → ship (by count) → exact spans from the two sides'
+    exact order → the one materialize.  Reads the refined result, so it
+    times the join and not just its count."""
     machine = fx.machine
     tl = Timeline()
     theta = Theta(ThetaOp.WITHIN, 64)
@@ -503,7 +512,8 @@ def _run_theta_count_large(fx: _Fixtures) -> None:
     The aggregate-only fast path (PR 4): the refined run-length pair set
     feeds the count directly, so the benchmark *asserts* that no per-pair
     array is ever allocated — materialization during the run is a failure,
-    not just a slowdown.
+    not just a slowdown.  Since PR 23 no per-*row* run array of the
+    candidates is formed either, and the count is the refined pair total.
     """
 
     def _forbidden(self):
@@ -752,7 +762,7 @@ def test_wallclock(benchmark, bench_name):
 # Trajectory recorder
 # ----------------------------------------------------------------------
 def record_interleaved(
-    reps: int, out: Path = _RESULT_FILE, only: list[str] | None = None
+    reps: int, out: Path, only: list[str] | None = None
 ) -> None:
     """Record ``before`` and ``after`` points pairwise-interleaved.
 
@@ -904,7 +914,7 @@ def compare(
 def record(
     label: str,
     reps: int,
-    out: Path = _RESULT_FILE,
+    out: Path,
     only: list[str] | None = None,
 ) -> None:
     """Measure (a subset of) the suite and merge under ``label`` in ``out``.
@@ -937,7 +947,10 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--label", default="after", help="before | after | <tag>")
     parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--out", type=Path, default=_RESULT_FILE)
+    parser.add_argument(
+        "--out", type=Path,
+        help="trajectory file a recording merges into (required to record)",
+    )
     parser.add_argument(
         "--quick", action="store_true",
         help="small inputs, one rep, print only (smoke mode; records nothing)",
@@ -972,9 +985,11 @@ if __name__ == "__main__":
                 args.threshold,
             )
         )
-    elif args.interleaved:
-        record_interleaved(args.reps, args.out, only=args.only)
     elif args.quick:
         measure(reps=1, quick=True, only=args.only)
+    elif args.out is None:
+        parser.error("recording needs --out BENCH_PR<n>.json")
+    elif args.interleaved:
+        record_interleaved(args.reps, args.out, only=args.only)
     else:
         record(args.label, args.reps, args.out, only=args.only)

@@ -22,6 +22,14 @@ Three candidate shapes exist:
   in exactly this shape, so keeping it defers the O(candidate pairs)
   explosion to the **single materialization point**
   (:meth:`RunPairCandidates.canonicalized`) at the end of the pipeline.
+  And since every charge and the approximate answer read only the pair
+  *count*, the runs themselves are **counted first, formed on first read**
+  (:meth:`RunPairCandidates.deferred`): the join decides one run per
+  distinct approximation code, takes the count as that table weighted by
+  how many rows carry each code, and gathers the table out to per-row runs
+  only if an operator reads a row — a ``count(*)`` over a whole-column band
+  join never does, because the refinement takes each row's exact span from
+  the sorted exact values alone (a candidate run can only contain it).
 
 Unary candidates obey the same contract between approximation and
 refinement: an :class:`Approximation` denotes a *set* of rows with their
@@ -347,7 +355,17 @@ class PairCandidates:
         )
 
 
-@dataclass
+def check_runs(starts: np.ndarray, stops: np.ndarray, n_right: int) -> None:
+    """Refuse ``[start, stop)`` runs that leave a right side of ``n_right``
+    rows or run backwards — per left row, or per entry of a run table."""
+    if starts.size and (
+        int(starts.min()) < 0
+        or int(stops.max(initial=0)) > n_right
+        or bool((stops < starts).any())
+    ):
+        raise ExecutionError("run bounds outside the right-side permutation")
+
+
 class RunPairCandidates:
     """Run-length encoded candidate pair set of a sorted theta join.
 
@@ -355,11 +373,11 @@ class RunPairCandidates:
     denoted set is ``{(left_positions[i], order[j]) : starts[i] <= j <
     stops[i]}`` — per left row one contiguous run of a *shared* right-side
     permutation, instead of two exploded per-pair position arrays.  The
-    sorted interval join produces its matches in exactly this shape
-    (``searchsorted`` yields run bounds), and the run-narrowing refinement
-    shrinks the runs in place, so an output-heavy join never touches
-    O(candidate pairs) memory until the **single materialization point**:
-    :meth:`canonicalized`, called by the engine at final result
+    sorted interval join produces its matches in exactly this shape (ranks
+    in the sorted right side are run bounds), and the refinement replaces
+    each run with the row's exact span, so an output-heavy join never
+    touches O(candidate pairs) memory until the **single materialization
+    point**: :meth:`canonicalized`, called by the engine at final result
     construction.  Everything the modeled device bills is a function of the
     pair *count* (:meth:`__len__`), which the runs carry exactly.
 
@@ -370,44 +388,112 @@ class RunPairCandidates:
     refinement) require one of these; ``"raw"`` marks an arbitrary
     permutation, for which only the materializing fallbacks apply.
 
-    ``whole_left`` is the producer's word that ``left_positions`` is
-    ``arange(|left column|)`` — one run per row, in row order — so a
-    consumer may read the left column through its whole-column views and
-    memoized permutations without testing for it.
+    ``whole_left`` is the producer's word that ``left_positions`` names
+    every row of the left column exactly once — in whatever order the
+    producer swept them — so a consumer may take the rows from the column's
+    whole-column views and memoized permutations without testing for it.
+
+    A set built by :meth:`deferred` is *counted but not formed*: ``len()``,
+    ``order``, ``order_key`` and ``whole_left`` — all that the modeled
+    charges, the approximate answer and a whole-column refinement read —
+    are known, while ``left_positions`` / ``starts`` / ``stops`` are
+    produced by its thunk on their first read and kept from then on.
     """
 
-    left_positions: np.ndarray
-    starts: np.ndarray
-    stops: np.ndarray
-    order: np.ndarray
-    order_key: str = "raw"
-    whole_left: bool = False
+    __slots__ = (
+        "_left_positions", "_starts", "_stops", "order", "order_key",
+        "whole_left", "_total", "_form",
+    )
 
     #: ``order_key`` values under which runs are monotone in the right
     #: side's values (a stable sort of a value stream, runs on group
     #: boundaries) — the precondition of the sorted refinement path.
     MONOTONE_KEYS = ("lo", "hi", "exact")
 
-    def __post_init__(self) -> None:
-        self.left_positions = np.asarray(self.left_positions, dtype=np.int64)
-        self.starts = np.asarray(self.starts, dtype=np.int64)
-        self.stops = np.asarray(self.stops, dtype=np.int64)
-        self.order = np.asarray(self.order, dtype=np.int64)
+    def __init__(
+        self,
+        left_positions: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        order: np.ndarray,
+        order_key: str = "raw",
+        whole_left: bool = False,
+    ) -> None:
+        self._left_positions = np.asarray(left_positions, dtype=np.int64)
+        self._starts = np.asarray(starts, dtype=np.int64)
+        self._stops = np.asarray(stops, dtype=np.int64)
+        self.order = np.asarray(order, dtype=np.int64)
+        self.order_key, self.whole_left = order_key, whole_left
+        self._form = None
         if not (
-            self.left_positions.shape == self.starts.shape == self.stops.shape
+            self._left_positions.shape == self._starts.shape == self._stops.shape
         ):
             raise ExecutionError("run arrays misaligned")
-        n = len(self.order)
-        if self.starts.size and (
-            int(self.starts.min()) < 0
-            or int(self.stops.max(initial=0)) > n
-            or bool((self.stops < self.starts).any())
-        ):
-            raise ExecutionError("run bounds outside the right-side permutation")
-        self._total = int((self.stops - self.starts).sum())
+        check_runs(self._starts, self._stops, len(self.order))
+        self._total = int((self._stops - self._starts).sum())
+
+    @classmethod
+    def deferred(
+        cls,
+        count: int,
+        form,
+        *,
+        order: np.ndarray,
+        order_key: str,
+        whole_left: bool,
+    ) -> "RunPairCandidates":
+        """A set of ``count`` pairs over ``order`` whose per-row runs
+        ``form()`` — returning the formed set — produces when first read.
+
+        ``form`` must not refer back to the set it forms: a deferred set
+        that is dropped unread has to die by reference count alone.
+        """
+        self = cls.__new__(cls)
+        self._left_positions = self._starts = self._stops = None
+        self.order = np.asarray(order, dtype=np.int64)
+        self.order_key, self.whole_left = order_key, whole_left
+        self._total, self._form = count, form
+        return self
+
+    def _read(self) -> None:
+        """Form the runs, once; the thunk and what it holds are let go."""
+        formed = self._form()
+        if len(formed) != self._total:
+            raise ExecutionError(
+                f"deferred runs counted {self._total} pairs, "
+                f"formed {len(formed)}"
+            )
+        self._left_positions = formed.left_positions
+        self._starts, self._stops = formed.starts, formed.stops
+        self._form = None
+
+    @property
+    def left_positions(self) -> np.ndarray:
+        if self._form is not None:
+            self._read()
+        return self._left_positions
+
+    @property
+    def starts(self) -> np.ndarray:
+        if self._form is not None:
+            self._read()
+        return self._starts
+
+    @property
+    def stops(self) -> np.ndarray:
+        if self._form is not None:
+            self._read()
+        return self._stops
 
     def __len__(self) -> int:
         return self._total
+
+    def __repr__(self) -> str:
+        state = "deferred" if self._form is not None else "formed"
+        return (
+            f"RunPairCandidates({self._total} pairs over "
+            f"{self.order_key!r}, {state})"
+        )
 
     # ------------------------------------------------------------------
     def materialized(self) -> PairCandidates:

@@ -92,6 +92,20 @@ def combine_keys(gids: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, int]:
     return new_gids, len(uniques)
 
 
+def key_range(keys: np.ndarray) -> tuple[int, int]:
+    """``(lowest key, span)`` of one grouping key column — the span, highest
+    minus lowest plus one, taken in Python ints: an int64 subtraction wraps
+    for keys more than int64 apart and numbers them out of key order.  A
+    span of 62 bits or more is refused; below it ``keys - lowest`` cannot
+    wrap and is what :func:`combine_keys` folds.
+    """
+    lo, hi = (int(keys.min()), int(keys.max())) if len(keys) else (0, 0)
+    span = hi - lo + 1
+    if span >= _COMBINE_LIMIT:
+        raise ExecutionError("composite grouping key exceeds 62 bits")
+    return lo, span
+
+
 def group_approx_from_keys(
     gpu: SimulatedGPU,
     timeline: Timeline,
@@ -120,8 +134,7 @@ def group_approx_from_keys(
         keys = np.asarray(keys, dtype=np.int64)
         if len(keys) != n:
             raise ExecutionError(f"grouping key {label!r} misaligned")
-        lo, hi = (int(keys.min()), int(keys.max())) if n else (0, 0)
-        span = hi - lo + 1  # Python ints: an int64 subtraction would wrap
+        lo, span = key_range(keys)
         if box * span >= _COMBINE_LIMIT and folded:
             composite, box = _rank(gpu, timeline, composite, folded)
             folded = []

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from .candidates import PairCandidates, RunPairCandidates
-from .grouping import GroupAssignment, combine_keys
+from .grouping import GroupAssignment, combine_keys, key_range
 
 
 def pair_rows(
@@ -49,8 +49,7 @@ def group_pair_rows(key_columns: list[np.ndarray]) -> GroupAssignment:
     n_groups = min(1, n)
     for keys in key_columns:
         keys = np.asarray(keys, dtype=np.int64)
-        shifted = keys - int(keys.min()) if len(keys) else keys
-        gids, n_groups = combine_keys(gids, shifted)
+        gids, n_groups = combine_keys(gids, keys - key_range(keys)[0])
     return GroupAssignment(gids, n_groups, exact=True)
 
 

@@ -22,6 +22,7 @@ from ..core.grouping import (
     combine_keys,
     group_approx_from_keys,
     group_refine,
+    key_range,
 )
 from ..core.intervals import Interval, IntervalColumn
 from ..core.pair_agg import (
@@ -723,7 +724,6 @@ class ArExecutor:
         oids); computed per weighted left-row entry.
         """
         machine, tl = self._machine, state.timeline
-        rows, weights = state.pair_left_rows()
         n_pairs = len(state.pairs)
         assert (state.pair_groups is not None) == bool(state.query.group_by)
         op_count = 1 if agg.expr is None else 1 + agg.expr.op_count()
@@ -732,6 +732,13 @@ class ArExecutor:
             n_pairs * _OID_BYTES,
             tuples=n_pairs * op_count, op_class=OpClass.AGG,
         )
+        if agg.func == "count" and state.pair_groups is None:
+            # the pair total itself: no row, no multiplicity is read
+            state.exact_aggregates[agg.alias] = agg_kernels.fold(
+                "count", {"count": n_pairs}, None
+            )
+            return
+        rows, weights = state.pair_left_rows()
         if self._is_right_side_agg(agg, state.query):
             state.exact_aggregates[agg.alias] = agg_kernels.fold(
                 agg.func, self._right_pair_partials(agg, state), state.pair_groups
@@ -853,8 +860,7 @@ class ArExecutor:
                 tuples=len(keys), op_class=OpClass.HASH,
                 pattern=AccessPattern.RANDOM,
             )
-            shifted = keys - int(keys.min()) if len(keys) else keys
-            return combine_keys(gids, shifted)[0]
+            return combine_keys(gids, keys - key_range(keys)[0])[0]
 
         if device_grouped:
             # The pre-grouping's ids, re-aligned by the narrowing joins.

@@ -194,9 +194,9 @@ class ClassicExecutor:
         Modeled as the bulk engine's nested-loop theta join over exact
         values (|candidates|·|R| comparisons — the classic baseline has no
         approximation to prune with); the simulation *computes* the same
-        pair set with a sort + two ``searchsorted`` sweeps so large classic
-        runs stay feasible wall-clock.  Results — bare pairs in canonical
-        order, or (grouped) aggregates over the pair set — are identical to
+        pair set by sorting both sides and ranking one in the other, so
+        large classic runs stay feasible wall-clock.  Results — bare pairs in
+        canonical order, or (grouped) aggregates over the pair set — equal
         the A&R modes by construction: both feed the same exact values,
         as the same weighted rows (:mod:`repro.core.pair_agg`), through the
         one :func:`repro.core.aggregates.fold`.
@@ -219,9 +219,10 @@ class ClassicExecutor:
         )
         order = np.argsort(right_vals, kind="stable").astype(np.int64)
         key = right_vals[order]
-        starts, stops = exact_run_bounds(key, left_vals, theta)
+        by_value = np.argsort(left_vals)
+        starts, stops = exact_run_bounds(key, left_vals[by_value], theta)
         pairs = RunPairCandidates(
-            candidate_ids, starts, stops, order, order_key="exact"
+            candidate_ids[by_value], starts, stops, order, order_key="exact"
         )
         self._cpu.charge(
             timeline, f"cpu.join.theta({tj.op})",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import IntType, Session
 from repro.core.aggregates import (
     fold,
     grouped_avg,
@@ -98,6 +99,44 @@ _KEY_CASES = {
 }
 
 
+def _rank_pre_group(machine, keys):
+    out = group_approx_from_keys(
+        machine.gpu, machine.new_timeline(), [("k", keys, True)]
+    )
+    return out.gids, out.n_groups
+
+
+def _rank_pair_rows(machine, keys):
+    out = group_pair_rows([keys])
+    return out.gids, out.n_groups
+
+
+def _rank_host_fold(machine, keys):
+    """``ArExecutor._refine_group``'s fold: GROUP BY a column the device
+    never saw.  Result rows come in group-id order, so the ids are read
+    back off the key column."""
+    session = Session()
+    session.create_table(
+        "t", {"k": IntType(), "v": IntType()},
+        {"k": keys, "v": np.arange(len(keys))},
+    )
+    session.execute("select bwdecompose(v, 8) from t")
+    result = session.execute(
+        "select k, count(*) as n from t where v >= 0 group by k", mode="ar"
+    )
+    ranked = np.asarray(result.columns["k"], dtype=np.int64)
+    gids = np.array([int(np.flatnonzero(ranked == k)[0]) for k in keys], dtype=np.int64)
+    return gids, result.row_count
+
+
+#: every place keys are shifted to their minimum ahead of a composite
+_KEY_RANKERS = {
+    "group_approx_from_keys": _rank_pre_group,
+    "group_pair_rows": _rank_pair_rows,
+    "_refine_group": _rank_host_fold,
+}
+
+
 def pre_group(machine, tl, candidates, columns):
     """The engine's pre-grouping: project each column's bucket floors onto
     the candidates, then group on those payloads."""
@@ -172,21 +211,24 @@ class TestGroupApprox:
         out = pre_group(machine, tl, all_rows(3), [("k", col)])
         assert group_refine(machine.cpu, tl, out, [("k", col)], all_rows(3)) is out
 
+    @pytest.mark.parametrize("caller", list(_KEY_RANKERS))
     @pytest.mark.parametrize("case", list(_KEY_CASES))
-    def test_key_lattice_ranks_in_key_order_or_refuses(self, machine, case):
-        """One column over the key lattice: the sorted rank, or — where the
-        keys span 62 bits or more — the documented refusal.  A span taken
-        in int64 wraps and used to number such keys out of order."""
+    def test_key_lattice_ranks_in_key_order_or_refuses(self, machine, case, caller):
+        """One column over the key lattice, through every caller that shifts
+        keys to their minimum: the sorted rank, or — where the keys span 62
+        bits or more — the documented refusal.  A span taken in int64 wraps
+        and used to number such keys out of order."""
         keys = np.array(_KEY_CASES[case], dtype=np.int64)
-        tl = machine.new_timeline()
+        if caller == "_refine_group" and not keys.size:
+            pytest.skip("an empty column cannot be decomposed")
         span = int(keys.max()) - int(keys.min()) + 1 if keys.size else 1
         if span >= 1 << 62:
             with pytest.raises(ExecutionError, match="exceeds 62 bits"):
-                group_approx_from_keys(machine.gpu, tl, [("k", keys, True)])
+                _KEY_RANKERS[caller](machine, keys)
             return
-        out = group_approx_from_keys(machine.gpu, tl, [("k", keys, True)])
+        gids, n_groups = _KEY_RANKERS[caller](machine, keys)
         want_u, want_i = np.unique(keys, return_inverse=True)
-        assert np.array_equal(out.gids, want_i) and out.n_groups == len(want_u)
+        assert np.array_equal(gids, want_i) and n_groups == len(want_u)
 
 
 def reference_group_from_keys(gpu, timeline, keyed):

@@ -181,19 +181,28 @@ class TestRunPairCandidates:
 
 
 class TestEmitModes:
-    def test_sorted_native_shape_is_runs(self, machine):
+    def test_sorted_native_shape_is_runs(self, machine, monkeypatch):
+        """The sorted producer's own shape carries the pair count and the
+        pair set without exploding a pair; only ``emit="pairs"`` does."""
         left = loaded(machine, np.arange(100), 2, "l")
         right = loaded(machine, np.arange(50), 2, "r")
         theta = Theta(ThetaOp.LE)
-        out = {
-            emit: theta_join_approx(
+        exploded = []
+        original = RunPairCandidates.materialized
+
+        def spy(self):
+            exploded.append(len(self))
+            return original(self)
+
+        monkeypatch.setattr(RunPairCandidates, "materialized", spy)
+        out = {}
+        for emit in ("auto", "runs", "pairs"):
+            out[emit] = theta_join_approx(
                 machine.gpu, machine.new_timeline(), left, right, theta,
                 strategy="sorted", emit=emit,
             )
-            for emit in ("auto", "runs", "pairs")
-        }
-        assert isinstance(out["auto"], RunPairCandidates)
-        assert isinstance(out["runs"], RunPairCandidates)
+            assert len(exploded) == (emit == "pairs"), emit
+        assert len(out["auto"]) == len(out["runs"]) == len(out["pairs"])
         assert isinstance(out["pairs"], PairCandidates)
         assert out["auto"].set_equals(out["pairs"])
         assert out["runs"].set_equals(out["pairs"])
@@ -265,7 +274,8 @@ def test_property_four_producers_agree(
             strategy="sorted", emit="runs",
         ),
     }
-    assert isinstance(candidates["sorted-runs"], RunPairCandidates)
+    # one count from every producer, before any of them is read
+    assert len({len(pairs) for pairs in candidates.values()}) == 1
     assert candidates["bruteforce"].set_equals(candidates["sorted-pairs"])
     assert candidates["bruteforce"].set_equals(candidates["sorted-runs"])
     assert candidates["sorted-runs"].set_equals(candidates["sorted-pairs"])

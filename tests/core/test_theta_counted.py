@@ -1,0 +1,237 @@
+"""Candidate pairs counted first, exact spans from one merge (PR 23).
+
+Three things the refinement now leans on, each pinned where it lives:
+
+* **soundness** — a row's exact span lies inside its candidate run, so a
+  refinement may ignore the candidate runs altogether;
+* **deferred ≡ formed** — a pair set decided per distinct code knows its
+  count before it has a single per-row run, and forming the runs changes
+  nothing a reader can see;
+* **the rank kernel** — ascending needles ranked in a sorted key by one
+  stable merge equal ``np.searchsorted`` on both sides.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.candidates import RunPairCandidates
+from repro.core.theta import (
+    Theta,
+    ThetaOp,
+    _per_code,
+    _ranks,
+    theta_join_approx,
+    theta_join_refine,
+    theta_join_reference,
+)
+from repro.device.machine import Machine
+from repro.errors import ExecutionError
+from repro.storage.decompose import decompose_values
+
+_I64 = np.iinfo(np.int64)
+
+
+def _column(rng, n, approx_bits, residual_bits):
+    """``n`` values filling ``approx_bits + residual_bits`` bits, both ends
+    of the domain present so the decomposition has exactly that shape."""
+    hi = 1 << (approx_bits + residual_bits)
+    values = np.r_[0, hi - 1, rng.integers(0, hi, n - 2)]
+    column = decompose_values(values, residual_bits=residual_bits)
+    assert column.decomposition.approx_bits == approx_bits
+    return values, column
+
+
+# ----------------------------------------------------------------------
+# (a) soundness: exact span ⊆ candidate run
+# ----------------------------------------------------------------------
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    op=st.sampled_from(list(ThetaOp)),
+    delta=st.sampled_from([0, 1, 7, 300]),
+    residual_left=st.sampled_from([0, 4, 12]),
+    residual_right=st.sampled_from([0, 4, 12]),
+    per_code=st.booleans(),
+    subset=st.booleans(),
+)
+def test_property_exact_span_lies_inside_the_candidate_run(
+    seed, op, delta, residual_left, residual_right, per_code, subset
+):
+    machine = Machine.paper_testbed()
+    rng = np.random.default_rng(seed)
+    # 8 codes under 60+ rows decide per code; 1 024 codes sweep per row
+    left_v, left = _column(rng, 80, 3 if per_code else 10, residual_left)
+    # the right side shares the left's domain, so every θ has matches
+    right_bits = left.decomposition.total_bits
+    right_v, right = _column(
+        rng, 50, max(right_bits - residual_right, 1), residual_right
+    )
+    machine.gpu.load_column("l", left, None)
+    machine.gpu.load_column("r", right, None)
+    ids = rng.permutation(80)[:60].astype(np.int64) if subset else None
+    assert _per_code(left, 60 if subset else 80) == per_code
+    theta = Theta(op, delta=delta)
+
+    runs = theta_join_approx(
+        machine.gpu, machine.new_timeline(), left, right, theta,
+        strategy="sorted", left_ids=ids,
+    )
+    refined = theta_join_refine(
+        machine.cpu, machine.new_timeline(), left, right, theta, runs
+    )
+    truth = theta_join_reference(left_v, right_v, theta).pair_set()
+    if ids is not None:
+        chosen = set(ids.tolist())
+        truth = {(l, r) for l, r in truth if l in chosen}
+    assert refined.pair_set() == truth
+    if len(runs) == 0:
+        return  # nothing to refine: the empty set comes back as it went in
+    # The bound sort and the exact sort of the right side agree bucket
+    # block by bucket block, so a candidate run and an exact span are
+    # comparable as index spans — row by row, whatever order names them.
+    candidate = dict(zip(
+        runs.left_positions.tolist(),
+        zip(runs.starts.tolist(), runs.stops.tolist()),
+    ))
+    for row, start, stop in zip(
+        refined.left_positions.tolist(),
+        refined.starts.tolist(), refined.stops.tolist(),
+    ):
+        if stop > start:
+            lo, hi = candidate[row]
+            assert lo <= start and stop <= hi, (row, (start, stop), (lo, hi))
+
+
+# ----------------------------------------------------------------------
+# (b) deferred ≡ formed
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("subset", [False, True], ids=["whole", "rows"])
+@pytest.mark.parametrize(
+    "theta",
+    [Theta(ThetaOp.LT), Theta(ThetaOp.GE), Theta(ThetaOp.EQ),
+     Theta(ThetaOp.WITHIN, 40), Theta(ThetaOp.WITHIN, 0)],
+    ids=lambda t: f"{t.op.name}{t.delta}",
+)
+def test_a_counted_set_is_the_set_it_forms(monkeypatch, theta, subset):
+    machine = Machine.paper_testbed()
+    rng = np.random.default_rng(23)
+    _, left = _column(rng, 300, 6, 4)
+    _, right = _column(rng, 120, 7, 3)
+    machine.gpu.load_column("l", left, None)
+    machine.gpu.load_column("r", right, None)
+    ids = rng.permutation(300)[:200].astype(np.int64) if subset else None
+
+    def join():
+        tl = machine.new_timeline()
+        return tl, theta_join_approx(
+            machine.gpu, tl, left, right, theta, strategy="sorted", left_ids=ids
+        )
+
+    tl_counted, counted = join()
+    assert "deferred" in repr(counted)
+    monkeypatch.setattr("repro.core.theta._per_code", lambda column, n: False)
+    tl_swept, swept = join()
+    assert "formed" in repr(swept)
+
+    # free before a row exists: the count, the shared permutation, the flags
+    assert len(counted) == len(swept)
+    assert counted.order_key == swept.order_key
+    assert counted.whole_left == swept.whole_left == (ids is None)
+    assert np.array_equal(counted.order, swept.order)
+    assert tl_counted.span_tuples() == tl_swept.span_tuples()
+    assert "deferred" in repr(counted)
+
+    # the first read forms every field at once, and only once
+    assert counted.starts.shape == counted.stops.shape == counted.left_positions.shape
+    assert "formed" in repr(counted)
+    assert counted.starts is counted.starts
+    assert len(counted) == len(swept)
+    assert counted.pair_set() == swept.pair_set()
+
+    # a refinement cannot tell them apart either
+    tl_a, tl_b = machine.new_timeline(), machine.new_timeline()
+    refined = theta_join_refine(machine.cpu, tl_a, left, right, theta, counted)
+    refined_swept = theta_join_refine(machine.cpu, tl_b, left, right, theta, swept)
+    assert refined.pair_set() == refined_swept.pair_set()
+    assert tl_a.span_tuples() == tl_b.span_tuples()
+
+
+def test_a_miscounted_set_is_refused_when_it_forms():
+    order = np.arange(4)
+    formed = RunPairCandidates([0, 1], [0, 1], [2, 3], order, order_key="lo")
+    lying = RunPairCandidates.deferred(
+        len(formed) + 1, lambda: formed,
+        order=order, order_key="lo", whole_left=True,
+    )
+    assert len(lying) == 5
+    with pytest.raises(ExecutionError, match="counted 5 pairs, formed 4"):
+        lying.starts
+
+
+def test_a_whole_column_refinement_never_forms_the_candidates(monkeypatch):
+    """The refinement of a whole column reads nothing but the count."""
+    machine = Machine.paper_testbed()
+    rng = np.random.default_rng(5)
+    _, left = _column(rng, 300, 6, 4)
+    _, right = _column(rng, 120, 7, 3)
+    machine.gpu.load_column("l", left, None)
+    machine.gpu.load_column("r", right, None)
+    theta = Theta(ThetaOp.WITHIN, 25)
+    runs = theta_join_approx(
+        machine.gpu, machine.new_timeline(), left, right, theta
+    )
+    monkeypatch.setattr(
+        RunPairCandidates, "_read",
+        lambda self: pytest.fail("a whole-column refinement formed the runs"),
+    )
+    refined = theta_join_refine(
+        machine.cpu, machine.new_timeline(), left, right, theta, runs
+    )
+    assert "deferred" in repr(runs) and 0 < len(refined) <= len(runs)
+
+
+# ----------------------------------------------------------------------
+# (c) the rank kernel
+# ----------------------------------------------------------------------
+_RANK_CASES = {
+    "both empty": ([], []),
+    "no needles": ([1, 2, 3], []),
+    "no keys": ([], [-4, 0, 0, 9]),
+    "ties across the runs": ([1, 3, 3, 5, 7], [0, 1, 3, 4, 7, 8]),
+    "ties within the runs": ([2, 2, 2, 6, 6], [2, 2, 5, 6, 6, 6]),
+    "all equal": ([4] * 5, [4] * 7),
+    "needles below every key": ([10, 11], [1, 2, 3]),
+    "needles above every key": ([1, 2], [5, 5, 9]),
+    "int64 ends": (
+        [_I64.min, _I64.min, -1, 0, _I64.max],
+        [_I64.min, _I64.min + 1, 0, _I64.max - 1, _I64.max, _I64.max],
+    ),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("case", list(_RANK_CASES))
+def test_ranks_equal_searchsorted(case, side):
+    key, needles = (np.array(v, dtype=np.int64) for v in _RANK_CASES[case])
+    got = _ranks(key, needles, side)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.searchsorted(key, needles, side=side))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_key=st.integers(0, 60),
+    n_needles=st.integers(0, 60),
+    spread=st.sampled_from([1, 3, 50, 1 << 40]),
+    side=st.sampled_from(["left", "right"]),
+)
+def test_property_ranks_equal_searchsorted(seed, n_key, n_needles, spread, side):
+    rng = np.random.default_rng(seed)
+    key = np.sort(rng.integers(-spread, spread + 1, n_key))
+    needles = np.sort(rng.integers(-spread, spread + 1, n_needles))
+    assert np.array_equal(
+        _ranks(key, needles, side), np.searchsorted(key, needles, side=side)
+    )

@@ -3,7 +3,8 @@
 When a left side has no more distinct approximation codes than rows
 (``2**approx_bits <= n``), the candidate runs and the certain-pair count
 are decided once per code — on the sorted bucket-bound table — and read
-back through the rows' codes.  Both must equal the per-row sweeps exactly:
+back through the rows' codes.  Both must equal the brute-force predicate
+over every pair of buckets, as the per-row sweeps do:
 six θ × whole column / row subset × residual 0 / > 0 × both sides of the
 threshold.
 """
@@ -19,7 +20,6 @@ from repro.core.theta import (
     _certain_pair_count,
     _left_runs,
     _per_code,
-    _sorted_runs,
     _uniform_width,
 )
 from repro.storage.decompose import decompose_values
@@ -68,14 +68,19 @@ def test_runs_equal_the_per_row_sweeps(shape, theta, subset):
 
     right_b = _bounds(right)
     width = _uniform_width(right_b)
-    left_b = _bounds(left, ids)
-    want = _sorted_runs(
-        left_b, right_b, theta, width, right, np.argsort(left_b.lo, kind="stable")
+    runs = _left_runs(left, ids, right_b, theta, width, right)
+    rows = np.arange(N_LEFT) if ids is None else ids
+    left_b = _bounds(left, rows)
+    possible = theta.possible(
+        left_b.lo[:, None], left_b.hi[:, None], right_b.lo[None, :], right_b.hi[None, :],
     )
-    got = _left_runs(left, ids, right_b, theta, width, right)
-    for g, w in zip(got[:3], want[:3]):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-    assert got[3] == want[3]
+    assert len(runs) == possible.sum()  # counted per code or summed per row
+    li, ri = np.nonzero(possible)
+    assert runs.pair_set() == set(zip(rows[li].tolist(), ri.tolist()))
+    assert sorted(runs.left_positions.tolist()) == sorted(rows.tolist())
+    assert runs.whole_left == (ids is None)
+    for field in (runs.left_positions, runs.starts, runs.stops):
+        assert field.dtype == np.int64
 
 
 @pytest.mark.parametrize("shape", SHAPES)

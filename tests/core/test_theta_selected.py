@@ -68,7 +68,8 @@ def test_selected_left_side_matches_oracles(theta, residual_bits):
         )
         assert isinstance(runs, RunPairCandidates), name
         assert not runs.whole_left, name  # a selection never claims the column
-        assert np.array_equal(runs.left_positions, ids), name
+        # the selected rows, each once — named in the sweep's order, not ours
+        assert np.array_equal(np.sort(runs.left_positions), np.sort(ids)), name
         assert runs.set_equals(brute), name
         assert tl_sorted.span_tuples() == tl_brute.span_tuples(), name
 
@@ -93,6 +94,11 @@ def test_whole_column_runs_say_so_and_keep_saying_so():
     assert runs.whole_left
     refined = theta_join_refine(machine.cpu, tl, left, right, theta, runs)
     assert refined.whole_left and refined.order_key == "exact"
+    # what the word buys: the refinement of a whole column sorts nothing —
+    # its rows are the column's memoized exact order itself
+    assert np.shares_memory(
+        refined.left_positions, left.sort_permutation("exact")
+    )
     assert refined.with_runs(refined.starts, refined.stops).whole_left
     keep = np.ones(left.length, dtype=bool)
     assert not refined.rows_narrowed(keep).whole_left  # a subset, by contract

@@ -307,6 +307,77 @@ class TestAggregateOnlyFastPath:
         assert len(calls) == 1
 
 
+#: plan shape -> (build on ``orders``, mode, deferred candidate sets that
+#: must form their per-row runs).  Only a selection under the join reads a
+#: candidate row: the refinement of a whole column takes its rows from the
+#: column's own exact order, and everything else reads the pair count.
+COUNTED_PLANS = {
+    "count, ar": (
+        lambda t: t.band_join("quotes", on="price", delta=25).count("n"), "ar", 0,
+    ),
+    "count, approximate": (
+        lambda t: t.band_join("quotes", on="price", delta=25).count("n"),
+        "approximate", 0,
+    ),
+    "grouped count": (
+        lambda t: t.band_join("quotes", on="price", delta=25)
+        .group_by("qty").count("n"),
+        "ar", 0,
+    ),
+    "right-side sum": (
+        lambda t: t.band_join("quotes", on="price", delta=25)
+        .agg("sum", "quotes.price", alias="s"),
+        "ar", 0,
+    ),
+    "bare join": (lambda t: t.band_join("quotes", on="price", delta=25), "ar", 0),
+    "join under WHERE": (
+        lambda t: t.where("price", ">=", 100)
+        .band_join("quotes", on="price", delta=25).count("n"),
+        "ar", 1,  # RefinePairSelect re-checks the predicate row by row
+    ),
+}
+
+
+class TestCountedFirst:
+    """Candidate pairs decided per distinct code come back counted; their
+    per-row runs form only if an operator reads one — and no reader can
+    tell: Result, approximate answer and ledger equal the per-row sweep's,
+    which forms at once."""
+
+    @pytest.mark.parametrize("shape", list(COUNTED_PLANS))
+    def test_runs_form_iff_a_row_is_read(self, session, monkeypatch, shape):
+        build, mode, expected = COUNTED_PLANS[shape]
+        formed = []
+        original = RunPairCandidates._read
+
+        def spy(self):
+            formed.append(len(self))
+            return original(self)
+
+        def counting(*args, **kwargs):
+            deferred.append(args[0])
+            return make(*args, **kwargs)
+
+        deferred, make = [], RunPairCandidates.deferred
+        monkeypatch.setattr(RunPairCandidates, "_read", spy)
+        monkeypatch.setattr(RunPairCandidates, "deferred", counting)
+        counted = build(session.table("orders")).run(mode=mode)
+        assert len(deferred) == 1 and len(formed) == expected
+
+        monkeypatch.setattr(
+            "repro.core.theta._per_code", lambda column, n_rows: False
+        )
+        swept = build(session.table("orders")).run(mode=mode)
+        # per-row sweeps form at once: nothing more deferred, nothing to read
+        assert len(deferred) == 1 and len(formed) == expected
+        assert counted.columns.keys() == swept.columns.keys()
+        for name in counted.columns:
+            assert np.array_equal(counted.columns[name], swept.columns[name])
+        assert counted.row_count == swept.row_count
+        assert counted.approximate == swept.approximate
+        assert counted.timeline.span_tuples() == swept.timeline.span_tuples()
+
+
 class TestThetaQueryValidation:
     def test_select_list_rejected(self, session):
         with pytest.raises(PlanError):

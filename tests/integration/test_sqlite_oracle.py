@@ -18,6 +18,12 @@ windows, with ``count(*)`` and ``min`` / ``max`` / ``avg`` / ``sum`` of the
 left column (the weighted fold), and with delta in flight on either side of
 the join or both.
 
+PR 23 adds the theta slice of the edge lattice (``LATTICE``): sides with at
+most four distinct values (one run table entry carries a quarter of the
+rows), a left side of one approximation code, ``delta = 0``, a ``dim`` no
+row comes near, a window that selects nothing, and the documented refusal
+of an empty ``dim``.
+
 Seeded and bounded: a fixed seed list, a few seconds in tier-1.  A failing
 seed is shrunk to the one query that fails and added to ``REGRESSIONS``.
 """
@@ -30,7 +36,7 @@ import numpy as np
 import pytest
 
 from repro import IntType, Session
-from repro.errors import ExecutionError
+from repro.errors import DecompositionError, ExecutionError, PlanError
 from repro.shard import ShardedSession
 from repro.sql import bind, parse
 
@@ -116,6 +122,61 @@ def wave(rng, shapes=SHAPES, join=False) -> list[str]:
             d = int(rng.choice([0, 1, BUCKET - 1, BUCKET, 700]))
             band = f" join dim on events.value within {d} of dim.pivot"
         sqls.append(f"select {shape} from events{band} where {predicate(rng)}{group}")
+    return sqls
+
+
+def few(rng, pool, n) -> np.ndarray:
+    """``n`` draws from at most four distinct values of ``pool``."""
+    return rng.choice(rng.choice(pool, 4), n)
+
+
+def shared(rng, pool, n) -> np.ndarray:
+    return rng.choice(pool, n)
+
+
+def whole_or_wide(rng) -> str:
+    """No window at all — the whole-column join, whose candidate runs are
+    never formed — or one most of a few-valued side passes."""
+    return str(rng.choice(["", f" where value >= {literal(rng) // 4}"]))
+
+
+#: the theta slice of the edge lattice: case -> what it does to the left
+#: values, the pivots, the band width and the window of a join wave (absent:
+#: the wave's own draw).  ``pool`` is 64 values both sides can draw from,
+#: so that the few values a side has do meet the other's.
+LATTICE = {
+    "duplicates left": dict(left=few, right=shared, where=whole_or_wide),
+    "duplicates right": dict(left=shared, right=few, where=whole_or_wide),
+    "duplicates both": dict(left=few, right=few, where=whole_or_wide),
+    # approx_bits == 0: every left row carries the one code there is
+    "one code left": dict(
+        left=lambda rng, pool, n: rng.integers(0, BUCKET, n),
+        right=lambda rng, pool, n: rng.integers(-BUCKET, 2 * BUCKET, n),
+        where=lambda rng: str(rng.choice(
+            ["", f" where value >= {int(rng.integers(-5, BUCKET + 5))}"]
+        )),
+    ),
+    "delta = 0": dict(left=shared, right=shared, d=0),
+    # no candidate pair at all: the counted set is empty and never refined
+    "no pair": dict(
+        right=lambda rng, pool, n: rng.integers(DOMAIN + 5_000, DOMAIN + 9_000, n)
+    ),
+    "nothing selected": dict(
+        where=lambda rng: f" where value between {DOMAIN + 100} and {DOMAIN + 200}"
+    ),
+}
+
+
+def lattice_wave(rng, case: dict) -> list[str]:
+    """One statement per join shape, the case's band width and window in
+    place of the wave's."""
+    sqls = []
+    for sql in wave(rng, JOIN_SHAPES, join=True)[: len(JOIN_SHAPES)]:
+        if "d" in case:
+            sql = re.sub(r"within \d+ of", f"within {case['d']} of", sql)
+        if "where" in case:
+            sql = re.sub(r" where .*?( group by|$)", case["where"](rng) + r"\1", sql)
+        sqls.append(sql)
     return sqls
 
 
@@ -311,6 +372,57 @@ def test_band_joins_against_sqlite(seed, entry):
     phase("delta on dim")               # B alone
     session.compact()
     phase("compacted")
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+@pytest.mark.parametrize("name", list(LATTICE))
+def test_band_join_lattice_against_sqlite(name, entry, seed=505):
+    make, run = ENTRIES[entry]
+    case = LATTICE[name]
+    rng = np.random.default_rng(seed)
+    # a third of the other waves' rows: 256 codes still decide a whole
+    # Session's join per code, a shard's 250 rows sweep per row
+    base, delta = rows(rng, N_ROWS // 3), rows(rng, N_DELTA // 2)
+    pool = rng.integers(0, DOMAIN, 64)
+    sides = {"pivot": N_DIM, "late": N_DIM // 3}
+    for part in (base, delta):
+        if "left" in case:
+            part["value"] = case["left"](rng, pool, len(part["value"]))
+    draw = case.get("right", lambda rng, pool, n: rng.integers(-BUCKET, DOMAIN + BUCKET, n))
+    pivots, late = ({"pivot": draw(rng, pool, n)} for n in sides.values())
+    oracle = Oracle()
+    oracle.insert(base)
+    oracle.insert(pivots, "dim")
+    session = with_dim(loaded(make(), base), pivots)
+
+    def phase(where):
+        sqls = lattice_wave(rng, case)
+        for mode in ("ar", "approximate"):
+            check(oracle, sqls, run(session, sqls, mode), mode, (entry, seed, name, where, mode))
+
+    phase("bulk")
+    session.append("events", delta)
+    oracle.insert(delta)
+    session.append("dim", late)
+    oracle.insert(late, "dim")
+    phase("delta on both sides")
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_an_empty_dim_is_refused_by_name(entry):
+    """A column of no rows has no decomposition, and a theta join none to
+    sweep: both refusals are typed, at every entry, before anything runs."""
+    make, run = ENTRIES[entry]
+    session = loaded(make(), rows(np.random.default_rng(0), N_ROWS))
+    sharded = {"partition": False} if isinstance(session, ShardedSession) else {}
+    session.create_table(
+        "dim", {"pivot": IntType()}, {"pivot": np.empty(0, dtype=np.int64)}, **sharded
+    )
+    with pytest.raises(DecompositionError, match="empty column"):
+        session.bwdecompose("dim", "pivot", 24)
+    sql = "select count(*) as n from events join dim on events.value within 3 of dim.pivot"
+    with pytest.raises(PlanError, match="not decomposed"):
+        run(session, [sql], "ar")
 
 
 @pytest.mark.parametrize("sql, why", REGRESSIONS)
