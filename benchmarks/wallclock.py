@@ -16,7 +16,9 @@ builder-path ``count(*)`` over the large band join,
 never materializes a pair), a
 TPC-H Q6-shaped A&R run at ≥ 1M lineitem rows, TPC-H Q1 on the same
 session (the one grouped query: 8 aggregates over 4 groups of ~1M
-candidates, every column device-resident), ``ingest.compact.wm4k`` (a
+candidates, every column device-resident; ``agg.grouped.q1`` is its eleven
+grouped folds alone, over rows in any order and group-major),
+``ingest.compact.wm4k`` (a
 4 096-row delta folded into a 1M-row column plus the first fused scan
 after it), the PR-15 code-width entries (``micro.unpack.w12.narrow`` — the
 decode an evicted 12-bit view is rebuilt with; ``scan.selection.evict`` —
@@ -88,9 +90,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.aggregates import grouped_max, grouped_min, grouped_sum
 from repro.core.approximate import select_approx, select_conjunction_approx
 from repro.core.candidates import RunPairCandidates
-from repro.core.grouping import group_approx_from_keys
+from repro.core.grouping import GroupAssignment, group_approx_from_keys
 from repro.core.refine import ship_pairs
 from repro.core.relax import ValueRange
 from repro.core.theta import Theta, ThetaOp, theta_join_approx, theta_join_refine
@@ -200,6 +203,16 @@ class _Fixtures:
             ("returnflag", dense.integers(65, 68, size=n), True),
             ("linestatus", dense.integers(70, 72, size=n), True),
         ]
+        # The same box as a 6-group assignment twice over (PR 24): rows as
+        # they came, and group-major with the boundaries a producer knows.
+        gids = np.sort(dense.integers(0, 6, size=n))
+        starts = np.searchsorted(gids, np.arange(7))
+        self.q1_values = dense.integers(-(1 << 40), 1 << 40, size=n)
+        self.q1_groups = GroupAssignment(dense.permutation(gids), 6, True)
+        try:
+            self.q1_groups_ordered = GroupAssignment(gids, 6, True, starts)
+        except TypeError:  # a parent older than PR 24: its before point scatters
+            self.q1_groups_ordered = GroupAssignment(gids, 6, True)
 
         self.machine = Machine.paper_testbed()
         self.columns = []
@@ -541,6 +554,18 @@ def _run_tpch_q1(fx: _Fixtures) -> None:
     fx.tpch.execute(fx.q1, mode="ar")
 
 
+def _run_grouped_q1(fx: _Fixtures) -> None:
+    """Q1's eleven grouped folds (five sums; three ``avg`` bounds, a min and
+    a max each) over rows as they came and over group-major rows, so the
+    scatter and the slice reduction both stay timed."""
+    for groups in (fx.q1_groups, fx.q1_groups_ordered):
+        for _ in range(5):
+            grouped_sum(fx.q1_values, groups)
+        for _ in range(3):
+            grouped_min(fx.q1_values, groups)
+            grouped_max(fx.q1_values, groups)
+
+
 def _run_opt_scan(fx: _Fixtures, optimizer: str) -> None:
     """Two-predicate selection through the (optionally cost-based) planner."""
     session = fx.opt_workload()
@@ -689,6 +714,7 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         "group.keys.q1": lambda: group_approx_from_keys(
             fx.machine.gpu, Timeline(), fx.q1_keys
         ),
+        "agg.grouped.q1": lambda: _run_grouped_q1(fx),
         "scan.selection": lambda: _run_selection(fx),
         "scan.selection.evict": lambda: _run_selection_evict(fx),
         "scan.conjunction3": lambda: _run_conjunction3(fx),

@@ -9,8 +9,8 @@ The A&R treatment per aggregate function:
 * ``count`` — trivial: candidates give an upper bound, certain rows a lower
   bound; the refined count is exact by construction.
 * ``min`` / ``max`` — candidate sets that assuredly contain the extremum
-  (see :func:`repro.core.approximate.minmax_approx`), refined by a join
-  with the residuals and a plain reduction.
+  (``ArExecutor._minmax_prune`` keeps every row that could still win),
+  refined by a join with the residuals and a plain reduction.
 * ``sum`` / ``avg`` — victims of destructive distributivity (§IV-G): on
   distributed data the device-side bounds cannot be sharpened into an exact
   result, so refinement recomputes from exact values on the host.  When all
@@ -136,11 +136,6 @@ def grouped_count(groups: GroupAssignment) -> np.ndarray:
     return groups.counts.astype(np.int64)
 
 
-def grouped_avg(values: np.ndarray, groups: Groups) -> np.ndarray:
-    """Exact per-group means as float64."""
-    return fold("avg", row_partials("avg", values, len(values)), groups)
-
-
 def grouped_sum_interval(
     bounds: IntervalColumn, groups: Groups, *, certain: np.ndarray | None = None
 ) -> list[Interval]:
@@ -169,22 +164,27 @@ def grouped_count_interval(
 ) -> list[Interval]:
     """Per-group count bounds: certain rows ≤ count ≤ candidate rows."""
     total = groups.counts
-    if certain_mask.all():
-        certain = total
-    else:
-        certain = np.bincount(groups.gids[certain_mask], minlength=groups.n_groups)
+    certain = total
+    if not certain_mask.all():
+        certain = _scatter(np.add, 0, certain_mask, groups)
     return [Interval(float(a), float(b)) for a, b in zip(certain, total)]
 
 
 def _scatter(ufunc, start: int, values, groups: Groups) -> np.ndarray:
-    """``ufunc.at`` of ``values`` into one ``start``-valued slot per group
-    — over one group there is nothing to scatter: the same int64 fold
-    (wrap-around included) is ``ufunc.reduce``."""
+    """``values`` folded by ``ufunc`` into one ``start``-valued slot per
+    group — the same int64 fold (wrap-around included) whichever way the
+    rows lie: over one group it is ``ufunc.reduce``, over group-major rows
+    (:attr:`GroupAssignment.starts`) ``ufunc.reduceat`` of the non-empty
+    groups' slices, over rows in any order ``ufunc.at``."""
     values = np.asarray(values, dtype=np.int64)
     if groups is not None and values.shape != groups.gids.shape:
         raise ExecutionError("values and group ids misaligned")
     if groups is None or groups.n_groups == 1:
         return np.array([ufunc.reduce(values, initial=start)], dtype=np.int64)
     out = np.full(groups.n_groups, start, dtype=np.int64)
-    ufunc.at(out, groups.gids, values)
+    if groups.starts is None:
+        ufunc.at(out, groups.gids, values)
+    else:
+        live = np.flatnonzero(groups.counts)
+        out[live] = ufunc.reduceat(values, groups.starts[live])
     return out

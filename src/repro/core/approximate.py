@@ -23,13 +23,8 @@ from ..device.timeline import Timeline
 from ..errors import ExecutionError
 from ..storage.decompose import BwdColumn
 from .candidates import Approximation, CarvedHits
-from .intervals import Interval, IntervalColumn
-from .relax import (
-    ValueRange,
-    candidate_mask_for_intervals,
-    certain_mask_for_intervals,
-    relax_to_code_range,
-)
+from .intervals import IntervalColumn
+from .relax import ValueRange, relax_to_code_range
 
 
 def _payload_from_codes(column: BwdColumn, codes: np.ndarray) -> IntervalColumn:
@@ -63,8 +58,10 @@ def select_conjunction_approx(
     ``label`` — formed once, for the rows that pass every conjunct; bounds
     the incoming candidates already carry under a label are kept.  Scan
     output is scrambled like a real massively parallel scatter unless
-    ``scramble`` is disabled.  ``precomputed_hits`` (the first conjunct's
-    hits carved by a shared cooperative pass) skips the NumPy scan only;
+    ``scramble`` is disabled or no row is returned ``in_order`` (a set has
+    no order to scatter: its ids stay ascending).  ``precomputed_hits``
+    (the first conjunct's hits carved by a shared cooperative pass) skips
+    the NumPy scan only;
     results and modeled charges are byte-identical.  A lone scan answered
     by them is billed and *counted* here, its rows left to their first
     reader (:meth:`Approximation.deferred`) — who gets them in the scan's
@@ -111,6 +108,7 @@ def select_conjunction_approx(
             exact=column.decomposition.residual_bits == 0,
             carve=carve,
         )
+    scramble = scramble and in_order  # a set has no order to scatter
     ids, _ = gpu.select_code_ranges(
         ranges, timeline, scramble=scramble, precomputed_hits=precomputed_hits
     )
@@ -132,21 +130,6 @@ def select_approx(
     return select_conjunction_approx(
         gpu, timeline, [(column, label, vrange)], scramble=scramble,
         precomputed_hits=precomputed_hits, in_order=in_order,
-    )
-
-
-def select_approx_narrow(
-    gpu: SimulatedGPU,
-    timeline: Timeline,
-    column: BwdColumn,
-    label: str,
-    vrange: ValueRange,
-    candidates: Approximation,
-) -> Approximation:
-    """Further approximate selection restricted to existing candidates:
-    :func:`select_conjunction_approx` of one, continuing from them."""
-    return select_conjunction_approx(
-        gpu, timeline, [(column, label, vrange)], candidates=candidates
     )
 
 
@@ -217,106 +200,3 @@ def fk_join_approx(
 def fk_position_payload(label: str) -> str:
     """Payload key carrying the dimension-row positions behind ``label``."""
     return f"{label}@fkpos"
-
-
-def select_on_payload_approx(
-    timeline: Timeline,
-    gpu: SimulatedGPU,
-    candidates: Approximation,
-    label: str,
-    vrange: ValueRange,
-) -> Approximation:
-    """Relaxed selection over an already-gathered payload (computed values).
-
-    Used when the predicate targets an arithmetic expression or a joined
-    column: the per-row error bounds decide candidacy (interval intersects
-    range).  Charges a device-side mask-and-compact pass.
-    """
-    payload = candidates.payload(label)
-    mask = candidate_mask_for_intervals(payload.lo, payload.hi, vrange)
-    gpu.reduce(len(candidates), timeline, op=f"select.approx.bounds({label})")
-    return candidates.narrowed(mask)
-
-
-def certain_mask(
-    candidates: Approximation, conjuncts: list[tuple[str, ValueRange]]
-) -> np.ndarray:
-    """Rows that satisfy *all* predicates regardless of residuals.
-
-    Anchors min/max candidate pruning: the error bounds of the applied
-    selections are propagated to the aggregation (paper §IV-F, Fig 6).
-    """
-    mask = np.ones(len(candidates), dtype=bool)
-    for label, vrange in conjuncts:
-        payload = candidates.payload(label)
-        mask &= certain_mask_for_intervals(payload.lo, payload.hi, vrange)
-    return mask
-
-
-def minmax_approx(
-    gpu: SimulatedGPU,
-    timeline: Timeline,
-    candidates: Approximation,
-    label: str,
-    conjuncts: list[tuple[str, ValueRange]],
-    *,
-    find_min: bool,
-) -> Approximation:
-    """Approximate min/max: prune candidates that cannot win (paper §IV-F).
-
-    Keeps every row whose value interval could still contain the extremum,
-    anchored at the best *certainly-qualifying* row.  The returned candidate
-    set assuredly includes the id of the true extremum.
-    """
-    payload = candidates.payload(label)
-    certain = certain_mask(candidates, conjuncts)
-    if not bool(certain.any()):
-        return candidates  # nothing is certain: everything stays a candidate
-    if find_min:
-        bound = int(payload.hi[certain].min())
-        keep = payload.lo <= bound
-    else:
-        bound = int(payload.lo[certain].max())
-        keep = payload.hi >= bound
-    gpu.reduce(len(candidates), timeline, op=f"agg.minmax.approx({label})")
-    return candidates.narrowed(keep)
-
-
-def sum_approx(
-    gpu: SimulatedGPU,
-    timeline: Timeline,
-    candidates: Approximation,
-    label: str,
-) -> Interval:
-    """Approximate sum: strict bounds from per-row intervals."""
-    payload = candidates.payload(label)
-    gpu.reduce(len(candidates), timeline, op=f"agg.sum.approx({label})")
-    return payload.sum_interval()
-
-
-def count_approx(
-    gpu: SimulatedGPU,
-    timeline: Timeline,
-    candidates: Approximation,
-    conjuncts: list[tuple[str, ValueRange]] | None = None,
-) -> Interval:
-    """Approximate count: [certain rows, candidate rows]."""
-    gpu.reduce(len(candidates), timeline, op="agg.count.approx")
-    if not conjuncts:
-        return Interval(float(len(candidates)), float(len(candidates)))
-    certain = certain_mask(candidates, conjuncts)
-    return Interval(float(certain.sum()), float(len(candidates)))
-
-
-def avg_approx(
-    gpu: SimulatedGPU,
-    timeline: Timeline,
-    candidates: Approximation,
-    label: str,
-) -> Interval:
-    """Approximate average over the candidate rows' intervals."""
-    payload = candidates.payload(label)
-    gpu.reduce(len(candidates), timeline, op=f"agg.avg.approx({label})")
-    if len(candidates) == 0:
-        raise ExecutionError("avg of an empty candidate set")
-    return payload.mean_interval()

@@ -41,6 +41,11 @@ a count, a run and its codes, nothing sorted — and the
 :class:`Approximation` built on them forms its rows when an operator first
 reads one (:meth:`Approximation.deferred`): ascending and scattered for a
 plan that returns them, as the run stands for one that only aggregates.
+For the same reason a set that only feeds *grouped* aggregates may be put
+in group order (``ArExecutor._group_major``: ids and payloads taken through
+one stable sort of the narrow composite key), after which every fold is a
+reduction of contiguous slices — unless it still carries its carve, whose
+run order is what certainty reads.
 """
 
 from __future__ import annotations
@@ -198,6 +203,13 @@ class Approximation:
         if carve is not None and carve[0] == label and carve[1] == vrange:
             return carve[2]
         return None
+
+    @property
+    def carved(self) -> bool:
+        """Whether the rows are still as a carve left them — unread, or
+        formed in its run order, which :meth:`certain_run` and the boundary
+        refinement read: such a set must not be reordered."""
+        return self._carve is not None
 
     def boundary(self, label: str, vrange) -> np.ndarray | None:
         """While no row has been read: the ids that can still fail the

@@ -39,22 +39,36 @@ class GroupAssignment:
 
     Both ends of the id range are checked here, once; the grouped kernels
     of :mod:`repro.core.aggregates` take an assignment on trust.
+
+    ``starts`` is the word of a producer that put the rows in *group-major*
+    order (:func:`group_ordered`): group ``g`` is the slice
+    ``starts[g]:starts[g + 1]`` of them, so a fold is a reduction of
+    contiguous slices.  ``None`` — rows in any order — scatters.
     """
 
     gids: np.ndarray
     n_groups: int
     exact: bool
+    starts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.gids = np.asarray(self.gids, dtype=np.int64)
-        if self.gids.size and (
-            int(self.gids.min()) < 0 or int(self.gids.max()) >= self.n_groups
+        self.gids = gids = np.asarray(self.gids, dtype=np.int64)
+        ordered = self.starts is not None
+        if ordered and (
+            len(self.starts) != self.n_groups + 1 or self.starts[-1] != gids.size
         ):
-            raise ExecutionError("group id out of range")
+            raise ExecutionError("group boundaries misaligned")
+        if gids.size:
+            # ascending ids: the two end rows hold the extremes
+            lo, hi = (gids[0], gids[-1]) if ordered else (gids.min(), gids.max())
+            if int(lo) < 0 or int(hi) >= self.n_groups:
+                raise ExecutionError("group id out of range")
 
     @cached_property
     def counts(self) -> np.ndarray:
         """Rows per group — counted once however many averages divide by it."""
+        if self.starts is not None:
+            return np.diff(self.starts)
         return np.bincount(self.gids, minlength=self.n_groups)
 
     @cached_property
@@ -70,7 +84,11 @@ class GroupAssignment:
         """One of ``keys`` per group — any row's, which is sound where the
         exact keys define the groups (every result's GROUP BY columns)."""
         out = np.zeros(self.n_groups, dtype=np.int64)
-        out[self.gids] = keys
+        if self.starts is None:
+            out[self.gids] = keys
+        else:  # a group's first row's
+            live = self.counts > 0
+            out[live] = keys[self.starts[:-1][live]]
         return out
 
 
@@ -160,20 +178,71 @@ def _rank(
     composite: np.ndarray,
     folded: list[tuple[str, int]],
 ) -> tuple[np.ndarray, int]:
-    """Dense ranks of ``composite`` and how many there are, billing each of
-    the ``folded`` columns its hash pass: the table a column's pass fills
-    has one entry per distinct key prefix through that column, counted off
-    the sorted uniques."""
+    """Dense ranks of ``composite`` and how many there are, billing the
+    ``folded`` columns (:func:`_bill`)."""
     uniques, gids = unique_inverse(composite)
+    _bill(gpu, timeline, len(gids), uniques, folded)
+    return gids, len(uniques)
+
+
+def _bill(
+    gpu: SimulatedGPU,
+    timeline: Timeline,
+    n: int,
+    uniques: np.ndarray,
+    folded: list[tuple[str, int]],
+) -> None:
+    """Each of the ``folded`` columns' hash pass over ``n`` rows: the table
+    a column's pass fills has one entry per distinct key prefix through
+    that column, counted off the composite's sorted ``uniques``."""
     keys = uniques.astype(np.int64)
     divisor = math.prod(span for _, span in folded)
     for label, span in folded:
         divisor //= span
         prefixes = np.count_nonzero(np.diff(keys // divisor)) + min(1, len(keys))
-        gpu.charge_hash_group(
-            len(gids), prefixes, timeline, f"group.approx({label})"
-        )
-    return gids, len(uniques)
+        gpu.charge_hash_group(n, prefixes, timeline, f"group.approx({label})")
+
+
+def code_composite(
+    coded: list[tuple[str, np.ndarray, int]],
+) -> tuple[np.ndarray, list[tuple[str, int]]]:
+    """Key columns' approximation codes — ``(label, codes, code bits)``,
+    most significant first — packed into one unsigned composite as wide as
+    their bits add up to, and the columns' ``(label, span)``.
+
+    Codes order as the bucket floors they stand for do, so the composite's
+    ranks are the group ids :func:`group_approx_from_keys` assigns.
+    """
+    dtype = code_dtype(sum(bits for _, _, bits in coded))
+    composite = None
+    for _, codes, bits in coded:
+        codes = codes.astype(dtype, copy=False)
+        if composite is not None:
+            codes = (composite << dtype.type(bits)) | codes
+        composite = codes
+    return composite, [(label, 1 << bits) for label, _, bits in coded]
+
+
+def group_ordered(
+    gpu: SimulatedGPU,
+    timeline: Timeline,
+    composite: np.ndarray,
+    folded: list[tuple[str, int]],
+    exact: bool,
+) -> GroupAssignment:
+    """Pre-grouping of rows that already lie in the order of ``composite``
+    (:func:`code_composite`'s, sorted): a group starts where the key
+    changes, so the ranks are a ``diff`` and the assignment knows its
+    ``starts``.  Billed as :func:`group_approx_from_keys` bills the same
+    columns in any order.
+    """
+    n = len(composite)
+    cuts = np.flatnonzero(composite[1:] != composite[:-1]) + 1
+    starts = np.concatenate(([0], cuts, [n])) if n else np.zeros(1, dtype=np.int64)
+    _bill(gpu, timeline, n, composite[starts[:-1]], folded)
+    n_groups = len(starts) - 1
+    gids = np.repeat(np.arange(n_groups), np.diff(starts))
+    return GroupAssignment(gids, n_groups, exact, starts)
 
 
 def group_refine(

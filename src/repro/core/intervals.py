@@ -247,30 +247,6 @@ class IntervalColumn:
 
         return self._lift(lambda lo: lo * value, bounds, refinable=self.refinable)
 
-    # ------------------------------------------------------------------
-    # Aggregate bounds (used by approximate sum/avg/min/max)
-    # ------------------------------------------------------------------
-    def sum_interval(self) -> Interval:
-        if len(self) == 0:
-            return Interval(0, 0)
-        lo = float(self.lo.sum())
-        return Interval(lo, lo if self.hi is self.lo else float(self.hi.sum()))
-
-    def min_interval(self) -> Interval:
-        if len(self) == 0:
-            raise ExecutionError("min of an empty column")
-        return Interval(float(self.lo.min()), float(self.hi.min()))
-
-    def max_interval(self) -> Interval:
-        if len(self) == 0:
-            raise ExecutionError("max of an empty column")
-        return Interval(float(self.lo.max()), float(self.hi.max()))
-
-    def mean_interval(self) -> Interval:
-        if len(self) == 0:
-            raise ExecutionError("avg of an empty column")
-        return Interval(float(self.lo.mean()), float(self.hi.mean()))
-
     @property
     def nbytes(self) -> int:
         return self.lo.nbytes + self.hi.nbytes

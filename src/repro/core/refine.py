@@ -264,23 +264,3 @@ def align_via_translucent(
         payloads={k: v.take(positions) for k, v in earlier.payloads.items()},
         exact=earlier.exact,
     )
-
-
-def reconstruct_exact(
-    cpu: Cpu,
-    timeline: Timeline,
-    column: BwdColumn,
-    label: str,
-    candidates: Approximation,
-) -> np.ndarray:
-    """Exact values of ``column`` at the candidate ids (gather + concat)."""
-    if label in candidates.payloads and candidates.payload(label).is_exact:
-        return candidates.payload(label).lo
-    values = column.reconstruct(candidates.ids)
-    cpu.charge_gather(
-        timeline, f"reconstruct({label})",
-        items=len(candidates), item_bytes=_OID_BYTES,
-        source_rows=column.length,
-    )
-    candidates.payloads[label] = IntervalColumn.exact(values)
-    return values

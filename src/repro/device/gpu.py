@@ -417,56 +417,6 @@ class SimulatedGPU:
             tuples=n, op_class=OpClass.HASH,
         )
 
-    def minmax_candidates(
-        self,
-        codes: np.ndarray,
-        certain_mask: np.ndarray | None,
-        timeline: Timeline,
-        *,
-        find_min: bool,
-        slack_codes: int = 0,
-        op: str = "agg.minmax.approx",
-    ) -> np.ndarray:
-        """Candidate positions for an approximate min/max (paper §IV-F).
-
-        The true extremum must survive the approximation, so every position
-        whose code *could* beat the best *certainly-qualifying* code is kept:
-        for a minimum, codes ≤ best_certain_code + slack; symmetrically for
-        a maximum.  ``certain_mask`` marks rows that qualify regardless of
-        their residual bits; ``slack_codes`` widens the cut by the
-        propagated selection error (Fig 6's false-minimum hazard).
-        """
-        codes = np.asarray(codes, dtype=np.int64)
-        if certain_mask is not None and bool(certain_mask.any()):
-            certain_codes = codes[certain_mask]
-            bound = int(certain_codes.min() if find_min else certain_codes.max())
-            if find_min:
-                keep = codes <= bound + slack_codes
-            else:
-                keep = codes >= bound - slack_codes
-        else:
-            keep = np.ones(codes.size, dtype=bool)
-        out = np.flatnonzero(keep)
-        self._charge(
-            timeline, op, codes.size * _OID_BYTES + out.size * _OID_BYTES,
-            tuples=codes.size, op_class=OpClass.AGG,
-        )
-        return out
-
-    def elementwise(
-        self,
-        lhs_bytes: int,
-        rhs_bytes: int,
-        out_count: int,
-        timeline: Timeline,
-        op: str = "arith.approx",
-    ) -> None:
-        """Charge an elementwise arithmetic kernel (values computed by caller)."""
-        self._charge(
-            timeline, op, lhs_bytes + rhs_bytes + out_count * _OID_BYTES,
-            tuples=out_count, op_class=OpClass.ARITH,
-        )
-
     def reduce(
         self,
         n: int,

@@ -19,8 +19,10 @@ from ..core.approximate import (
 from ..core.candidates import Approximation, CarvedHits
 from ..core.grouping import (
     GroupAssignment,
+    code_composite,
     combine_keys,
     group_approx_from_keys,
+    group_ordered,
     group_refine,
     key_range,
 )
@@ -96,6 +98,9 @@ class _ExecState:
         self.query = query
         self.catalog = catalog
         self.machine = machine
+        #: Candidates that only feed aggregates are a set; a row that
+        #: leaves the engine (or enters a theta join) does so in order.
+        self.rows_in_order = bool(query.theta_joins) or not query.is_aggregation()
         self.candidates = None
         self.groups: GroupAssignment | None = None
         #: the candidates ``groups`` was computed over: operators that
@@ -284,6 +289,16 @@ class ArExecutor:
                 while stop < len(ops) and isinstance(ops[stop], ApproxProbeSelect):
                     stop += 1
                 self._select_conjunction(ops[i:stop], state)
+            elif isinstance(op, ApproxProject) and not state.rows_in_order:
+                # So are the projections that end in the pre-grouping, over
+                # candidates that may first be put in group order.
+                while stop < len(ops) and isinstance(ops[stop], ApproxProject):
+                    stop += 1
+                if stop < len(ops) and isinstance(ops[stop], ApproxGroup):
+                    stop += 1
+                if not self._group_major(ops[i:stop], state):
+                    for each in ops[i:stop]:
+                        self._dispatch(each, state)
             else:
                 self._dispatch(op, state)
             i = stop
@@ -333,10 +348,60 @@ class ArExecutor:
             [(state.bwd(op.column), op.column, op.predicate.vrange) for op in ops],
             candidates=None if scan is not None else state.candidates,
             precomputed_hits=hits,
-            # Candidates that only feed aggregates are a set; a row that
-            # leaves the engine (or enters a theta join) does so in order.
-            in_order=bool(state.query.theta_joins)
-            or not state.query.is_aggregation(),
+            in_order=state.rows_in_order,
+        )
+
+    def _group_major(self, ops: list, state: _ExecState) -> bool:
+        """Projections ending in the pre-grouping of a plan that only
+        aggregates, over candidates first put in *group-major* order.
+
+        The key columns' codes at the ids fold into one narrow composite;
+        one stable sort of it orders the ids and the payloads the set
+        carries; then every projection gathers — and bills, from counts,
+        in plan order — at the reordered ids, and the grouping is read off
+        the sorted composite (:func:`group_ordered`), so each aggregate
+        behind it reduces contiguous slices.  Declines, nothing done, for
+        a run that ends in no grouping, a set that still carries its carve
+        (its run order is what certainty and the boundary refinement
+        read), keys reached through an FK join, and a composite wider than
+        the 16 bits NumPy sorts by radix.
+        """
+        *projects, group = ops
+        candidates = state.candidates
+        assert candidates is not None
+        if (
+            not isinstance(group, ApproxGroup)
+            or candidates.carved
+            or any(state.query.dim_table_of(c) is not None for c in group.columns)
+        ):
+            return False
+        keys = [state.bwd(c) for c in group.columns]
+        bits = [max(column.decomposition.approx_bits, 1) for column in keys]
+        if sum(bits) > 16:
+            return False
+        composite, folded = code_composite([
+            (c, column.approx_at(candidates.ids), width)
+            for c, column, width in zip(group.columns, keys, bits)
+        ])
+        order = np.argsort(composite, kind="stable")
+        state.candidates = candidates.narrowed(lambda rows: rows[order])
+        state.candidates.order_preserved = False
+        for op in projects:
+            self._dispatch(op, state)
+        self._pre_grouped(state, group_ordered(
+            self._machine.gpu, state.timeline, composite[order], folded,
+            all(state.candidates.payload(c).is_exact for c in group.columns),
+        ))
+        return True
+
+    @staticmethod
+    def _pre_grouped(state: _ExecState, groups: GroupAssignment) -> None:
+        """Group ids ride along as a payload so that every subsequent
+        candidate narrowing (a translucent join) re-aligns them."""
+        assert state.candidates is not None
+        state.groups = groups
+        state.candidates = state.grouped = state.candidates.with_payload(
+            "@gids", IntervalColumn.exact(groups.gids)
         )
 
     def _dispatch(self, op, state: _ExecState) -> None:
@@ -369,12 +434,7 @@ class ArExecutor:
             for c in op.columns:
                 payload = state.candidates.payload(c)
                 keyed.append((c, payload.lo, payload.is_exact))
-            state.groups = group_approx_from_keys(machine.gpu, tl, keyed)
-            # Group ids ride along as a payload so that every subsequent
-            # candidate narrowing (a translucent join) re-aligns them.
-            state.candidates = state.grouped = state.candidates.with_payload(
-                "@gids", IntervalColumn.exact(state.groups.gids)
-            )
+            self._pre_grouped(state, group_approx_from_keys(machine.gpu, tl, keyed))
         elif isinstance(op, ApproxMinMaxPrune):
             self._minmax_prune(op.aggregate, state)
         elif isinstance(op, ApproxAggregate):

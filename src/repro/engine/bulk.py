@@ -10,6 +10,8 @@ scans did.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..core.aggregates import fold, row_partials
@@ -99,7 +101,10 @@ class ClassicExecutor:
         # Selections: candidate list narrowing, one bulk operator per
         # predicate (MonetDB's uselect chain).
         # --------------------------------------------------------------
-        for pred in query.where:
+        # What the query reads behind its predicates: the group-by, the
+        # aggregates, the select list, the FKs, the theta join.
+        read_after = replace(query, where=()).referenced_columns()
+        for k, pred in enumerate(query.where):
             mask = pred.evaluate_exact(resolve)
             kept = int(mask.sum())
             self._cpu.charge(
@@ -112,7 +117,10 @@ class ClassicExecutor:
                 candidate_ids = np.flatnonzero(mask)
             else:
                 candidate_ids = candidate_ids[mask]
-            cache = {k: v[mask] for k, v in cache.items()}
+            # Only a column something still reads is worth narrowing; one
+            # dropped here is never resolved again.
+            live = read_after.union(*(p.columns() for p in query.where[k + 1:]))
+            cache = {name: v[mask] for name, v in cache.items() if name in live}
 
         if candidate_ids is None:
             candidate_ids = np.arange(n, dtype=np.int64)

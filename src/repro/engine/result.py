@@ -17,8 +17,13 @@ class ApproximateAnswer:
 
     ``aggregates`` maps aggregate aliases to strict bounds — a scalar
     :class:`Interval` for ungrouped queries, a list of per-(approximate-)
-    group intervals for grouped ones, or ``None`` when the operand data is
-    not device-resident at all.
+    group intervals for grouped ones, or ``None``: no bound was formed.
+    That is so for an operand that is not device-resident at all, for every
+    alias of a grouped query a pending delta row falls into (and an ``avg``
+    whose base ran lowered to its partials), for every alias of a sharded
+    query but an ungrouped ``count``, and for every aggregate over join
+    pairs but the ungrouped pair ``count`` — ``None`` does not say which
+    (ROADMAP L).
     """
 
     aggregates: dict[str, Interval | list[Interval] | None] = field(

@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.approximate import (
     select_approx,
-    select_approx_narrow,
     select_conjunction_approx,
 )
 from repro.core.candidates import Approximation
@@ -273,18 +272,6 @@ def test_probes_continue_from_candidates(small_blocks):
         (columns[0], "a", ValueRange.between(300, 700)),   # carried bounds
         (columns[2], "c", ValueRange.between(200, 1000)),
     ], candidates=seed)
-    # ... and the single-probe wrapper is that kernel
-    t1, t2 = machine.new_timeline(), machine.new_timeline()
-    copy = Approximation(seed.ids.copy(), False, dict(seed.payloads), seed.exact)
-    one = select_approx_narrow(
-        machine.gpu, t1, columns[1], "b", ValueRange.between(0, 600), copy
-    )
-    ids, payloads, *_ = reference(
-        machine.gpu, t2, [(columns[1], "b", ValueRange.between(0, 600))],
-        candidates=seed,
-    )
-    assert np.array_equal(one.ids, ids)
-    assert t1.span_tuples() == t2.span_tuples()
 
 
 def test_absent_probe_views_stay_absent(small_blocks):

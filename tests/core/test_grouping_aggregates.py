@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro import IntType, Session
 from repro.core.aggregates import (
     fold,
-    grouped_avg,
     grouped_count,
     grouped_count_interval,
     grouped_max,
@@ -36,6 +35,11 @@ from repro.plan.expr import ColRef
 from repro.plan.logical import Aggregate, Query
 from repro.storage.decompose import decompose_values
 from repro.util import unique_inverse
+
+
+def _avg(values, groups):
+    """Per-group float64 means, the one way there is: ``fold``."""
+    return fold("avg", row_partials("avg", values, len(values)), groups)
 
 
 @pytest.fixture()
@@ -363,7 +367,7 @@ class TestGroupAssignmentValidation:
         values = np.array([4, 5, 6])
         assert np.array_equal(grouped_sum(values, groups), [10, 5])
         assert np.array_equal(grouped_count(groups), [2, 1])
-        assert np.allclose(grouped_avg(values, groups), [5.0, 5.0])
+        assert np.allclose(_avg(values, groups), [5.0, 5.0])
         with pytest.raises(ExecutionError, match="misaligned"):
             grouped_min(values[:2], groups)
 
@@ -422,11 +426,11 @@ class TestGroupedAggregates:
         assert np.array_equal(grouped_count(groups), [3, 2])
         assert np.array_equal(grouped_min(values, groups), [1, 2])
         assert np.array_equal(grouped_max(values, groups), [5, 4])
-        assert np.allclose(grouped_avg(values, groups), [3.0, 3.0])
+        assert np.allclose(_avg(values, groups), [3.0, 3.0])
 
     def test_empty_group_in_avg_rejected(self):
         with pytest.raises(ExecutionError):
-            grouped_avg(np.array([1]), assigned(np.array([0]), 2))
+            _avg(np.array([1]), assigned(np.array([0]), 2))
 
     def test_misaligned_rejected(self):
         with pytest.raises(ExecutionError):
@@ -495,10 +499,10 @@ class TestGroupedAggregates:
             assert np.array_equal(got, self._scattered(ufunc, start, values, zeros, 1))
         if len(values):
             want = self._scattered(np.add, 0, values, zeros, 1).astype(np.float64)
-            assert np.array_equal(grouped_avg(values, groups), want / len(values))
+            assert np.array_equal(_avg(values, groups), want / len(values))
         else:
             with pytest.raises(ExecutionError, match="avg over an empty group"):
-                grouped_avg(values, groups)
+                _avg(values, groups)
 
     def test_one_group_still_checks_alignment_and_range(self):
         with pytest.raises(ExecutionError, match="misaligned"):
@@ -659,3 +663,55 @@ class TestPartialAggregatesAreAMonoid:
             row_partials("sum", None, 4)
         with pytest.raises(ExecutionError, match="unknown aggregate"):
             fold("median", row_partials("sum", values, 4), None)
+
+
+# ----------------------------------------------------------------------
+# Group-major rows (PR 24): slices reduce to what the scatter gives
+# ----------------------------------------------------------------------
+def _folded(func, values, groups):
+    try:
+        out = fold(func, row_partials(func, values, len(values)), groups)
+    except EmptyInputError as exc:
+        return str(exc)
+    return out.dtype, out.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_I64, st.integers(0, 6), st.booleans()), max_size=40),
+    n_groups=st.sampled_from([1, 2, 7]),
+    func=st.sampled_from(FUNCS),
+)
+def test_group_major_rows_fold_like_scattered_ones(rows, n_groups, func):
+    """The fold over rows taken into group-major order, their assignment
+    knowing its ``starts``, is byte for byte the scattered fold over the
+    rows as they came (sums wrap alike, an empty ``avg`` refuses alike) —
+    also once a mask has narrowed the ordered rows and emptied groups, with
+    one group, and with no row; ``counts`` and ``representatives`` agree."""
+    values = np.array([v for v, _, _ in rows], dtype=np.int64)
+    gids = np.array([g % n_groups for _, g, _ in rows], dtype=np.int64)
+    kept = np.array([k for _, _, k in rows], dtype=bool)
+    order = np.argsort(gids, kind="stable")
+    for mask in (np.ones(len(rows), dtype=bool), kept):
+        came = assigned(gids[mask], n_groups)
+        in_order = order[mask[order]]
+        starts = np.searchsorted(gids[in_order], np.arange(n_groups + 1))
+        ordered = GroupAssignment(gids[in_order], n_groups, True, starts)
+        assert _folded(func, values[in_order], ordered) == _folded(
+            func, values[mask], came
+        )
+        assert np.array_equal(ordered.counts, came.counts)
+        assert np.array_equal(
+            ordered.representatives(gids[in_order] + 10),
+            came.representatives(gids[mask] + 10),
+        )
+
+
+def test_group_boundaries_are_checked_against_the_rows():
+    gids = np.array([0, 0, 1])
+    with pytest.raises(ExecutionError, match="boundaries misaligned"):
+        GroupAssignment(gids, 2, True, np.array([0, 2]))        # n_groups + 1
+    with pytest.raises(ExecutionError, match="boundaries misaligned"):
+        GroupAssignment(gids, 2, True, np.array([0, 2, 4]))     # past the rows
+    with pytest.raises(ExecutionError, match="out of range"):
+        GroupAssignment(gids + 1, 2, True, np.array([0, 2, 3]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.aggregates import grouped_sum_interval
 from repro.core.intervals import Interval, IntervalColumn
 from repro.errors import ExecutionError
 
@@ -128,24 +129,20 @@ class TestArithmetic:
         assert (neg.lo[0], neg.hi[0]) == (-6, -3)
 
 
+def sum_bounds(c: IntervalColumn):
+    """The ungrouped sum's bounds, as the executor takes them."""
+    iv, = grouped_sum_interval(c, None)
+    return iv
+
+
 class TestAggregateBounds:
     def test_sum_interval(self):
-        iv = column([(1, 2), (10, 20)]).sum_interval()
+        iv = sum_bounds(column([(1, 2), (10, 20)]))
         assert (iv.lo, iv.hi) == (11.0, 22.0)
 
     def test_sum_empty(self):
-        iv = column([]).sum_interval()
+        iv = sum_bounds(column([]))
         assert iv.is_exact and iv.lo == 0
-
-    def test_min_max_mean(self):
-        c = column([(1, 4), (2, 3)])
-        assert (c.min_interval().lo, c.min_interval().hi) == (1.0, 3.0)
-        assert (c.max_interval().lo, c.max_interval().hi) == (2.0, 4.0)
-        assert (c.mean_interval().lo, c.mean_interval().hi) == (1.5, 3.5)
-
-    def test_empty_min_rejected(self):
-        with pytest.raises(ExecutionError):
-            column([]).min_interval()
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +189,7 @@ def test_property_sum_bounds_contain_concrete_sum(pairs, seed):
     concrete = np.array(
         [rng.integers(lo, hi + 1) for lo, hi in zip(c.lo, c.hi)], dtype=np.int64
     )
-    iv = c.sum_interval()
+    iv = sum_bounds(c)
     assert iv.lo <= float(concrete.sum()) <= iv.hi
 
 
@@ -304,7 +301,7 @@ class TestDegenerateRepresentation:
             IntervalColumn(np.array([2]), np.array([1]), refinable=False)
 
     def test_degenerate_sum_reads_one_array(self):
-        iv = IntervalColumn.exact(np.array([1, 2, 3])).sum_interval()
+        iv = sum_bounds(IntervalColumn.exact(np.array([1, 2, 3])))
         assert (iv.lo, iv.hi) == (6.0, 6.0)
 
     def test_empty_column(self):

@@ -12,27 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import fold, row_partials
+from repro import IntType, Session
 from repro.core.approximate import (
-    avg_approx,
-    count_approx,
     fk_join_approx,
-    minmax_approx,
     project_approx,
     select_approx,
-    select_approx_narrow,
-    select_on_payload_approx,
-    sum_approx,
+    select_conjunction_approx,
 )
 from repro.core.candidates import Approximation
 from repro.core.refine import (
     align_via_translucent,
     fk_join_refine,
     project_refine,
-    reconstruct_exact,
     select_refine,
     ship_candidates,
 )
 from repro.core.relax import ValueRange
+from repro.plan.expr import ColRef, Predicate
 from repro.device.machine import Machine
 from repro.errors import ExecutionError
 from repro.storage.decompose import decompose_values
@@ -112,7 +108,9 @@ class TestSelectPair:
         vr_a, vr_b = ValueRange(100, 400), ValueRange(500, 900)
 
         cand = select_approx(machine.gpu, tl, col_a, "a", vr_a)
-        cand = select_approx_narrow(machine.gpu, tl, col_b, "b", vr_b, cand)
+        cand = select_conjunction_approx(
+            machine.gpu, tl, [(col_b, "b", vr_b)], candidates=cand
+        )
         truth = np.flatnonzero(vr_a.evaluate(a) & vr_b.evaluate(b))
         assert set(truth) <= set(cand.ids)
 
@@ -136,7 +134,9 @@ class TestSelectPair:
             cand = select_approx(machine.gpu, tl, col, "a", first)
             if not carry:
                 cand = Approximation(ids=cand.ids, exact=cand.exact)
-            return select_approx_narrow(machine.gpu, tl, col, "a", second, cand), tl
+            return select_conjunction_approx(
+                machine.gpu, tl, [(col, "a", second)], candidates=cand
+            ), tl
 
         (carried, tl_carried), (gathered, tl_gathered) = probe(True), probe(False)
         assert np.array_equal(carried.ids, gathered.ids)
@@ -266,86 +266,80 @@ class TestFkJoinPair:
             )
 
 
-class TestPayloadSelect:
-    def test_select_on_computed_bounds(self, machine):
-        values = np.arange(0, 1000)
-        col = load(machine, values, residual_bits=4)
-        tl = machine.new_timeline()
-        cand = full_candidates(1000)
-        cand = project_approx(machine.gpu, tl, col, "v", cand)
-        vr = ValueRange(100, 200)
-        narrowed = select_on_payload_approx(tl, machine.gpu, cand, "v", vr)
-        truth = np.flatnonzero(vr.evaluate(values))
-        assert set(truth) <= set(narrowed.ids)
+class TestExecutorAggregates:
+    """The approximate halves of the aggregates live in ``ArExecutor``
+    (``_approx_aggregate`` / ``_minmax_prune`` / ``_certainty``): driven
+    through the builder, bounds bracket and refinement is exact."""
 
+    @staticmethod
+    def session(columns: dict, residual_bits: int) -> Session:
+        session = Session()
+        session.create_table("t", {c: IntType() for c in columns}, columns)
+        for c in columns:
+            session.bwdecompose("t", c, residual_bits=residual_bits)
+        return session
 
-class TestAggregates:
-    def setup_candidates(self, machine, values, residual_bits, vrange):
-        col = load(machine, values, residual_bits=residual_bits)
-        tl = machine.new_timeline()
-        cand = select_approx(machine.gpu, tl, col, "v", vrange)
-        return col, tl, cand
+    def test_select_on_computed_bounds(self):
+        """A predicate over an expression is decided on the propagated
+        bounds (``ApproxPayloadSelect``): candidates are a superset."""
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(0, 1000, 2_000), rng.integers(0, 1000, 2_000)
+        session = self.session({"a": a, "b": b}, 4)
+        pred = Predicate(ColRef("a") + ColRef("b"), ValueRange(100, 400))
+        block = session.table("t").where(pred).count("n")
+        truth = int(pred.vrange.evaluate(a + b).sum())
+        approx = block.run(mode="approximate").approximate
+        assert approx.candidate_rows >= truth
+        bound = approx.bound("n")
+        assert bound.lo <= truth <= bound.hi
+        assert block.run(mode="ar").scalar("n") == truth
 
-    def test_count_bounds_and_refined_count(self, machine):
-        rng = np.random.default_rng(6)
-        values = rng.integers(0, 1000, 4_000)
-        vr = ValueRange(100, 300)
-        col, tl, cand = self.setup_candidates(machine, values, 5, vr)
-        bounds = count_approx(machine.gpu, tl, cand, [("v", vr)])
-        truth = int(vr.evaluate(values).sum())
-        assert bounds.lo <= truth <= bounds.hi
-        refined = select_refine(machine.cpu, tl, col, "v", vr, cand)
-        assert exact_fold("count", None, len(refined)) == truth
+    @pytest.mark.parametrize("func", ["count", "sum", "avg"])
+    def test_bounds_contain_truth_and_refinement_is_exact(self, func):
+        values = np.random.default_rng(6).integers(0, 10_000, 4_000)
+        keep = ValueRange(2_000, 8_000).evaluate(values)
+        truth = {
+            "count": int(keep.sum()),
+            "sum": int(values[keep].sum()),
+            "avg": float(values[keep].mean()),
+        }[func]
+        session = self.session({"v": values}, 6)
+        block = session.table("t").where("v", between=(2_000, 8_000))
+        block = block.agg(func, None if func == "count" else "v", "out")
+        bound = block.run(mode="approximate").approximate.bound("out")
+        assert bound.lo <= truth <= bound.hi
+        assert block.run(mode="ar").scalar("out") == pytest.approx(truth)
 
-    def test_sum_bounds_contain_truth(self, machine):
-        rng = np.random.default_rng(7)
-        values = rng.integers(0, 10_000, 3_000)
-        vr = ValueRange(2_000, 8_000)
-        col, tl, cand = self.setup_candidates(machine, values, 6, vr)
-        refined = select_refine(machine.cpu, tl, col, "v", vr, cand)
-        truth = int(values[vr.evaluate(values)].sum())
-        # the approximate sum over *refined* candidates brackets the truth
-        bounds = sum_approx(machine.gpu, tl, refined, "v")
-        assert bounds.lo <= truth <= bounds.hi
-        assert exact_fold("sum", refined.payload("v").lo, len(refined)) == truth
-
-    def test_avg_bounds_and_refined(self, machine):
-        rng = np.random.default_rng(8)
-        values = rng.integers(0, 1000, 2_000)
-        vr = ValueRange(None, None)
-        col, tl, cand = self.setup_candidates(machine, values, 4, vr)
-        bounds = avg_approx(machine.gpu, tl, cand, "v")
-        assert bounds.lo <= float(values.mean()) <= bounds.hi
-        exact = reconstruct_exact(machine.cpu, tl, col, "v", cand)
-        assert exact_fold("avg", exact, len(cand)) == pytest.approx(
-            values[cand.ids].mean()
-        )
-
-    def test_minmax_candidate_contains_true_min(self, machine):
+    def test_minmax_candidate_contains_true_min(self):
         """Fig 6's hazard: the false positive with the smallest approximate
         value must not evict the true minimum from the candidate set."""
         rng = np.random.default_rng(9)
-        x = rng.integers(0, 1000, 5_000)
-        y = rng.integers(0, 1000, 5_000)
-        col_x = load(machine, x, residual_bits=6, label="x")
-        col_y = load(machine, y, residual_bits=6, label="y")
-        tl = machine.new_timeline()
-        vr = ValueRange(600, None)  # x > 599
+        x, y = rng.integers(0, 1000, 5_000), rng.integers(0, 1000, 5_000)
+        session = self.session({"x": x, "y": y}, 6)
+        block = session.table("t").where("x", ">=", 600).min("y", "m")
+        pruned = block.run(mode="approximate").approximate.candidate_rows
+        assert 0 < pruned < int((x >= 600).sum())  # the prune did narrow
+        assert block.run(mode="ar").scalar("m") == int(y[x >= 600].min())
 
-        cand = select_approx(machine.gpu, tl, col_x, "x", vr)
-        cand = project_approx(machine.gpu, tl, col_y, "y", cand)
-        pruned = minmax_approx(
-            machine.gpu, tl, cand, "y", [("x", vr)], find_min=True
-        )
-        qualifying = vr.evaluate(x)
-        true_min_ids = np.flatnonzero(qualifying & (y == y[qualifying].min()))
-        assert set(true_min_ids) & set(pruned.ids), "true minimum evicted"
+    def test_max_prunes_symmetrically(self):
+        rng = np.random.default_rng(10)
+        x, y = rng.integers(0, 1000, 5_000), rng.integers(0, 1000, 5_000)
+        session = self.session({"x": x, "y": y}, 6)
+        block = session.table("t").where("x", "<", 300).max("y", "m")
+        pruned = block.run(mode="approximate").approximate.candidate_rows
+        assert 0 < pruned < int((x < 300).sum())
+        assert block.run(mode="ar").scalar("m") == int(y[x < 300].max())
 
-        # full refinement: exact selection, then exact min
-        refined = select_refine(machine.cpu, tl, col_x, "x", vr, pruned)
-        refined = project_refine(machine.cpu, tl, col_y, "y", refined)
-        got = exact_fold("min", refined.payload("y").lo, len(refined))
-        assert got == int(y[qualifying].min())
+    def test_no_certain_row_keeps_every_candidate(self):
+        """A range inside one bucket: no row is certain to qualify, so no
+        row may anchor the cut and the prune keeps them all."""
+        rng = np.random.default_rng(11)
+        x, y = rng.integers(0, 1024, 5_000), rng.integers(0, 1000, 5_000)
+        session = self.session({"x": x, "y": y}, 6)
+        block = session.table("t").where("x", between=(130, 140)).min("y", "m")
+        kept = block.run(mode="approximate").approximate.candidate_rows
+        assert kept == int(((x >= 128) & (x < 192)).sum())
+        assert block.run(mode="ar").scalar("m") == int(y[(x >= 130) & (x <= 140)].min())
 
 
 # ----------------------------------------------------------------------

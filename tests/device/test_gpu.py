@@ -149,44 +149,6 @@ class TestGroupingKernel:
         assert t_few.total_seconds() > t_many.total_seconds()
 
 
-class TestMinMaxKernel:
-    def test_min_keeps_all_codes_at_or_below_certain_bound(self):
-        gpu = small_gpu()
-        codes = np.array([5, 2, 9, 2, 7])
-        certain = np.array([False, False, True, False, True])
-        t = Timeline()
-        keep = gpu.minmax_candidates(codes, certain, t, find_min=True)
-        # best certain code is 7 → candidates are codes ≤ 7
-        assert np.array_equal(keep, [0, 1, 3, 4])
-
-    def test_max_symmetric(self):
-        gpu = small_gpu()
-        codes = np.array([5, 2, 9, 2, 7])
-        certain = np.array([True, False, False, False, False])
-        t = Timeline()
-        keep = gpu.minmax_candidates(codes, certain, t, find_min=False)
-        assert np.array_equal(keep, [0, 2, 4])
-
-    def test_no_certain_rows_keeps_everything(self):
-        gpu = small_gpu()
-        codes = np.array([5, 2, 9])
-        t = Timeline()
-        keep = gpu.minmax_candidates(codes, None, t, find_min=True)
-        assert np.array_equal(keep, [0, 1, 2])
-
-    def test_slack_widens_candidates(self):
-        gpu = small_gpu()
-        codes = np.array([5, 2, 9, 7])
-        certain = np.array([False, False, False, True])
-        t = Timeline()
-        no_slack = gpu.minmax_candidates(codes, certain, t, find_min=True)
-        with_slack = gpu.minmax_candidates(
-            codes, certain, t, find_min=True, slack_codes=2
-        )
-        assert set(no_slack) <= set(with_slack)
-        assert 2 in with_slack  # code 9 within slack 2 of bound 7
-
-
 class TestMachine:
     def test_paper_testbed_wiring(self):
         m = Machine.paper_testbed()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import IntType, Session
-from repro.core.aggregates import grouped_avg, grouped_sum
+from repro.core.aggregates import fold, grouped_sum, row_partials
 from repro.core.grouping import GroupAssignment
 from repro.shard import ShardedSession
 
@@ -108,7 +108,8 @@ def test_one_scatter_serves_sum_and_avg():
     assert len(groups.sums) == 1 and groups.sums[0][0] is frozen
     first[0] = -1                                   # a caller's copy
     assert grouped_sum(frozen, groups).tolist() == [_wrapped(values[:5]), 3]
-    assert grouped_avg(frozen, groups).tolist() == [_wrapped(values[:5]) / 5, 3.0]
+    avg = fold("avg", row_partials("avg", frozen, len(frozen)), groups)
+    assert avg.tolist() == [_wrapped(values[:5]) / 5, 3.0]
     assert len(groups.sums) == 1                    # avg divided the held sum
     grouped_sum(values, groups)                     # writable: summed, not held
     assert len(groups.sums) == 1

@@ -10,7 +10,7 @@ runs against a cold packed stream or a warm cache.
 import numpy as np
 import pytest
 
-from repro.core.approximate import select_approx, select_approx_narrow
+from repro.core.approximate import select_approx, select_conjunction_approx
 from repro.core.relax import ValueRange
 from repro.device.gpu import SimulatedGPU
 from repro.device.model import DeviceSpec
@@ -124,8 +124,9 @@ class TestModeledTimeInvariance:
             cand = select_approx(
                 gpu, t, col, "v", ValueRange.between(1000, 60_000)
             )
-            cand = select_approx_narrow(
-                gpu, t, col, "v2", ValueRange.between(2000, 50_000), cand
+            cand = select_conjunction_approx(
+                gpu, t, [(col, "v2", ValueRange.between(2000, 50_000))],
+                candidates=cand,
             )
             results.append((spans_of(t), cand.ids.tolist()))
         assert results[0] == results[1]
