@@ -2,10 +2,10 @@
 
 Measures *real* elapsed seconds — not modeled Timeline seconds — of the
 paths the perf PRs target: bit-(un)packing, the relaxed selection scan, a
-three-predicate conjunction, the theta/band join (sorted interval join vs
-the brute-force oracle; large and extra-large sizes only the sorted path —
-and at xlarge only its *run-length* emission — can touch; a repeated-join
-entry for the memoized sort permutations; since PR 23 every entry that
+three-predicate conjunction, the theta/band join (the sorted interval join
+at three sizes; a repeated-join entry for the memoized sort permutations;
+``serve.theta.b16``, sixteen whole-column band joins sharing one right
+side through ``Session.serve``; since PR 23 every entry that
 calls ``theta_join_approx`` alone and discards the result —
 ``join.theta.band``, ``.large``, ``.xlarge``, ``.repeat`` — times
 *counting* the candidate pairs, not forming their per-row runs, so the
@@ -60,9 +60,7 @@ Three entry points:
   recording can never land in an older PR's trajectory by default.  When both ``before`` and ``after`` labels are present,
   per-benchmark speedups are (re)computed, giving future PRs a wall-clock
   perf trajectory.  Each PR's ``before`` point is seeded from the previous
-  PR file's ``after`` (the prior code's measurements);
-  ``join.theta.band.bruteforce`` gives the same-machine oracle cost next
-  to the sorted path.
+  PR file's ``after`` (the prior code's measurements).
 
 * **Trajectory gate** (plain script)::
 
@@ -113,12 +111,10 @@ N_ROWS = int(os.environ.get("REPRO_WALLCLOCK_N", 1_000_000))
 #: TPC-H scale factor; 0.17 ≈ 1.02M lineitem rows (acceptance floor: 1M).
 TPCH_SF = float(os.environ.get("REPRO_WALLCLOCK_SF", 0.17))
 
-#: Theta-join side sizes: the PR-1 trajectory point; a larger size at
-#: which only the sort-based join is feasible (the brute-force oracle would
-#: evaluate 10^10 interval comparisons there); and an extra-large size
-#: (≥ 1M × 200k, ~37M candidate pairs) at which even *materializing* the
-#: sorted join's pairs is the dominant cost — only the run-length encoded
-#: emission (PR 3) keeps it interactive.
+#: Theta-join side sizes: the PR-1 trajectory point; a larger size (a
+#: nested loop would evaluate 10^10 interval comparisons there); and an
+#: extra-large size (≥ 1M × 200k, ~37M candidate pairs) at which only
+#: run-length candidates (PR 3) keep the join interactive.
 THETA_SIZES = (20_000, 5_000)
 THETA_LARGE_SIZES = (200_000, 50_000)
 THETA_XLARGE_SIZES = (1_000_000, 200_000)
@@ -160,11 +156,6 @@ EVICT_BUDGET = 8 << 20
 
 #: Share of the left side ``join.theta.band.selected`` joins.
 THETA_SELECTED_SHARE = 0.1
-
-#: The opt.pick.theta fixture's small right side: under the heuristic's
-#: sort cutoff, so "before" (the heuristic) brute-forces while "after"
-#: (the cost-based optimizer) picks the sorted sweep.
-OPT_THETA_RIGHT = 16
 
 #: ``--compare`` flags a shared benchmark whose after/before speedup drops
 #: below this factor.
@@ -288,12 +279,9 @@ class _Fixtures:
         self._compact: tuple | None = None
 
     def opt_workload(self) -> Session:
-        """Session for the opt.pick.* entries (PR 8), built lazily.
-
-        A two-column fact table (both decomposed — the scan-order decision
-        needs ≥ 2 drivable predicates) plus a small dimension side below
-        the heuristic's sort cutoff (the optimizer's known win region).
-        """
+        """Session for the opt.pick.* entries (PR 8), built lazily: a
+        two-column fact table, both decomposed — the scan-order decision
+        needs ≥ 2 drivable predicates."""
         if self._opt is None:
             rng = np.random.default_rng(29)
             n = max(self.n_rows // 5, 4_000)
@@ -305,13 +293,8 @@ class _Fixtures:
                     "w": rng.integers(0, 1 << 20, size=n),
                 },
             )
-            session.create_table(
-                "optR", {"v": IntType()},
-                {"v": rng.integers(0, 1 << 20, size=OPT_THETA_RIGHT)},
-            )
             session.bwdecompose("optL", "v", 24)
             session.bwdecompose("optL", "w", 24)
-            session.bwdecompose("optR", "v", 24)
             self._opt = session
         return self._opt
 
@@ -455,17 +438,13 @@ def _theta_cols(fx: _Fixtures, size: str):
     }[size]
 
 
-def _run_theta_band(
-    fx: _Fixtures, strategy: str, size: str = "base", emit: str = "auto"
-) -> None:
-    """The approximate phase alone, its result discarded: on the sorted
-    path that is *counting* the candidate pairs (one run per distinct code,
-    weighted by the rows carrying it) — no per-row run is formed unless
-    ``emit="pairs"`` or the brute-force producer asks for pairs."""
+def _run_theta_band(fx: _Fixtures, size: str = "base") -> None:
+    """The approximate phase alone, its result discarded: that is
+    *counting* the candidate pairs (one run per distinct code, weighted by
+    the rows carrying it) — no per-row run is formed."""
     left, right = _theta_cols(fx, size)
     theta_join_approx(
-        fx.machine.gpu, Timeline(), left, right,
-        Theta(ThetaOp.WITHIN, 64), strategy=strategy, emit=emit,
+        fx.machine.gpu, Timeline(), left, right, Theta(ThetaOp.WITHIN, 64)
     )
 
 
@@ -477,7 +456,7 @@ def _run_theta_band_selected(fx: _Fixtures) -> None:
     theta = Theta(ThetaOp.WITHIN, 64)
     pairs = theta_join_approx(
         machine.gpu, tl, fx.theta_left_lg, fx.theta_right_lg, theta,
-        strategy="sorted", left_ids=fx.theta_selected_ids,
+        left_ids=fx.theta_selected_ids,
     )
     theta_join_refine(
         machine.cpu, tl, fx.theta_left_lg, fx.theta_right_lg, theta, pairs
@@ -494,10 +473,7 @@ def _run_theta_repeat(fx: _Fixtures) -> None:
     """
     theta = Theta(ThetaOp.WITHIN, 64)
     for left in fx.theta_repeat_lefts:
-        theta_join_approx(
-            fx.machine.gpu, Timeline(), left, fx.theta_right, theta,
-            strategy="sorted",
-        )
+        theta_join_approx(fx.machine.gpu, Timeline(), left, fx.theta_right, theta)
 
 
 def _run_theta_pipeline_large(fx: _Fixtures) -> None:
@@ -509,8 +485,7 @@ def _run_theta_pipeline_large(fx: _Fixtures) -> None:
     tl = Timeline()
     theta = Theta(ThetaOp.WITHIN, 64)
     pairs = theta_join_approx(
-        machine.gpu, tl, fx.theta_left_lg, fx.theta_right_lg, theta,
-        strategy="sorted", emit="runs",
+        machine.gpu, tl, fx.theta_left_lg, fx.theta_right_lg, theta
     )
     ship_pairs(machine.bus, tl, pairs)
     refined = theta_join_refine(
@@ -537,13 +512,29 @@ def _run_theta_count_large(fx: _Fixtures) -> None:
     try:
         result = (
             fx.band.table("bandL")
-            .band_join("bandR", on="price", delta=64, strategy="sorted")
+            .band_join("bandR", on="price", delta=64)
             .count("n")
             .run(mode="ar")
         )
     finally:
         RunPairCandidates.materialized = original
     assert result.row_count == 1
+
+
+def _run_served_theta(fx: _Fixtures) -> None:
+    """Sixteen whole-column band joins sharing the large right side through
+    one ``Session.serve(max_batch=16)`` batch, each a ``count(*)``: the
+    members run one by one over the right side's warm views."""
+    session = fx.band
+    server = session.serve(max_batch=16)
+    handles = [
+        session.table("bandL").band_join("bandR", on="price", delta=16 * k)
+        .count("n").submit(server)
+        for k in range(1, 17)
+    ]
+    server.drain()
+    for handle in handles:  # consume (and surface any failure)
+        handle.result()
 
 
 def _run_tpch_q6(fx: _Fixtures) -> None:
@@ -573,18 +564,6 @@ def _run_opt_scan(fx: _Fixtures, optimizer: str) -> None:
         session.table("optL")
         .where("v", between=(100_000, 600_000))
         .where("w", between=(0, 200_000))
-        .count("n")
-        .run(mode="ar", optimizer=optimizer)
-    )
-
-
-def _run_opt_theta(fx: _Fixtures, optimizer: str) -> None:
-    """Small-right theta join: the heuristic brute-forces it, the
-    cost-based optimizer picks the sorted sweep off the estimates."""
-    session = fx.opt_workload()
-    (
-        session.table("optL")
-        .theta_join("optR", on="v", op="<")
         .count("n")
         .run(mode="ar", optimizer=optimizer)
     )
@@ -718,19 +697,14 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         "scan.selection": lambda: _run_selection(fx),
         "scan.selection.evict": lambda: _run_selection_evict(fx),
         "scan.conjunction3": lambda: _run_conjunction3(fx),
-        "join.theta.band": lambda: _run_theta_band(fx, "auto"),
-        "join.theta.band.bruteforce": lambda: _run_theta_band(fx, "bruteforce"),
-        "join.theta.band.large": lambda: _run_theta_band(fx, "sorted", size="large"),
-        "join.theta.band.large.materialize": lambda: _run_theta_band(
-            fx, "sorted", size="large", emit="pairs"
-        ),
-        "join.theta.band.xlarge": lambda: _run_theta_band(
-            fx, "sorted", size="xlarge", emit="runs"
-        ),
+        "join.theta.band": lambda: _run_theta_band(fx),
+        "join.theta.band.large": lambda: _run_theta_band(fx, size="large"),
+        "join.theta.band.xlarge": lambda: _run_theta_band(fx, size="xlarge"),
         "join.theta.band.repeat": lambda: _run_theta_repeat(fx),
         "join.theta.band.selected": lambda: _run_theta_band_selected(fx),
         "join.theta.count.large": lambda: _run_theta_count_large(fx),
         "join.theta.pipeline.large": lambda: _run_theta_pipeline_large(fx),
+        "serve.theta.b16": lambda: _run_served_theta(fx),
         "tpch.q6.ar": lambda: _run_tpch_q6(fx),
         "tpch.q1.ar": lambda: _run_tpch_q1(fx),
         # Deliberately last + lazily built: see _Fixtures.serve_workload.
@@ -752,7 +726,6 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         # after = optimizer="cost", so the recorded speedup IS the
         # optimizer's end-to-end win (or its planning overhead).
         "opt.pick.scan": lambda: _run_opt_scan(fx, opt),
-        "opt.pick.theta": lambda: _run_opt_theta(fx, opt),
         "opt.pick.batch": lambda: _run_opt_batch(fx, opt),
         # Streaming ingestion (PR 9): before = write-through strawman
         # (compact on every write), after = delta held to the watermark.

@@ -10,18 +10,15 @@ Three candidate shapes exist:
 
 * :class:`Approximation` — unary candidates (one id per row), used by
   selections, projections and FK joins.
-* :class:`PairCandidates` — binary candidates (a left/right position per
-  pair), used by theta joins.  Pair candidates obey the **order-insensitive
-  contract** (see PERFORMANCE.md): a ``PairCandidates`` denotes a *set* of
-  pairs; no producer guarantees any emission order and no consumer may rely
-  on one.  Deterministic order exists only at final result materialization,
-  via :meth:`PairCandidates.canonicalized`.
-* :class:`RunPairCandidates` — the same pair-set contract, run-length
-  encoded: one contiguous ``[start, stop)`` run over a shared right-side
-  permutation per left row.  The sorted interval join computes its matches
-  in exactly this shape, so keeping it defers the O(candidate pairs)
-  explosion to the **single materialization point**
-  (:meth:`RunPairCandidates.canonicalized`) at the end of the pipeline.
+* :class:`RunPairCandidates` — binary candidates, used by theta joins:
+  one contiguous ``[start, stop)`` run over a shared right-side permutation
+  per left row.  Pair candidates obey the **order-insensitive contract**
+  (see PERFORMANCE.md): they denote a *set* of pairs, named in whatever
+  order the join swept its rows, and no consumer may rely on an order.
+  The sorted interval join computes its matches in exactly this shape, so
+  keeping it defers the O(candidate pairs) explosion to the **single
+  materialization point** (:meth:`RunPairCandidates.canonicalized`) at the
+  end of the pipeline.
   And since every charge and the approximate answer read only the pair
   *count*, the runs themselves are **counted first, formed on first read**
   (:meth:`RunPairCandidates.deferred`): the join decides one run per
@@ -30,6 +27,10 @@ Three candidate shapes exist:
   only if an operator reads a row — a ``count(*)`` over a whole-column band
   join never does, because the refinement takes each row's exact span from
   the sorted exact values alone (a candidate run can only contain it).
+* :class:`PairCandidates` — the same set exploded to a left/right position
+  per pair: what that materialization point returns, in the one
+  deterministic (left, right) order, and what the nested-loop test oracle
+  (:func:`~repro.core.theta.theta_join_reference`) emits.
 
 Unary candidates obey the same contract between approximation and
 refinement: an :class:`Approximation` denotes a *set* of rows with their
@@ -285,18 +286,14 @@ class Approximation:
 
 @dataclass
 class PairCandidates:
-    """Candidate pair set of an approximate theta join.
+    """A theta join's pair set, exploded to one position pair per pair.
 
     **Order-insensitive contract.**  The two aligned position arrays denote
     an unordered *set* of (left, right) pairs — relational results are sets
-    of tuples, so no operator in the approximate→ship→refine pipeline may
-    depend on emission order.  The sort-based interval join and the
-    brute-force nested loop emit the same pair set in different orders;
-    both are equally valid producers.  Consumers that need a deterministic
-    layout (final result materialization, figure rendering) must call
-    :meth:`canonicalized`; everything upstream narrows with boolean masks,
-    which are order-agnostic.  Set-level comparison is
-    :meth:`set_equals` / :meth:`pair_set`.
+    of tuples, so nothing may depend on the order a producer emitted them
+    in.  A layout that must be deterministic (final result
+    materialization, figure rendering) comes from :meth:`canonicalized`;
+    set-level comparison is :meth:`set_equals` / :meth:`pair_set`.
     """
 
     left_positions: np.ndarray
@@ -318,17 +315,6 @@ class PairCandidates:
         return PairCandidates(
             self.left_positions[keep_mask], self.right_positions[keep_mask]
         )
-
-    def left_multiplicities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-entry ``(left rows, pair multiplicities)`` of this set.
-
-        The aggregate-only consumer's view of a pair set: every aggregate
-        over pairs of left-side values is a weighted aggregate over these
-        rows.  Materialized pairs enumerate one row per pair (weight 1);
-        the run-length twin returns one row per run with the run length as
-        weight — same weighted multiset, never an exploded pair.
-        """
-        return self.left_positions, np.ones(len(self), dtype=np.int64)
 
     def canonical_order(self) -> np.ndarray:
         """Permutation sorting the pairs lexicographically by (left, right)."""
@@ -381,7 +367,7 @@ def check_runs(starts: np.ndarray, stops: np.ndarray, n_right: int) -> None:
 class RunPairCandidates:
     """Run-length encoded candidate pair set of a sorted theta join.
 
-    The second implementation of the order-insensitive pair contract.  The
+    The order-insensitive pair contract, run-length encoded.  The
     denoted set is ``{(left_positions[i], order[j]) : starts[i] <= j <
     stops[i]}`` — per left row one contiguous run of a *shared* right-side
     permutation, instead of two exploded per-pair position arrays.  The
@@ -394,11 +380,9 @@ class RunPairCandidates:
     pair *count* (:meth:`__len__`), which the runs carry exactly.
 
     ``order_key`` records which right-side value stream ``order`` stably
-    sorts (``"lo"``/``"hi"`` — approximate interval bounds, with runs cut
-    on equal-key group boundaries — or ``"exact"`` — reconstructed
-    values).  Consumers that exploit run monotonicity (the sorted
-    refinement) require one of these; ``"raw"`` marks an arbitrary
-    permutation, for which only the materializing fallbacks apply.
+    sorts: ``"lo"``/``"hi"`` — approximate interval bounds, with runs cut
+    on equal-key group boundaries, what the join produces — or ``"exact"``
+    — reconstructed values, what the refinement produces.
 
     ``whole_left`` is the producer's word that ``left_positions`` names
     every row of the left column exactly once — in whatever order the
@@ -417,18 +401,13 @@ class RunPairCandidates:
         "whole_left", "_total", "_form",
     )
 
-    #: ``order_key`` values under which runs are monotone in the right
-    #: side's values (a stable sort of a value stream, runs on group
-    #: boundaries) — the precondition of the sorted refinement path.
-    MONOTONE_KEYS = ("lo", "hi", "exact")
-
     def __init__(
         self,
         left_positions: np.ndarray,
         starts: np.ndarray,
         stops: np.ndarray,
         order: np.ndarray,
-        order_key: str = "raw",
+        order_key: str,
         whole_left: bool = False,
     ) -> None:
         self._left_positions = np.asarray(left_positions, dtype=np.int64)
@@ -511,8 +490,8 @@ class RunPairCandidates:
     def materialized(self) -> PairCandidates:
         """Explode the runs into per-pair arrays (run order, no sort).
 
-        O(total pairs); everything upstream of final materialization should
-        prefer run-preserving operations (:meth:`with_runs`).
+        O(total pairs); everything upstream of final materialization stays
+        run-length encoded.
         """
         counts = self.stops - self.starts
         total = self._total
@@ -531,45 +510,34 @@ class RunPairCandidates:
 
         The one place runs are exploded into a :class:`PairCandidates` —
         final result materialization — and the one place order matters.
+        The non-empty runs are exploded in ascending row order, after which
+        only the right positions inside a run can be out of place: one sort
+        of the ``left · span + right`` composite (``span`` past the largest
+        right position; positions are 32-bit oids, so it fits an int64)
+        puts them in order, where a ``lexsort`` would sort pairs that
+        arrive in the sweeps' value order from scratch.
         """
-        return self.materialized().canonicalized()
-
-    def with_runs(self, starts: np.ndarray, stops: np.ndarray) -> "RunPairCandidates":
-        """Run-preserving narrow: replacement ``[start, stop)`` bounds over
-        the same left rows and right-side permutation — no pair ever
-        materialized.
-
-        An ``"exact"`` order key survives: refinement intersects index
-        spans over that same permutation, which is sound for *any*
-        sub-span.  Bound keys (``"lo"``/``"hi"``) are downgraded to
-        ``"raw"``: their soundness rests on runs cutting the bound-sorted
-        side on approximation-bucket boundaries, which arbitrary new
-        bounds do not preserve — a later refinement must then take the
-        materializing fallback rather than silently resurrect pairs this
-        narrow removed.
-        """
-        order_key = self.order_key if self.order_key == "exact" else "raw"
-        return RunPairCandidates(
-            self.left_positions, starts, stops, self.order,
-            order_key=order_key, whole_left=self.whole_left,
-        )
-
-    def narrowed(self, keep_mask: np.ndarray) -> PairCandidates:
-        """Pair subset selected by a per-pair boolean mask.
-
-        The mask aligns with the :meth:`materialized` enumeration order.
-        Generic per-pair narrowing cannot preserve runs, so this is the
-        materializing fallback; run-aware consumers use :meth:`with_runs`.
-        """
-        return self.materialized().narrowed(keep_mask)
+        runs = np.flatnonzero(self.stops > self.starts)
+        runs = runs[np.argsort(self.left_positions[runs])]
+        pairs = RunPairCandidates(
+            self.left_positions[runs], self.starts[runs], self.stops[runs],
+            self.order, self.order_key,
+        ).materialized()
+        if len(pairs) == 0:
+            return pairs
+        span = int(self.order.max()) + 1
+        key = pairs.left_positions * span
+        key += pairs.right_positions
+        key.sort()
+        left = key // span
+        return PairCandidates(left, key - left * span)
 
     def rows_narrowed(self, keep_mask: np.ndarray) -> "RunPairCandidates":
         """Subset selected by a per-*left-row* boolean mask, run-preserving.
 
         Drops whole runs (a left-side selection refinement); the surviving
-        runs and their permutation — including the ``order_key`` and its
-        monotonicity guarantees — are untouched, so a later sorted
-        refinement still applies.
+        runs and their permutation — including the ``order_key`` — are
+        untouched, so a later refinement still applies.
         """
         keep_mask = np.asarray(keep_mask, dtype=bool)
         if keep_mask.shape != self.left_positions.shape:
@@ -580,9 +548,12 @@ class RunPairCandidates:
         )
 
     def left_multiplicities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-entry ``(left rows, pair multiplicities)``; see the
-        materialized twin.  One entry per non-empty run, weight = run
-        length — O(runs), no pair ever materialized."""
+        """Per-entry ``(left rows, pair multiplicities)`` of this set.
+
+        The aggregate-only consumer's view of a pair set: every aggregate
+        over pairs of left-side values is a weighted aggregate over these
+        rows.  One entry per non-empty run, weight = run length — O(runs),
+        no pair ever materialized."""
         counts = self.stops - self.starts
         keep = counts > 0
         return self.left_positions[keep], counts[keep]

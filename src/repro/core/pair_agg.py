@@ -2,10 +2,9 @@
 
 Every aggregate this engine supports over a theta join's output is a
 function of left-side values only (plus the pair count), so it reduces to a
-*weighted* aggregate over the distinct left rows: a run-length candidate set
-contributes one entry per run with the run length as weight, a materialized
-set one entry per pair with weight 1 (see
-:meth:`~repro.core.candidates.PairCandidates.left_multiplicities`).  That is
+*weighted* aggregate over the distinct left rows: the run-length candidate
+set contributes one entry per run with the run length as weight (see
+:meth:`~repro.core.candidates.RunPairCandidates.left_multiplicities`).  That is
 what lets ``count(*)`` — and any grouped aggregate — over a band join finish
 without ever exploding a single pair.
 
@@ -23,13 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
-from .candidates import PairCandidates, RunPairCandidates
+from .candidates import RunPairCandidates
 from .grouping import GroupAssignment, combine_keys, key_range
 
 
-def pair_rows(
-    pairs: PairCandidates | RunPairCandidates,
-) -> tuple[np.ndarray, np.ndarray]:
+def pair_rows(pairs: RunPairCandidates) -> tuple[np.ndarray, np.ndarray]:
     """The weighted left-row view of a pair set: ``(rows, multiplicities)``."""
     return pairs.left_multiplicities()
 

@@ -21,7 +21,7 @@ from ..device.cpu import Cpu
 from ..device.timeline import Timeline
 from ..device.model import OpClass
 from ..storage.decompose import BwdColumn
-from .candidates import Approximation, PairCandidates, RunPairCandidates
+from .candidates import Approximation, RunPairCandidates
 from .intervals import IntervalColumn
 from .relax import ValueRange
 from .translucent import translucent_join
@@ -59,17 +59,14 @@ def ship_candidates(
 def ship_pairs(
     bus: PciBus,
     timeline: Timeline,
-    pairs: PairCandidates | RunPairCandidates,
+    pairs: RunPairCandidates,
 ) -> None:
     """Move a theta join's candidate pairs device→host.
 
     Two 32-bit position oids per pair cross the bus.  The transfer is a
-    pure function of the pair *count*: candidate pairs are an unordered set
-    (see :class:`~repro.core.candidates.PairCandidates`), every producer
-    strategy emits the same set, and both representations (materialized or
-    run-length) carry the count exactly, so the modeled charge is identical
-    whichever ran — run-length candidates are *not* billed less, because
-    the paper's device would emit per-pair oids here.
+    pure function of the pair *count*, which the runs carry exactly —
+    run-length candidates are *not* billed less, because the paper's
+    device would emit per-pair oids here.
     """
     bus.transfer(
         timeline, len(pairs) * 2 * _SHIP_OID_BYTES, "pairs", phase="refine"

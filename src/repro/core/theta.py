@@ -14,30 +14,22 @@ bucket.  The host then re-evaluates θ on reconstructed exact values for the
 
 Supported θ: ``< <= > >= =`` and the band join ``|left − right| <= delta``.
 
-Two simulation strategies produce the candidate pair *set*:
-
-* **sorted** — sort one side's interval bounds once (memoized on the
-  column, :meth:`~repro.storage.decompose.BwdColumn.sort_permutation`),
-  then rank the left side's ascending bounds in it (:func:`_ranks`, one
-  merge per sweep): O(|L| + |R|) wall-clock.  Every supported θ maps to a
-  contiguous run of the sorted right side (the inequalities through a
-  single bound; ``=``/``WITHIN`` through the constant interval width the
-  bitwise decomposition guarantees), so the matches are *born* run-length
-  encoded (:class:`~repro.core.candidates.RunPairCandidates`) — counted
-  per distinct code first, gathered out to rows only when one is read —
-  and stay that way: refinement takes each row's exact span from the two
-  sides' exact-sorted values and pairs materialize exactly once, at final
-  result construction.
-* **bruteforce** — the tiled |L|·|R| nested loop, kept as the oracle and as
-  the fallback for tiny right sides or non-uniform interval widths; it
-  emits materialized :class:`~repro.core.candidates.PairCandidates`.
-
-Both emit exactly the same pair set — in different orders and different
-representations, which is why the pipeline obeys the order-insensitive
-contract of :class:`~repro.core.candidates.PairCandidates` — and both
-charge identical modeled seconds: the device model always bills the paper's
-massively parallel |L|·|R| comparison volume, regardless of how the
-simulation shortcut obtained the same set.
+The candidate pair *set* comes from one producer: sort the right side's
+interval bounds once (memoized on the column,
+:meth:`~repro.storage.decompose.BwdColumn.sort_permutation`), then rank the
+left side's ascending bounds in it (:func:`_ranks`, one merge per sweep):
+O(|L| + |R|) wall-clock.  Every supported θ maps to a contiguous run of the
+sorted right side (the inequalities through a single bound; ``=``/``WITHIN``
+through the constant interval width, ``max_error``, the bitwise
+decomposition guarantees), so the matches are *born* run-length encoded
+(:class:`~repro.core.candidates.RunPairCandidates`) — counted per distinct
+code first, gathered out to rows only when one is read — and stay that way:
+refinement takes each row's exact span from the two sides' exact-sorted
+values, and pairs materialize exactly once, at final result construction.
+The modeled charge does not depend on how the simulation finds the set: the
+device model bills the paper's massively parallel |L|·|R| comparison volume.
+The |L|·|R| nested loop itself survives only as the test oracle,
+:func:`theta_join_reference`.
 """
 
 from __future__ import annotations
@@ -71,31 +63,6 @@ __all__ = [
 ]
 
 _OID_BYTES = 8
-
-#: Element budget of one comparison tile (left-tile rows × |right| interval
-#: pairs).  The tile height adapts to the right side's width so every
-#: iteration evaluates roughly this many comparisons — small right sides no
-#: longer force thousands of tiny Python-level iterations.
-_TILE_ELEMS = 1 << 22
-
-#: Lower bound on the adaptive tile height.
-_TILE_MIN = 256
-
-#: Below this right-side row count the brute-force tile beats paying for an
-#: argsort + per-row binary searches.
-_SORT_MIN_RIGHT = 32
-
-#: Valid ``strategy`` arguments of :func:`theta_join_approx`.
-STRATEGIES = ("auto", "sorted", "bruteforce")
-
-#: Valid ``emit`` arguments of :func:`theta_join_approx`.  ``"auto"`` keeps
-#: the sorted producer's native run-length shape and the brute-force
-#: producer's native materialized shape; ``"runs"`` demands runs (sorted
-#: only); ``"pairs"`` always materializes (the pre-PR-3 behavior).
-EMITS = ("auto", "runs", "pairs")
-
-#: Element budget of one chunk of the materializing refinement fallback.
-_REFINE_CHUNK_ELEMS = 1 << 22
 
 
 class ThetaOp(enum.Enum):
@@ -208,37 +175,8 @@ def _code_table(
 
 
 # ----------------------------------------------------------------------
-# Candidate-pair production strategies
+# Candidate-pair production
 # ----------------------------------------------------------------------
-def _uniform_width(bounds: IntervalColumn) -> int | None:
-    """The single interval width of ``bounds``, or None if widths vary.
-
-    Bounds derived from a bitwise decomposition are always uniform: every
-    bucket spans ``2**residual_bits`` values (``max_error`` wide), or zero
-    for fully device-resident columns.
-    """
-    if len(bounds.lo) == 0:
-        return 0
-    widths = bounds.hi - bounds.lo
-    first = int(widths[0])
-    if bool((widths == first).all()):
-        return first
-    return None
-
-
-def _sortable(theta: Theta, right_width: int | None) -> bool:
-    """Can the sorted strategy produce this θ's pair set?
-
-    The four inequalities cut the right side at a single bound, so any
-    interval shape sorts.  ``=`` and ``WITHIN`` constrain both bounds; they
-    stay a contiguous run only when the right intervals share one width
-    (guaranteed for decomposition bounds, checked defensively anyway).
-    """
-    if theta.op in (ThetaOp.LT, ThetaOp.LE, ThetaOp.GT, ThetaOp.GE):
-        return True
-    return right_width is not None
-
-
 def _ranks(key: np.ndarray, needles: np.ndarray, side: str) -> np.ndarray:
     """``np.searchsorted(key, needles, side)`` for **ascending** needles —
     the one rank kernel behind every sweep of this module.
@@ -266,22 +204,20 @@ def _sorted_runs(
     left_b: IntervalColumn,
     right_b: IntervalColumn,
     theta: Theta,
-    right_width: int | None,
-    right_col: BwdColumn | None = None,
+    right: BwdColumn,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Sort-based interval join: one (memoized) sort + two rank sweeps.
 
-    Computes the identical pair *set* as the brute-force nested loop (the
-    ``possible`` predicate, rearranged around one sorted bound), as one
-    ``[start, stop)`` run over the bound-sorted right side per entry of
-    ``left_b`` — ``(starts, stops, order, order_key)``, the fields of a
+    Computes the pair *set* of the |L|·|R| nested loop (the ``possible``
+    predicate, rearranged around one sorted bound), as one ``[start,
+    stop)`` run over the bound-sorted right side per entry of ``left_b`` —
+    ``(starts, stops, order, order_key)``, the fields of a
     :class:`RunPairCandidates` — never materializing a pair.  ``left_b``
     must ascend: every needle array below (lo, hi, lo−δ−c, hi+δ) is a
-    shifted copy of its bounds, so all of them do.  With ``right_col`` the
-    sort permutation comes from the column's memoized
+    shifted copy of its bounds, so all of them do.  The sort permutation is
+    the right column's memoized
     :meth:`~repro.storage.decompose.BwdColumn.sort_permutation`, so
-    repeated joins against the same (dimension) side skip the per-call
-    argsort entirely.
+    repeated joins against the same (dimension) side skip the argsort.
 
     The cut points always land on equal-key group boundaries, and for
     decomposition bounds those groups are exactly the approximation
@@ -294,7 +230,7 @@ def _sorted_runs(
     if op in (ThetaOp.LT, ThetaOp.LE):
         # left_lo (<|<=) right_hi  ⇔  a suffix of the hi-sorted right side.
         order_key = "hi"
-        order = _right_order(right_b.hi, order_key, right_col)
+        order = right.sort_permutation(order_key)
         key = right_b.hi[order]
         side = "right" if op is ThetaOp.LT else "left"
         starts = _ranks(key, left_b.lo, side)
@@ -302,21 +238,20 @@ def _sorted_runs(
     elif op in (ThetaOp.GT, ThetaOp.GE):
         # left_hi (>|>=) right_lo  ⇔  a prefix of the lo-sorted right side.
         order_key = "lo"
-        order = _right_order(right_b.lo, order_key, right_col)
+        order = right.sort_permutation(order_key)
         key = right_b.lo[order]
         side = "left" if op is ThetaOp.GT else "right"
         starts = np.zeros(n_left, dtype=np.int64)
         stops = _ranks(key, left_b.hi, side)
     else:
         # Overlap tests (=, WITHIN) constrain both right bounds.  With the
-        # uniform width c = hi − lo, both collapse onto the lo-sorted side:
+        # width c = hi − lo every bucket of a decomposition shares
+        # (``max_error``), both collapse onto the lo-sorted side:
         #   left_lo − δ <= right_hi  ∧  left_hi + δ >= right_lo
         #   ⇔  right_lo ∈ [left_lo − δ − c, left_hi + δ].
-        width = right_width
-        if width is None:  # pragma: no cover - guarded by _sortable
-            raise ExecutionError("sorted theta join needs uniform right bounds")
+        width = right.decomposition.max_error
         order_key = "lo"
-        order = _right_order(right_b.lo, order_key, right_col)
+        order = right.sort_permutation(order_key)
         key = right_b.lo[order]
         delta = theta.delta if op is ThetaOp.WITHIN else 0
         starts = _ranks(key, left_b.lo - delta - width, "left")
@@ -331,7 +266,6 @@ def _left_runs(
     left_ids: np.ndarray | None,
     right_b: IntervalColumn,
     theta: Theta,
-    right_width: int | None,
     right: BwdColumn,
 ) -> RunPairCandidates:
     """:func:`_sorted_runs` of ``left``'s rows (all, or ``left_ids``).
@@ -350,7 +284,7 @@ def _left_runs(
         codes = _codes(left, left_ids)
         bounds, weights = _code_table(left, codes)
         starts, stops, order, order_key = _sorted_runs(
-            bounds, right_b, theta, right_width, right
+            bounds, right_b, theta, right
         )
         check_runs(starts, stops, len(order))
 
@@ -372,79 +306,9 @@ def _left_runs(
         rows, codes = left_ids[by_code], codes[by_code]
     return RunPairCandidates(
         rows,
-        *_sorted_runs(
-            _payload_from_codes(left, codes), right_b, theta, right_width, right
-        ),
+        *_sorted_runs(_payload_from_codes(left, codes), right_b, theta, right),
         whole_left=whole,
     )
-
-
-def _right_order(
-    bound_values: np.ndarray, order_key: str, right_col: BwdColumn | None
-) -> np.ndarray:
-    """The right side's stable sort permutation for one bound.
-
-    Prefers the column's memoized permutation; falls back to a per-call
-    argsort when the caller only has interval bounds (tests, ad-hoc use).
-    Both yield the same permutation: the bounds are a strictly monotone
-    function of the approximation codes.
-    """
-    if right_col is not None:
-        return right_col.sort_permutation(order_key)
-    return np.argsort(bound_values, kind="stable").astype(np.int64, copy=False)
-
-
-def _tiled_pairs(
-    left_b: IntervalColumn, right_b: IntervalColumn, theta: Theta
-) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force nested loop over adaptive tiles (the oracle path)."""
-    n_left, n_right = len(left_b.lo), len(right_b.lo)
-    tile = max(_TILE_MIN, _TILE_ELEMS // max(n_right, 1))
-    # Preallocated, geometrically-grown pair buffers instead of a Python
-    # list of per-tile fragments plus a final concatenate.
-    cap = max(1024, n_left + n_right)
-    out_left = np.empty(cap, dtype=np.int64)
-    out_right = np.empty(cap, dtype=np.int64)
-    count = 0
-    for start in range(0, n_left, tile):
-        stop = min(start + tile, n_left)
-        mask = theta.possible(
-            left_b.lo[start:stop, None], left_b.hi[start:stop, None],
-            right_b.lo[None, :], right_b.hi[None, :],
-        )
-        li, ri = np.nonzero(mask)
-        need = count + li.size
-        if need > cap:
-            cap = max(cap * 2, need)
-            out_left = np.concatenate([out_left[:count], np.empty(cap - count, dtype=np.int64)])
-            out_right = np.concatenate([out_right[:count], np.empty(cap - count, dtype=np.int64)])
-        out_left[count:need] = li
-        out_left[count:need] += start
-        out_right[count:need] = ri
-        count = need
-    return out_left[:count].copy(), out_right[:count].copy()
-
-
-def _pick_strategy(
-    strategy: str, theta: Theta, right_width: int | None, n_right: int
-) -> str:
-    if strategy not in STRATEGIES:
-        raise ExecutionError(
-            f"unknown theta strategy {strategy!r}; pick one of {STRATEGIES}"
-        )
-    if strategy == "bruteforce":
-        return "bruteforce"
-    sortable = _sortable(theta, right_width)
-    if strategy == "sorted":
-        if not sortable:
-            raise ExecutionError(
-                "sorted strategy requires a single-bound θ or uniform "
-                "right-side interval widths"
-            )
-        return "sorted"
-    if not sortable or n_right < _SORT_MIN_RIGHT:
-        return "bruteforce"
-    return "sorted"
 
 
 def theta_join_approx(
@@ -454,82 +318,43 @@ def theta_join_approx(
     right: BwdColumn,
     theta: Theta,
     *,
-    strategy: str = "auto",
-    emit: str = "auto",
+    strategy: str = "sorted",
+    emit: str = "runs",
     left_ids: np.ndarray | None = None,
-    precomputed_runs: tuple | None = None,
-) -> PairCandidates | RunPairCandidates:
+) -> RunPairCandidates:
     """Device-side theta join over approximate intervals.
 
     Emits every (left, right) position pair whose buckets could satisfy θ —
     a superset of the exact join, as an order-free candidate pair *set*
-    (see :class:`~repro.core.candidates.PairCandidates`).
-
-    ``strategy`` picks how the simulation computes that set: ``"sorted"``
-    (searchsorted interval join), ``"bruteforce"`` (tiled nested loop) or
-    ``"auto"`` (sorted unless the right side is tiny or θ cannot sort).
-    ``emit`` picks the representation: ``"auto"`` keeps each producer's
-    native shape (run-length for sorted, materialized for brute force),
-    ``"runs"`` demands :class:`~repro.core.candidates.RunPairCandidates`
-    (sorted producer only) and ``"pairs"`` always materializes.  The
-    modeled charge is independent of both knobs by construction: the device
-    model bills the paper's massively parallel |L|·|R| comparison volume
-    plus the streams-and-output traffic, every producer yields the same
-    pair count, and the count is exact whichever representation holds it.
+    (see :class:`~repro.core.candidates.PairCandidates`), run-length
+    encoded over the bound-sorted right side.  The device model bills the
+    paper's massively parallel |L|·|R| comparison volume plus the
+    streams-and-output traffic, a function of the pair count alone.
 
     ``left_ids`` restricts the left side to a candidate row subset (a
     selection that ran under the join): emitted pairs reference the
     *original* left positions, and the device bills |candidates|·|R|
     comparisons instead of |L|·|R|.
 
-    ``precomputed_runs`` injects ``(starts, stops, order, order_key)`` run
-    bounds computed elsewhere — the serve layer's fused theta sweep
-    (:func:`~repro.engine.cooperative.cooperative_theta_runs`) carves many
-    joins' runs out of one pass over the shared right side.  Only honored
-    on the whole-column sorted path, where it holds the pair set
-    :func:`_left_runs` would by construction; the modeled charge is a
-    function of the pair count and stream sizes and is unaffected.
-
     Everything this function bills, and everything the approximate answer
     reports, is a function of the pair *count*: where the runs are decided
     per distinct code (:func:`_per_code`) the set comes back counted, its
     per-row runs formed only if an operator reads one
     (:meth:`RunPairCandidates.deferred`).
+
+    ``strategy`` and ``emit`` name the one producer and accept nothing but
+    ``"sorted"`` / ``"runs"``: ``benchmarks/e2e/layers.py`` still passes
+    them, and they leave the signature once it stops.
     """
-    if emit not in EMITS:
-        raise ExecutionError(f"unknown emit mode {emit!r}; pick one of {EMITS}")
+    if (strategy, emit) != ("sorted", "runs"):
+        raise ExecutionError(
+            f"theta joins are produced sorted, as runs; got "
+            f"strategy={strategy!r} emit={emit!r}"
+        )
     if left_ids is not None:
         left_ids = np.asarray(left_ids, dtype=np.int64)
     n_left = left.length if left_ids is None else len(left_ids)
-    right_b = _bounds(right)
-    # The overlap ops need the right side's uniform interval width; compute
-    # the O(|R|) check once and share it between strategy pick and join.
-    right_width = (
-        _uniform_width(right_b)
-        if theta.op in (ThetaOp.EQ, ThetaOp.WITHIN)
-        else None
-    )
-    chosen = _pick_strategy(strategy, theta, right_width, right.length)
-    pairs: PairCandidates | RunPairCandidates
-    if chosen == "sorted":
-        if precomputed_runs is not None and left_ids is None:
-            runs = RunPairCandidates(
-                np.arange(n_left, dtype=np.int64), *precomputed_runs,
-                whole_left=True,
-            )
-        else:
-            runs = _left_runs(left, left_ids, right_b, theta, right_width, right)
-        pairs = runs.materialized() if emit == "pairs" else runs
-    else:
-        if emit == "runs":
-            raise ExecutionError(
-                "emit='runs' needs the sorted strategy; the brute-force "
-                "producer only materializes pairs"
-            )
-        li, ri = _tiled_pairs(_bounds(left, left_ids), right_b, theta)
-        if left_ids is not None:
-            li = left_ids[li]
-        pairs = PairCandidates(li, ri)
+    pairs = _left_runs(left, left_ids, _bounds(right), theta, right)
     read = left.approx_nbytes + right.approx_nbytes
     gpu._charge(
         timeline, f"join.theta.approx({theta.op.value})",
@@ -675,35 +500,40 @@ def exact_run_bounds(
     )
 
 
-def _refine_runs_sorted(
+def theta_join_refine(
+    cpu: Cpu,
+    timeline: Timeline,
     left: BwdColumn,
     right: BwdColumn,
     theta: Theta,
     pairs: RunPairCandidates,
 ) -> RunPairCandidates:
-    """Run-narrowing refinement: each row's run becomes its exact span,
-    nothing materialized.
+    """Host-side refinement: exact θ over the candidate pairs only.
 
-    Sorts the right side's *exact* values once (memoized on the column),
-    takes the left rows in the order of *their* exact values — the
-    column's memoized exact-sort permutation when the runs cover the whole
-    column (the producer says so — no O(|L|) test here), one argsort of
-    the rows' reconstructed values otherwise — and ranks those ascending
-    needles in the right side (:func:`exact_run_bounds`).  The refined set
-    names its rows in that order; a pair set has none of its own.
+    The approximation turned a |L|·|R| nested loop into work linear in the
+    candidate count — the transformation §IV-D describes for joins.  Each
+    row's run becomes its exact span, nothing materialized: the right
+    side's *exact* values are sorted once (memoized on the column), the
+    left rows taken in the order of *their* exact values — the column's
+    memoized exact-sort permutation when the runs cover the whole column
+    (the producer says so — no O(|L|) test here), one argsort of the rows'
+    reconstructed values otherwise — and those ascending needles ranked in
+    the right side (:func:`exact_run_bounds`, two sweeps, O(|L| + |R|)
+    instead of O(pairs)).  The refined set names its rows in that order; a
+    pair set has none of its own.
 
-    Runs over a bound-sorted side (``"lo"`` / ``"hi"``) are never read:
-    they cut it on approximation-bucket boundaries, the exact sort refines
-    the bound sort bucket-block by bucket-block, and a run holds every
-    bucket its row's matches can lie in — so the exact span already lies
-    inside it and *is* the intersection.  Runs arriving in ``"exact"``
-    order (a second refinement, possibly narrowed in between) carry no
-    such guarantee and intersect span with span.
+    The candidate runs themselves are never read: they cut the bound-sorted
+    side on approximation-bucket boundaries, the exact sort refines the
+    bound sort bucket-block by bucket-block, and a run holds every bucket
+    its row's matches can lie in — so the exact span already lies inside it
+    and *is* the intersection.  The modeled charge is a function of the
+    candidate pair count only.
     """
+    if len(pairs) == 0:
+        return pairs
     order = right.sort_permutation("exact")
     key = right.reconstruct()[order]
-    held = pairs.order_key == "exact"
-    if pairs.whole_left and not held:
+    if pairs.whole_left:
         rows = left.sort_permutation("exact")
         needles = left.reconstruct()[rows]
     else:
@@ -711,99 +541,10 @@ def _refine_runs_sorted(
         needles = left.reconstruct(rows)
         by_value = np.argsort(needles)
         rows, needles = rows[by_value], needles[by_value]
-    starts, stops = exact_run_bounds(key, needles, theta)
-    if held:
-        np.maximum(starts, pairs.starts[by_value], out=starts)
-        np.minimum(stops, pairs.stops[by_value], out=stops)
-    np.maximum(stops, starts, out=stops)
-    return RunPairCandidates(
-        rows, starts, stops, order, order_key="exact",
-        whole_left=pairs.whole_left,
+    refined = RunPairCandidates(
+        rows, *exact_run_bounds(key, needles, theta), order,
+        order_key="exact", whole_left=pairs.whole_left,
     )
-
-
-def _refine_runs_chunked(
-    left: BwdColumn,
-    right: BwdColumn,
-    theta: Theta,
-    pairs: RunPairCandidates,
-    chunk_elems: int = _REFINE_CHUNK_ELEMS,
-) -> PairCandidates:
-    """Materialize-and-mask refinement over bounded chunks of runs.
-
-    The fallback for run sets the sorted path cannot narrow (an arbitrary
-    ``"raw"`` permutation, where runs carry no value monotonicity): explode
-    at most ``chunk_elems`` pairs at a time, apply exact θ, and keep the
-    survivors — O(candidate pairs) work but O(chunk) peak memory.
-    """
-    counts = pairs.stops - pairs.starts
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    kept_left: list[np.ndarray] = []
-    kept_right: list[np.ndarray] = []
-    lo = 0
-    n_rows = len(pairs.left_positions)
-    while lo < n_rows:
-        # Largest block whose pair total fits the budget (a run larger than
-        # the whole budget still goes through alone).
-        hi = int(
-            np.searchsorted(offsets, offsets[lo] + chunk_elems, side="right")
-        ) - 1
-        hi = max(hi, lo + 1)
-        block = RunPairCandidates(
-            pairs.left_positions[lo:hi], pairs.starts[lo:hi],
-            pairs.stops[lo:hi], pairs.order,
-        ).materialized()
-        if len(block):
-            keep = theta.exact(
-                left.reconstruct(block.left_positions),
-                right.reconstruct(block.right_positions),
-            )
-            block = block.narrowed(keep)
-            kept_left.append(block.left_positions)
-            kept_right.append(block.right_positions)
-        lo = hi
-    if not kept_left:
-        return PairCandidates(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-    return PairCandidates(
-        np.concatenate(kept_left), np.concatenate(kept_right)
-    )
-
-
-def theta_join_refine(
-    cpu: Cpu,
-    timeline: Timeline,
-    left: BwdColumn,
-    right: BwdColumn,
-    theta: Theta,
-    pairs: PairCandidates | RunPairCandidates,
-) -> PairCandidates | RunPairCandidates:
-    """Host-side refinement: exact θ over the candidate pairs only.
-
-    The approximation turned a |L|·|R| nested loop into work linear in the
-    candidate count — the transformation §IV-D describes for joins.
-    Order-insensitive: whichever producer and representation arrives, the
-    refined *set* is the same.  Materialized pairs narrow with a keep-mask;
-    run-length pairs become each row's exact span of the exact-sorted right
-    side (two rank sweeps, O(|L| + |R|) instead of O(pairs)) and stay
-    run-length encoded — pairs first materialize at the engine's canonical
-    result construction.  The modeled charge is a function of the
-    candidate pair count only, identical across all paths.
-    """
-    if len(pairs) == 0:
-        return pairs
-    refined: PairCandidates | RunPairCandidates
-    if isinstance(pairs, RunPairCandidates):
-        if pairs.order_key in RunPairCandidates.MONOTONE_KEYS:
-            refined = _refine_runs_sorted(left, right, theta, pairs)
-        else:
-            refined = _refine_runs_chunked(left, right, theta, pairs)
-    else:
-        left_exact = left.reconstruct(pairs.left_positions)
-        right_exact = right.reconstruct(pairs.right_positions)
-        keep = theta.exact(left_exact, right_exact)
-        refined = pairs.narrowed(keep)
     cpu.charge(
         timeline, f"join.theta.refine({theta.op.value})",
         len(pairs) * 2 * _OID_BYTES,

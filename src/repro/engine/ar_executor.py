@@ -53,7 +53,7 @@ from ..device.machine import Machine
 from ..device.model import AccessPattern, OpClass
 from ..device.timeline import Timeline
 from ..errors import ExecutionError, PlanError
-from ..core.candidates import PairCandidates, RunPairCandidates
+from ..core.candidates import RunPairCandidates
 from ..plan.expr import ColRef, Expr, Predicate
 from ..plan.logical import Aggregate, Query, ThetaJoin
 from ..plan.physical import (
@@ -112,7 +112,7 @@ class _ExecState:
         self.shipped = False
         # Theta-join plans flow a candidate *pair* set instead of (or after)
         # the unary candidate set.
-        self.pairs: PairCandidates | RunPairCandidates | None = None
+        self.pairs: RunPairCandidates | None = None
         #: the refined pairs' grouping; ``None`` for an ungrouped block
         self.pair_groups: GroupAssignment | None = None
         self.pair_group_keys: dict[str, np.ndarray] = {}
@@ -122,10 +122,6 @@ class _ExecState:
         # shared cooperative pass (wall-clock only; charges and results
         # stay byte-identical to a solo run).
         self.scan_hits: dict[int, CarvedHits] | None = None
-        # Same idea for theta joins: id(ApproxThetaJoin) -> precomputed
-        # (starts, stops, order, order_key) from a fused sweep over the
-        # shared right side.
-        self.theta_runs: dict[int, tuple] | None = None
 
     # Every operator hands its output back through the ``candidates`` setter,
     # which drops what the aggregates memoized over the previous candidate
@@ -255,7 +251,6 @@ class ArExecutor:
         *,
         approximate_only: bool = False,
         scan_hits: dict[int, CarvedHits] | None = None,
-        theta_runs: dict[int, tuple] | None = None,
     ) -> Result:
         """Execute a plan; with ``approximate_only`` stop before shipping.
 
@@ -269,15 +264,11 @@ class ArExecutor:
         evaluation; the operator's modeled charge and emitted candidates
         are byte-identical to the solo scan — and a plan that only counts
         them never forms a row (:meth:`Approximation.deferred`).
-        ``theta_runs`` is the theta twin: ``id(op)`` of an
-        :class:`ApproxThetaJoin` to the ``(starts, stops, order,
-        order_key)`` run bounds of a fused sweep over the shared right side.
         """
         timeline = timeline if timeline is not None else Timeline()
         state = _ExecState(plan.query, self._catalog, self._machine)
         state.timeline = timeline
         state.scan_hits = scan_hits
-        state.theta_runs = theta_runs
 
         ops, i = plan.ops, 0
         while i < len(ops):
@@ -444,18 +435,11 @@ class ArExecutor:
             left_ids = (
                 state.candidates.ids if state.candidates is not None else None
             )
-            runs = (
-                state.theta_runs.get(id(op))
-                if state.theta_runs is not None
-                else None
-            )
             state.pairs = theta_join_approx(
                 machine.gpu, tl,
                 self._theta_bwd(state.query.table, tj.left_column),
                 self._theta_bwd(tj.right_table, tj.right_column),
-                self._theta_of(tj),
-                strategy=tj.strategy, emit=tj.emit, left_ids=left_ids,
-                precomputed_runs=runs,
+                self._theta_of(tj), left_ids=left_ids,
             )
             # The free approximate answer reports the device-side candidate
             # pair count.
@@ -724,12 +708,11 @@ class ArExecutor:
     def _refine_pair_select(self, pred: Predicate, state: _ExecState) -> None:
         """Exact re-check of a left-side predicate over the candidate pairs.
 
-        The simulation evaluates the predicate once per pair *entry* — per
-        run under the run-length representation — and drops failing left
-        rows whole; the modeled host, which received per-pair oids over the
-        bus, re-checks every pair, so the charge is a function of the pair
-        counts only (representation- and strategy-independent, like every
-        other modeled theta charge).
+        The simulation evaluates the predicate once per run and drops
+        failing left rows whole; the modeled host, which received per-pair
+        oids over the bus, re-checks every pair, so the charge is a
+        function of the pair counts only, like every other modeled theta
+        charge.
         """
         assert state.pairs is not None
         machine, tl = self._machine, state.timeline
@@ -742,10 +725,7 @@ class ArExecutor:
 
         mask = pred.evaluate_exact(resolve)
         n_before = len(pairs)
-        if isinstance(pairs, RunPairCandidates):
-            state.pairs = pairs.rows_narrowed(mask)
-        else:
-            state.pairs = pairs.narrowed(mask)
+        state.pairs = pairs.rows_narrowed(mask)
         state.invalidate_pair_rows()
         machine.cpu.charge(
             tl, f"cpu.select.pairs{pred!r}",
@@ -827,13 +807,9 @@ class ArExecutor:
     def _right_pair_partials(self, agg: Aggregate, state: _ExecState) -> dict:
         """The right-side theta values *at the pairs*, as partials to fold.
 
-        Run-shaped pair sets stay exploded-free: the runs index the
+        The pair set stays exploded-free: the refined runs index the
         exact-sorted right permutation, so per-run count/sum/min/max
-        payloads (:func:`right_run_partials`) replace the per-pair gather.
-        Materialized pair sets gather ``right_values[right_positions]``
-        as weighted rows (weights are all 1 there).  Both fold to
-        byte-identical outputs: int64 partial sums and counts are
-        associative, extrema compose, ``avg`` divides once at the end.
+        payloads (:func:`right_run_partials`) replace a per-pair gather.
         """
         tj = state.query.theta_joins[0]
         rel = self._catalog.table(tj.right_table)
@@ -846,17 +822,12 @@ class ArExecutor:
             )
         assert agg.expr.name == qualified
         pairs = state.pairs
-        if isinstance(pairs, RunPairCandidates):
-            if pairs.order_key != "exact" and len(pairs) > 0:
-                raise ExecutionError(
-                    "right-side aggregate over unrefined runs "
-                    f"(order_key={pairs.order_key!r})"
-                )
-            return right_run_partials(vals[pairs.order], pairs.starts, pairs.stops)
-        _, weights = state.pair_left_rows()
-        return agg_kernels.row_partials(
-            agg.func, vals[pairs.right_positions], weights
-        )
+        if pairs.order_key != "exact" and len(pairs) > 0:
+            raise ExecutionError(
+                "right-side aggregate over unrefined runs "
+                f"(order_key={pairs.order_key!r})"
+            )
+        return right_run_partials(vals[pairs.order], pairs.starts, pairs.stops)
 
     def _finalize_theta(self, state: _ExecState) -> Result:
         """Result construction for theta-join plans.
@@ -874,7 +845,7 @@ class ArExecutor:
         if not query.is_aggregation():
             final = state.pairs.canonicalized()
             # The presentation sort is billed on the host; it depends only
-            # on the refined pair count, never on the producer strategy.
+            # on the refined pair count.
             machine.cpu.charge(
                 tl, "join.theta.materialize",
                 len(final) * 2 * _OID_BYTES,

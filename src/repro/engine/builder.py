@@ -143,22 +143,17 @@ class RelationBuilder:
         on: str | tuple[str, str],
         op: str,
         delta: int = 0,
-        strategy: str = "auto",
-        emit: str = "auto",
     ) -> "RelationBuilder":
         """Theta join against ``right_table`` (§IV-D).
 
         ``on`` names the join columns — one shared name, or a
         ``(fact_column, right_column)`` pair; ``op`` is one of
-        ``< <= > >= =`` or ``"within"`` (with ``delta``).  ``strategy`` and
-        ``emit`` tune the simulation only; results and modeled Timeline
-        charges are identical for every combination.
+        ``< <= > >= =`` or ``"within"`` (with ``delta``).
         """
         left_col, right_col = _on_columns(on)
         theta = ThetaJoin(
             left_column=left_col, right_table=right_table,
             right_column=right_col, op=op, delta=delta,
-            strategy=strategy, emit=emit,
         )
         return self._derive(theta_joins=self._theta + (theta,))
 
@@ -168,14 +163,9 @@ class RelationBuilder:
         *,
         on: str | tuple[str, str],
         delta: int,
-        strategy: str = "auto",
-        emit: str = "auto",
     ) -> "RelationBuilder":
         """Band join: ``|left − right| <= delta`` (sugar for ``within``)."""
-        return self.theta_join(
-            right_table, on=on, op="within", delta=delta,
-            strategy=strategy, emit=emit,
-        )
+        return self.theta_join(right_table, on=on, op="within", delta=delta)
 
     def group_by(self, *columns: str) -> "RelationBuilder":
         return self._derive(group=self._group + columns)
@@ -233,16 +223,14 @@ class RelationBuilder:
         mode: str = "ar",
         pushdown: bool = True,
         predicate_order: str = "query",
-        optimizer: str = "auto",
+        optimizer: str = "cost",
         timeline: "Timeline | None" = None,
     ) -> "Result":
         """Execute the block in one of the three modes (the eager step).
 
-        ``optimizer="auto"`` (default since PR 10) routes physical choices
-        (theta strategy/emit, materialization shape) through the
-        cost-based planner (:mod:`repro.opt`) where it applies and falls
-        back to the heuristic plan where it does not; ``"cost"`` is
-        strict; the Result is byte-identical either way.
+        ``optimizer`` is ``"cost"`` (plans carry :mod:`repro.opt`'s
+        estimates) or ``"heuristic"``; the Result is byte-identical
+        either way.
         """
         return self._session.query(
             self.build(), mode=mode, pushdown=pushdown,

@@ -201,146 +201,3 @@ def individual_scan_seconds(
         gpu.select_code_ranges([(column, request.label, lo, hi)], tl)
         total += tl.total_seconds()
     return total
-
-
-# ----------------------------------------------------------------------
-# Cooperative theta sweeps (PR 6): the scan-sharing idea applied to joins
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ThetaRunRequest:
-    """One pending whole-column theta join against the shared right side."""
-
-    label: str
-    left: BwdColumn
-    theta: "Theta"
-
-
-def theta_runs_fusable(right: BwdColumn, theta: "Theta") -> bool:
-    """Would the solo join take the sorted run-producing path for this θ?
-
-    The fused sweep replicates :func:`~repro.core.theta._sorted_runs`, so
-    it only applies where ``strategy="auto"`` resolves to ``"sorted"``.
-    """
-    from ..core.theta import ThetaOp, _bounds, _pick_strategy, _uniform_width
-
-    width = (
-        _uniform_width(_bounds(right))
-        if theta.op in (ThetaOp.EQ, ThetaOp.WITHIN)
-        else None
-    )
-    return _pick_strategy("auto", theta, width, right.length) == "sorted"
-
-
-def cooperative_theta_runs(
-    right: BwdColumn, requests: list[ThetaRunRequest]
-) -> dict[str, tuple]:
-    """Carve many theta joins' candidate runs out of ONE sweep — zero charges.
-
-    Each sorted theta join is two ``searchsorted`` sweeps over a sorted
-    bound of the shared right side (:func:`~repro.core.theta._sorted_runs`).
-    ``searchsorted`` is element-wise, so a batch of joins against the same
-    right column can concatenate their needle arrays and binary-search the
-    shared key **once per (bound, side)** instead of once per query — the
-    cooperative-scan idea applied to joins.
-
-    Returns per-label ``(starts, stops, order, order_key)`` tuples holding
-    exactly the values :func:`_sorted_runs` would compute (same key, same
-    sides, same needle values), so callers feed them into
-    :func:`~repro.core.theta.theta_join_approx` as ``precomputed_runs``
-    and every per-query modeled ledger stays byte-identical to its solo
-    run.  This function charges nothing; accounting stays with the
-    per-query join kernels.
-    """
-    from ..core.theta import ThetaOp, _bounds, _uniform_width
-
-    labels = [r.label for r in requests]
-    if len(set(labels)) != len(labels):
-        raise ExecutionError(f"duplicate theta labels: {labels}")
-    right_b = _bounds(right)
-    n_right = right.length
-    keys = {
-        "hi": right_b.hi[right.sort_permutation("hi")],
-        "lo": right_b.lo[right.sort_permutation("lo")],
-    }
-    # One sweep = one searchsorted over a shared key: gather every
-    # request's needles per (bound, side), search once, scatter back.
-    sweeps: dict[tuple[str, str], list[tuple[np.ndarray, dict, str]]] = {}
-
-    def sweep(order_key: str, side: str, needles: np.ndarray, slot: dict, name: str):
-        sweeps.setdefault((order_key, side), []).append((needles, slot, name))
-
-    slots: list[tuple[str, dict, str]] = []
-    for req in requests:
-        if not theta_runs_fusable(right, req.theta):
-            raise ExecutionError(
-                f"theta join {req.label!r} would not take the sorted path"
-            )
-        left_b = _bounds(req.left)
-        n_left = req.left.length
-        theta = req.theta
-        slot: dict = {}
-        if theta.op in (ThetaOp.LT, ThetaOp.LE):
-            order_key = "hi"
-            side = "right" if theta.op is ThetaOp.LT else "left"
-            sweep(order_key, side, left_b.lo, slot, "starts")
-            slot["stops"] = np.full(n_left, n_right, dtype=np.int64)
-        elif theta.op in (ThetaOp.GT, ThetaOp.GE):
-            order_key = "lo"
-            side = "left" if theta.op is ThetaOp.GT else "right"
-            slot["starts"] = np.zeros(n_left, dtype=np.int64)
-            sweep(order_key, side, left_b.hi, slot, "stops")
-        else:
-            width = _uniform_width(right_b)
-            order_key = "lo"
-            delta = theta.delta if theta.op is ThetaOp.WITHIN else 0
-            sweep(order_key, "left", left_b.lo - delta - width, slot, "starts")
-            sweep(order_key, "right", left_b.hi + delta, slot, "stops")
-        slots.append((req.label, slot, order_key))
-
-    for (order_key, side), entries in sweeps.items():
-        key = keys[order_key]
-        cat = np.concatenate([needles for needles, _, _ in entries])
-        found = np.searchsorted(key, cat, side=side).astype(np.int64, copy=False)
-        offset = 0
-        for needles, slot, name in entries:
-            slot[name] = found[offset : offset + len(needles)]
-            offset += len(needles)
-
-    runs_by_label: dict[str, tuple] = {}
-    for label, slot, order_key in slots:
-        starts, stops = slot["starts"], np.ascontiguousarray(slot["stops"])
-        np.maximum(stops, starts, out=stops)
-        runs_by_label[label] = (
-            starts, stops, right.sort_permutation(order_key), order_key
-        )
-    return runs_by_label
-
-
-def fused_theta_pass_seconds(
-    gpu: SimulatedGPU,
-    right: BwdColumn,
-    lefts: list[BwdColumn],
-    total_pairs: int,
-) -> float:
-    """Modeled seconds of one fused theta pass (stats, not charges).
-
-    What a fused join kernel would bill: the shared right stream read
-    once, each left stream read once, the combined pair output, and the
-    comparison volume with every additional join paying only the fused
-    per-tuple fraction.  Surfaced by the serve layer next to the solo
-    charges so the modeled sharing gain is visible without entering any
-    query's ledger.
-    """
-    timeline = Timeline()
-    read = right.approx_nbytes + sum(left.approx_nbytes for left in lefts)
-    volume = sum(left.length for left in lefts) * right.length
-    fused_tuples = int(
-        volume / len(lefts) * (1 + (len(lefts) - 1) * _EXTRA_PREDICATE_FRACTION)
-    )
-    gpu._charge(
-        timeline, f"join.theta.approx.coop(x{len(lefts)})",
-        read + total_pairs * 2 * _OID_BYTES,
-        tuples=fused_tuples, op_class=OpClass.ARITH,
-    )
-    return timeline.total_seconds()

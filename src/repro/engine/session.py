@@ -24,6 +24,7 @@ from ..device.timeline import Timeline
 from ..errors import PlanError
 from ..obs import trace as obs_trace
 from ..opt.plan_cache import PlanCache
+from ..opt.planner import check_optimizer
 from ..plan.explain import explain as explain_plan
 from ..plan.logical import Query
 from ..plan.rewriter import rewrite_to_ar_plan
@@ -38,12 +39,6 @@ from .result import Result
 from .stream import streaming_input_bytes, streaming_lower_bound
 
 MODES = ("ar", "classic", "approximate")
-
-#: Accepted ``optimizer=`` values on the run path.  ``"auto"`` (the solo
-#: default since PR 10) resolves to the cost-based optimizer, falling back
-#: to the heuristic plan on :class:`PlanError` — the same flip-safety rule
-#: the serve path adopted in PR 9.
-RUN_OPTIMIZERS = ("auto", "heuristic", "cost")
 
 
 class Session:
@@ -215,29 +210,23 @@ class Session:
         mode: str = "ar",
         pushdown: bool = True,
         predicate_order: str = "query",
-        optimizer: str = "auto",
+        optimizer: str = "cost",
         timeline: Timeline | None = None,
     ) -> Result:
         """Run a logical query in one of the three execution modes.
 
         ``predicate_order="selectivity"`` enables the histogram-driven
         cost-based ordering of approximate selections (§III-A extension).
-        ``optimizer`` picks the physical planner: ``"auto"`` (default since
-        PR 10) uses the cost model (PR 8) where it applies and falls back
-        to the heuristic plan where it does not; ``"cost"`` is strict;
-        ``"heuristic"`` forces the rule-based plan.  Every choice yields
-        the same Result and modeled Timeline — the optimizer only moves
-        host execution cost.  Physical plans are cached per (query,
-        options, catalog epoch); compaction invalidates by bumping the
-        epoch.
+        ``optimizer`` picks the physical planner: ``"cost"`` (the default)
+        stamps the plan with estimated spans and the scan-order decision
+        (:mod:`repro.opt`); ``"heuristic"`` is the rule-based plan alone.
+        Both yield the same Result and modeled Timeline.  Physical plans
+        are cached per (query, options, catalog epoch); compaction
+        invalidates by bumping the epoch.
         """
         if mode not in MODES:
             raise PlanError(f"unknown mode {mode!r}; pick one of {MODES}")
-        if optimizer not in RUN_OPTIMIZERS:
-            raise PlanError(
-                f"unknown optimizer {optimizer!r}; "
-                f"pick one of {RUN_OPTIMIZERS}"
-            )
+        check_optimizer(optimizer)
         tracer = self.tracer
         if tracer is None:
             return self._run_query(
@@ -328,31 +317,18 @@ class Session:
         *,
         pushdown: bool = True,
         predicate_order: str = "query",
-        optimizer: str = "auto",
+        optimizer: str = "cost",
     ):
-        """The physical plan for ``query``, via the session plan cache.
-
-        ``"auto"`` tries the cost-based rewrite and falls back to the
-        heuristic plan on :class:`PlanError`; the resolution is part of
-        the cache key's optimizer component, so flipping optimizers never
-        serves a stale shape.
-        """
+        """The physical plan for ``query``, via the session plan cache;
+        the optimizer is part of the key, so flipping it never serves a
+        stale shape."""
         key = (query, pushdown, predicate_order, optimizer,
                self.catalog.epoch)
 
         def build():
-            if optimizer in ("auto", "cost"):
-                try:
-                    return rewrite_to_ar_plan(
-                        query, self.catalog, pushdown=pushdown,
-                        predicate_order=predicate_order, optimizer="cost",
-                    )
-                except PlanError:
-                    if optimizer == "cost":
-                        raise
             return rewrite_to_ar_plan(
                 query, self.catalog, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer="heuristic",
+                predicate_order=predicate_order, optimizer=optimizer,
             )
 
         return self._plan_cache.get(key, build)

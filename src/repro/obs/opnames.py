@@ -55,7 +55,6 @@ DECLARED: dict[str, str] = {
     "join.approx.fk": "engine.ar_executor",
     "join.approx.gather": "engine.ar_executor",
     "join.theta.approx": "core.theta",
-    "join.theta.approx.coop": "engine.cooperative",
     "project.approx": "engine.ar_executor",
     "scan.approx": "engine.ar_executor",
     "select.approx": "core.approximate",

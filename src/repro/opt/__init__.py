@@ -1,29 +1,24 @@
 """Cost-based optimization: the device model promoted from ledger to planner.
 
 ``repro.opt`` estimates candidate cardinalities from the approximation
-histograms (:mod:`.estimates`), costs enumerated physical alternatives —
-theta strategy/emit, pair materialization vs aggregate-only consumption,
-cooperative-batch membership, per-shard fragment shape — through the
-device charge machinery (:mod:`.cost`), and records every pick with its
-rejected competitors (:mod:`.planner`).  Opt in with ``optimizer="cost"``
-on ``run()``/``query()``/``serve()``/``ShardPlanner.plan()``; the default
-stays the historical heuristics until the sweep grid validates a host.
+histograms (:mod:`.estimates`), predicts every operator's modeled span and
+costs the serve layer's fuse-or-solo choice through the device charge
+machinery (:mod:`.cost`), and records every decision — scan order,
+cooperative-batch membership, per-shard fragment shape — with its rejected
+competitors (:mod:`.planner`).  ``optimizer="cost"`` is the default on
+``query()`` / ``plan_for()`` / ``run()`` and ``Session.serve()``;
+``"heuristic"`` plans the same operators without the estimates.
 """
 
 from .cost import (
     SIM_HOST,
     EstimatedSpan,
-    active_sim_host,
     cost_fused_scan,
     cost_solo_scans,
-    cost_theta_alternative,
     estimated_plan_spans,
-    sim_host_override,
-    theta_alternatives,
 )
 from .estimates import (
     ThetaCardinality,
-    estimate_conjunction_rows,
     estimate_scan_candidates,
     estimate_selectivity,
     estimate_theta_cardinality,
@@ -35,8 +30,6 @@ from .planner import (
     Decision,
     batch_membership_decision,
     check_optimizer,
-    choose_theta,
-    optimized_theta_query,
     scan_order_decision,
 )
 from .report import estimated_vs_actual
@@ -47,23 +40,16 @@ __all__ = [
     "ThetaCardinality",
     "OPTIMIZERS",
     "Alternative",
-    "active_sim_host",
-    "sim_host_override",
     "PlanCache",
     "Decision",
     "batch_membership_decision",
     "check_optimizer",
-    "choose_theta",
     "cost_fused_scan",
     "cost_solo_scans",
-    "cost_theta_alternative",
-    "estimate_conjunction_rows",
     "estimate_scan_candidates",
     "estimate_selectivity",
     "estimate_theta_cardinality",
     "estimated_plan_spans",
     "estimated_vs_actual",
-    "optimized_theta_query",
     "scan_order_decision",
-    "theta_alternatives",
 ]

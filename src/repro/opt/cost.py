@@ -1,16 +1,14 @@
-"""Costing physical alternatives through the device charge model.
+"""Costing plans and the serve gate through the device charge model.
 
 Two cost ledgers live here, both expressed as :class:`DeviceSpec` charges
 accumulated on scratch :class:`Timeline`\\ s:
 
 * :data:`SIM_HOST` — a spec calibrated to *this simulation's* NumPy
-  wall-clock (the machine the kernels actually run on).  The paper's
-  modeled charges are deliberately **charge-neutral** across theta
-  ``strategy``/``emit`` (PR 2–4 invariant: billing is a pure function of
-  tuple/pair counts), so modeled seconds cannot rank brute vs sorted vs
-  runs — the host spec can, and ranking through it preserves the
-  invariant: the optimizer changes which kernels run, never what they
-  charge.  Constants are validated against ``benchmarks/sweep.py``.
+  wall-clock (the machine the kernels actually run on), for the serve
+  layer's fuse-or-solo gate: modeled seconds are charge-neutral across
+  execution shapes, so only the host spec can rank them, and ranking
+  through it keeps the invariant — the gate changes which kernels run,
+  never what they charge.
 
 * :func:`estimated_plan_spans` — predicted *modeled* spans for a plan,
   walking the operator list with estimated cardinalities through the
@@ -23,16 +21,14 @@ accumulated on scratch :class:`Timeline`\\ s:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from ..core.theta import Theta, ThetaOp, _sortable
+from ..core.theta import Theta, ThetaOp
 from ..device.model import (
     GTX_680,
     PCIE_GEN2,
     XEON_E5_2650_X2,
-    AccessPattern,
     DeviceSpec,
     OpClass,
 )
@@ -67,14 +63,11 @@ from ..plan.physical import (
     ShipPairs,
 )
 from ..storage.bitpack import packed_nbytes
-from .estimates import ThetaCardinality
 
 #: The simulation host: effective NumPy kernel throughput on one core.
-#: ``SCAN`` = one vectorized stream compare, ``ARITH`` = one brute-force
-#: interval comparison (broadcast + mask), ``GATHER`` = one fancy-index
-#: element, ``HASH`` = one binary-search needle (sorted-needle
-#: ``searchsorted``, the PR-3 fast path), ``AGG`` = one reduction update.
-#: Bandwidths model materializing outputs (pair writes, hit lists).
+#: ``SCAN`` = one vectorized stream compare, ``GATHER`` = one fancy-index
+#: element, ``HASH`` = one binary-search needle; bandwidths model
+#: materializing outputs (hit lists).
 SIM_HOST = DeviceSpec(
     name="sim-host",
     kind="cpu",
@@ -84,44 +77,14 @@ SIM_HOST = DeviceSpec(
     launch_overhead=4e-6,  # one NumPy kernel dispatch
     per_tuple=MappingProxyType({
         OpClass.SCAN: 1.3e-9,
-        OpClass.ARITH: 1.1e-9,
         OpClass.GATHER: 3.5e-9,
         OpClass.HASH: 16.0e-9,
-        OpClass.AGG: 2.0e-9,
     }),
 )
 
 #: Host cost per element of sorting freshly-gathered positions
 #: (``np.sort`` of int64 — the cooperative scan's per-request tail).
 SORT_SECONDS_PER_ELEMENT = 45e-9
-
-#: The host spec host-cost charges resolve against; swapped temporarily by
-#: :func:`sim_host_override` (basis probing and calibrated-spec validation
-#: in ``benchmarks/sweep.py --calibrate``).
-_active_sim_host: DeviceSpec = SIM_HOST
-
-
-def active_sim_host() -> DeviceSpec:
-    """The DeviceSpec host-cost estimates currently charge against."""
-    return _active_sim_host
-
-
-@contextmanager
-def sim_host_override(spec: DeviceSpec):
-    """Temporarily cost host alternatives against ``spec``.
-
-    Used by the calibration fit: probing with basis specs (one constant
-    set to 1, the rest 0) reads each alternative's feature counts straight
-    off ``est_seconds``, and validating a fitted spec re-runs the chooser
-    under it.  Restores :data:`SIM_HOST` on exit.
-    """
-    global _active_sim_host
-    previous = _active_sim_host
-    _active_sim_host = spec
-    try:
-        yield spec
-    finally:
-        _active_sim_host = previous
 
 
 def _charge(
@@ -131,101 +94,11 @@ def _charge(
     nbytes: int = 0,
     tuples: int = 0,
     op_class: OpClass = OpClass.SCAN,
-    spec: DeviceSpec | None = None,
-    pattern: AccessPattern = AccessPattern.SEQUENTIAL,
-    phase: str = "approximate",
 ) -> None:
-    spec = spec if spec is not None else _active_sim_host
-    seconds = spec.transfer_seconds(nbytes, pattern) + spec.tuple_seconds(
+    seconds = SIM_HOST.transfer_seconds(nbytes) + SIM_HOST.tuple_seconds(
         op_class, tuples
     )
-    timeline.record(spec.name, spec.kind, op, nbytes, seconds, phase)
-
-
-# ----------------------------------------------------------------------
-# Theta strategy alternatives (host wall-clock)
-# ----------------------------------------------------------------------
-def theta_alternatives(
-    theta: Theta, right_width: int | None
-) -> list[tuple[str, str]]:
-    """The (strategy, emit) shapes able to produce this θ's pair set."""
-    alts = [("bruteforce", "pairs")]
-    if _sortable(theta, right_width):
-        alts.append(("sorted", "runs"))
-        alts.append(("sorted", "pairs"))
-    return alts
-
-
-def cost_theta_alternative(
-    card: ThetaCardinality,
-    *,
-    strategy: str,
-    emit: str,
-    aggregate_only: bool,
-) -> Timeline:
-    """Host wall-clock ledger of one (strategy, emit) pipeline shape.
-
-    Covers approximate pair production, exact refinement, and consumption
-    (aggregate over runs/pairs, or canonical pair materialization).  The
-    modeled paper Timeline is identical across all shapes by construction;
-    this ledger is what actually differs between them on the host.
-    """
-    n_l, n_r = card.n_left, card.n_right
-    pairs = card.candidate_pairs
-    # Refinement survivors: between certain and candidates; the midpoint
-    # is the planner's working estimate.
-    refined = (card.certain_pairs + pairs) // 2
-    tl = Timeline()
-    if strategy == "bruteforce":
-        # Tiled broadcast compare over every (left, right) interval pair,
-        # then np.nonzero materializes the candidate pairs.
-        _charge(tl, "sim.brute.compare", tuples=n_l * n_r, op_class=OpClass.ARITH)
-        _charge(tl, "sim.brute.materialize", nbytes=pairs * 16)
-        # Exact θ re-check gathers both sides per pair.
-        _charge(
-            tl, "sim.refine.gather", tuples=2 * pairs,
-            op_class=OpClass.GATHER, phase="refine",
-        )
-        _charge(
-            tl, "sim.refine.compare", tuples=pairs,
-            op_class=OpClass.ARITH, phase="refine",
-        )
-        consumed = refined
-    else:
-        # Two searchsorted sweeps bound each left interval's run; the
-        # sorted right key is a memoized view (PR 3), charged once here.
-        _charge(tl, "sim.sort.key", tuples=n_r, op_class=OpClass.HASH)
-        _charge(tl, "sim.sorted.sweeps", tuples=2 * n_l, op_class=OpClass.HASH)
-        # Refinement shrinks runs in place with two more sweeps.
-        _charge(
-            tl, "sim.refine.sweeps", tuples=2 * n_l,
-            op_class=OpClass.HASH, phase="refine",
-        )
-        consumed = refined
-        if emit == "pairs":
-            # Materialize at the approximate stage: every candidate pair
-            # explodes, and the refinement re-checks them pairwise.
-            _charge(tl, "sim.sorted.materialize", nbytes=pairs * 16)
-            _charge(
-                tl, "sim.refine.gather", tuples=2 * pairs,
-                op_class=OpClass.GATHER, phase="refine",
-            )
-    if aggregate_only and emit == "runs":
-        # Zero-materialization consumption via left_multiplicities().
-        _charge(
-            tl, "sim.agg.runs", tuples=n_l, op_class=OpClass.AGG, phase="refine"
-        )
-    elif aggregate_only:
-        _charge(
-            tl, "sim.agg.pairs", tuples=consumed,
-            op_class=OpClass.AGG, phase="refine",
-        )
-    else:
-        # Canonical result: the refined pairs materialize exactly once.
-        _charge(
-            tl, "sim.result.materialize", nbytes=consumed * 16, phase="refine"
-        )
-    return tl
+    timeline.record(SIM_HOST.name, SIM_HOST.kind, op, nbytes, seconds, "approximate")
 
 
 # ----------------------------------------------------------------------
@@ -240,12 +113,11 @@ def cost_fused_scan(n_rows: int, est_hits: list[int]) -> Timeline:
     counts approach ``n_rows``.
     """
     tl = Timeline()
-    host = active_sim_host()
     for hits in est_hits:
         _charge(tl, "sim.fused.bounds", tuples=2, op_class=OpClass.HASH)
         _charge(tl, "sim.fused.gather", tuples=hits, op_class=OpClass.GATHER)
-        seconds = SORT_SECONDS_PER_ELEMENT * hits + host.launch_overhead
-        tl.record(host.name, "cpu", "sim.fused.sort", hits * 8, seconds)
+        seconds = SORT_SECONDS_PER_ELEMENT * hits + SIM_HOST.launch_overhead
+        tl.record(SIM_HOST.name, "cpu", "sim.fused.sort", hits * 8, seconds)
     return tl
 
 

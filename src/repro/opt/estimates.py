@@ -64,20 +64,6 @@ def estimate_selectivity(catalog, table: str, pred: Predicate) -> float:
     return catalog.histogram_of(table, pred.target.name).selectivity(lo, hi)
 
 
-def estimate_conjunction_rows(
-    catalog, table: str, preds, n_rows: int
-) -> int:
-    """Candidates surviving a conjunction of drivable relaxed predicates.
-
-    Attribute-value independence is assumed (the textbook estimator); a
-    correlated pair of predicates therefore under-estimates.
-    """
-    frac = 1.0
-    for pred in preds:
-        frac *= estimate_selectivity(catalog, table, pred)
-    return int(round(n_rows * frac))
-
-
 # ----------------------------------------------------------------------
 # Theta-join candidate pairs: histogram convolution
 # ----------------------------------------------------------------------

@@ -1,36 +1,21 @@
-"""The cost-based planner: enumerate physical alternatives, pick cheapest.
+"""The cost-based planner's decisions, each with its rejected competitors.
 
 Every decision is recorded as a :class:`Decision` carrying the chosen
 alternative *and* its rejected competitors with their estimated costs, so
 ``explain()`` can show why a plan looks the way it does — and so a
-misprediction is a visible artifact, not a silent slow query.
-
-The invariant inherited from PR 2–6 makes this safe: every enumerated
-alternative produces a byte-identical Result (and byte-identical *modeled*
-Timeline — the paper charges are strategy-neutral by construction), so the
-optimizer only ever changes host wall-clock, never answers.
+misprediction is a visible artifact, not a silent slow query.  Every
+alternative produces a byte-identical Result and modeled Timeline, so a
+decision only ever changes host wall-clock, never answers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
-from ..core.theta import Theta, ThetaOp
 from ..errors import PlanError
-from ..plan.logical import Query, ThetaJoin
-from .cost import (
-    cost_fused_scan,
-    cost_solo_scans,
-    cost_theta_alternative,
-    theta_alternatives,
-)
-from .estimates import (
-    ThetaCardinality,
-    estimate_conjunction_rows,
-    estimate_selectivity,
-    estimate_theta_cardinality,
-)
+from .cost import cost_fused_scan, cost_solo_scans
+from .estimates import estimate_selectivity
 
 OPTIMIZERS = ("heuristic", "cost")
 
@@ -56,7 +41,7 @@ class Alternative:
 class Decision:
     """One optimizer choice: the winner plus its rejected competitors."""
 
-    kind: str  # "theta-strategy" | "scan-order" | "batch-membership" | "fragment"
+    kind: str  # "scan-order" | "batch-membership" | "fragment-shape"
     target: str  # what was being decided, e.g. "trips ⋈θ cafes.location"
     chosen: str  # label of the winning Alternative
     alternatives: tuple[Alternative, ...]
@@ -85,101 +70,6 @@ class Decision:
             )
             lines.append(f"    est: {parts}")
         return lines
-
-
-# ----------------------------------------------------------------------
-# Theta strategy
-# ----------------------------------------------------------------------
-def _theta_of(tj: ThetaJoin) -> Theta:
-    return Theta(ThetaOp(tj.op), tj.delta)
-
-
-def choose_theta(
-    query: Query, catalog
-) -> tuple[ThetaJoin, Decision]:
-    """Pick (strategy, emit) for the block's theta join by estimated cost.
-
-    Respects explicitly pinned knobs (``strategy``/``emit`` other than
-    ``"auto"``): the decision is still enumerated and recorded — marked
-    ``forced`` — but the caller's choice stands.
-    """
-    tj = query.theta_joins[0]
-    theta = _theta_of(tj)
-    left = catalog.decomposition_of(query.table, tj.left_column)
-    right = catalog.decomposition_of(tj.right_table, tj.right_column)
-    if left is None or right is None:
-        raise PlanError("theta optimizer needs both join columns decomposed")
-
-    from .estimates import _delta_rows
-
-    card = estimate_theta_cardinality(
-        left, right, theta,
-        left_hist=catalog.histogram_of(query.table, tj.left_column),
-        right_hist=catalog.histogram_of(tj.right_table, tj.right_column),
-        left_delta_rows=_delta_rows(catalog, query.table),
-        right_delta_rows=_delta_rows(catalog, tj.right_table),
-    )
-    drivable = [
-        p for p in query.where
-        if p.is_simple_column and catalog.is_decomposed(query.table, p.target.name)
-    ]
-    if drivable and left.length:
-        surviving = estimate_conjunction_rows(
-            catalog, query.table, drivable, left.length
-        )
-        card = card.scaled(surviving / left.length)
-
-    aggregate_only = bool(query.aggregates) and not query.group_by
-    right_width = right.decomposition.max_error
-
-    alternatives: list[Alternative] = []
-    costs: dict[str, tuple[str, str, float]] = {}
-    for strategy, emit in theta_alternatives(theta, right_width):
-        label = f"{strategy}+{emit}"
-        seconds = cost_theta_alternative(
-            card, strategy=strategy, emit=emit, aggregate_only=aggregate_only
-        ).total_seconds()
-        detail = "aggregate-only" if aggregate_only and emit == "runs" else ""
-        alternatives.append(Alternative(label, seconds, detail))
-        costs[label] = (strategy, emit, seconds)
-
-    # Candidates compatible with any caller-pinned knobs.
-    viable = {
-        label: v for label, v in costs.items()
-        if (tj.strategy == "auto" or v[0] == tj.strategy)
-        and (tj.emit == "auto" or v[1] == tj.emit)
-    }
-    forced = len(viable) < len(costs)
-    if not viable:
-        raise PlanError(
-            f"no enumerable alternative matches strategy={tj.strategy!r} "
-            f"emit={tj.emit!r} for this θ"
-        )
-    chosen_label = min(viable, key=lambda k: viable[k][2])
-    strategy, emit, _ = costs[chosen_label]
-
-    decision = Decision(
-        kind="theta-strategy",
-        target=f"{query.table}.{tj.left_column} {tj.op} "
-               f"{tj.right_table}.{tj.right_column}",
-        chosen=chosen_label,
-        alternatives=tuple(alternatives),
-        estimates={
-            "left_rows": card.n_left,
-            "right_rows": card.n_right,
-            "certain_pairs": card.certain_pairs,
-            "candidate_pairs": card.candidate_pairs,
-        },
-        forced=forced,
-    )
-    new_tj = replace(tj, strategy=strategy, emit=emit)
-    return new_tj, decision
-
-
-def optimized_theta_query(query: Query, catalog) -> tuple[Query, Decision]:
-    """Rewrite the block's theta join to the costed (strategy, emit)."""
-    new_tj, decision = choose_theta(query, catalog)
-    return replace(query, theta_joins=(new_tj,)), decision
 
 
 # ----------------------------------------------------------------------

@@ -64,11 +64,7 @@ class ThetaJoin:
     """A theta join: ``fact.left_column θ right_table.right_column``.
 
     ``op`` is one of :data:`THETA_OPS`; ``"within"`` is the band join
-    ``|left − right| <= delta``.  ``strategy`` and ``emit`` tune how the
-    simulation *produces* the candidate pair set (see
-    :func:`repro.core.theta.theta_join_approx`); results and modeled
-    Timeline charges are identical for every combination, so they are
-    carried on the logical node as pure simulation knobs.
+    ``|left − right| <= delta``.
     """
 
     left_column: str
@@ -76,8 +72,6 @@ class ThetaJoin:
     right_column: str
     op: str
     delta: int = 0
-    strategy: str = "auto"
-    emit: str = "auto"
 
     def __post_init__(self) -> None:
         if self.op not in THETA_OPS:

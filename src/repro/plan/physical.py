@@ -30,8 +30,8 @@ Two plan shapes share the operator list:
       RefineThetaJoin                           # exact θ, runs shrink in place
       [RefinePairGroup] [RefinePairAggregate...]
 
-  The pair set stays in the producer's representation (run-length under
-  the sorted strategy) through the whole refine phase; pairs materialize
+  The pair set stays run-length encoded through the whole refine phase;
+  pairs materialize
   exactly once, at canonical result construction — and not at all when
   only aggregates over the pairs are consumed.
 """
@@ -157,7 +157,7 @@ class ApproxThetaJoin(PhysicalOp):
 
     Joins the current left-side candidates (every fact row when no
     selection ran) against ``theta.right_table.right_column``, emitting the
-    candidate pair superset — run-length encoded under the sorted strategy.
+    candidate pair superset, run-length encoded.
     """
 
     theta: ThetaJoin
@@ -202,8 +202,8 @@ class ShipCandidates(PhysicalOp):
 class ShipPairs(PhysicalOp):
     """Move a theta join's candidate pairs over PCI-E to the host.
 
-    Billed by pair *count* regardless of representation (the paper's device
-    would emit per-pair oids; run-length pairs are not billed less).
+    Billed by pair *count* (the paper's device would emit per-pair oids;
+    run-length pairs are not billed less).
     """
 
     phase = "refine"

@@ -139,14 +139,10 @@ def rewrite_to_ar_plan(
     first using the code histograms — the cost-based extension §III-A
     leaves for future work.
 
-    ``optimizer="cost"`` (PR 8, opt-in) replaces the rule-of-thumb physical
-    choices with :mod:`repro.opt`: theta strategy/emit are picked by
-    estimated host cost instead of the tiny-right-side cutoff, every
-    decision is recorded on the plan with its rejected competitors, and
-    the plan carries predicted modeled spans per operator.  The chosen
-    plan's Result and modeled Timeline stay byte-identical to every
-    unchosen alternative — the optimizer changes which kernels run, never
-    what they answer or charge.
+    ``optimizer="cost"`` stamps the plan with :mod:`repro.opt`'s
+    predicted modeled spans per operator and records the scan-order
+    decision with its rejected competitor; the operators are the same as
+    under ``"heuristic"``, so Result and modeled Timeline are too.
     """
     if predicate_order not in ("query", "selectivity"):
         raise PlanError(f"unknown predicate order {predicate_order!r}")
@@ -351,11 +347,6 @@ def _rewrite_theta_plan(
     everything uncertain — residual bits of drivable predicates, host-only
     predicates, the join condition itself — re-checks exactly on the host,
     over the shipped candidate pairs, without ever exploding a run.
-
-    Under ``optimizer="cost"`` the join's ``strategy``/``emit`` knobs are
-    resolved here from estimated cardinalities (replacing the executor's
-    tiny-right-side ``auto`` heuristic) and the pick is recorded on the
-    plan; ``"auto"`` knobs the caller pinned explicitly are respected.
     """
     if not pushdown:
         raise PlanError(
@@ -369,13 +360,6 @@ def _rewrite_theta_plan(
     ):
         if not catalog.is_decomposed(table, column):
             raise PlanError(f"column '{table}.{column}' is not decomposed")
-    decisions = []
-    if optimizer == "cost":
-        from ..opt.planner import optimized_theta_query
-
-        query, decision = optimized_theta_query(query, catalog)
-        decisions.append(decision)
-        theta = query.theta_joins[0]
 
     drivable: list[Predicate] = []
     host_preds: list[Predicate] = []
@@ -410,9 +394,7 @@ def _rewrite_theta_plan(
         ops.append(RefinePairGroup(tuple(query.group_by)))
     for agg in query.aggregates:
         ops.append(RefinePairAggregate(agg))
-    plan = PhysicalPlan(
-        query=query, ops=ops, pushdown=pushdown, decisions=decisions
-    ).validate()
+    plan = PhysicalPlan(query=query, ops=ops, pushdown=pushdown).validate()
     if optimizer == "cost":
         from ..opt.cost import estimated_plan_spans
 

@@ -45,20 +45,15 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..core.theta import Theta, ThetaOp
 from ..engine.cooperative import (
     ScanRequest,
-    ThetaRunRequest,
     cooperative_pass_seconds,
     cooperative_scan_hits,
-    cooperative_theta_runs,
-    fused_theta_pass_seconds,
-    theta_runs_fusable,
 )
 from ..errors import AdmissionError, PlanError, ReproError
 from ..obs import trace as obs_trace
 from ..plan.logical import Query
-from ..plan.physical import ApproxScanSelect, ApproxThetaJoin
+from ..plan.physical import ApproxScanSelect
 from ..plan.rewriter import estimated_selectivity, rewrite_to_ar_plan
 from .handles import CancelledError, QueryHandle
 
@@ -151,14 +146,6 @@ class ServeStats:
     #: gap is the modeled sharing gain; it never enters a query's ledger.
     modeled_fused_scan_seconds: float = 0.0
     modeled_solo_scan_seconds: float = 0.0
-    #: Same pair of counters for fused theta sweeps over a shared right
-    #: side (PR 6): batches that carved their candidate runs out of one
-    #: concatenated ``searchsorted`` pass, and the modeled fused-kernel
-    #: seconds next to the per-query solo join charges.
-    fused_theta_batches: int = 0
-    fused_theta_queries: int = 0
-    modeled_fused_theta_seconds: float = 0.0
-    modeled_solo_theta_seconds: float = 0.0
     #: Cost-gate outcomes under ``optimizer="cost"`` (PR 8): batches the
     #: gate examined, and those it split to solo runs because the
     #: estimated cooperative pass was dearer than per-member scans.
@@ -196,13 +183,6 @@ class ServeStats:
         if self.modeled_fused_scan_seconds <= 0.0:
             return 1.0
         return self.modeled_solo_scan_seconds / self.modeled_fused_scan_seconds
-
-    @property
-    def modeled_theta_sharing_gain(self) -> float:
-        """Solo / fused modeled seconds of the shared joins (1.0 = none)."""
-        if self.modeled_fused_theta_seconds <= 0.0:
-            return 1.0
-        return self.modeled_solo_theta_seconds / self.modeled_fused_theta_seconds
 
     @property
     def plan_cache_hit_rate(self) -> float:
@@ -443,29 +423,15 @@ class Scheduler:
     # Plan cache (PR 9)
     # ------------------------------------------------------------------
     def _plan_for(self, query: Query, pushdown: bool, predicate_order: str):
-        """The member's physical plan, cached on (query, options, epoch).
-
-        Under ``optimizer="cost"`` a :class:`PlanError` (the cost model
-        needs histogram facts some queries lack) falls back to the
-        heuristic plan instead of failing the query — the flip-safety
-        half of making cost the serve default.
-        """
+        """The member's physical plan, cached on (query, options, epoch)."""
         catalog = self.session.catalog
         optimizer = self.policy.optimizer
         key = (query, pushdown, predicate_order, optimizer, catalog.epoch)
 
         def build():
-            if optimizer == "cost":
-                try:
-                    return rewrite_to_ar_plan(
-                        query, catalog, pushdown=pushdown,
-                        predicate_order=predicate_order, optimizer="cost",
-                    )
-                except PlanError:
-                    pass
             return rewrite_to_ar_plan(
                 query, catalog, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer="heuristic",
+                predicate_order=predicate_order, optimizer=optimizer,
             )
 
         plan = self._plan_cache.get(key, build)
@@ -649,9 +615,6 @@ class Scheduler:
                     self._run_solo(pending)
             else:
                 self._run_fused_scan_batch(batch)
-        elif kind == "theta" and len(batch) > 1 and batch[0].mode in ("ar", "approximate"):
-            self.stats.shared_right_batches += 1
-            self._run_fused_theta_batch(batch)
         else:
             if kind == "theta" and len(batch) > 1:
                 self.stats.shared_right_batches += 1
@@ -710,7 +673,6 @@ class Scheduler:
     _SAMPLED_COUNTERS = (
         "submitted", "completed", "failed", "degraded", "cancelled",
         "rejected", "expired", "batches", "fused_batches", "fused_queries",
-        "fused_theta_batches", "fused_theta_queries",
         "shared_right_batches", "backpressure_stalls", "memory_splits",
         "cost_gated_batches", "cost_gated_solo", "writes", "write_rows",
         "deferred_writes", "compactions", "retries", "hedged_fragments",
@@ -819,12 +781,12 @@ class Scheduler:
         return run_base(pending.query)
 
     def _execute_plan(self, pending: _Pending, plan, *, timeline=None,
-                      scan_hits=None, theta_runs=None):
+                      scan_hits=None):
         """Run one member's rewritten plan over the base segments."""
         return self.session._ar.run(
             plan, timeline,
             approximate_only=(pending.mode == "approximate"),
-            scan_hits=scan_hits, theta_runs=theta_runs,
+            scan_hits=scan_hits,
         )
 
     def _fold_delta(self, pending: _Pending, result):
@@ -845,8 +807,7 @@ class Scheduler:
             contribution_cache=self._delta_cache,
         )
 
-    def _run_with_plan(self, pending: _Pending, plan, scan_hits=None,
-                       theta_runs=None):
+    def _run_with_plan(self, pending: _Pending, plan, scan_hits=None):
         """Execute an already-rewritten A&R plan for one pending query.
 
         Returns the :class:`Result` on success, None on a captured
@@ -857,13 +818,13 @@ class Scheduler:
             qt.span(
                 f"query#{pending.handle.seq}", track="scheduler",
                 mode=pending.mode,
-                kind="fused" if scan_hits or theta_runs else "member",
+                kind="fused" if scan_hits else "member",
             )
             if qt is not None else None
         )
         try:
             result = self._fold_delta(pending, self._execute_plan(
-                pending, plan, scan_hits=scan_hits, theta_runs=theta_runs
+                pending, plan, scan_hits=scan_hits
             ))
         except ReproError as exc:
             if span is not None:
@@ -939,89 +900,6 @@ class Scheduler:
             spans = result.timeline.spans
             if spans:
                 self.stats.modeled_solo_scan_seconds += spans[0].seconds
-
-    def _run_fused_theta_batch(self, batch: list[_Pending]) -> None:
-        """One concatenated ``searchsorted`` sweep for shared-right thetas.
-
-        Members whose plan opens with a whole-column
-        :class:`ApproxThetaJoin` (no drivable selection underneath) that
-        the solo kernel would answer on the sorted path get their
-        candidate runs carved out of ONE fused sweep per (bound, side)
-        over the shared right column
-        (:func:`~repro.engine.cooperative.cooperative_theta_runs`); the
-        runs are injected back into the unchanged per-query kernel
-        (``theta_join_approx(precomputed_runs=...)``), so every member's
-        Timeline and Result stay byte-identical to its solo run.
-        Ineligible members degrade to solo execution of the plan already
-        in hand.
-        """
-        fused: list[tuple[_Pending, object]] = []  # (pending, plan)
-        for pending in batch:
-            try:
-                plan = self._plan_for(
-                    pending.query, pending.pushdown, pending.predicate_order
-                )
-            except ReproError as exc:
-                pending.handle._fail(exc)
-                self.stats.failed += 1
-                continue
-            first = plan.ops[0] if plan.ops else None
-            tj = pending.query.theta_joins[0]
-            right = self.session.catalog.decomposition_of(
-                tj.right_table, tj.right_column
-            )
-            theta = Theta(ThetaOp(tj.op), tj.delta)
-            if (
-                right is not None
-                and isinstance(first, ApproxThetaJoin)
-                and first.theta.strategy in ("auto", "sorted")
-                and theta_runs_fusable(right, theta)
-            ):
-                fused.append((pending, plan))
-            else:
-                self._run_with_plan(pending, plan)
-        if len(fused) < 2:
-            # A lone survivor gains nothing from the fused sweep; run it
-            # on the ordinary solo path.
-            for pending, plan in fused:
-                self._run_with_plan(pending, plan)
-            return
-        tj0 = fused[0][0].query.theta_joins[0]
-        right = self.session.catalog.decomposition_of(
-            tj0.right_table, tj0.right_column
-        )
-        lefts = []
-        requests = []
-        for i, (pending, _) in enumerate(fused):
-            tj = pending.query.theta_joins[0]
-            left = self.session.catalog.decomposition_of(
-                pending.query.table, tj.left_column
-            )
-            lefts.append(left)
-            requests.append(ThetaRunRequest(
-                str(i), left, Theta(ThetaOp(tj.op), tj.delta)
-            ))
-        runs_by_label = cooperative_theta_runs(right, requests)
-        self.stats.fused_theta_batches += 1
-        self.stats.fused_theta_queries += len(fused)
-        total_pairs = 0
-        for i, (pending, plan) in enumerate(fused):
-            result = self._run_with_plan(
-                pending, plan,
-                theta_runs={id(plan.ops[0]): runs_by_label[str(i)]},
-            )
-            if result is None:
-                continue
-            if result.approximate is not None:
-                total_pairs += result.approximate.candidate_rows
-            # The first span is the join, charged exactly like the solo
-            # kernel — sum it as the batch's solo-cost baseline.
-            spans = result.timeline.spans
-            if spans:
-                self.stats.modeled_solo_theta_seconds += spans[0].seconds
-        self.stats.modeled_fused_theta_seconds += fused_theta_pass_seconds(
-            self.session.machine.gpu, right, lefts, total_pairs
-        )
 
     # ------------------------------------------------------------------
     @property

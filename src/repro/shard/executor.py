@@ -7,9 +7,9 @@ coordinator's merge — not the sum.  The merge itself is not written here:
 the fragments' Results are the parts of :func:`repro.engine.merge.merge`
 (the same fold that combines base and delta parts), which is bit-for-bit
 what the single-device engines compute — the merged Result is
-byte-identical to the one-machine run in every mode × strategy × emit
-shape.  This module bills it (``shard.merge.*`` on the coordinator) and
-composes the approximate answers (:meth:`ShardExecutor._merged_approximate`).
+byte-identical to the one-machine run in every mode.  This module bills it
+(``shard.merge.*`` on the coordinator) and composes the approximate
+answers (:meth:`ShardExecutor._merged_approximate`).
 
 A fragment whose slice is empty (:class:`~repro.errors.EmptyInputError`:
 ``min`` of no row) simply contributes nothing; if *no* fragment

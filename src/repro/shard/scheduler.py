@@ -18,9 +18,9 @@ placement-aware twists:
   back into the unchanged fragment kernel — per-query Timeline and merged
   Result stay byte-identical to the sharded solo run.
 
-Theta batches run member-by-member (their fragments already share the
-replicated right side's memoized views back to back, the PR-5 locality
-story; the cross-member fused sweep remains single-device-only).
+Theta batches run member-by-member, as on one device: their fragments
+share the replicated right side's memoized views back to back (the PR-5
+locality story).
 
 Everything else — batch forming, the peel of members whose delta cannot be
 folded post-hoc, the post-hoc fold itself, compaction at the watermark — is
@@ -120,7 +120,7 @@ class ShardScheduler(Scheduler):
         )
 
     def _execute_plan(self, pending: _Pending, plan, *, timeline=None,
-                      scan_hits=None, theta_runs=None):
+                      scan_hits=None):
         """Run one member's already-lowered ShardedPlan."""
         return self.session.executor.execute(plan, scan_hits=scan_hits)
 
@@ -129,12 +129,6 @@ class ShardScheduler(Scheduler):
         if folded is result:
             return result
         return self.session.absorb_delta(folded)
-
-    def _run_fused_theta_batch(self, batch: list[_Pending]) -> None:
-        # Members still share the replicated right side's memoized views
-        # back to back (the PR-5 locality win).
-        for pending in batch:
-            self._run_solo(pending)
 
     def _note_result(self, pending: _Pending, result) -> None:
         """Completion accounting plus the fault layer's: retry and hedge

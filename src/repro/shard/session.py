@@ -20,6 +20,7 @@ from ..faults.policy import RetryPolicy
 from ..faults.profile import FaultInjector, FaultProfile
 from ..ingest.union import DELTA_PHASE, run_with_delta
 from ..obs import trace as obs_trace
+from ..opt.planner import check_optimizer
 from ..plan.logical import Query
 from ..storage import decompose
 from ..storage.column import ColumnType
@@ -29,7 +30,6 @@ from .executor import ShardedResult, ShardExecutor
 from .planner import ShardPlanner
 
 MODES = ("ar", "classic", "approximate")
-RUN_OPTIMIZERS = ("auto", "heuristic", "cost")
 
 
 class ShardedSession:
@@ -264,24 +264,19 @@ class ShardedSession:
         mode: str = "ar",
         pushdown: bool = True,
         predicate_order: str = "query",
-        optimizer: str = "auto",
+        optimizer: str = "cost",
         timeline: Timeline | None = None,
     ) -> ShardedResult:
         """Plan per-shard fragments, run them, merge on the coordinator.
 
-        ``optimizer="cost"`` costs each fragment's physical shape against
-        its own shard's histograms (:mod:`repro.opt`, PR 8); ``"auto"``
-        (default since PR 10) uses the cost model where it applies and
-        falls back to the heuristic plan where it does not.  Merged
-        Results stay byte-identical across optimizers.
+        ``optimizer="cost"`` (the default) stamps each fragment's plan with
+        estimates from its own shard's histograms (:mod:`repro.opt`);
+        ``"heuristic"`` leaves them off.  Merged Results stay
+        byte-identical across optimizers.
         """
         if mode not in MODES:
             raise PlanError(f"unknown mode {mode!r}; pick one of {MODES}")
-        if optimizer not in RUN_OPTIMIZERS:
-            raise PlanError(
-                f"unknown optimizer {optimizer!r}; "
-                f"pick one of {RUN_OPTIMIZERS}"
-            )
+        check_optimizer(optimizer)
         tracer = self.tracer
         if tracer is None:
             return self._run_query(
@@ -339,13 +334,13 @@ class ShardedSession:
         """Plan per-shard fragments, run them, merge: the packed base alone."""
         qt = obs_trace.ACTIVE
         if qt is None:
-            plan = self._plan(
+            plan = self.planner.plan(
                 query, mode=mode, pushdown=pushdown,
                 predicate_order=predicate_order, optimizer=optimizer,
             )
         else:
             with qt.span("plan", optimizer=optimizer) as rec:
-                plan = self._plan(
+                plan = self.planner.plan(
                     query, mode=mode, pushdown=pushdown,
                     predicate_order=predicate_order, optimizer=optimizer,
                 )
@@ -355,30 +350,6 @@ class ShardedSession:
             timeline.extend(result.timeline)
             result.timeline = timeline
         return result
-
-    def _plan(
-        self, query: Query, *, mode: str, pushdown: bool,
-        predicate_order: str, optimizer: str,
-    ):
-        """Lower to a ShardedPlan, resolving the ``"auto"`` optimizer.
-
-        ``"auto"`` tries the cost-based fragment shapes first and falls
-        back to the heuristic plan when the cost model declines
-        (:class:`~repro.errors.PlanError`); scope errors re-raise from
-        the fallback identically.
-        """
-        if optimizer == "auto":
-            try:
-                return self.planner.plan(
-                    query, mode=mode, pushdown=pushdown,
-                    predicate_order=predicate_order, optimizer="cost",
-                )
-            except PlanError:
-                optimizer = "heuristic"
-        return self.planner.plan(
-            query, mode=mode, pushdown=pushdown,
-            predicate_order=predicate_order, optimizer=optimizer,
-        )
 
     def serve(
         self,

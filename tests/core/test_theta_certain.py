@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from repro import IntType, Session
+from repro.core import theta as theta_module
 from repro.core.theta import (
     Theta,
     ThetaOp,
     _bounds,
+    _certain_pair_count,
     theta_certain_pair_count,
     theta_join_reference,
 )
@@ -81,6 +83,23 @@ class TestCertainPairCount:
         assert restricted == brute
         assert left_sub.length == len(ids)  # silence the unused-var lint
 
+    @pytest.mark.parametrize("op,delta", ALL_THETAS)
+    def test_per_code_and_per_row_sweeps_agree(
+        self, columns, monkeypatch, op, delta
+    ):
+        lv, rv, left, right = columns
+        theta = Theta(op, delta)
+        ids = np.arange(0, len(lv), 3, dtype=np.int64)
+        counts = []
+        for per_code in (True, False):
+            monkeypatch.setattr(
+                theta_module, "_per_code", lambda column, n_rows: per_code
+            )
+            counts.append(
+                [_certain_pair_count(left, right, theta, s) for s in (None, ids)]
+            )
+        assert counts[0] == counts[1]
+
     def test_empty_sides(self, columns):
         lv, rv, left, right = columns
         theta = Theta(ThetaOp.LT)
@@ -109,18 +128,6 @@ class TestEngineBound:
         exact = result.scalar("n")
         assert bound.lo <= exact <= bound.hi
         assert bound.lo > 0  # the old [0, candidates] floor is gone here
-
-    def test_bound_is_strategy_independent(self, session):
-        bounds = []
-        for strategy in ("sorted", "bruteforce"):
-            result = (
-                session.table("L")
-                .theta_join("R", on="x", op="within", delta=700,
-                            strategy=strategy)
-                .count("n").run(mode="ar")
-            )
-            bounds.append(result.approximate.bound("n"))
-        assert bounds[0] == bounds[1]
 
     def test_selection_under_join_keeps_sound_zero_floor(self, session):
         # A WHERE clause may still drop left rows in refinement, so the

@@ -75,8 +75,7 @@ def test_property_exact_span_lies_inside_the_candidate_run(
     theta = Theta(op, delta=delta)
 
     runs = theta_join_approx(
-        machine.gpu, machine.new_timeline(), left, right, theta,
-        strategy="sorted", left_ids=ids,
+        machine.gpu, machine.new_timeline(), left, right, theta, left_ids=ids
     )
     refined = theta_join_refine(
         machine.cpu, machine.new_timeline(), left, right, theta, runs
@@ -126,7 +125,7 @@ def test_a_counted_set_is_the_set_it_forms(monkeypatch, theta, subset):
     def join():
         tl = machine.new_timeline()
         return tl, theta_join_approx(
-            machine.gpu, tl, left, right, theta, strategy="sorted", left_ids=ids
+            machine.gpu, tl, left, right, theta, left_ids=ids
         )
 
     tl_counted, counted = join()

@@ -3,7 +3,7 @@
 When a left side has no more distinct approximation codes than rows
 (``2**approx_bits <= n``), the candidate runs and the certain-pair count
 are decided once per code — on the sorted bucket-bound table — and read
-back through the rows' codes.  Both must equal the brute-force predicate
+back through the rows' codes.  Both must equal the nested-loop predicate
 over every pair of buckets, as the per-row sweeps do:
 six θ × whole column / row subset × residual 0 / > 0 × both sides of the
 threshold.
@@ -20,7 +20,6 @@ from repro.core.theta import (
     _certain_pair_count,
     _left_runs,
     _per_code,
-    _uniform_width,
 )
 from repro.storage.decompose import decompose_values
 
@@ -67,8 +66,7 @@ def test_runs_equal_the_per_row_sweeps(shape, theta, subset):
     assert _per_code(left, n) == (shape.startswith("per-code") and n >= 200)
 
     right_b = _bounds(right)
-    width = _uniform_width(right_b)
-    runs = _left_runs(left, ids, right_b, theta, width, right)
+    runs = _left_runs(left, ids, right_b, theta, right)
     rows = np.arange(N_LEFT) if ids is None else ids
     left_b = _bounds(left, rows)
     possible = theta.possible(

@@ -2,20 +2,25 @@
 
 PERFORMANCE.md's PR-2 contract, pinned here:
 
-1. the sorted strategy emits exactly the same candidate-pair *set* as the
-   brute-force nested-loop oracle for every θ (property-tested over
-   duplicate/tied bounds, empty inputs and single-row sides),
-2. modeled Timeline charges are byte-identical whichever strategy produced
-   the set, and whether the column caches are cold or warm,
+1. the join emits exactly the candidate-pair *set* of the |L|·|R| nested
+   loop over bucket bounds, and refines to :func:`theta_join_reference`,
+   for every θ — property-tested over duplicate-heavy sides, one-code
+   sides, ``delta = 0``, right sides of 0 to 31 rows, a whole column and a
+   selected subset, deciding per distinct code and per row alike,
+2. modeled Timeline charges are byte-identical whichever sweep found the
+   set, and whether the column caches are cold or warm,
 3. order exists only at final materialization (canonicalization), never
    between pipeline operators.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import theta as theta_module
 from repro.core.candidates import PairCandidates
 from repro.core.theta import (
     Theta,
@@ -55,6 +60,13 @@ def spans_of(timeline):
     ]
 
 
+def forced_sweep(per_code):
+    """Sweep the left side per distinct code (True) or per row (False)."""
+    return mock.patch.object(
+        theta_module, "_per_code", lambda column, n_rows: per_code
+    )
+
+
 class TestPairContract:
     def test_canonicalized_sorts_lexicographically(self):
         pairs = PairCandidates(np.array([2, 0, 2, 1]), np.array([1, 5, 0, 3]))
@@ -78,60 +90,87 @@ class TestPairContract:
         out = pairs.narrowed(keep)
         assert out.pair_set() == {(3, 0), (2, 2)}
 
-    def test_unknown_strategy_rejected(self, machine):
+
+class TestProducerShim:
+    """``strategy`` / ``emit`` name the one producer: the plain call and the
+    named one are the same join, and any other name is refused."""
+
+    def test_named_producer_is_the_plain_call(self, machine):
+        left = loaded(machine, np.arange(60) * 7 % 50, 2, "l")
+        right = loaded(machine, np.arange(30), 2, "r")
+        theta = Theta(ThetaOp.WITHIN, 3)
+        tl_plain, tl_named = machine.new_timeline(), machine.new_timeline()
+        plain = theta_join_approx(machine.gpu, tl_plain, left, right, theta)
+        named = theta_join_approx(
+            machine.gpu, tl_named, left, right, theta,
+            strategy="sorted", emit="runs",
+        )
+        assert plain.set_equals(named)
+        assert tl_plain.span_tuples() == tl_named.span_tuples()
+
+    @pytest.mark.parametrize("strategy,emit", [
+        ("bruteforce", "runs"), ("auto", "runs"), ("sorted", "pairs"),
+        ("sorted", "auto"), ("quantum", "runs"),
+    ])
+    def test_any_other_producer_is_refused(self, machine, strategy, emit):
         left = loaded(machine, np.arange(10), 2, "l")
-        right = loaded(machine, np.arange(10), 2, "r")
         with pytest.raises(ExecutionError):
             theta_join_approx(
-                machine.gpu, machine.new_timeline(), left, right,
-                Theta(ThetaOp.LT), strategy="quantum",
+                machine.gpu, machine.new_timeline(), left, left,
+                Theta(ThetaOp.LT), strategy=strategy, emit=emit,
             )
 
 
 class TestSortedEqualsBruteforce:
+    """Fixed cases of the property below: the sorted sweep finds the pair
+    set of the brute-force |L|·|R| nested loop (:func:`possible_pairs`)
+    and refines to :func:`theta_join_reference`, per code and per row
+    alike, on one modeled ledger."""
+
+    @staticmethod
+    def check(machine, left_v, right_v, residual_bits, theta):
+        left = decompose_values(np.asarray(left_v), residual_bits=residual_bits[0])
+        right = decompose_values(
+            np.asarray(right_v), residual_bits=residual_bits[1]
+        )
+        expected = possible_pairs(left, right, theta)
+        truth = theta_join_reference(left_v, right_v, theta)
+        ledgers = []
+        for per_code in (True, False):
+            with forced_sweep(per_code):
+                tl = machine.new_timeline()
+                pairs = theta_join_approx(machine.gpu, tl, left, right, theta)
+                assert pairs.set_equals(expected), per_code
+                refined = theta_join_refine(
+                    machine.cpu, tl, left, right, theta, pairs
+                )
+                assert refined.pair_set() == truth.pair_set(), per_code
+            ledgers.append(spans_of(tl))
+        assert ledgers[0] == ledgers[1]
+
     @pytest.mark.parametrize("op", list(ThetaOp))
     def test_pair_set_and_timeline_identical(self, machine, op):
-        rng = np.random.default_rng(hash(op.value) % 1000)
-        left_v = rng.integers(0, 300, 400)
-        right_v = rng.integers(0, 300, 150)
-        left = loaded(machine, left_v, 4, "l")
-        right = loaded(machine, right_v, 3, "r")
-        theta = Theta(op, delta=9)
-
-        tl_sorted, tl_brute = machine.new_timeline(), machine.new_timeline()
-        sorted_pairs = theta_join_approx(
-            machine.gpu, tl_sorted, left, right, theta, strategy="sorted"
+        rng = np.random.default_rng(list(ThetaOp).index(op))
+        self.check(
+            machine, rng.integers(0, 300, 400), rng.integers(0, 300, 150),
+            (4, 3), Theta(op, delta=9),
         )
-        brute_pairs = theta_join_approx(
-            machine.gpu, tl_brute, left, right, theta, strategy="bruteforce"
-        )
-        assert sorted_pairs.set_equals(brute_pairs)
-        assert spans_of(tl_sorted) == spans_of(tl_brute)
-
-        refined = theta_join_refine(
-            machine.cpu, tl_sorted, left, right, theta, sorted_pairs
-        )
-        truth = theta_join_reference(left_v, right_v, theta)
-        assert refined.pair_set() == truth.pair_set()
 
     @pytest.mark.parametrize("op", list(ThetaOp))
     def test_duplicate_and_tied_bounds(self, machine, op):
         # Heavy ties: few distinct values, buckets collapse many rows onto
         # identical interval bounds on both sides.
-        left_v = np.array([5, 5, 5, 10, 10, 0, 15, 15, 15, 15])
-        right_v = np.array([5, 5, 10, 10, 10, 15, 0, 0])
-        left = loaded(machine, left_v, 2, "l")
-        right = loaded(machine, right_v, 2, "r")
-        theta = Theta(op, delta=3)
-        sorted_pairs = theta_join_approx(
-            machine.gpu, machine.new_timeline(), left, right, theta,
-            strategy="sorted",
+        self.check(
+            machine, [5, 5, 5, 10, 10, 0, 15, 15, 15, 15],
+            [5, 5, 10, 10, 10, 15, 0, 0], (2, 2), Theta(op, delta=3),
         )
-        brute_pairs = theta_join_approx(
-            machine.gpu, machine.new_timeline(), left, right, theta,
-            strategy="bruteforce",
-        )
-        assert sorted_pairs.set_equals(brute_pairs)
+
+    @pytest.mark.parametrize("op", list(ThetaOp))
+    def test_single_row_sides(self, machine, op):
+        for left_v, right_v in (
+            ([7], [7]), ([7], [3, 7, 20]), ([1, 5, 9], [5]), ([0], [64]),
+        ):
+            self.check(machine, left_v, right_v, (1, 1), Theta(op, delta=4))
 
     @pytest.mark.parametrize("op", list(ThetaOp))
     @pytest.mark.parametrize("empty_side", ["left", "right", "both"])
@@ -140,50 +179,14 @@ class TestSortedEqualsBruteforce:
         left = empty_like(template) if empty_side in ("left", "both") else template
         right = empty_like(template) if empty_side in ("right", "both") else template
         theta = Theta(op, delta=2)
-        for strategy in ("sorted", "bruteforce"):
-            pairs = theta_join_approx(
-                machine.gpu, machine.new_timeline(), left, right, theta,
-                strategy=strategy,
-            )
-            assert len(pairs) == 0
-            refined = theta_join_refine(
-                machine.cpu, machine.new_timeline(), left, right, theta, pairs
-            )
-            assert len(refined) == 0
-
-    @pytest.mark.parametrize("op", list(ThetaOp))
-    def test_single_row_sides(self, machine, op):
-        for i, (left_v, right_v) in enumerate((
-            ([7], [7]), ([7], [3, 7, 20]), ([1, 5, 9], [5]), ([0], [64]),
-        )):
-            left = loaded(machine, np.array(left_v), 1, f"l{i}")
-            right = loaded(machine, np.array(right_v), 1, f"r{i}")
-            theta = Theta(op, delta=4)
-            sorted_pairs = theta_join_approx(
-                machine.gpu, machine.new_timeline(), left, right, theta,
-                strategy="sorted",
-            )
-            brute_pairs = theta_join_approx(
-                machine.gpu, machine.new_timeline(), left, right, theta,
-                strategy="bruteforce",
-            )
-            assert sorted_pairs.set_equals(brute_pairs)
-
-    def test_auto_picks_bruteforce_for_tiny_right_side(self, machine):
-        """The tiled oracle path stays live as the auto fallback."""
-        left = loaded(machine, np.arange(100), 2, "l")
-        right = loaded(machine, np.arange(5), 2, "r")
-        theta = Theta(ThetaOp.LE)
-        auto = theta_join_approx(
+        pairs = theta_join_approx(
             machine.gpu, machine.new_timeline(), left, right, theta
         )
-        brute = theta_join_approx(
-            machine.gpu, machine.new_timeline(), left, right, theta,
-            strategy="bruteforce",
+        assert len(pairs) == 0
+        refined = theta_join_refine(
+            machine.cpu, machine.new_timeline(), left, right, theta, pairs
         )
-        # identical emission order proves the same (tiled) producer ran
-        assert np.array_equal(auto.left_positions, brute.left_positions)
-        assert np.array_equal(auto.right_positions, brute.right_positions)
+        assert len(refined) == 0
 
 
 class TestColdWarmTimelineIdentity:
@@ -199,8 +202,8 @@ class TestColdWarmTimelineIdentity:
             warm._approx_words, warm._residual_words,
         )
 
-    @pytest.mark.parametrize("strategy", ["sorted", "bruteforce"])
-    def test_join_cold_equals_warm(self, machine, strategy):
+    @pytest.mark.parametrize("per_code", [True, False], ids=["code", "row"])
+    def test_join_cold_equals_warm(self, machine, per_code):
         rng = np.random.default_rng(11)
         left_v = rng.integers(0, 2000, 600)
         right_v = rng.integers(0, 2000, 200)
@@ -214,61 +217,85 @@ class TestColdWarmTimelineIdentity:
                 left = decompose_values(left_v, residual_bits=4)
                 right = decompose_values(right_v, residual_bits=4)
             tl = machine.new_timeline()
-            pairs = theta_join_approx(
-                machine.gpu, tl, left, right, theta, strategy=strategy
-            )
-            # repeat on the now-warm column: spans must repeat identically
-            theta_join_approx(
-                machine.gpu, tl, left, right, theta, strategy=strategy
-            )
-            refined = theta_join_refine(
-                machine.cpu, tl, left, right, theta, pairs
-            )
+            with forced_sweep(per_code):
+                pairs = theta_join_approx(machine.gpu, tl, left, right, theta)
+                # repeat on the now-warm column: spans must repeat identically
+                theta_join_approx(machine.gpu, tl, left, right, theta)
+                refined = theta_join_refine(
+                    machine.cpu, tl, left, right, theta, pairs
+                )
             results.append((spans_of(tl), sorted(refined.pair_set())))
         assert results[0] == results[1]
         first_join, repeat_join = results[0][0][0], results[0][0][1]
         assert first_join == repeat_join
 
 
-@settings(max_examples=60, deadline=None)
+def possible_pairs(left, right, theta, left_ids=None) -> PairCandidates:
+    """The |L|·|R| nested loop over bucket bounds — every pair whose
+    buckets could satisfy θ — restricted to ``left_ids`` when given."""
+
+    def bounds(col):
+        dec = col.decomposition
+        lo = dec.approx_lower_bounds(col.approx_codes())
+        return lo, lo + dec.max_error
+
+    (l_lo, l_hi), (r_lo, r_hi) = bounds(left), bounds(right)
+    rows = np.arange(left.length) if left_ids is None else left_ids
+    li, ri = np.nonzero(theta.possible(
+        l_lo[rows, None], l_hi[rows, None], r_lo[None, :], r_hi[None, :]
+    ))
+    return PairCandidates(rows[li], ri)
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
-    residual_left=st.integers(0, 6),
-    residual_right=st.integers(0, 6),
+    residual_left=st.integers(0, 13),
+    residual_right=st.integers(0, 13),
     op=st.sampled_from(list(ThetaOp)),
-    delta=st.integers(0, 25),
-    domain=st.sampled_from([4, 40, 4000]),
+    delta=st.sampled_from([0, 1, 7, 25]),
+    domain=st.sampled_from([1, 4, 40, 4000]),
     n_left=st.integers(1, 90),
-    n_right=st.integers(1, 70),
+    n_right=st.sampled_from([0, 1, 2, 4, 31]),
+    subset=st.booleans(),
 )
 def test_property_sorted_pair_set_equals_oracle(
-    seed, residual_left, residual_right, op, delta, domain, n_left, n_right
+    seed, residual_left, residual_right, op, delta, domain, n_left, n_right,
+    subset,
 ):
-    """The sorted join's candidate-pair set equals the brute-force oracle's
-    across every θ, asymmetric residual widths, tiny tied domains and
-    single-row sides — and charges an identical modeled timeline."""
+    """The join's candidate-pair set is the nested loop's across every θ,
+    asymmetric residual widths (a residual as wide as the domain leaves a
+    one-code side, ``approx_bits == 0``), duplicate-heavy domains, tiny
+    and empty right sides, a whole column and a scrambled subset; it
+    refines to :func:`theta_join_reference`; and deciding per distinct
+    code or per row finds the same set on an identical modeled ledger."""
     machine = Machine.paper_testbed()
     rng = np.random.default_rng(seed)
     left_v = rng.integers(0, domain, n_left)
-    right_v = rng.integers(0, domain, n_right)
+    right_v = rng.integers(0, domain, max(n_right, 1))
     left = decompose_values(left_v, residual_bits=residual_left)
     right = decompose_values(right_v, residual_bits=residual_right)
-    machine.gpu.load_column("l", left, None)
-    machine.gpu.load_column("r", right, None)
+    if n_right == 0:
+        right, right_v = empty_like(right), right_v[:0]
+    left_ids = (
+        rng.permutation(n_left)[: rng.integers(0, n_left + 1)]
+        if subset else None
+    )
     theta = Theta(op, delta=delta)
-
-    tl_sorted, tl_brute = machine.new_timeline(), machine.new_timeline()
-    sorted_pairs = theta_join_approx(
-        machine.gpu, tl_sorted, left, right, theta, strategy="sorted"
-    )
-    brute_pairs = theta_join_approx(
-        machine.gpu, tl_brute, left, right, theta, strategy="bruteforce"
-    )
-    assert sorted_pairs.set_equals(brute_pairs)
-    assert spans_of(tl_sorted) == spans_of(tl_brute)
-
-    refined = theta_join_refine(
-        machine.cpu, tl_sorted, left, right, theta, sorted_pairs
-    )
+    expected = possible_pairs(left, right, theta, left_ids)
     truth = theta_join_reference(left_v, right_v, theta)
-    assert refined.pair_set() == truth.pair_set()
+    if left_ids is not None:
+        truth = truth.narrowed(np.isin(truth.left_positions, left_ids))
+
+    ledgers = []
+    for per_code in (True, False):
+        with forced_sweep(per_code):
+            tl = machine.new_timeline()
+            pairs = theta_join_approx(
+                machine.gpu, tl, left, right, theta, left_ids=left_ids
+            )
+            assert pairs.set_equals(expected)
+            refined = theta_join_refine(machine.cpu, tl, left, right, theta, pairs)
+            assert refined.set_equals(truth)
+        ledgers.append(tl.span_tuples())
+    assert ledgers[0] == ledgers[1]

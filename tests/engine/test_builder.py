@@ -1,13 +1,14 @@
 """The lazy relational builder API and the theta-join plan path.
 
 Covers the PR-4 redesign: theta/band joins as first-class plan nodes behind
-``session.table(...)``, three-mode agreement against the brute-force
+``session.table(...)``, three-mode agreement against the nested-loop
 oracle, and the aggregate-only fast path that never materializes a pair.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import theta as theta_module
 from repro.core.candidates import RunPairCandidates
 from repro.core.theta import Theta, ThetaOp, theta_join_reference
 from repro.engine.builder import RelationBuilder
@@ -186,32 +187,33 @@ class TestThetaViaBuilder:
         approx = builder.run(mode="approximate")
         assert approx.approximate.candidate_rows >= len(truth)
 
-    def test_aggregate_charges_independent_of_strategy_and_emit(self, session):
-        """strategy/emit are pure simulation knobs for aggregated theta
-        blocks too: identical result columns AND byte-identical modeled
-        Timelines — every refine-phase pair charge is a function of pair
-        counts, never of the representation that carried them."""
-        results = [
-            session.table("orders")
-            .where("price", ">=", 200)
-            .band_join(
-                "quotes", on="price", delta=25, strategy=strategy, emit=emit
+    @pytest.mark.parametrize("where", [False, True], ids=["whole", "where"])
+    def test_aggregate_charges_independent_of_left_sweep(
+        self, session, monkeypatch, where
+    ):
+        """Sweeping the left side per distinct code or per row is a pure
+        simulation choice for aggregated theta blocks too: identical result
+        columns AND byte-identical modeled Timelines — every refine-phase
+        pair charge is a function of pair counts."""
+        results = []
+        for per_code in (True, False):
+            monkeypatch.setattr(
+                theta_module, "_per_code", lambda column, n_rows: per_code
             )
-            .group_by("qty")
-            .count("n")
-            .sum("price", "total")
-            .run(mode="ar")
-            for strategy, emit in (
-                ("sorted", "runs"),
-                ("sorted", "pairs"),
-                ("bruteforce", "pairs"),
+            builder = session.table("orders")
+            if where:
+                builder = builder.where("price", ">=", 200)
+            results.append(
+                builder.band_join("quotes", on="price", delta=25)
+                .group_by("qty")
+                .count("n")
+                .sum("price", "total")
+                .run(mode="ar")
             )
-        ]
-        a = results[0]
-        for b in results[1:]:
-            for col in ("qty", "n", "total"):
-                assert np.array_equal(a.column(col), b.column(col))
-            assert spans_of(a.timeline) == spans_of(b.timeline)
+        a, b = results
+        for col in ("qty", "n", "total"):
+            assert np.array_equal(a.column(col), b.column(col))
+        assert spans_of(a.timeline) == spans_of(b.timeline)
 
     def test_min_max_avg_over_pairs(self, session):
         builder = (
@@ -283,7 +285,7 @@ class TestAggregateOnlyFastPath:
         result = (
             session.table("orders")
             .where("price", ">=", 100)
-            .band_join("quotes", on="price", delta=25, strategy="sorted")
+            .band_join("quotes", on="price", delta=25)
             .group_by("qty")
             .count("n")
             .run(mode="ar")
@@ -302,7 +304,7 @@ class TestAggregateOnlyFastPath:
 
         monkeypatch.setattr(RunPairCandidates, "materialized", spy)
         session.table("orders").band_join(
-            "quotes", on="price", delta=25, strategy="sorted"
+            "quotes", on="price", delta=25
         ).run(mode="ar")
         assert len(calls) == 1
 

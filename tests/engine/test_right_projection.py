@@ -5,19 +5,21 @@ the *right* side's value at every qualifying pair.  The A&R path answers
 it from run payloads over the exact-sorted right side (count = run
 length, sum = prefix-sum difference, min/max = run endpoints) without
 materializing pairs; identity against the classic executor and a NumPy
-reference over the materialized pair set pins the semantics for every
-strategy × emit shape.
+reference over the materialized pair set pins the semantics for every θ,
+over a whole column and under a selection.
 """
 
 import numpy as np
 import pytest
 
 from repro import IntType, Session
+from repro.core.theta import Theta, ThetaOp, theta_join_reference
 from repro.errors import PlanError
 
 N = 3_000
 M = 350
 DOMAIN = 25_000
+WHERE_MIN = 9_000  # a selection under the join forms the pair rows
 
 
 def make_session(seed=41):
@@ -42,16 +44,16 @@ def session():
     return make_session()
 
 
-def reference(session, op, delta, grouped):
+def reference(session, op, delta, grouped, where):
     """NumPy oracle over the fully materialized pair set."""
     a = np.asarray(session.catalog.table("f").values("a"), dtype=np.int64)
     g = np.asarray(session.catalog.table("f").values("g"), dtype=np.int64)
     v = np.asarray(session.catalog.table("q").values("v"), dtype=np.int64)
-    if op == "<":
-        mask = a[:, None] < v[None, :]
-    else:
-        mask = np.abs(a[:, None] - v[None, :]) <= delta
-    li, ri = np.nonzero(mask)
+    pairs = theta_join_reference(a, v, Theta(ThetaOp(op), delta))
+    li, ri = pairs.left_positions, pairs.right_positions
+    if where:
+        keep = a[li] >= WHERE_MIN
+        li, ri = li[keep], ri[keep]
     rv = v[ri]
     if not grouped:
         return {
@@ -83,11 +85,11 @@ def reference(session, op, delta, grouped):
     return out
 
 
-def build(session, op, delta, grouped, strategy, emit):
-    b = session.table("f").theta_join(
-        "q", on=("a", "v"), op=op, delta=delta,
-        strategy=strategy, emit=emit,
-    )
+def build(session, op, delta, grouped, where):
+    b = session.table("f")
+    if where:
+        b = b.where("a", ">=", WHERE_MIN)
+    b = b.theta_join("q", on=("a", "v"), op=op, delta=delta)
     if grouped:
         b = b.group_by("g")
     return (
@@ -99,25 +101,19 @@ def build(session, op, delta, grouped, strategy, emit):
     )
 
 
-@pytest.mark.parametrize("op,delta", [("<", 0), ("within", 64)])
+@pytest.mark.parametrize("op,delta", [
+    ("<", 0), ("<=", 0), (">", 0), (">=", 0), ("=", 0), ("within", 64),
+])
 @pytest.mark.parametrize("grouped", [False, True])
-@pytest.mark.parametrize(
-    "strategy,emit",
-    [("auto", "auto"), ("sorted", "runs"), ("sorted", "pairs"),
-     ("bruteforce", "pairs")],
-)
-def test_right_side_aggregates(session, op, delta, grouped, strategy, emit):
-    ar = build(session, op, delta, grouped, strategy, emit).run(mode="ar")
-    classic = build(session, op, delta, grouped, strategy, emit).run(
-        mode="classic"
-    )
-    ref = reference(session, op, delta, grouped)
+@pytest.mark.parametrize("where", [False, True], ids=["whole", "where"])
+def test_right_side_aggregates(session, op, delta, grouped, where):
+    ar = build(session, op, delta, grouped, where).run(mode="ar")
+    classic = build(session, op, delta, grouped, where).run(mode="classic")
+    ref = reference(session, op, delta, grouped, where)
     for result in (ar, classic):
         assert result.columns.keys() == ref.keys()
         for k in ref:
-            assert np.allclose(result.columns[k], ref[k]), (
-                k, op, grouped, strategy, emit,
-            )
+            assert np.allclose(result.columns[k], ref[k]), (k, op, grouped)
     # ar and classic byte-identical (not just close)
     for k in ar.columns:
         assert np.array_equal(ar.columns[k], classic.columns[k])

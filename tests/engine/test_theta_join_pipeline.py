@@ -1,14 +1,15 @@
 """The end-to-end A&R theta-join pipeline through the engine.
 
 approx (GPU) → ship pairs (PCI-E) → refine (CPU) → canonical
-materialization.  The order-insensitive candidate-pair contract holds
-through the whole pipeline: the producer strategy is unobservable — same
-final columns, same modeled timeline, byte for byte.
+materialization, checked against the nested-loop reference join.  How
+the left side is swept — per distinct code or per row — is unobservable:
+same final columns, same modeled timeline, byte for byte.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import theta as theta_module
 from repro.core.theta import Theta, ThetaOp, theta_join_reference
 from repro.engine.session import Session
 from repro.errors import PlanError
@@ -35,11 +36,11 @@ def session():
     return s
 
 
-def theta_join(session, op, delta=0, **knobs):
+def theta_join(session, op, delta=0):
     """orders.price θ quotes.price through the builder, A&R mode."""
     return (
         session.table("orders")
-        .theta_join("quotes", on="price", op=op, delta=delta, **knobs)
+        .theta_join("quotes", on="price", op=op, delta=delta)
         .run(mode="ar")
     )
 
@@ -59,31 +60,29 @@ class TestThetaJoinPipeline:
         assert np.array_equal(result.column("left_pos"), truth.left_positions)
         assert np.array_equal(result.column("right_pos"), truth.right_positions)
 
+    @pytest.mark.parametrize("op,delta", [
+        ("<", 0), ("<=", 0), (">", 0), (">=", 0), ("=", 0), ("within", 25),
+    ])
+    def test_left_sweep_is_unobservable(self, session, monkeypatch, op, delta):
+        """Deciding the left side per distinct code or per row yields
+        identical final columns and byte-identical modeled timelines."""
+        results = []
+        for per_code in (True, False):
+            monkeypatch.setattr(
+                theta_module, "_per_code", lambda column, n_rows: per_code
+            )
+            results.append(theta_join(session, op, delta))
+        a, b = results
+        assert np.array_equal(a.column("left_pos"), b.column("left_pos"))
+        assert np.array_equal(a.column("right_pos"), b.column("right_pos"))
+        assert spans_of(a.timeline) == spans_of(b.timeline)
+
     def test_result_is_canonically_ordered(self, session):
         result = theta_join(session, "within", 10)
         left = result.column("left_pos")
         right = result.column("right_pos")
         keys = list(zip(left.tolist(), right.tolist()))
         assert keys == sorted(keys)
-
-    def test_strategy_and_representation_are_unobservable(self, session):
-        """Every producer strategy × pair representation yields identical
-        final columns and byte-identical modeled timelines (the whole point
-        of the order-insensitive contract, extended to run-length pairs)."""
-        results = [
-            theta_join(session, "within", 25, strategy=strategy, emit=emit)
-            for strategy, emit in (
-                ("sorted", "runs"),
-                ("sorted", "pairs"),
-                ("sorted", "auto"),
-                ("bruteforce", "pairs"),
-            )
-        ]
-        a = results[0]
-        for b in results[1:]:
-            assert np.array_equal(a.column("left_pos"), b.column("left_pos"))
-            assert np.array_equal(a.column("right_pos"), b.column("right_pos"))
-            assert spans_of(a.timeline) == spans_of(b.timeline)
 
     def test_pipeline_crosses_all_three_devices(self, session):
         result = theta_join(session, "<")

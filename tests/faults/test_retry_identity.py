@@ -4,8 +4,8 @@ The PR-7 acceptance pin: under transient-only faults (flaky-first-K with
 K < max_attempts, seeded transient dispatch failures that retries absorb),
 every query completes and its Result AND per-query Timeline are
 byte-identical to the fault-free run — recovery is billed on the separate
-recovery ledger, never on the clean one.  Property-tested across mode ×
-strategy × emit shape and under an evicting per-shard view budget.
+recovery ledger, never on the clean one.  Property-tested across mode and
+under an evicting per-shard view budget.
 """
 
 import numpy as np
@@ -116,29 +116,21 @@ class TestFlakyFirstTwoAcceptance:
         # Recovery makes the modeled completion slower, never faster.
         assert faulty.wall_clock_seconds >= max(faulty.fragment_seconds)
 
-    @pytest.mark.parametrize(
-        "strategy,emit",
-        [("auto", "auto"), ("sorted", "runs"), ("sorted", "pairs"),
-         ("bruteforce", "pairs")],
-    )
     @pytest.mark.parametrize("mode", ["ar", "classic"])
-    def test_theta_identical_across_strategy_emit(
-        self, healthy, flaky2, mode, strategy, emit
-    ):
+    @pytest.mark.parametrize("where", [False, True], ids=["whole", "where"])
+    def test_theta_identical(self, healthy, flaky2, mode, where):
         def build(s):
+            b = s.table("fact")
+            if where:
+                b = b.where("v", between=(0, 15_000))
             return (
-                s.table("fact")
-                .where("v", between=(0, 15_000))
-                .theta_join(
-                    "dim", on=("v", "p"), op="within", delta=40,
-                    strategy=strategy, emit=emit,
-                )
+                b.theta_join("dim", on=("v", "p"), op="within", delta=40)
                 .count(alias="n")
             )
 
         clean = build(healthy).run(mode=mode)
         faulty = build(flaky2).run(mode=mode)
-        assert_identical(clean, faulty, f"{mode} {strategy} {emit}")
+        assert_identical(clean, faulty, (mode, where))
 
 
 class TestTransientIdentityProperty:
@@ -189,23 +181,13 @@ class TestTransientIdentityProperty:
     @given(
         budget_kb=st.sampled_from([2, 8, 32]),
         fault_seed=st.integers(0, 1_000),
-        strategy_emit=st.sampled_from(
-            [("auto", "auto"), ("sorted", "runs"), ("sorted", "pairs")]
-        ),
     )
-    def test_identity_survives_evicting_view_budget(
-        self, budget_kb, fault_seed, strategy_emit
-    ):
-        strategy, emit = strategy_emit
-
+    def test_identity_survives_evicting_view_budget(self, budget_kb, fault_seed):
         def build(s):
             return (
                 s.table("fact")
                 .where("v", between=(0, 12_000))
-                .theta_join(
-                    "dim", on=("v", "p"), op="within", delta=32,
-                    strategy=strategy, emit=emit,
-                )
+                .theta_join("dim", on=("v", "p"), op="within", delta=32)
                 .count(alias="n")
             )
 
@@ -221,7 +203,5 @@ class TestTransientIdentityProperty:
             faulty = build(faulty_session).run()
         finally:
             set_view_budget(None)
-        assert_identical(
-            clean, faulty, f"budget={budget_kb}k {strategy}/{emit}"
-        )
+        assert_identical(clean, faulty, f"budget={budget_kb}k")
         assert faulty.retries > 0

@@ -3,7 +3,7 @@
 A session that bulk-loads rows and a session that loads a base, appends
 the rest through the delta path, and compacts must be indistinguishable:
 identical Result columns AND identical modeled Timeline spans, for every
-mode × theta strategy × emit shape, under an aggressively evicting view
+mode and a theta join over a whole column or a selection, under an aggressively evicting view
 budget, and on a 4-shard sharded session (whose compaction replays the
 bulk-load path — fresh round-robin partition, recorded ``bwdecompose``
 replay, code-band repartition over the union).
@@ -143,22 +143,16 @@ def test_compacted_equals_bulk(bulk, compacted, mode, name, build):
     assert_byte_identical(a, b, (name, mode))
 
 
-@pytest.mark.parametrize("strategy", ["bruteforce", "sorted"])
-@pytest.mark.parametrize("emit", ["pairs", "runs"])
 @pytest.mark.parametrize("mode", ["ar", "classic"])
-def test_compacted_theta_strategies(bulk, compacted, mode, strategy, emit):
-    if strategy == "bruteforce" and emit == "runs":
-        pytest.skip("bruteforce emits pairs only")
-
+@pytest.mark.parametrize("where", [False, True], ids=["whole", "where"])
+def test_compacted_theta(bulk, compacted, mode, where):
     def q(s):
-        return (
-            s.table("fact").where("v", between=(0, 6_000))
-            .band_join("r", on=("v", "p"), delta=32,
-                       strategy=strategy, emit=emit)
-            .count("n").run(mode=mode)
-        )
+        b = s.table("fact")
+        if where:
+            b = b.where("v", between=(0, 6_000))
+        return b.band_join("r", on=("v", "p"), delta=32).count("n").run(mode=mode)
 
-    assert_byte_identical(q(compacted), q(bulk), (mode, strategy, emit))
+    assert_byte_identical(q(compacted), q(bulk), (mode, where))
 
 
 def test_compacted_identity_under_evicting_view_budget(bulk):

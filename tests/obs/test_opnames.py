@@ -1,7 +1,7 @@
 """Tier-1 lint: every op label charged on a Timeline is declared.
 
 Runs a workload sweep touching every engine (approximate GPU kernels,
-CPU refinement, the classic bulk engine, theta strategies, grouping,
+CPU refinement, the classic bulk engine, theta joins, grouping,
 FK joins, projections, sharded execution with retries and merges,
 delta-union ingestion) and asserts each charged span's ``op`` string
 canonicalizes into :data:`repro.obs.opnames.DECLARED`.  A renamed or
@@ -60,15 +60,8 @@ def _solo_ops() -> set[str]:
             .join("dim", fk="fk").group_by("dim.w").count("n")
             .run(mode=mode)
         )
-    for strategy, emit in (
-        ("bruteforce", "pairs"), ("sorted", "pairs"), ("sorted", "runs"),
-    ):
-        for mode in ("ar", "approximate", "classic"):
-            collect(
-                base.theta_join(
-                    "R", on="v", op="<", strategy=strategy, emit=emit
-                ).count("n").run(mode=mode)
-            )
+    for mode in ("ar", "approximate", "classic"):
+        collect(base.theta_join("R", on="v", op="<").count("n").run(mode=mode))
     return ops
 
 

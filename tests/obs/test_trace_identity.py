@@ -2,7 +2,7 @@
 
 The PR-10 invariant — enabling a :class:`repro.obs.trace.Tracer` leaves
 every Result and every modeled Timeline byte-identical to the untraced
-run — across execution mode × forced theta strategy/emit, under an
+run — across execution mode for a theta and a band join, under an
 aggressively evicting decoded-view budget, under injected transient
 faults on a 4-shard session, and through the serving scheduler with
 delta rows in flight.  Each arm builds a fresh identically-seeded world
@@ -23,11 +23,6 @@ from repro.storage.decompose import set_view_budget
 
 DOMAIN = 1 << 20
 MODES = ("ar", "classic", "approximate")
-FORCED = (
-    ("bruteforce", "pairs"),
-    ("sorted", "pairs"),
-    ("sorted", "runs"),
-)
 
 
 def _solo_session(seed=3):
@@ -68,8 +63,8 @@ def assert_identical(a, b):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("strategy,emit", FORCED)
-def test_traced_solo_theta_identical(mode, strategy, emit):
+@pytest.mark.parametrize("op,delta", [("<", 0), ("within", 4_000)])
+def test_traced_solo_theta_identical(mode, op, delta):
     def run(traced):
         s = _solo_session()
         if traced:
@@ -77,7 +72,7 @@ def test_traced_solo_theta_identical(mode, strategy, emit):
         return (
             s.table("L")
             .where("v", between=(50_000, 900_000))
-            .theta_join("R", on="v", op="<", strategy=strategy, emit=emit)
+            .theta_join("R", on="v", op=op, delta=delta)
             .count("n")
             .run(mode=mode)
         )

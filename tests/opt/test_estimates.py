@@ -7,7 +7,6 @@ from repro.core.relax import ValueRange
 from repro.core.theta import Theta, ThetaOp
 from repro.engine.session import Session
 from repro.opt.estimates import (
-    estimate_conjunction_rows,
     estimate_scan_candidates,
     estimate_selectivity,
     estimate_theta_cardinality,
@@ -60,12 +59,6 @@ def test_selectivity_is_a_fraction(session):
     sel = estimate_selectivity(session.catalog, "L", _pred("v", 0, DOMAIN // 4))
     assert 0.0 <= sel <= 1.0
     assert sel == pytest.approx(0.25, rel=0.2)
-
-
-def test_conjunction_multiplies_independent_selectivities(session):
-    preds = [_pred("v", 0, DOMAIN // 2), _pred("w", 0, 99)]
-    rows = estimate_conjunction_rows(session.catalog, "L", preds, N)
-    assert rows == pytest.approx(N * 0.5 * 0.1, rel=0.3)
 
 
 def test_theta_estimate_brackets_exact_pairs(session):
@@ -155,17 +148,3 @@ def test_theta_estimate_adds_delta_cross_terms():
     )
     assert card.candidate_pairs == min(expected, card.n_left * card.n_right)
     assert card.candidate_pairs > base.candidate_pairs
-
-
-def test_choose_theta_sees_pending_delta():
-    from repro.opt.planner import choose_theta
-
-    s, rng = _delta_session()
-    s.append("L", {"v": rng.integers(0, DOMAIN, 300)})
-    query = (
-        s.table("L").theta_join("R", on="v", op="<").count("n").build()
-    )
-    _, decision = choose_theta(query, s.catalog)
-    assert decision.chosen in {a.label for a in decision.alternatives}
-    # The recorded pair estimate covers the delta-inclusive left side.
-    assert decision.estimates.get("n_left", 5_300) == 5_300

@@ -1,4 +1,4 @@
-"""Decision making: theta strategy choice, pinned knobs, the serve gate."""
+"""The optimizer values every entry point accepts, and the serve gate."""
 
 import numpy as np
 import pytest
@@ -9,27 +9,45 @@ from repro.opt.planner import (
     OPTIMIZERS,
     batch_membership_decision,
     check_optimizer,
-    choose_theta,
 )
+from repro.shard.session import ShardedSession
 from repro.storage.column import IntType
 
 DOMAIN = 1 << 20
 
 
+def _load(s):
+    rng = np.random.default_rng(5)
+    s.create_table("L", {"v": IntType()}, {"v": rng.integers(0, DOMAIN, 2_000)})
+    s.bwdecompose("L", "v", 24)
+    return s
+
+
 @pytest.fixture(scope="module")
 def session():
-    rng = np.random.default_rng(5)
-    s = Session()
-    s.create_table(
-        "L", {"v": IntType()}, {"v": rng.integers(0, DOMAIN, 40_000)}
-    )
-    s.create_table(
-        "Rsmall", {"v": IntType()},
-        {"v": np.sort(rng.integers(0, DOMAIN, 16))},
-    )
-    s.bwdecompose("L", "v", 24)
-    s.bwdecompose("Rsmall", "v", 24)
-    return s
+    return _load(Session())
+
+
+@pytest.fixture(scope="module")
+def sharded():
+    return _load(ShardedSession(2))
+
+
+def _query(s):
+    return s.table("L").where("v", "<=", DOMAIN // 3).count("n")
+
+
+#: name -> call one entry point with ``optimizer``
+ENTRY_POINTS = {
+    "Session.query": lambda s, z, o: s.query(_query(s).build(), optimizer=o),
+    "Session.plan_for": lambda s, z, o: s.plan_for(_query(s).build(), optimizer=o),
+    "Session.explain": lambda s, z, o: s.explain(_query(s).build(), optimizer=o),
+    "Session.serve": lambda s, z, o: s.serve(optimizer=o).close(),
+    "RelationBuilder.run": lambda s, z, o: _query(s).run(optimizer=o),
+    "ShardedSession.query": lambda s, z, o: z.query(
+        _query(z).build(), optimizer=o
+    ),
+}
 
 
 def test_check_optimizer_rejects_unknown():
@@ -39,54 +57,16 @@ def test_check_optimizer_rejects_unknown():
     assert set(OPTIMIZERS) == {"heuristic", "cost"}
 
 
-def test_session_rejects_unknown_optimizer(session):
-    q = session.table("L").where("v", "<=", 100).count("n").build()
-    with pytest.raises(PlanError, match="unknown optimizer"):
-        session.query(q, optimizer="greedy")
-
-
-def test_small_right_side_prefers_sorted_over_brute(session):
-    """The PR-8 win region: the heuristic's |R| cutoff picks brute force
-    below _SORT_MIN_RIGHT, but candidate-pair counts say sorted wins."""
-    q = session.table("L").theta_join("Rsmall", on="v", op="<").count("n").build()
-    tj, decision = choose_theta(q, session.catalog)
-    assert tj.strategy == "sorted"
-    assert not decision.forced
-    assert decision.chosen.startswith("sorted")
-    labels = {alt.label for alt in decision.alternatives}
-    assert {"bruteforce+pairs", "sorted+pairs", "sorted+runs"} <= labels
-    assert decision.estimates["candidate_pairs"] >= decision.estimates[
-        "certain_pairs"
-    ]
-
-
-def test_pinned_strategy_is_respected_but_recorded(session):
-    q = (
-        session.table("L")
-        .theta_join("Rsmall", on="v", op="<", strategy="bruteforce")
-        .count("n")
-        .build()
-    )
-    tj, decision = choose_theta(q, session.catalog)
-    assert tj.strategy == "bruteforce"
-    assert decision.forced
-    assert decision.chosen == "bruteforce+pairs"
-    # The cheaper rejected alternative is still on the record.
-    cheaper = [
-        alt for alt in decision.alternatives
-        if alt.label.startswith("sorted")
-        and alt.est_seconds < decision.chosen_alternative().est_seconds
-    ]
-    assert cheaper
-
-
-def test_decision_describe_marks_winner_and_rejects(session):
-    q = session.table("L").theta_join("Rsmall", on="v", op="<").count("n").build()
-    _, decision = choose_theta(q, session.catalog)
-    text = "\n".join(decision.describe())
-    assert "* chosen" in text
-    assert "rej" in text
-    assert "est" in text
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_accepts_exactly_the_optimizers(
+    session, sharded, entry
+):
+    call = ENTRY_POINTS[entry]
+    for optimizer in OPTIMIZERS:
+        call(session, sharded, optimizer)
+    for optimizer in ("auto", "greedy"):
+        with pytest.raises(PlanError, match="unknown optimizer"):
+            call(session, sharded, optimizer)
 
 
 def test_batch_membership_flips_with_selectivity():
@@ -98,13 +78,9 @@ def test_batch_membership_flips_with_selectivity():
     assert {a.label for a in narrow.alternatives} == {"fused", "solo"}
 
 
-def test_unknown_pinned_combo_raises(session):
-    """A pin the enumerator cannot produce is a loud PlanError."""
-    q = (
-        session.table("L")
-        .theta_join("Rsmall", on="v", op="<", strategy="bruteforce", emit="runs")
-        .count("n")
-        .build()
-    )
-    with pytest.raises(PlanError, match="no enumerable alternative"):
-        choose_theta(q, session.catalog)
+def test_decision_describe_marks_winner_and_rejects():
+    decision = batch_membership_decision("t", "c", 1_000_000, [1000] * 8)
+    text = "\n".join(decision.describe())
+    assert "* chosen" in text
+    assert "rej" in text
+    assert "est" in text

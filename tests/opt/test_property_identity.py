@@ -1,9 +1,9 @@
 """Property tests: the optimizer never changes an answer or a charge.
 
-The cost-based pick must be Result- and modeled-Timeline byte-identical to
-every forced-strategy run — across theta strategy × emit, all A&R modes,
-and under an aggressively evicting decoded-view budget.  The optimizer
-only ever moves simulation-host wall-clock.
+A cost-planned run must be Result- and modeled-Timeline byte-identical to
+the heuristic one — for a theta join over a whole column or a selection
+and a scan, in all A&R modes, and
+under an aggressively evicting decoded-view budget.
 """
 
 import numpy as np
@@ -14,12 +14,6 @@ from repro.storage.column import IntType
 from repro.storage.decompose import set_view_budget
 
 DOMAIN = 1 << 20
-
-FORCED = (
-    ("bruteforce", "pairs"),
-    ("sorted", "pairs"),
-    ("sorted", "runs"),
-)
 
 
 def _session(n_left=12_000, n_right=300, seed=3):
@@ -40,13 +34,14 @@ def _session(n_left=12_000, n_right=300, seed=3):
     return s
 
 
-def _theta_builder(s, strategy="auto", emit="auto"):
-    return (
-        s.table("L")
-        .where("v", between=(50_000, 900_000))
-        .theta_join("R", on="v", op="<", strategy=strategy, emit=emit)
-        .count("n")
-    )
+def _theta_builder(s, where):
+    b = s.table("L")
+    if where:
+        b = b.where("v", between=(50_000, 900_000))
+    return b.theta_join("R", on="v", op="<").count("n")
+
+
+WHERE = pytest.mark.parametrize("where", [False, True], ids=["whole", "where"])
 
 
 def assert_identical(a, b):
@@ -68,22 +63,24 @@ def session():
 
 
 @pytest.mark.parametrize("mode", ["ar", "approximate"])
-@pytest.mark.parametrize("strategy,emit", FORCED)
-def test_optimized_equals_every_forced_run(session, mode, strategy, emit):
-    forced = _theta_builder(session, strategy, emit).run(mode=mode)
-    optimized = _theta_builder(session).run(mode=mode, optimizer="cost")
-    assert_identical(forced, optimized)
+@WHERE
+def test_theta_identical_under_either_optimizer(session, mode, where):
+    b = _theta_builder(session, where)
+    heuristic = b.run(mode=mode, optimizer="heuristic")
+    optimized = b.run(mode=mode, optimizer="cost")
+    assert_identical(heuristic, optimized)
 
 
-@pytest.mark.parametrize("strategy,emit", FORCED)
-def test_identity_holds_under_evicting_view_budget(session, strategy, emit):
+@WHERE
+def test_identity_holds_under_evicting_view_budget(session, where):
+    b = _theta_builder(session, where)
     set_view_budget(64 * 1024, segment_rows=2048)
     try:
-        forced = _theta_builder(session, strategy, emit).run(mode="ar")
-        optimized = _theta_builder(session).run(mode="ar", optimizer="cost")
+        heuristic = b.run(mode="ar", optimizer="heuristic")
+        optimized = b.run(mode="ar", optimizer="cost")
     finally:
         set_view_budget(None)
-    assert_identical(forced, optimized)
+    assert_identical(heuristic, optimized)
 
 
 def test_scan_only_query_identical_under_optimizer(session):
@@ -94,19 +91,6 @@ def test_scan_only_query_identical_under_optimizer(session):
         .count("n")
         .run(**kw)
     )
-    assert_identical(q(mode="ar"), q(mode="ar", optimizer="cost"))
-
-
-def test_optimizer_pick_beats_or_ties_heuristic_in_win_region():
-    """Small right side: the heuristic bruteforces, the optimizer sorts —
-    answers stay identical while the chosen plan does less work."""
-    rng = np.random.default_rng(9)
-    s = Session()
-    s.create_table("L", {"v": IntType()}, {"v": rng.integers(0, DOMAIN, 20_000)})
-    s.create_table("R", {"v": IntType()}, {"v": rng.integers(0, DOMAIN, 16)})
-    s.bwdecompose("L", "v", 24)
-    s.bwdecompose("R", "v", 24)
-    builder = s.table("L").theta_join("R", on="v", op="<").count("n")
     assert_identical(
-        builder.run(mode="ar"), builder.run(mode="ar", optimizer="cost")
+        q(mode="ar", optimizer="heuristic"), q(mode="ar", optimizer="cost")
     )

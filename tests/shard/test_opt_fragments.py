@@ -70,19 +70,6 @@ def test_plan_records_run_and_prune_decisions(session):
     assert run_alt.est_seconds > 0
 
 
-def test_fragments_cost_theta_against_their_own_shard(session):
-    plan = session.planner.plan(_theta_query(session), optimizer="cost")
-    theta_decisions = [
-        (owner, d) for owner, d in plan.decisions if d.kind == "theta-strategy"
-    ]
-    assert len(theta_decisions) == len(plan.fragments)
-    owners = {owner for owner, _ in theta_decisions}
-    assert owners == {f.shard_index for f in plan.fragments}
-    # per-shard estimates reflect each shard's slice, not the global table
-    for owner, d in theta_decisions:
-        assert d.estimates["left_rows"] < N
-
-
 def test_describe_renders_decisions(session):
     text = session.explain(_scan_query(session), optimizer="cost")
     assert "optimizer decisions" in text

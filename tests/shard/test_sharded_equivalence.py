@@ -2,8 +2,8 @@
 
 A query run against a :class:`ShardedSession` must merge to a Result
 byte-identical to the same query on a single-device :class:`Session`
-over the same rows — for every mode × strategy × emit shape, every shard
-count, both partitionings (pre- and post-repartition), and under an
+over the same rows — for every mode, theta joins over a whole column and
+under a selection, every shard count, both partitionings (pre- and post-repartition), and under an
 evicting per-shard view budget.  Sharding buys wall clock (max-over-
 shards + merge < the single device's sum), never different bytes.
 """
@@ -105,20 +105,15 @@ def test_scan_aggregates_identical(single, sharded, mode, grouped, window):
 
 
 @pytest.mark.parametrize("mode", ["ar", "classic"])
-@pytest.mark.parametrize(
-    "strategy,emit",
-    [("auto", "auto"), ("sorted", "runs"), ("sorted", "pairs"),
-     ("bruteforce", "pairs")],
-)
-def test_theta_aggregates_identical(single, sharded, mode, strategy, emit):
+@pytest.mark.parametrize("op,delta", [("<", 0), (">=", 0), ("=", 0), ("within", 40)])
+@pytest.mark.parametrize("where", [False, True], ids=["whole", "where"])
+def test_theta_aggregates_identical(single, sharded, mode, op, delta, where):
     def build(s):
+        b = s.table("fact")
+        if where:
+            b = b.where("v", between=(0, 20_000))
         return (
-            s.table("fact")
-            .where("v", between=(0, 20_000))
-            .theta_join(
-                "dim", on=("v", "p"), op="<",
-                strategy=strategy, emit=emit,
-            )
+            b.theta_join("dim", on=("v", "p"), op=op, delta=delta)
             .agg("sum", "v", alias="s")
             .agg("sum", "dim.p", alias="rp")
             .agg("min", "dim.p", alias="rlo")
@@ -127,7 +122,7 @@ def test_theta_aggregates_identical(single, sharded, mode, strategy, emit):
 
     solo = build(single).run(mode=mode)
     merged = build(sharded).run(mode=mode)
-    assert_results_equal(solo, merged, f"{mode} {strategy} {emit}")
+    assert_results_equal(solo, merged, (mode, op, where))
 
 
 @pytest.mark.parametrize("mode", ["ar", "classic"])
