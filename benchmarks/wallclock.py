@@ -418,7 +418,9 @@ def _run_selection_evict(fx: _Fixtures) -> None:
         set_view_budget(None)
 
 
-def _run_conjunction3(fx: _Fixtures) -> None:
+def _run_conjunction3(fx: _Fixtures, *, in_order: bool = True) -> None:
+    """A scan and two probes; ``in_order=False`` is an aggregate-only
+    plan's shape, whose survivors are a set and are not scattered."""
     n = fx.n_rows
     select_conjunction_approx(
         fx.machine.gpu, Timeline(),
@@ -427,6 +429,7 @@ def _run_conjunction3(fx: _Fixtures) -> None:
             (fx.columns[1], "c1", ValueRange.between(n // 4, 3 * n // 4)),
             (fx.columns[2], "c2", ValueRange.between(n // 3, 2 * n // 3)),
         ],
+        in_order=in_order,
     )
 
 
@@ -697,6 +700,7 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         "scan.selection": lambda: _run_selection(fx),
         "scan.selection.evict": lambda: _run_selection_evict(fx),
         "scan.conjunction3": lambda: _run_conjunction3(fx),
+        "scan.conjunction3.set": lambda: _run_conjunction3(fx, in_order=False),
         "join.theta.band": lambda: _run_theta_band(fx),
         "join.theta.band.large": lambda: _run_theta_band(fx, size="large"),
         "join.theta.band.xlarge": lambda: _run_theta_band(fx, size="xlarge"),

@@ -293,7 +293,7 @@ class PairCandidates:
     of tuples, so nothing may depend on the order a producer emitted them
     in.  A layout that must be deterministic (final result
     materialization, figure rendering) comes from :meth:`canonicalized`;
-    set-level comparison is :meth:`set_equals` / :meth:`pair_set`.
+    two pair sets are equal when their canonicalized layouts are.
     """
 
     left_positions: np.ndarray
@@ -329,27 +329,6 @@ class PairCandidates:
         order = self.canonical_order()
         return PairCandidates(
             self.left_positions[order], self.right_positions[order]
-        )
-
-    def pair_set(self) -> set[tuple[int, int]]:
-        """The pairs as a Python set (small inputs / tests)."""
-        return set(
-            zip(self.left_positions.tolist(), self.right_positions.tolist())
-        )
-
-    def set_equals(self, other: "PairCandidates | RunPairCandidates") -> bool:
-        """True when both hold the same pair *set* (order ignored).
-
-        Accepts either pair representation.  Compares canonicalized arrays,
-        so duplicates must match in multiplicity too — producers never emit
-        duplicates, making this the set comparison at array speed.
-        """
-        if len(self) != len(other):
-            return False
-        a, b = self.canonicalized(), other.canonicalized()
-        return bool(
-            np.array_equal(a.left_positions, b.left_positions)
-            and np.array_equal(a.right_positions, b.right_positions)
         )
 
 
@@ -557,16 +536,3 @@ class RunPairCandidates:
         counts = self.stops - self.starts
         keep = counts > 0
         return self.left_positions[keep], counts[keep]
-
-    def pair_set(self) -> set[tuple[int, int]]:
-        """The pairs as a Python set (small inputs / tests)."""
-        return self.materialized().pair_set()
-
-    def set_equals(self, other: "PairCandidates | RunPairCandidates") -> bool:
-        """True when both hold the same pair *set*, either representation."""
-        if len(self) != len(other):
-            return False
-        # materialized(), not canonicalized(): PairCandidates.set_equals
-        # canonicalizes both sides itself — pre-sorting here would pay the
-        # O(p log p) lexsort twice.
-        return self.materialized().set_equals(other)

@@ -194,10 +194,11 @@ class SimulatedGPU:
         ``scramble`` the output order is that of a lane-major parallel
         scatter of the scan's hits ("can only maintain the input order at
         additional costs, which we want to avoid", §IV-A item 3) narrowed
-        by the probes.  ``precomputed_hits`` are the first conjunct's hits
-        as a caller already carved them out of its sorted-code view (the
-        serve layer's shared cooperative pass); only the NumPy scan is
-        skipped.
+        by the probes.  Ranks among the hits exist only for that scatter:
+        without ``scramble`` the scan forms none and returns its survivors
+        ascending.  ``precomputed_hits`` are the first conjunct's hits as a
+        caller already carved them out of its sorted-code view (the serve
+        layer's shared cooperative pass); only the NumPy scan is skipped.
 
         With ``positions`` every conjunct is a probe continuing from those
         candidates, in their order.
@@ -221,7 +222,7 @@ class SimulatedGPU:
         else:
             if precomputed_hits is None:
                 ids, rank = self._select_blocks(
-                    conjuncts, _clipped(conjuncts), read, kept
+                    conjuncts, _clipped(conjuncts), read, kept, ranked=scramble
                 )
             elif len(conjuncts) == 1:
                 return self.select_carved(
@@ -294,10 +295,11 @@ class SimulatedGPU:
         return index
 
     @staticmethod
-    def _select_blocks(conjuncts, bounds, read, kept):
+    def _select_blocks(conjuncts, bounds, read, kept, ranked):
         """The scan entry: ``(ascending survivors, their ranks among the
-        first conjunct's hits)`` — ranks ``None`` for a lone conjunct,
-        whose survivors are its hits."""
+        first conjunct's hits)``.  Ranks exist only for the scatter: they
+        are ``None`` unless ``ranked``, and for a lone conjunct, whose
+        survivors are its hits."""
         lead = conjuncts[0][0]
         n = lead.length
         if any(column.length != n for column, *_ in conjuncts):
@@ -331,22 +333,23 @@ class SimulatedGPU:
                 kept[k] += alive
                 k += 1
             if alive:
-                local = np.flatnonzero(mask)
-                # Rank among the block's hits — a survivor's index into
-                # them — behind the hits of the blocks before.
-                rank = (
-                    np.arange(kept[0], kept[0] + alive) if mask is hits
-                    else np.flatnonzero(mask[np.flatnonzero(hits)]) + kept[0]
-                )
+                local, index = np.flatnonzero(mask), slice(None)
                 if k < len(conjuncts):
                     index = SimulatedGPU._probe_at(
                         conjuncts, bounds, k, local + start, read, kept
                     )
-                    local, rank = local[index], rank[index]
+                    local = local[index]
                 ids.append(local + start)
-                ranks.append(rank)
+                if ranked:
+                    # Rank among the block's hits — a survivor's index into
+                    # them — behind the hits of the blocks before.
+                    rank = (
+                        np.arange(kept[0], kept[0] + alive) if mask is hits
+                        else np.flatnonzero(mask[np.flatnonzero(hits)]) + kept[0]
+                    )
+                    ranks.append(rank[index])
             kept[0] += n_hits
-        return np.concatenate(ids), np.concatenate(ranks)
+        return np.concatenate(ids), np.concatenate(ranks) if ranked else None
 
     def gather_codes(
         self,

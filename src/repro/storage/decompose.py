@@ -677,7 +677,7 @@ class BwdColumn:
         """Random-access approximation codes (device-side gather)."""
         if isinstance(self._approx_cache, np.ndarray):
             _VIEW_BUDGET.touch(self, "_approx_cache")
-            return self._approx_cache[self._checked(positions)]
+            return self._warm_gather(self._approx_cache, positions)
         return gather_codes(
             self._approx_words,
             max(self.decomposition.approx_bits, 1),
@@ -768,20 +768,24 @@ class BwdColumn:
             return np.zeros(len(np.asarray(positions)), dtype=dec.residual_dtype)
         if isinstance(self._residual_cache, np.ndarray):
             _VIEW_BUDGET.touch(self, "_residual_cache")
-            return self._residual_cache[self._checked(positions)]
+            return self._warm_gather(self._residual_cache, positions)
         return gather_codes(
             self._residual_words, dec.residual_bits, self.length, positions,
             dec.residual_dtype,
         )
 
-    def _checked(self, positions: np.ndarray) -> np.ndarray:
-        """Validate gather positions like the packed-stream gather does."""
-        positions = np.ascontiguousarray(positions, dtype=np.int64)
-        if positions.size and (
-            int(positions.min()) < 0 or int(positions.max()) >= self.length
-        ):
+    @staticmethod
+    def _warm_gather(view: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """``view`` at ``positions``, refused like the packed-stream gather
+        refuses them: a negative position is tested here, one past the end
+        by ``np.take`` itself."""
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.size and int(positions.min()) < 0:
             raise IndexError("gather position out of range")
-        return positions
+        try:
+            return np.take(view, positions)
+        except IndexError:
+            raise IndexError("gather position out of range") from None
 
     def reconstruct(self, positions: np.ndarray | None = None) -> np.ndarray:
         """Exact values via bitwise concatenation, for all rows or a subset."""

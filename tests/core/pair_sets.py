@@ -1,0 +1,32 @@
+"""Set-level views of a theta join's candidate pairs, for tests.
+
+Either representation — :class:`~repro.core.candidates.PairCandidates` or
+run-length :class:`~repro.core.candidates.RunPairCandidates` — order
+ignored, as the pair contract says.
+"""
+
+import numpy as np
+
+from repro.core.candidates import RunPairCandidates
+
+
+def pair_set(pairs) -> set[tuple[int, int]]:
+    """The pairs as a Python set (small inputs)."""
+    if isinstance(pairs, RunPairCandidates):
+        pairs = pairs.materialized()
+    return set(zip(pairs.left_positions.tolist(), pairs.right_positions.tolist()))
+
+
+def set_equals(a, b) -> bool:
+    """True when both hold the same pairs, either representation.
+
+    Compares canonicalized arrays, so duplicates must match in multiplicity
+    too — producers never emit duplicates.
+    """
+    if len(a) != len(b):
+        return False
+    a, b = a.canonicalized(), b.canonicalized()
+    return bool(
+        np.array_equal(a.left_positions, b.left_positions)
+        and np.array_equal(a.right_positions, b.right_positions)
+    )

@@ -187,7 +187,8 @@ def test_both_sides_of_the_switch_inside_one_column(small_blocks, monkeypatch):
     assert {1, 2} <= went_sparse_at
 
 
-def test_default_block_size_crosses_blocks():
+@pytest.mark.parametrize("scramble", [True, False])
+def test_default_block_size_crosses_blocks(scramble):
     rng = np.random.default_rng(5)
     n = 3 * gpu_module._SELECT_BLOCK_ROWS + 77
     columns = columns_of(rng, n, 1 << 16, (0, 6))
@@ -196,11 +197,28 @@ def test_default_block_size_crosses_blocks():
         (columns[0], "x", ValueRange.between(1000, 40_000)),   # ~60 %: dense
         (columns[1], "y", ValueRange.between(0, 3000)),        # ~5 %
         (columns[0], "x", ValueRange.between(2000, 30_000)),
-    ])
+    ], scramble=scramble)
     assert_matches_reference(machine, [
         (columns[1], "y", ValueRange.between(0, 1500)),        # ~2 %: sparse at once
         (columns[0], "x", ValueRange.between(0, 30_000)),
-    ])
+    ], scramble=scramble)
+
+
+@pytest.mark.parametrize("scramble", [True, False])
+def test_q6_shaped_conjunction(scramble):
+    """Q6's shape at the default block size: a broad then a narrow range on
+    one column (``shipdate >= …``, ``shipdate < …``), then two others."""
+    rng = np.random.default_rng(6)
+    n = 3 * gpu_module._SELECT_BLOCK_ROWS + 77
+    columns = columns_of(rng, n, 1 << 12, (2, 0, 3))
+    machine = machine_with(columns)
+    got = assert_matches_reference(machine, [
+        (columns[0], "date", ValueRange(700, None)),            # ~83 %
+        (columns[0], "date", ValueRange(None, 1100)),           # ~10 % left
+        (columns[1], "disc", ValueRange.between(1000, 2500)),
+        (columns[2], "qty", ValueRange(None, 2000)),
+    ], scramble=scramble)
+    assert len(got) > 0
 
 
 @pytest.mark.parametrize("survivors", [0, 1])

@@ -3,8 +3,8 @@
 PERFORMANCE.md's PR-3 contract, pinned here:
 
 1. :class:`RunPairCandidates` implements the order-insensitive pair
-   contract — ``__len__`` is the exact pair count, ``pair_set`` /
-   ``set_equals`` compare with exploded :class:`PairCandidates`, and
+   contract — ``__len__`` is the exact pair count, the ``pair_sets``
+   helpers compare it with exploded :class:`PairCandidates`, and
    :meth:`canonicalized` is the one place runs explode, in (left, right)
    order,
 2. modeled Timeline charges are byte-identical whether a join ran cold or
@@ -25,6 +25,8 @@ from repro.engine.session import Session
 from repro.errors import ExecutionError
 from repro.storage.column import IntType
 from repro.storage.decompose import decompose_values, set_view_budget
+
+from pair_sets import pair_set, set_equals
 
 
 @pytest.fixture(autouse=True)
@@ -66,10 +68,10 @@ class TestRunPairCandidates:
     def test_pair_set_and_materialized(self):
         runs = self.sample()
         expected = {(0, 10), (0, 20), (0, 40), (2, 30), (2, 10)}
-        assert runs.pair_set() == expected
+        assert pair_set(runs) == expected
         mat = runs.materialized()
         assert isinstance(mat, PairCandidates)
-        assert mat.pair_set() == expected
+        assert pair_set(mat) == expected
         assert len(mat) == len(runs)
 
     def test_canonicalized_is_materialized_and_sorted(self):
@@ -78,7 +80,7 @@ class TestRunPairCandidates:
         assert isinstance(out, PairCandidates)
         keys = list(zip(out.left_positions.tolist(), out.right_positions.tolist()))
         assert keys == sorted(keys)
-        assert out.pair_set() == runs.pair_set()
+        assert pair_set(out) == pair_set(runs)
         lexsorted = runs.materialized().canonicalized()
         assert np.array_equal(out.left_positions, lexsorted.left_positions)
         assert np.array_equal(out.right_positions, lexsorted.right_positions)
@@ -89,9 +91,9 @@ class TestRunPairCandidates:
         shuffled = PairCandidates(
             mat.left_positions[::-1].copy(), mat.right_positions[::-1].copy()
         )
-        assert runs.set_equals(shuffled)
-        assert shuffled.set_equals(runs)
-        assert runs.set_equals(runs.canonicalized())
+        assert set_equals(runs, shuffled)
+        assert set_equals(shuffled, runs)
+        assert set_equals(runs, runs.canonicalized())
         # Same total pair count, different pairs: left 0 loses order[3] and
         # left 1 gains order[2] instead.
         other = RunPairCandidates(
@@ -99,8 +101,8 @@ class TestRunPairCandidates:
             runs.order, "lo",
         )
         assert len(other) == len(runs)
-        assert not runs.set_equals(other)
-        assert not other.set_equals(mat)
+        assert not set_equals(runs, other)
+        assert not set_equals(other, mat)
 
     def test_validation(self):
         with pytest.raises(ExecutionError):

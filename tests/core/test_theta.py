@@ -17,6 +17,8 @@ from repro.device.machine import Machine
 from repro.errors import ExecutionError
 from repro.storage.decompose import decompose_values
 
+from pair_sets import pair_set
+
 
 @pytest.fixture()
 def machine():
@@ -27,11 +29,6 @@ def loaded(machine, values, residual_bits, label):
     col = decompose_values(np.asarray(values), residual_bits=residual_bits)
     machine.gpu.load_column(label, col, None)
     return col
-
-
-def pair_set(pairs) -> set[tuple[int, int]]:
-    # Works for either pair representation (materialized or run-length).
-    return pairs.pair_set()
 
 
 class TestTheta:

@@ -30,6 +30,8 @@ from repro.device.machine import Machine
 from repro.errors import ExecutionError
 from repro.storage.decompose import decompose_values
 
+from pair_sets import pair_set
+
 _I64 = np.iinfo(np.int64)
 
 
@@ -80,11 +82,11 @@ def test_property_exact_span_lies_inside_the_candidate_run(
     refined = theta_join_refine(
         machine.cpu, machine.new_timeline(), left, right, theta, runs
     )
-    truth = theta_join_reference(left_v, right_v, theta).pair_set()
+    truth = pair_set(theta_join_reference(left_v, right_v, theta))
     if ids is not None:
         chosen = set(ids.tolist())
         truth = {(l, r) for l, r in truth if l in chosen}
-    assert refined.pair_set() == truth
+    assert pair_set(refined) == truth
     if len(runs) == 0:
         return  # nothing to refine: the empty set comes back as it went in
     # The bound sort and the exact sort of the right side agree bucket
@@ -147,13 +149,13 @@ def test_a_counted_set_is_the_set_it_forms(monkeypatch, theta, subset):
     assert "formed" in repr(counted)
     assert counted.starts is counted.starts
     assert len(counted) == len(swept)
-    assert counted.pair_set() == swept.pair_set()
+    assert pair_set(counted) == pair_set(swept)
 
     # a refinement cannot tell them apart either
     tl_a, tl_b = machine.new_timeline(), machine.new_timeline()
     refined = theta_join_refine(machine.cpu, tl_a, left, right, theta, counted)
     refined_swept = theta_join_refine(machine.cpu, tl_b, left, right, theta, swept)
-    assert refined.pair_set() == refined_swept.pair_set()
+    assert pair_set(refined) == pair_set(refined_swept)
     assert tl_a.span_tuples() == tl_b.span_tuples()
 
 

@@ -23,6 +23,8 @@ from repro.core.theta import (
 )
 from repro.storage.decompose import decompose_values
 
+from pair_sets import pair_set
+
 N_LEFT, N_RIGHT = 300, 120
 THETAS = [
     Theta(ThetaOp.LT), Theta(ThetaOp.LE), Theta(ThetaOp.GT), Theta(ThetaOp.GE),
@@ -74,7 +76,7 @@ def test_runs_equal_the_per_row_sweeps(shape, theta, subset):
     )
     assert len(runs) == possible.sum()  # counted per code or summed per row
     li, ri = np.nonzero(possible)
-    assert runs.pair_set() == set(zip(rows[li].tolist(), ri.tolist()))
+    assert pair_set(runs) == set(zip(rows[li].tolist(), ri.tolist()))
     assert sorted(runs.left_positions.tolist()) == sorted(rows.tolist())
     assert runs.whole_left == (ids is None)
     for field in (runs.left_positions, runs.starts, runs.stops):

@@ -22,6 +22,8 @@ from repro.core.theta import (
 from repro.device.machine import Machine
 from repro.storage.decompose import decompose_values
 
+from pair_sets import pair_set, set_equals
+
 THETAS = [
     Theta(ThetaOp.LT), Theta(ThetaOp.LE), Theta(ThetaOp.GT), Theta(ThetaOp.GE),
     Theta(ThetaOp.EQ), Theta(ThetaOp.WITHIN, 40),
@@ -55,7 +57,7 @@ def id_sets(n):
 def test_selected_left_side_matches_oracles(theta, residual_bits):
     machine = Machine.paper_testbed()
     left_v, right_v, left, right = columns(machine, residual_bits)
-    truth = theta_join_reference(left_v, right_v, theta).pair_set()
+    truth = pair_set(theta_join_reference(left_v, right_v, theta))
     whole = theta_join_approx(
         machine.gpu, machine.new_timeline(), left, right, theta
     ).materialized()
@@ -68,8 +70,8 @@ def test_selected_left_side_matches_oracles(theta, residual_bits):
         assert not runs.whole_left, name  # a selection never claims the column
         # the selected rows, each once — named in the sweep's order, not ours
         assert np.array_equal(np.sort(runs.left_positions), np.sort(ids)), name
-        assert runs.set_equals(
-            whole.narrowed(np.isin(whole.left_positions, ids))
+        assert set_equals(
+            runs, whole.narrowed(np.isin(whole.left_positions, ids))
         ), name
 
         refined = theta_join_refine(
@@ -77,7 +79,7 @@ def test_selected_left_side_matches_oracles(theta, residual_bits):
         )
         chosen = set(ids.tolist())
         want = {(l, r) for l, r in truth if l in chosen}
-        assert refined.pair_set() == want, name
+        assert pair_set(refined) == want, name
 
 
 def test_whole_column_runs_say_so_and_keep_saying_so():

@@ -33,6 +33,8 @@ from repro.device.machine import Machine
 from repro.errors import ExecutionError
 from repro.storage.decompose import BwdColumn, decompose_values
 
+from pair_sets import pair_set, set_equals
+
 
 @pytest.fixture()
 def machine():
@@ -77,18 +79,18 @@ class TestPairContract:
     def test_set_equals_ignores_order(self):
         a = PairCandidates(np.array([0, 1, 2]), np.array([5, 4, 3]))
         b = PairCandidates(np.array([2, 0, 1]), np.array([3, 5, 4]))
-        assert a.set_equals(b)
-        assert b.set_equals(a)
-        assert not a.set_equals(PairCandidates(np.array([0, 1]), np.array([5, 4])))
-        assert not a.set_equals(
-            PairCandidates(np.array([0, 1, 2]), np.array([5, 4, 9]))
+        assert set_equals(a, b)
+        assert set_equals(b, a)
+        assert not set_equals(a, PairCandidates(np.array([0, 1]), np.array([5, 4])))
+        assert not set_equals(
+            a, PairCandidates(np.array([0, 1, 2]), np.array([5, 4, 9]))
         )
 
     def test_narrowed_is_order_agnostic(self):
         pairs = PairCandidates(np.array([3, 1, 2]), np.array([0, 1, 2]))
         keep = np.array([True, False, True])
         out = pairs.narrowed(keep)
-        assert out.pair_set() == {(3, 0), (2, 2)}
+        assert pair_set(out) == {(3, 0), (2, 2)}
 
 
 class TestProducerShim:
@@ -105,7 +107,7 @@ class TestProducerShim:
             machine.gpu, tl_named, left, right, theta,
             strategy="sorted", emit="runs",
         )
-        assert plain.set_equals(named)
+        assert set_equals(plain, named)
         assert tl_plain.span_tuples() == tl_named.span_tuples()
 
     @pytest.mark.parametrize("strategy,emit", [
@@ -140,11 +142,11 @@ class TestSortedEqualsBruteforce:
             with forced_sweep(per_code):
                 tl = machine.new_timeline()
                 pairs = theta_join_approx(machine.gpu, tl, left, right, theta)
-                assert pairs.set_equals(expected), per_code
+                assert set_equals(pairs, expected), per_code
                 refined = theta_join_refine(
                     machine.cpu, tl, left, right, theta, pairs
                 )
-                assert refined.pair_set() == truth.pair_set(), per_code
+                assert pair_set(refined) == pair_set(truth), per_code
             ledgers.append(spans_of(tl))
         assert ledgers[0] == ledgers[1]
 
@@ -224,7 +226,7 @@ class TestColdWarmTimelineIdentity:
                 refined = theta_join_refine(
                     machine.cpu, tl, left, right, theta, pairs
                 )
-            results.append((spans_of(tl), sorted(refined.pair_set())))
+            results.append((spans_of(tl), sorted(pair_set(refined))))
         assert results[0] == results[1]
         first_join, repeat_join = results[0][0][0], results[0][0][1]
         assert first_join == repeat_join
@@ -294,8 +296,8 @@ def test_property_sorted_pair_set_equals_oracle(
             pairs = theta_join_approx(
                 machine.gpu, tl, left, right, theta, left_ids=left_ids
             )
-            assert pairs.set_equals(expected)
+            assert set_equals(pairs, expected)
             refined = theta_join_refine(machine.cpu, tl, left, right, theta, pairs)
-            assert refined.set_equals(truth)
+            assert set_equals(refined, truth)
         ledgers.append(tl.span_tuples())
     assert ledgers[0] == ledgers[1]

@@ -81,12 +81,15 @@ class TestCacheCorrectness:
         assert np.array_equal(cold.residual_at(pos), warm.residual_at(pos))
         assert np.array_equal(cold.reconstruct(pos), values[pos])
 
-    def test_warm_gather_validates_positions(self):
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_warm_gather_validates_positions(self, bad):
         col = decompose_values(np.arange(10), residual_bits=2)
-        with pytest.raises(IndexError):
-            col.approx_at(np.array([10]))
-        with pytest.raises(IndexError):
-            col.residual_at(np.array([-1]))
+        col.approx_codes(), col.residuals()
+        assert isinstance(col._approx_cache, np.ndarray)
+        assert isinstance(col._residual_cache, np.ndarray)
+        for gather in (col.approx_at, col.residual_at):
+            with pytest.raises(IndexError, match="gather position out of range"):
+                gather(np.array([3, bad]))
 
 
 def spans_of(timeline: Timeline):
