@@ -710,6 +710,7 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         "join.theta.pipeline.large": lambda: _run_theta_pipeline_large(fx),
         "serve.theta.b16": lambda: _run_served_theta(fx),
         "tpch.q6.ar": lambda: _run_tpch_q6(fx),
+        "tpch.q6.classic": lambda: fx.tpch.execute(fx.q6, mode="classic"),
         "tpch.q1.ar": lambda: _run_tpch_q1(fx),
         # Deliberately last + lazily built: see _Fixtures.serve_workload.
         "serve.throughput.b1": lambda: run_once(*fx.serve_workload(), max_batch=1),

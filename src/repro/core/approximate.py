@@ -85,9 +85,7 @@ def select_conjunction_approx(
 
     if candidates is not None:
         _, index = gpu.select_code_ranges(ranges, timeline, positions=candidates.ids)
-        keep = np.zeros(len(candidates), dtype=bool)
-        keep[index] = True
-        return formed(candidates.narrowed(keep))
+        return formed(candidates.narrowed(index))
     if precomputed_hits is not None and len(ranges) == 1:
         (column, label, vrange), = conjuncts
         hits, carve = precomputed_hits, (label, vrange, precomputed_hits)

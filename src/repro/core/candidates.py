@@ -259,19 +259,22 @@ class Approximation:
     def narrowed(
         self, keep, replacing: dict[str, IntervalColumn] | None = None
     ) -> "Approximation":
-        """Candidate subset (order kept) selected by a boolean mask — or by
-        a function returning the kept rows of an array aligned with the
-        ids, for a caller that knows a cheaper way to them than a mask.
+        """Candidate subset taken at ``keep``'s positions (ascending ones
+        keep the order; a keep-mask is passed as ``np.flatnonzero(mask)``)
+        — or by a function returning the kept rows of an array aligned with
+        the ids, for a caller that knows a cheaper way to them.
 
-        Payloads are sliced with the selector itself — no id re-intersection
-        and no ``flatnonzero`` materialization per payload — except those
-        ``replacing`` names: its columns, already narrowed, stand in.
+        Ids and payloads are taken at the same positions — no id
+        re-intersection — except the payloads ``replacing`` names: its
+        columns, already narrowed, stand in.
         """
         if not callable(keep):
-            mask = np.asarray(keep, dtype=bool)
+            positions = np.asarray(keep)
+            if positions.dtype == bool:
+                raise TypeError("narrow by positions, not by a boolean mask")
 
             def keep(rows: np.ndarray) -> np.ndarray:
-                return rows[mask]
+                return rows.take(positions)
         replacing = replacing or {}
         return Approximation(
             ids=keep(self.ids),
@@ -309,13 +312,6 @@ class PairCandidates:
         return len(self.left_positions)
 
     # ------------------------------------------------------------------
-    def narrowed(self, keep_mask: np.ndarray) -> "PairCandidates":
-        """Pair subset selected by a boolean mask (order-agnostic)."""
-        keep_mask = np.asarray(keep_mask, dtype=bool)
-        return PairCandidates(
-            self.left_positions[keep_mask], self.right_positions[keep_mask]
-        )
-
     def canonical_order(self) -> np.ndarray:
         """Permutation sorting the pairs lexicographically by (left, right)."""
         return np.lexsort((self.right_positions, self.left_positions))
@@ -521,9 +517,10 @@ class RunPairCandidates:
         keep_mask = np.asarray(keep_mask, dtype=bool)
         if keep_mask.shape != self.left_positions.shape:
             raise ExecutionError("row mask misaligned with runs")
+        keep = np.flatnonzero(keep_mask)
         return RunPairCandidates(
-            self.left_positions[keep_mask], self.starts[keep_mask],
-            self.stops[keep_mask], self.order, order_key=self.order_key,
+            self.left_positions.take(keep), self.starts.take(keep),
+            self.stops.take(keep), self.order, order_key=self.order_key,
         )
 
     def left_multiplicities(self) -> tuple[np.ndarray, np.ndarray]:

@@ -129,9 +129,9 @@ class IntervalColumn:
         return int((self.hi - self.lo).max())
 
     def take(self, positions: np.ndarray) -> "IntervalColumn":
-        """Row subset by integer positions, a boolean keep-mask, or a
-        function returning an aligned array's kept rows."""
-        pick = positions if callable(positions) else (lambda rows: rows[positions])
+        """Row subset by integer positions, or by a function returning an
+        aligned array's kept rows."""
+        pick = positions if callable(positions) else (lambda rows: rows.take(positions))
         lo = pick(self.lo)
         hi = lo if self.hi is self.lo else pick(self.hi)
         return IntervalColumn(lo, hi, refinable=self.refinable)

@@ -128,8 +128,8 @@ def select_refine(
             values = values + residuals.astype(np.int64)
         sure = candidates.certain_run(label, vrange)
         if sure is None:
-            keep = vrange.evaluate(values)
-            exact = values[keep]
+            keep = np.flatnonzero(vrange.evaluate(values))
+            exact = values.take(keep)
         else:  # run order: only the rows around the certain run can fail
             head = vrange.evaluate(values[: sure.start])
             tail = vrange.evaluate(values[sure.stop :])
@@ -231,7 +231,7 @@ def align_via_translucent(
     earlier: Approximation,
     refined_ids: np.ndarray,
     *,
-    keep_mask: np.ndarray | None = None,
+    positions: np.ndarray | None = None,
 ) -> Approximation:
     """Join an earlier approximation with a refined id subset (Algorithm 1).
 
@@ -241,14 +241,12 @@ def align_via_translucent(
     applies; its output aligns every payload of ``earlier`` with
     ``refined_ids``.
 
-    When the caller just computed ``refined_ids = earlier.ids[keep_mask]``,
-    passing that ``keep_mask`` skips the membership recomputation entirely —
-    the mask's set positions are the join's output.  The modeled charge is
-    identical either way (the real system fuses the traversal too).
+    When the caller just computed ``refined_ids = earlier.ids.take(
+    positions)``, passing those ascending ``positions`` skips the membership
+    recomputation entirely — they are the join's output.  The modeled charge
+    is identical either way (the real system fuses the traversal too).
     """
-    if keep_mask is not None:
-        positions = np.flatnonzero(keep_mask)
-    else:
+    if positions is None:
         positions = translucent_join(earlier.ids, refined_ids)
     cpu.charge(
         timeline, "translucent.join",

@@ -120,14 +120,22 @@ class ValueRange:
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Exact mask of ``values`` inside the range (the refinement check)."""
-        mask = np.ones(len(values), dtype=bool)
-        if self.is_empty:
-            return np.zeros(len(values), dtype=bool)
-        if self.lo is not None:
-            mask &= values >= self.lo
-        if self.hi is not None:
-            mask &= values <= self.hi
-        return mask
+        return _bounded(values, values, self)
+
+
+def _bounded(low: np.ndarray, high: np.ndarray, vrange: ValueRange) -> np.ndarray:
+    """Rows with ``low >= vrange.lo`` and ``high <= vrange.hi``, one compare
+    per bound the range has: zeros when it is empty, ones when it has none."""
+    if vrange.is_empty:
+        return np.zeros(len(low), dtype=bool)
+    if vrange.lo is None:
+        if vrange.hi is None:
+            return np.ones(len(low), dtype=bool)
+        return high <= vrange.hi
+    mask = low >= vrange.lo
+    if vrange.hi is not None:
+        mask &= high <= vrange.hi
+    return mask
 
 
 #: Sentinel code range meaning "no code can match".
@@ -200,25 +208,11 @@ def candidate_mask_for_intervals(
     per-row bounds come from interval arithmetic rather than a single
     decomposition.
     """
-    if vrange.is_empty:
-        return np.zeros(len(lo), dtype=bool)
-    mask = np.ones(len(lo), dtype=bool)
-    if vrange.lo is not None:
-        mask &= hi >= vrange.lo
-    if vrange.hi is not None:
-        mask &= lo <= vrange.hi
-    return mask
+    return _bounded(hi, lo, vrange)
 
 
 def certain_mask_for_intervals(
     lo: np.ndarray, hi: np.ndarray, vrange: ValueRange
 ) -> np.ndarray:
     """Rows whose whole error-bound interval is contained in ``vrange``."""
-    if vrange.is_empty:
-        return np.zeros(len(lo), dtype=bool)
-    mask = np.ones(len(lo), dtype=bool)
-    if vrange.lo is not None:
-        mask &= lo >= vrange.lo
-    if vrange.hi is not None:
-        mask &= hi <= vrange.hi
-    return mask
+    return _bounded(lo, hi, vrange)

@@ -375,7 +375,7 @@ class ArExecutor:
             for c, column, width in zip(group.columns, keys, bits)
         ])
         order = np.argsort(composite, kind="stable")
-        state.candidates = candidates.narrowed(lambda rows: rows[order])
+        state.candidates = candidates.narrowed(order)
         state.candidates.order_preserved = False
         for op in projects:
             self._dispatch(op, state)
@@ -415,7 +415,7 @@ class ArExecutor:
             assert state.candidates is not None
             mask = op.predicate.candidate_mask(state.interval_resolver)
             machine.gpu.reduce(len(mask), tl, op="select.approx.bounds")
-            state.candidates = state.candidates.narrowed(mask)
+            state.candidates = state.candidates.narrowed(np.flatnonzero(mask))
         elif isinstance(op, ApproxGroup):
             assert state.candidates is not None
             # Group on the candidates' payloads (bucket floors): they are
@@ -509,15 +509,16 @@ class ArExecutor:
         elif isinstance(op, CpuSelect):
             assert state.candidates is not None
             mask = op.predicate.evaluate_exact(state.exact_resolver)
+            keep = np.flatnonzero(mask)
             machine.cpu.charge(
                 tl, f"cpu.select{op.predicate!r}",
-                len(mask) + int(mask.sum()) * _OID_BYTES,
+                len(mask) + keep.size * _OID_BYTES,
                 tuples=len(mask) * max(1, op.predicate.target.op_count()),
                 op_class=OpClass.SCAN,
             )
-            refined_ids = state.candidates.ids[mask]
             state.candidates = align_via_translucent(
-                machine.cpu, tl, state.candidates, refined_ids, keep_mask=mask
+                machine.cpu, tl, state.candidates,
+                state.candidates.ids.take(keep), positions=keep,
             )
         elif isinstance(op, RefineProject):
             assert state.candidates is not None
@@ -700,7 +701,7 @@ class ArExecutor:
             keep = bounds.hi >= int(bounds.lo[certain].max())
         # Rows that are certain must survive as well (they are real results
         # even if they cannot win the extremum — other aggregates need them).
-        state.candidates = state.candidates.narrowed(keep | certain)
+        state.candidates = state.candidates.narrowed(np.flatnonzero(keep | certain))
 
     # ------------------------------------------------------------------
     # Refinement side: theta-join pair plans

@@ -7,7 +7,15 @@ ignored, as the pair contract says.
 
 import numpy as np
 
-from repro.core.candidates import RunPairCandidates
+from repro.core.candidates import PairCandidates, RunPairCandidates
+
+
+def narrowed(pairs: PairCandidates, keep_mask: np.ndarray) -> PairCandidates:
+    """The pairs a boolean mask over them keeps."""
+    keep = np.flatnonzero(keep_mask)
+    return PairCandidates(
+        pairs.left_positions.take(keep), pairs.right_positions.take(keep)
+    )
 
 
 def pair_set(pairs) -> set[tuple[int, int]]:

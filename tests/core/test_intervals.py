@@ -289,8 +289,9 @@ class TestDegenerateRepresentation:
         assert source.flags.writeable
 
     def test_take_and_equal_bounds_stay_degenerate(self):
-        taken = IntervalColumn.exact(np.array([5, 6, 7])).take(np.array([True, False, True]))
+        taken = IntervalColumn.exact(np.array([5, 6, 7])).take(np.array([0, 2]))
         assert taken.hi is taken.lo and not taken.lo.flags.writeable
+        assert taken.lo.tolist() == [5, 7]
         equal = column([(4, 4), (9, 9)])
         assert equal.hi is equal.lo and equal.refinable
 

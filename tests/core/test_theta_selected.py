@@ -22,7 +22,7 @@ from repro.core.theta import (
 from repro.device.machine import Machine
 from repro.storage.decompose import decompose_values
 
-from pair_sets import pair_set, set_equals
+from pair_sets import narrowed, pair_set, set_equals
 
 THETAS = [
     Theta(ThetaOp.LT), Theta(ThetaOp.LE), Theta(ThetaOp.GT), Theta(ThetaOp.GE),
@@ -71,7 +71,7 @@ def test_selected_left_side_matches_oracles(theta, residual_bits):
         # the selected rows, each once — named in the sweep's order, not ours
         assert np.array_equal(np.sort(runs.left_positions), np.sort(ids)), name
         assert set_equals(
-            runs, whole.narrowed(np.isin(whole.left_positions, ids))
+            runs, narrowed(whole, np.isin(whole.left_positions, ids))
         ), name
 
         refined = theta_join_refine(

@@ -33,7 +33,7 @@ from repro.device.machine import Machine
 from repro.errors import ExecutionError
 from repro.storage.decompose import BwdColumn, decompose_values
 
-from pair_sets import pair_set, set_equals
+from pair_sets import narrowed, pair_set, set_equals
 
 
 @pytest.fixture()
@@ -89,7 +89,7 @@ class TestPairContract:
     def test_narrowed_is_order_agnostic(self):
         pairs = PairCandidates(np.array([3, 1, 2]), np.array([0, 1, 2]))
         keep = np.array([True, False, True])
-        out = pairs.narrowed(keep)
+        out = narrowed(pairs, keep)
         assert pair_set(out) == {(3, 0), (2, 2)}
 
 
@@ -287,7 +287,7 @@ def test_property_sorted_pair_set_equals_oracle(
     expected = possible_pairs(left, right, theta, left_ids)
     truth = theta_join_reference(left_v, right_v, theta)
     if left_ids is not None:
-        truth = truth.narrowed(np.isin(truth.left_positions, left_ids))
+        truth = narrowed(truth, np.isin(truth.left_positions, left_ids))
 
     ledgers = []
     for per_code in (True, False):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import theta as theta_module
-from repro.core.candidates import RunPairCandidates
+from repro.core.candidates import PairCandidates, RunPairCandidates
 from repro.core.theta import Theta, ThetaOp, theta_join_reference
 from repro.engine.builder import RelationBuilder
 from repro.engine.session import Session
@@ -54,7 +54,9 @@ def oracle_pairs(session, op, delta, left_mask=None):
     truth = theta_join_reference(left_v, right_v, Theta(ThetaOp(op), delta))
     if left_mask is not None:
         keep = left_mask[truth.left_positions]
-        truth = truth.narrowed(keep)
+        truth = PairCandidates(
+            truth.left_positions[keep], truth.right_positions[keep]
+        )
     return truth.canonicalized()
 
 

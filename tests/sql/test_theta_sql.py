@@ -9,6 +9,7 @@ not dense.
 import numpy as np
 import pytest
 
+from repro.core.candidates import PairCandidates
 from repro.core.theta import Theta, ThetaOp, theta_join_reference
 from repro.engine.session import Session
 from repro.errors import SqlError, SqlSyntaxError
@@ -173,7 +174,9 @@ class TestEndToEnd:
         keep = (left[pairs.left_positions] >= 300) & (
             left[pairs.left_positions] <= 3500
         )
-        pairs = pairs.narrowed(keep)
+        pairs = PairCandidates(
+            pairs.left_positions[keep], pairs.right_positions[keep]
+        )
         return left, qty, pairs
 
     def test_sql_three_mode_round_trip(self, session):
