@@ -98,6 +98,7 @@ from repro.core.theta import Theta, ThetaOp, theta_join_approx, theta_join_refin
 from repro.device.machine import Machine
 from repro.device.timeline import Timeline
 from repro.engine.session import Session
+from repro.plan.rewriter import rewrite_to_ar_plan
 from repro.serve.bench import build_serve_session, query_ranges, run_once
 from repro.storage.bitpack import gather_codes, pack_codes, unpack_codes
 from repro.storage.column import IntType
@@ -132,6 +133,9 @@ QUICK_SERVE_QUERIES = 8
 #: shard, so the s4/s1 ratio is the real scale-out speedup).
 SHARD_QUERIES = 16
 QUICK_SHARD_QUERIES = 6
+
+#: Plans per ``opt.plan.miss`` run: one miss is tens of microseconds.
+PLAN_MISSES = 256
 
 #: --quick shape: small everything, for smoke runs and the tier-1 test.
 QUICK_N_ROWS = 20_000
@@ -275,6 +279,7 @@ class _Fixtures:
         self._serve: tuple | None = None
         self._shard: dict[int, tuple] = {}
         self._opt: Session | None = None
+        self._plan_misses: list | None = None
         self._ingest: tuple | None = None
         self._compact: tuple | None = None
 
@@ -297,6 +302,20 @@ class _Fixtures:
             session.bwdecompose("optL", "w", 24)
             self._opt = session
         return self._opt
+
+    def plan_miss_queries(self) -> list:
+        """Distinct two-predicate windows over ``optL`` for
+        ``opt.plan.miss``, bound once outside the timed region."""
+        if self._plan_misses is None:
+            session = self.opt_workload()
+            self._plan_misses = [
+                session.table("optL")
+                .where("v", between=(lo, lo + 500_000))
+                .where("w", between=(0, 200_000 + lo // 4))
+                .count("n").build()
+                for lo in range(0, PLAN_MISSES * 1_000, 1_000)
+            ]
+        return self._plan_misses
 
     def serve_workload(self) -> tuple:
         """The serving session + query set, built lazily on first use.
@@ -572,6 +591,14 @@ def _run_opt_scan(fx: _Fixtures, optimizer: str) -> None:
     )
 
 
+def _run_plan_miss(fx: _Fixtures) -> None:
+    """``rewrite_to_ar_plan(optimizer="cost")`` of fresh two-predicate
+    windows with the audit never read: a served plan-cache miss."""
+    catalog = fx.opt_workload().catalog
+    for query in fx.plan_miss_queries():
+        rewrite_to_ar_plan(query, catalog, optimizer="cost")
+
+
 def _run_opt_batch(fx: _Fixtures, optimizer: str) -> None:
     """The serve workload with the cost gate deciding batch membership."""
     run_once(*fx.serve_workload(), max_batch=16, optimizer=optimizer)
@@ -732,6 +759,8 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         # optimizer's end-to-end win (or its planning overhead).
         "opt.pick.scan": lambda: _run_opt_scan(fx, opt),
         "opt.pick.batch": lambda: _run_opt_batch(fx, opt),
+        # A plan-cache miss under "cost", its audit never read.
+        "opt.plan.miss": lambda: _run_plan_miss(fx),
         # Streaming ingestion (PR 9): before = write-through strawman
         # (compact on every write), after = delta held to the watermark.
         "ingest.mixed.wm1k": lambda: _run_ingest_mixed(

@@ -218,8 +218,10 @@ class Session:
         ``predicate_order="selectivity"`` enables the histogram-driven
         cost-based ordering of approximate selections (§III-A extension).
         ``optimizer`` picks the physical planner: ``"cost"`` (the default)
-        stamps the plan with estimated spans and the scan-order decision
-        (:mod:`repro.opt`); ``"heuristic"`` is the rule-based plan alone.
+        gives the plan an audit, estimated spans and the scan-order
+        decision (:mod:`repro.opt`), computed when something first reads
+        it (``explain``, a tracer); ``"heuristic"`` is the rule-based plan
+        alone.
         Both yield the same Result and modeled Timeline.  Physical plans
         are cached per (query, options, catalog epoch); compaction
         invalidates by bumping the epoch.

@@ -6,7 +6,9 @@ channel makes that signal *continuous*: every traced query that ran with
 a cost-optimized plan feeds the ratio ``actual / estimated`` of each
 operator into a histogram per op kind, so a drifting cost model shows up
 as a drifting distribution — not as one slow query someone happened to
-inspect.  The slow-query log is the complementary per-incident view: any
+inspect.  A plan computes its estimates when first read, so this channel
+pays for them; an untraced query that nothing explains never estimates.
+The slow-query log is the complementary per-incident view: any
 root trace whose wall clock crosses the configured threshold is kept
 with its explain output and its full trace attached.
 """

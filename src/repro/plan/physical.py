@@ -39,6 +39,7 @@ Two plan shapes share the operator list:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import PlanError
 from .expr import Predicate
@@ -373,14 +374,42 @@ class PhysicalPlan:
     predicted modeled charge per operator —
     :class:`repro.opt.cost.EstimatedSpan`); ``explain()`` renders both,
     and :func:`repro.opt.report.estimated_vs_actual` lines the estimates
-    up against a run's billed Timeline.
+    up against a run's billed Timeline.  Each is computed from the plan
+    and ``catalog`` when first read, then kept; without a ``catalog``
+    (``"heuristic"``) both read as empty.  A plan held across a
+    compaction estimates against the catalog as it stands at first read.
     """
 
     query: Query
     ops: list[PhysicalOp] = field(default_factory=list)
     pushdown: bool = True
-    decisions: list = field(default_factory=list)
-    estimated_spans: list = field(default_factory=list)
+    #: What the audit estimates against, and the order the caller asked
+    #: for (the scan-order decision records it).
+    catalog: object = field(default=None, repr=False, compare=False)
+    predicate_order: str = "query"
+
+    @cached_property
+    def decisions(self) -> list:
+        if self.catalog is None or self.query.theta_joins:
+            return []
+        from ..opt.planner import scan_order_decision
+
+        drivable = [
+            op.predicate for op in self.ops
+            if isinstance(op, (ApproxScanSelect, ApproxProbeSelect))
+        ]
+        order = scan_order_decision(
+            self.query, self.catalog, drivable, self.predicate_order
+        )
+        return [] if order is None else [order]
+
+    @cached_property
+    def estimated_spans(self) -> list:
+        if self.catalog is None:
+            return []
+        from ..opt.cost import estimated_plan_spans
+
+        return estimated_plan_spans(self, self.catalog)
 
     def validate(self) -> "PhysicalPlan":
         """Check the A&R structural invariant under pushdown.
@@ -405,11 +434,3 @@ class PhysicalPlan:
         ):
             raise PlanError("plan never ships candidates to the host")
         return self
-
-    @property
-    def approximate_ops(self) -> list[PhysicalOp]:
-        return [op for op in self.ops if op.phase == "approximate"]
-
-    @property
-    def refine_ops(self) -> list[PhysicalOp]:
-        return [op for op in self.ops if op.phase == "refine"]

@@ -43,8 +43,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
 from ..engine.cooperative import (
     ScanRequest,
     cooperative_pass_seconds,
@@ -52,9 +50,10 @@ from ..engine.cooperative import (
 )
 from ..errors import AdmissionError, PlanError, ReproError
 from ..obs import trace as obs_trace
+from ..opt.estimates import estimate_selectivity
 from ..plan.logical import Query
 from ..plan.physical import ApproxScanSelect
-from ..plan.rewriter import estimated_selectivity, rewrite_to_ar_plan
+from ..plan.rewriter import rewrite_to_ar_plan
 from .handles import CancelledError, QueryHandle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -194,10 +193,10 @@ class _Pending:
     """One queued query with its execution options and admission facts."""
 
     __slots__ = ("handle", "query", "mode", "pushdown", "predicate_order",
-                 "group", "scratch_bytes", "enqueued_batch")
+                 "group", "scratch_bytes", "enqueued_batch", "est_hits")
 
     def __init__(self, handle, query, mode, pushdown, predicate_order,
-                 group, scratch_bytes, enqueued_batch=0) -> None:
+                 group, scratch_bytes, enqueued_batch=0, est_hits=None) -> None:
         self.handle = handle
         self.query = query
         self.mode = mode
@@ -207,6 +206,8 @@ class _Pending:
         self.scratch_bytes = scratch_bytes
         #: ``stats.batches`` at submission — the admission-timeout clock.
         self.enqueued_batch = enqueued_batch
+        #: The first scan's estimated hits at admission (None: no estimate).
+        self.est_hits = est_hits
 
 
 class QueryQueue:
@@ -314,7 +315,7 @@ class Scheduler:
             raise PlanError(f"unknown mode {mode!r}; pick one of {MODES}")
         if not isinstance(query, Query):
             query = query.build()
-        scratch = self._estimate_scratch_bytes(query, mode)
+        scratch, est_hits = self._estimate_scratch(query, mode)
         capacity = self._admission_capacity()
         if capacity is not None and scratch > capacity:
             # Fail fast: no amount of waiting makes this query fit.
@@ -335,7 +336,7 @@ class Scheduler:
         group = (query.batch_fingerprint(), mode, pushdown, predicate_order)
         pending = _Pending(
             handle, query, mode, pushdown, predicate_order,
-            group, scratch, self.stats.batches,
+            group, scratch, self.stats.batches, est_hits,
         )
         self._queue.push(pending)
         self.stats.submitted += 1
@@ -528,32 +529,37 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Admission: expected device scratch of one query
     # ------------------------------------------------------------------
-    def _estimate_scratch_bytes(self, query: Query, mode: str) -> int:
-        """Expected device-side output bytes, from the free histograms.
+    def _estimate_scratch(
+        self, query: Query, mode: str
+    ) -> tuple[int, int | None]:
+        """Expected device-side output bytes, from the free histograms,
+        and the first scan's estimated hits they are sized from.
 
         Classic mode touches no device memory.  A theta block emits id
         streams for both sides; a plain block's first drivable scan emits
         its candidate ids, sized by the (relaxed) histogram selectivity —
-        the same estimate the cost-based predicate ordering uses.
+        the same estimate the cost-based predicate ordering uses, and the
+        one the fuse-or-solo gate reads (None: no scan to estimate).
         """
         if mode == "classic":
-            return 0
+            return 0, None
         catalog = self.session.catalog
         if query.theta_joins:
             tj = query.theta_joins[0]
             rows = len(catalog.table(query.table)) + len(
                 catalog.table(tj.right_table)
             )
-            return rows * _OID_BYTES
+            return rows * _OID_BYTES, None
         for pred in query.where:
             if not pred.is_simple_column:
                 continue
             try:
-                sel = estimated_selectivity(pred, catalog, query.table)
+                sel = estimate_selectivity(catalog, query.table, pred)
             except (PlanError, ReproError):
-                return 0
-            return int(sel * len(catalog.table(query.table))) * _OID_BYTES
-        return 0
+                return 0, None
+            hits = int(sel * len(catalog.table(query.table)))
+            return hits * _OID_BYTES, hits
+        return 0, None
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -638,23 +644,22 @@ class Scheduler:
         selectivity the sorts dominate and solo wins — fingerprint
         equality alone cannot see that.  The decision (with both costed
         alternatives) lands in :attr:`recent_decisions`.
+
+        Each member's hits are the estimate admission made of the same
+        predicate (the batch fingerprint names it), not a second one; they
+        differ from a fresh estimate only if the catalog changed between
+        submit and this batch.
         """
         from ..opt.planner import batch_membership_decision
 
         _, table, column_name = batch[0].group[0]
-        catalog = self.session.catalog
-        try:
-            n_rows = len(catalog.table(table))
-            est_hits = []
-            for pending in batch:
-                pred = next(
-                    p for p in pending.query.where
-                    if p.is_simple_column and p.target.name == column_name
-                )
-                sel = estimated_selectivity(pred, catalog, table)
-                est_hits.append(int(sel * n_rows))
-        except (StopIteration, PlanError, ReproError):
+        est_hits = [pending.est_hits for pending in batch]
+        if None in est_hits:
             return True  # no estimate — keep the historical fusing behavior
+        try:
+            n_rows = len(self.session.catalog.table(table))
+        except ReproError:
+            return True
         decision = batch_membership_decision(
             table, column_name, n_rows, est_hits
         )

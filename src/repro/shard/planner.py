@@ -25,6 +25,7 @@ single-device engines compute, so the merged value is byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,11 +59,19 @@ class ShardedPlan:
     fragments: list[Fragment] = field(default_factory=list)
     pruned: list[int] = field(default_factory=list)
     merge: ShardMerge | None = None
-    #: Optimizer audit trail under ``optimizer="cost"`` (PR 8): the
-    #: fragment-shape decision (per-shard run-vs-prune with estimated
-    #: fragment seconds, plus the estimated merge charge) and each
-    #: fragment plan's own decisions as ``(shard_index, Decision)``.
-    decisions: list = field(default_factory=list)
+    #: The planner that audits a ``"cost"`` plan (None: no audit).
+    auditor: "ShardPlanner | None" = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def decisions(self) -> list:
+        """``(shard_index, Decision)`` pairs of a cost plan, built (with
+        the fragments' estimates) on first read: see
+        :meth:`ShardPlanner.fragment_decisions`."""
+        if self.auditor is None:
+            return []
+        return self.auditor.fragment_decisions(self)
 
     def describe(self) -> str:
         lines = [
@@ -139,11 +148,11 @@ class ShardPlanner:
             )
         plan.merge = ShardMerge(n_shards=len(plan.fragments), kind=kind)
         if optimizer == "cost" and mode != "classic":
-            self._attach_decisions(plan, kind)
+            plan.auditor = self
         return plan
 
-    def _attach_decisions(self, plan: ShardedPlan, merge_kind: str) -> None:
-        """Record the costed fragment-shape decisions (PR 8).
+    def fragment_decisions(self, plan: ShardedPlan) -> list:
+        """The costed fragment-shape decisions of ``plan``.
 
         One coordinator-level decision per shard: routed shards show the
         estimated modeled seconds of running their fragment (the sum of
@@ -160,13 +169,15 @@ class ShardPlanner:
         table = plan.query.table
         row_maps = self.catalog.row_maps.get(table)
         per_tuple = SIM_HOST.per_tuple[OpClass.SCAN]
+        merge_kind = plan.merge.kind
+        decisions = []
         for fragment in plan.fragments:
             est = sum(s.est_seconds for s in fragment.plan.estimated_spans)
             n_rows = (
                 len(row_maps[fragment.shard_index]) if row_maps is not None
                 else len(self.catalog.global_catalog.table(table))
             )
-            plan.decisions.append((None, Decision(
+            decisions.append((None, Decision(
                 kind="fragment-shape",
                 target=f"{table} shard {fragment.shard_index}",
                 chosen="run",
@@ -181,10 +192,10 @@ class ShardPlanner:
                 forced=True,
             )))
             for decision in fragment.plan.decisions:
-                plan.decisions.append((fragment.shard_index, decision))
+                decisions.append((fragment.shard_index, decision))
         for shard_index in plan.pruned:
             n_rows = len(row_maps[shard_index]) if row_maps is not None else 0
-            plan.decisions.append((None, Decision(
+            decisions.append((None, Decision(
                 kind="fragment-shape",
                 target=f"{table} shard {shard_index}",
                 chosen="prune",
@@ -201,6 +212,7 @@ class ShardPlanner:
                 estimates={"rows": n_rows},
                 forced=True,
             )))
+        return decisions
 
     # ------------------------------------------------------------------
     def _check_scope(self, query: Query) -> None:

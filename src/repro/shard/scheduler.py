@@ -46,7 +46,7 @@ class ShardScheduler(Scheduler):
     """A :class:`Scheduler` whose batches execute across the shards."""
 
     # ``session`` is a ShardedSession: provides .catalog (the global
-    # planning catalog, what _estimate_scratch_bytes reads), .machine (the
+    # planning catalog, what _estimate_scratch reads), .machine (the
     # coordinator, where pending delta is folded in) and .query().
 
     # ------------------------------------------------------------------
@@ -87,25 +87,27 @@ class ShardScheduler(Scheduler):
             return None
         return int(min(bounded) * self.policy.device_headroom_fraction)
 
-    def _estimate_scratch_bytes(self, query, mode: str) -> int:
+    def _estimate_scratch(self, query, mode: str) -> tuple[int, int | None]:
         """Expected per-device scratch: the largest shard's share.
 
         The solo estimate sizes the candidate output over the full table;
         on a sharded catalog each device sees only its slice, so the
         per-device claim is the estimate scaled by the biggest shard's
         row fraction (replicated tables keep the full-size estimate).
+        The first scan's hits are kept unscaled: the gate prices the
+        whole table.
         """
-        total = super()._estimate_scratch_bytes(query, mode)
+        total, hits = super()._estimate_scratch(query, mode)
         if total <= 0:
-            return total
+            return total, hits
         catalog = self.session.sharded_catalog
         if not catalog.is_partitioned(query.table):
-            return total
+            return total, hits
         rows = catalog.shard_rows(query.table)
         n = sum(rows)
         if n == 0:
-            return 0
-        return int(total * max(rows) / n)
+            return 0, hits
+        return int(total * max(rows) / n), hits
 
     # ------------------------------------------------------------------
     # Batch execution

@@ -269,8 +269,9 @@ class ShardedSession:
     ) -> ShardedResult:
         """Plan per-shard fragments, run them, merge on the coordinator.
 
-        ``optimizer="cost"`` (the default) stamps each fragment's plan with
-        estimates from its own shard's histograms (:mod:`repro.opt`);
+        ``optimizer="cost"`` (the default) gives each fragment's plan an
+        audit from its own shard's histograms (:mod:`repro.opt`), computed
+        when first read;
         ``"heuristic"`` leaves them off.  Merged Results stay
         byte-identical across optimizers.
         """

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import SqlSyntaxError
 
@@ -12,12 +13,26 @@ KEYWORDS = {
     "count", "sum", "avg", "min", "max", "bwdecompose", "within", "of",
 }
 
-#: Multi-char operators first so "<=" never lexes as "<" then "=".
-OPERATORS = ("<=", ">=", "<>", "!=", "==", "=", "<", ">", "+", "-", "*", "/", "(", ")", ",", ".")
+#: One master pattern, tried at each token start after any whitespace.
+#: Numbers are ASCII (``int()`` in the binder must never see ``²``); a
+#: word is ``\w+`` and must start with a letter or ``_`` (checked below);
+#: multi-char operators come first so "<=" never lexes as "<" then "=";
+#: ``bad`` is any other character, or a quote that opens no string.
+_TOKEN = re.compile(
+    r"\s*(?:"
+    r"(?P<number>[0-9]+(?:\.[0-9]+)?|\.[0-9]+)"
+    r"|(?P<word>\w+)"
+    r"|'(?P<string>[^']*)'"
+    r"|(?P<op><=|>=|<>|!=|==|[=<>+\-/(),.])"
+    r"|(?P<star>\*)"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.)"
+    r")",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'kw' | 'ident' | 'number' | 'string' | 'op' | 'star' | 'eof'
     text: str
     pos: int
@@ -25,50 +40,28 @@ class Token:
 
 def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "'":
-            j = sql.find("'", i + 1)
-            if j < 0:
-                raise SqlSyntaxError("unterminated string literal", i)
-            tokens.append(Token("string", sql[i + 1 : j], i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (
-            ch == "." and i + 1 < n and sql[i + 1].isdigit()
-        ):
-            j = i
-            seen_dot = False
-            while j < n and (sql[j].isdigit() or (sql[j] == "." and not seen_dot)):
-                if sql[j] == ".":
-                    # a dot not followed by a digit terminates the number
-                    if j + 1 >= n or not sql[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token("number", sql[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] in "_"):
-                j += 1
-            word = sql[i:j]
-            kind = "kw" if word.lower() in KEYWORDS else "ident"
-            tokens.append(Token(kind, word.lower() if kind == "kw" else word, i))
-            i = j
-            continue
-        for op in OPERATORS:
-            if sql.startswith(op, i):
-                kind = "star" if op == "*" else "op"
-                tokens.append(Token(kind, op, i))
-                i += len(op)
-                break
+    append = tokens.append
+    for m in _TOKEN.finditer(sql):
+        kind = m.lastgroup
+        text = m.group(kind)
+        pos = m.start(kind)
+        if kind == "word":
+            head = text[0]
+            if not (head.isalpha() or head == "_"):
+                raise SqlSyntaxError(f"unexpected character {head!r}", pos)
+            word = text.lower()
+            if word in KEYWORDS:
+                append(Token("kw", word, pos))
+            else:
+                append(Token("ident", text, pos))
+        elif kind == "string":
+            append(Token("string", text, pos - 1))
+        elif kind == "bad":
+            if text == "'":
+                raise SqlSyntaxError("unterminated string literal", pos)
+            raise SqlSyntaxError(f"unexpected character {text!r}", pos)
         else:
-            raise SqlSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("eof", "", n))
+            append(Token(kind, text, pos))
+            if kind == "eof":  # after trailing blanks \Z would match twice
+                break
     return tokens

@@ -112,11 +112,12 @@ def test_scratch_estimate_scales_to_largest_shard(session):
     query = builder(session, WINDOWS[0]).build()
     total_rows = sum(session.shard_rows("events"))
     biggest = max(session.shard_rows("events"))
-    solo_estimate = super(
+    solo_estimate, solo_hits = super(
         type(server), server
-    )._estimate_scratch_bytes(query, "ar")
-    sharded_estimate = server._estimate_scratch_bytes(query, "ar")
+    )._estimate_scratch(query, "ar")
+    sharded_estimate, hits = server._estimate_scratch(query, "ar")
     assert sharded_estimate == int(solo_estimate * biggest / total_rows)
+    assert hits == solo_hits  # the gate prices the whole table
     server.close()
 
 

@@ -1,11 +1,122 @@
 """Tests for the SQL lexer and parser."""
 
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.errors import SqlSyntaxError
+from repro.errors import ReproError, SqlSyntaxError
 from repro.sql import ast
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
+
+HERE = Path(__file__).resolve().parent
+E2E = HERE.parents[1] / "benchmarks" / "e2e"
+
+#: SQL text -> digest of its ``(kind, text, pos)`` triples (or of its
+#: syntax error), captured with the per-character lexer this one replaced:
+#: every string literal statement of ``tests/sql`` plus what the e2e
+#: generators emit (seed 0, quick shape, blocks -1 and 0, two waves each).
+CORPUS = json.loads((HERE / "lexer_corpus.json").read_text())
+
+
+def _triples(sql):
+    return [(t.kind, t.text, t.pos) for t in tokenize(sql)]
+
+
+def _digest(sql):
+    try:
+        triples = [list(t) for t in _triples(sql)]
+    except SqlSyntaxError as exc:
+        triples = ["error", str(exc)]
+    return hashlib.sha256(json.dumps(triples).encode()).hexdigest()[:16]
+
+
+def _e2e_statements():
+    """The SQL the e2e workload generators emit for the corpus's draws."""
+    sys.path.insert(0, str(E2E))  # workloads.py imports its oracles
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "e2e_workloads", E2E / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(E2E))
+    out = []
+    for w in workloads.WORKLOADS.values():
+        data = None if w.kind == "solo" else w.generate(0, quick=True)
+        for k in (-1, 0):
+            block = w.block(data, 0, k)
+            ops = block if w.kind == "solo" else [
+                op for _, wave in block[:2] for op in wave
+            ]
+            out.extend(op.sql for op in ops)
+    return out
+
+
+class TestLexerRules:
+    """The master pattern's token rules, one edge per row."""
+
+    EDGES = {
+        ".5": [("number", ".5", 0), ("eof", "", 2)],
+        "1.": [("number", "1", 0), ("op", ".", 1), ("eof", "", 2)],
+        "1.2.3": [("number", "1.2", 0), ("number", ".3", 3), ("eof", "", 5)],
+        "a_b1": [("ident", "a_b1", 0), ("eof", "", 4)],
+        "é": [("ident", "é", 0), ("eof", "", 1)],
+        "_x SeLeCt": [("ident", "_x", 0), ("kw", "select", 3), ("eof", "", 9)],
+        "a²": [("ident", "a²", 0), ("eof", "", 2)],
+        "x  ": [("ident", "x", 0), ("eof", "", 3)],
+        "": [("eof", "", 0)],
+        "'it' 3": [("string", "it", 0), ("number", "3", 5), ("eof", "", 6)],
+        "<= >= <> != == = < > + - * / ( ) , .": [
+            ("op", "<=", 0), ("op", ">=", 3), ("op", "<>", 6),
+            ("op", "!=", 9), ("op", "==", 12), ("op", "=", 15),
+            ("op", "<", 17), ("op", ">", 19), ("op", "+", 21),
+            ("op", "-", 23), ("star", "*", 25), ("op", "/", 27),
+            ("op", "(", 29), ("op", ")", 31), ("op", ",", 33),
+            ("op", ".", 35), ("eof", "", 36),
+        ],
+    }
+
+    @pytest.mark.parametrize("sql", sorted(EDGES))
+    def test_edge(self, sql):
+        assert _triples(sql) == self.EDGES[sql]
+
+    @pytest.mark.parametrize("sql, message, pos", [
+        ("a = 'open", "unterminated string literal", 4),
+        ("select @", "unexpected character '@'", 7),
+        ("1 ²", "unexpected character '²'", 2),
+        ("٣", "unexpected character '٣'", 0),
+    ])
+    def test_error_positions(self, sql, message, pos):
+        with pytest.raises(SqlSyntaxError, match=message) as info:
+            tokenize(sql)
+        assert info.value.position == pos
+
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_non_ascii_digit_is_a_syntax_error(self, digit):
+        """Regression: ``'²'.isdigit()`` lexed it as a number, so the
+        binder's ``int()`` raised a bare ValueError that ``except
+        ReproError`` callers never caught; ``٣`` parsed as 3."""
+        with pytest.raises(ReproError, match="unexpected character"):
+            parse(f"select count(*) as n from t where a < {digit}")
+
+    def test_tokens_are_immutable(self):
+        tok = tokenize("a")[0]
+        with pytest.raises(AttributeError):
+            tok.text = "b"
+
+    def test_corpus_tokenizes_as_captured(self):
+        changed = [sql for sql, want in CORPUS.items() if _digest(sql) != want]
+        assert changed == []
+
+    def test_corpus_covers_the_e2e_generators(self):
+        assert set(_e2e_statements()) <= set(CORPUS)
 
 
 class TestLexer:

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from repro.core.relax import ValueRange, relax_to_code_range
 from repro.errors import StorageError
+from repro.opt.estimates import estimate_selectivity
 from repro.plan.expr import ColRef, Predicate
 from repro.plan.logical import Query
 from repro.plan.physical import ApproxProbeSelect, ApproxScanSelect
-from repro.plan.rewriter import estimated_selectivity, rewrite_to_ar_plan
+from repro.plan.rewriter import rewrite_to_ar_plan
 from repro.storage.catalog import Catalog
 from repro.storage.decompose import decompose_values
 from repro.storage.histogram import CodeHistogram
@@ -111,8 +112,8 @@ class TestCostBasedOrdering:
 
     def test_estimated_selectivity(self, catalog):
         unselective, selective = self.preds()
-        s_un = estimated_selectivity(unselective, catalog, "t")
-        s_sel = estimated_selectivity(selective, catalog, "t")
+        s_un = estimate_selectivity(catalog, "t", unselective)
+        s_sel = estimate_selectivity(catalog, "t", selective)
         assert s_sel == pytest.approx(0.05, abs=0.02)
         assert s_un == pytest.approx(0.90, abs=0.02)
 
