@@ -16,7 +16,8 @@ builder-path ``count(*)`` over the large band join,
 never materializes a pair), a
 TPC-H Q6-shaped A&R run at ≥ 1M lineitem rows, TPC-H Q1 on the same
 session (the one grouped query: 8 aggregates over 4 groups of ~1M
-candidates, every column device-resident; ``agg.grouped.q1`` is its eleven
+candidates, every column device-resident; ``tpch.q1.ar.evict`` is the same
+query under the 8 MiB view budget; ``agg.grouped.q1`` is its eleven
 grouped folds alone, over rows in any order and group-major),
 ``ingest.compact.wm4k`` (a
 4 096-row delta folded into a 1M-row column plus the first fused scan
@@ -567,6 +568,16 @@ def _run_tpch_q1(fx: _Fixtures) -> None:
     fx.tpch.execute(fx.q1, mode="ar")
 
 
+def _run_tpch_q1_evict(fx: _Fixtures) -> None:
+    """``tpch.q1.ar`` under the ``solo.evict`` view budget: Q1's columns do
+    not all fit, so its gathers read the packed streams (the cold branch)."""
+    set_view_budget(EVICT_BUDGET)
+    try:
+        _run_tpch_q1(fx)
+    finally:
+        set_view_budget(None)
+
+
 def _run_grouped_q1(fx: _Fixtures) -> None:
     """Q1's eleven grouped folds (five sums; three ``avg`` bounds, a min and
     a max each) over rows as they came and over group-major rows, so the
@@ -739,6 +750,7 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         "tpch.q6.ar": lambda: _run_tpch_q6(fx),
         "tpch.q6.classic": lambda: fx.tpch.execute(fx.q6, mode="classic"),
         "tpch.q1.ar": lambda: _run_tpch_q1(fx),
+        "tpch.q1.ar.evict": lambda: _run_tpch_q1_evict(fx),
         # Deliberately last + lazily built: see _Fixtures.serve_workload.
         "serve.throughput.b1": lambda: run_once(*fx.serve_workload(), max_batch=1),
         "serve.throughput.b4": lambda: run_once(*fx.serve_workload(), max_batch=4),

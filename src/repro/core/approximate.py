@@ -37,6 +37,15 @@ def _payload_from_codes(column: BwdColumn, codes: np.ndarray) -> IntervalColumn:
     return IntervalColumn.inexact(lo, lo + dec.max_error)
 
 
+def _bounds_at(gpu: SimulatedGPU, column: BwdColumn, ids: np.ndarray) -> IntervalColumn:
+    """``column``'s bucket bounds at ``ids``, whose lookup the caller billed:
+    gathered when first read (:meth:`SimulatedGPU.codes_at`)."""
+    return IntervalColumn.deferred(
+        ids, column.decomposition.residual_bits == 0,
+        lambda rows: _payload_from_codes(column, gpu.codes_at(column, rows)),
+    )
+
+
 def select_conjunction_approx(
     gpu: SimulatedGPU,
     timeline: Timeline,
@@ -55,9 +64,9 @@ def select_conjunction_approx(
     ``candidates`` every one probes those, whose order is kept, so
     translucent-join preconditions stay intact.  Returns the candidate
     superset with each column's bucket bounds attached as payload
-    ``label`` — formed once, for the rows that pass every conjunct; bounds
-    the incoming candidates already carry under a label are kept.  Scan
-    output is scrambled like a real massively parallel scatter unless
+    ``label`` — for the rows that pass every conjunct, gathered when read;
+    bounds the incoming candidates already carry under a label are kept.
+    Scan output is scrambled like a real massively parallel scatter unless
     ``scramble`` is disabled or no row is returned ``in_order`` (a set has
     no order to scatter: its ids stay ascending).  ``precomputed_hits``
     (the first conjunct's hits carved by a shared cooperative pass) skips
@@ -77,9 +86,7 @@ def select_conjunction_approx(
     def formed(out: Approximation) -> Approximation:
         for column, label, _ in conjuncts:
             if label not in out.payloads:
-                out.payloads[label] = _payload_from_codes(
-                    column, column.approx_at(out.ids)
-                )
+                out.payloads[label] = _bounds_at(gpu, column, out.ids)
             out.exact = out.exact and column.decomposition.residual_bits == 0
         return out
 
@@ -140,19 +147,17 @@ def project_approx(
 ) -> Approximation:
     """Approximate a projection: invisible join of ids with the approximation.
 
-    A positional lookup of the candidates' codes (paper §IV-C); attaches the
-    bucket bounds as payload ``label`` and leaves ids untouched, so the
-    output is positionally aligned with its input.  On a column the
-    candidates already carry (``select sum(a) … where a between``) the
-    lookup is billed as ever, from their count, and the payload stays: it
-    is these bounds — no row is read for it.
+    A positional lookup of the candidates' codes (paper §IV-C), billed here
+    from their count; attaches the bucket bounds as payload ``label``,
+    gathered when an operator first reads them (:meth:`IntervalColumn.
+    deferred`), and leaves ids untouched, so the output is positionally
+    aligned with its input.  On a column the candidates already carry
+    (``select sum(a) … where a between``) the payload stays: it is these
+    bounds.
     """
-    op = f"project.approx({label})"
-    if label in candidates.labels:
-        gpu.charge_gather(column, len(candidates), timeline, op)
-    else:
-        codes = gpu.gather_codes(column, candidates.ids, timeline, op)
-        candidates.payloads[label] = _payload_from_codes(column, codes)
+    gpu.charge_gather(column, len(candidates), timeline, f"project.approx({label})")
+    if label not in candidates.labels:
+        candidates.payloads[label] = _bounds_at(gpu, column, candidates.ids)
     if column.decomposition.residual_bits != 0:
         candidates.exact = False
     return candidates
@@ -172,6 +177,7 @@ def fk_join_approx(
     gather the FK values at the candidate ids, then gather the target
     column at those positions.  Requires the FK column to be device-resident
     at full precision: a lossy FK would point at the wrong dimension rows.
+    The target gather runs here, read or not: it refuses a dangling FK.
     """
     if fk_column.decomposition.residual_bits != 0:
         raise ExecutionError(

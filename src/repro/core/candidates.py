@@ -42,6 +42,10 @@ a count, a run and its codes, nothing sorted — and the
 :class:`Approximation` built on them forms its rows when an operator first
 reads one (:meth:`Approximation.deferred`): ascending and scattered for a
 plan that returns them, as the run stands for one that only aggregates.
+Payloads defer one level down: bucket bounds are billed when their scan,
+probe or projection runs and gathered when first read (:meth:`~repro.core.
+intervals.IntervalColumn.deferred`; an FK join's target at once, to refuse
+a dangling key); a narrowing takes an unread payload's ids only.
 For the same reason a set that only feeds *grouped* aggregates may be put
 in group order (``ArExecutor._group_major``: ids and payloads taken through
 one stable sort of the narrow composite key), after which every fold is a
@@ -109,6 +113,11 @@ class Approximation:
         True when the approximation is known to be error-free (every
         involved column fully device-resident) — refinement is then a no-op
         beyond bookkeeping, the all-GPU fast path of the TPC-H experiments.
+        Every row then satisfies every predicate decidable on the device
+        (``ArExecutor._certainty`` reads no bound): a drivable one's relaxed
+        range *is* the predicate, a payload one narrowed the set by its
+        candidate mask (over degenerate bounds the exact mask); a host
+        predicate's column is no payload yet.
 
     A set built by :meth:`deferred` is *counted but not formed*: ``len()``
     and :attr:`labels` — all the modeled charges read — are known, while
@@ -266,7 +275,8 @@ class Approximation:
 
         Ids and payloads are taken at the same positions — no id
         re-intersection — except the payloads ``replacing`` names: its
-        columns, already narrowed, stand in.
+        columns, already narrowed, stand in.  The ids are taken once, also
+        for every unread payload over them (:meth:`IntervalColumn.take`).
         """
         if not callable(keep):
             positions = np.asarray(keep)
@@ -275,12 +285,14 @@ class Approximation:
 
             def keep(rows: np.ndarray) -> np.ndarray:
                 return rows.take(positions)
-        replacing = replacing or {}
+        replacing, ids = replacing or {}, self.ids
+        kept = keep(ids)
         return Approximation(
-            ids=keep(self.ids),
+            ids=kept,
             order_preserved=self.order_preserved,
             payloads={
-                k: replacing[k] if k in replacing else v.take(keep)
+                k: replacing[k] if k in replacing
+                else v.take(lambda rows: kept if rows is ids else keep(rows))
                 for k, v in self.payloads.items()
             },
             exact=self.exact,

@@ -80,15 +80,19 @@ class GroupAssignment:
         expression are one scatter."""
         return []
 
-    def representatives(self, keys: np.ndarray) -> np.ndarray:
-        """One of ``keys`` per group — any row's, which is sound where the
-        exact keys define the groups (every result's GROUP BY columns)."""
-        out = np.zeros(self.n_groups, dtype=np.int64)
+    def representatives(self, read) -> np.ndarray:
+        """One key per group, ``read(rows)`` returning the keys at those
+        rows — any row's, which is sound where the exact keys define the
+        groups (every result's GROUP BY columns).  One row per group is
+        read: a group's first where there are ``starts``."""
         if self.starts is None:
-            out[self.gids] = keys
-        else:  # a group's first row's
-            live = self.counts > 0
-            out[live] = keys[self.starts[:-1][live]]
+            rows = np.zeros(self.n_groups, dtype=np.int64)
+            rows[self.gids] = np.arange(self.gids.size)
+        else:
+            rows = self.starts[:-1]
+        live = self.counts > 0
+        out = np.zeros(self.n_groups, dtype=np.int64)
+        out[live] = read(rows[live])
         return out
 
 

@@ -57,7 +57,8 @@ class IntervalColumn:
     Construction sites:
 
     * an exact column → degenerate intervals (``lo == hi``),
-    * a decomposed column's approximation codes → bucket bounds,
+    * a decomposed column's approximation codes → bucket bounds, which a
+      device operator attaches :meth:`deferred`,
     * arithmetic on other interval columns → propagated bounds.
 
     A column built from one array for both ends (``hi is lo``) is
@@ -66,9 +67,13 @@ class IntervalColumn:
     arithmetic on such operands is one array operation (:meth:`_lift`).
     Degeneracy is only ever read off that identity — two separate arrays
     that happen to hold equal values take the general path.
+
+    A :meth:`deferred` column is *billed but not gathered*: ``len()``,
+    :attr:`is_exact` and :attr:`refinable` are known, ``lo`` / ``hi`` are
+    formed on first read, and :meth:`take` takes its ids until then.
     """
 
-    __slots__ = ("lo", "hi", "refinable", "_exact")
+    __slots__ = ("lo", "hi", "refinable", "_exact", "_ids", "_form")
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, *, refinable: bool) -> None:
         degenerate = hi is lo
@@ -89,8 +94,26 @@ class IntervalColumn:
         #: columns is the destructive-distributivity case of §IV-G.
         self.refinable = refinable
         self._exact = True if degenerate else None
+        self._form = None
 
     # ------------------------------------------------------------------
+    @classmethod
+    def deferred(cls, ids: np.ndarray, exact: bool, form) -> "IntervalColumn":
+        """Bounds at ``ids`` that ``form(ids)`` produces when ``lo`` or
+        ``hi`` is first read; ``exact`` is the producer's word that every
+        row is error-free, which no rows are either way."""
+        self = cls.__new__(cls)
+        self._ids, self._form = ids, form
+        self.refinable = self._exact = exact or len(ids) == 0
+        return self
+
+    def __getattr__(self, name: str):  # an unset slot: form deferred bounds
+        if name not in ("lo", "hi"):
+            raise AttributeError(name)
+        formed = self._form(self._ids)
+        self.lo, self.hi, self._ids, self._form = formed.lo, formed.hi, None, None
+        return getattr(self, name)
+
     @classmethod
     def exact(cls, values: np.ndarray) -> "IntervalColumn":
         return cls(values, values, refinable=True)
@@ -114,7 +137,7 @@ class IntervalColumn:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self.lo.shape[0]
+        return len(self._ids) if self._form is not None else self.lo.shape[0]
 
     @property
     def is_exact(self) -> bool:
@@ -130,8 +153,11 @@ class IntervalColumn:
 
     def take(self, positions: np.ndarray) -> "IntervalColumn":
         """Row subset by integer positions, or by a function returning an
-        aligned array's kept rows."""
+        aligned array's kept rows — of the ids, while the column is unread:
+        nothing is gathered."""
         pick = positions if callable(positions) else (lambda rows: rows.take(positions))
+        if self._form is not None:
+            return IntervalColumn.deferred(pick(self._ids), self._exact, self._form)
         lo = pick(self.lo)
         hi = lo if self.hi is self.lo else pick(self.hi)
         return IntervalColumn(lo, hi, refinable=self.refinable)

@@ -60,7 +60,7 @@ def pair_result_columns(
     key per group for each GROUP BY column, then the aggregate outputs.
     Shared by both engines so the result layout cannot diverge.
     """
-    columns = {name: groups.representatives(group_keys[name]) for name in group_by}
+    columns = {name: groups.representatives(group_keys[name].take) for name in group_by}
     columns.update(aggregate_columns)
     return columns
 

@@ -362,16 +362,20 @@ class SimulatedGPU:
 
         The invisible join of paper §IV-C, executed on the device.
         """
-        self._require_resident(column)
-        out = column.approx_at(positions)
+        out = self.codes_at(column, positions)
         self.charge_gather(column, positions.size, timeline, op)
         return out
+
+    def codes_at(self, column: BwdColumn, positions: np.ndarray) -> np.ndarray:
+        """:meth:`gather_codes` unbilled, for codes a bill paid for earlier."""
+        self._require_resident(column)
+        return column.approx_at(positions)
 
     def charge_gather(
         self, column: BwdColumn, count: int, timeline: Timeline, op: str
     ) -> None:
-        """The bill of :meth:`gather_codes` at ``count`` positions — all
-        there is to do for a caller that already holds those codes."""
+        """The bill of :meth:`gather_codes` at ``count`` positions, for a
+        caller that holds the codes or gathers them when read (:meth:`codes_at`)."""
         self._require_resident(column)
         code_bytes = max(column.decomposition.approx_bits, 1) / 8.0
         self._charge(

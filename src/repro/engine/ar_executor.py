@@ -91,6 +91,11 @@ from .result import ApproximateAnswer, Result
 _OID_BYTES = 8
 
 
+def _at(values: np.ndarray, certain: np.ndarray) -> np.ndarray:
+    """``values`` at the ``certain`` rows — whole when all are."""
+    return values if certain.all() else values.take(np.flatnonzero(certain))
+
+
 class _ExecState:
     """Mutable dataflow state threaded through the operator list."""
 
@@ -187,19 +192,21 @@ class _ExecState:
         assert self.candidates is not None
         return self.candidates.payload(name)
 
-    def exact_resolver(self, name: str) -> np.ndarray:
-        """Exact values at the current candidates (refine-phase only)."""
+    def exact_resolver(self, name: str, rows: np.ndarray | None = None) -> np.ndarray:
+        """Exact values at the current candidates (refine-phase only), or at
+        their ``rows`` alone: an exact payload is read at those rows only."""
         assert self.candidates is not None
         payload = self.candidates.payloads.get(name)
         if payload is not None and payload.is_exact:
-            return payload.lo
+            return payload.lo if rows is None else payload.take(rows).lo
         table, column = self.site(name)
         if self.catalog.is_decomposed(table, column):
             raise PlanError(
                 f"decomposed column {name!r} was not refined before exact use"
             )
         # Host-only column: classic gather from relation storage.
-        return self._host_gather(name)
+        values = self._host_gather(name)
+        return values if rows is None else values.take(rows)
 
     def _host_gather(self, name: str) -> np.ndarray:
         assert self.candidates is not None
@@ -348,8 +355,8 @@ class ArExecutor:
 
         The key columns' codes at the ids fold into one narrow composite;
         one stable sort of it orders the ids and the payloads the set
-        carries; then every projection gathers — and bills, from counts,
-        in plan order — at the reordered ids, and the grouping is read off
+        carries; then every projection bills, from counts, in plan order,
+        bounds deferred over the reordered ids, and the grouping is read off
         the sorted composite (:func:`group_ordered`), so each aggregate
         behind it reduces contiguous slices.  Declines, nothing done, for
         a run that ends in no grouping, a set that still carries its carve
@@ -568,7 +575,8 @@ class ArExecutor:
         Predicates not decidable on the device (host-only columns) force
         uncertainty — their rows may yet be eliminated in refinement.
         Candidates in the run order of the carve that answered the query's
-        one predicate are certain in one slice of it: nothing is tested.
+        one predicate are certain in one slice of it, an exact set throughout
+        (:attr:`Approximation.exact`): nothing is tested, no bound is read.
         """
         assert state.candidates is not None
         if state.certain is None:
@@ -582,7 +590,7 @@ class ArExecutor:
             where = state.query.where
             decidable = all(c in labels for pred in where for c in pred.columns())
             state.certain = np.full(len(state.candidates), decidable)
-            if decidable:
+            if decidable and not state.candidates.exact:
                 for pred in where:
                     state.certain &= pred.certain_mask(state.interval_resolver)
         return state.certain
@@ -673,10 +681,10 @@ class ArExecutor:
         elif agg.func == "avg":
             iv = Interval(float(bounds.lo.min()), float(bounds.hi.max()))
         elif agg.func == "min":
-            hi_bound = bounds.hi[certain].min() if certain.any() else bounds.hi.max()
+            hi_bound = _at(bounds.hi, certain).min() if certain.any() else bounds.hi.max()
             iv = Interval(float(bounds.lo.min()), float(hi_bound))
         elif agg.func == "max":
-            lo_bound = bounds.lo[certain].max() if certain.any() else bounds.lo.min()
+            lo_bound = _at(bounds.lo, certain).max() if certain.any() else bounds.lo.min()
             iv = Interval(float(lo_bound), float(bounds.hi.max()))
         else:  # pragma: no cover
             raise ExecutionError(f"unknown aggregate {agg.func!r}")
@@ -696,9 +704,9 @@ class ArExecutor:
         if not certain.any():
             return
         if agg.func == "min":
-            keep = bounds.lo <= int(bounds.hi[certain].min())
+            keep = bounds.lo <= int(_at(bounds.hi, certain).min())
         else:
-            keep = bounds.hi >= int(bounds.lo[certain].max())
+            keep = bounds.hi >= int(_at(bounds.lo, certain).max())
         # Rows that are certain must survive as well (they are real results
         # even if they cannot win the extremum — other aggregates need them).
         state.candidates = state.candidates.narrowed(np.flatnonzero(keep | certain))
@@ -1007,7 +1015,7 @@ class ArExecutor:
             n_groups = state.groups.n_groups
             for name in query.group_by:
                 columns[name] = state.groups.representatives(
-                    state.exact_resolver(name)
+                    lambda rows: state.exact_resolver(name, rows)
                 )
         for agg in query.aggregates:
             columns[agg.alias] = state.exact_aggregates[agg.alias]

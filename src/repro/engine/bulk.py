@@ -164,7 +164,7 @@ class ClassicExecutor:
         # Aggregation
         # --------------------------------------------------------------
         columns = {
-            name: groups.representatives(keys)
+            name: groups.representatives(keys.take)
             for name, keys in zip(query.group_by, key_columns)
         }
         for agg in query.aggregates:

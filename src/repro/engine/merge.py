@@ -104,7 +104,7 @@ def merge(query: Query, parts: list[Part]) -> tuple[dict[str, np.ndarray], int]:
                 for name in query.group_by
             }
             groups = group_pair_rows(list(keys.values()))
-            columns = {n: groups.representatives(k) for n, k in keys.items()}
+            columns = {n: groups.representatives(k.take) for n, k in keys.items()}
         for agg in query.aggregates:
             columns[agg.alias] = fold_parts(agg, results, groups)
         return columns, 1 if groups is None else groups.n_groups

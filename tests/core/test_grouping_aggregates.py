@@ -567,7 +567,10 @@ def _run(query, values, weights, k1, k2, *, lowered=True):
     groups, columns = None, {}
     if query.group_by:
         groups = group_pair_rows([k1, k2])
-        columns = {"k1": groups.representatives(k1), "k2": groups.representatives(k2)}
+        columns = {
+            "k1": groups.representatives(k1.take),
+            "k2": groups.representatives(k2.take),
+        }
     aggregates = lower_aggregates(query.aggregates) if lowered else query.aggregates
     for agg in aggregates:
         operand = None if agg.func == "count" else values
@@ -702,8 +705,8 @@ def test_group_major_rows_fold_like_scattered_ones(rows, n_groups, func):
         )
         assert np.array_equal(ordered.counts, came.counts)
         assert np.array_equal(
-            ordered.representatives(gids[in_order] + 10),
-            came.representatives(gids[mask] + 10),
+            ordered.representatives((gids[in_order] + 10).take),
+            came.representatives((gids[mask] + 10).take),
         )
 
 
