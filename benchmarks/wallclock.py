@@ -25,7 +25,9 @@ after it), the PR-15 code-width entries (``micro.unpack.w12.narrow`` — the
 decode an evicted 12-bit view is rebuilt with; ``scan.selection.evict`` —
 selections cycling over three columns under an 8 MiB view budget;
 ``join.theta.band.selected`` — the band join under a 10 % selection,
-approximate + refine), the PR-18 ``serve.sumcount.b16`` /
+approximate + refine), ``sql.front.hit`` / ``.miss`` (parse + bind of
+256 ``serve.dash`` statements, of one shape or each of a new one), the
+PR-18 ``serve.sumcount.b16`` /
 ``shard.sumcount.s4`` (one fused batch of 16 windowed ``sum, count``
 through ``Session.serve`` / ``ShardedSession(4).serve``: served members
 that read their candidates' rows), and the
@@ -82,6 +84,7 @@ Three entry points:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import time
@@ -101,6 +104,7 @@ from repro.device.timeline import Timeline
 from repro.engine.session import Session
 from repro.plan.rewriter import rewrite_to_ar_plan
 from repro.serve.bench import build_serve_session, query_ranges, run_once
+from repro.sql import bind, parse
 from repro.storage.bitpack import gather_codes, pack_codes, unpack_codes
 from repro.storage.column import IntType
 from repro.storage.decompose import decompose_values, set_view_budget
@@ -137,6 +141,11 @@ QUICK_SHARD_QUERIES = 6
 
 #: Plans per ``opt.plan.miss`` run: one miss is tens of microseconds.
 PLAN_MISSES = 256
+
+#: Statements per ``sql.front.*`` run, and the ``serve.dash`` statement
+#: they parse and bind (``alias`` is ``n`` but on a ``.miss`` run).
+FRONT_STATEMENTS = 256
+FRONT_SQL = "select count(*) as {} from events where value between {} and {}"
 
 #: --quick shape: small everything, for smoke runs and the tier-1 test.
 QUICK_N_ROWS = 20_000
@@ -281,6 +290,8 @@ class _Fixtures:
         self._shard: dict[int, tuple] = {}
         self._opt: Session | None = None
         self._plan_misses: list | None = None
+        self._front = None
+        self.front_seq = itertools.count()
         self._ingest: tuple | None = None
         self._compact: tuple | None = None
 
@@ -317,6 +328,17 @@ class _Fixtures:
                 for lo in range(0, PLAN_MISSES * 1_000, 1_000)
             ]
         return self._plan_misses
+
+    def front_catalog(self):
+        """A catalog holding ``serve.dash``'s ``events``: what ``bind``
+        reads (rows do not matter to it)."""
+        if self._front is None:
+            session = Session()
+            session.create_table(
+                "events", {"value": IntType()}, {"value": np.arange(1_000)}
+            )
+            self._front = session.catalog
+        return self._front
 
     def serve_workload(self) -> tuple:
         """The serving session + query set, built lazily on first use.
@@ -610,6 +632,18 @@ def _run_plan_miss(fx: _Fixtures) -> None:
         rewrite_to_ar_plan(query, catalog, optimizer="cost")
 
 
+def _run_sql_front(fx: _Fixtures, fresh_shape: bool) -> None:
+    """``bind(parse(sql))`` of ``serve.dash`` statements, each with a fresh
+    window: all of one shape, or (``fresh_shape``) each of a never-seen
+    one, its alias new — the ad-hoc traffic no e2e workload sends."""
+    catalog = fx.front_catalog()
+    for _ in range(FRONT_STATEMENTS):
+        i = next(fx.front_seq)
+        lo = i * 7919 % 990_000
+        alias = f"n{i}" if fresh_shape else "n"
+        bind(parse(FRONT_SQL.format(alias, lo, lo + 5_000)), catalog)
+
+
 def _run_opt_batch(fx: _Fixtures, optimizer: str) -> None:
     """The serve workload with the cost gate deciding batch membership."""
     run_once(*fx.serve_workload(), max_batch=16, optimizer=optimizer)
@@ -773,6 +807,10 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         "opt.pick.batch": lambda: _run_opt_batch(fx, opt),
         # A plan-cache miss under "cost", its audit never read.
         "opt.plan.miss": lambda: _run_plan_miss(fx),
+        # The SQL front end: parse + bind of a served window, its shape
+        # seen before (hit) or never (miss).
+        "sql.front.hit": lambda: _run_sql_front(fx, fresh_shape=False),
+        "sql.front.miss": lambda: _run_sql_front(fx, fresh_shape=True),
         # Streaming ingestion (PR 9): before = write-through strawman
         # (compact on every write), after = delta held to the watermark.
         "ingest.mixed.wm1k": lambda: _run_ingest_mixed(

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ExecutionError
+from ..errors import BoundOverflowError, ExecutionError
+
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,29 +174,36 @@ class IntervalColumn:
 
         Degenerate operands need no bounding: ``point`` applied to their
         shared arrays is both ends of the result, which is degenerate
-        again.  Anything else evaluates ``bounds()`` → ``(lo, hi)``.
+        again — and wraps in int64 as exact arithmetic does.  Anything else
+        evaluates ``bounds(*ends)`` → ``(lo, hi)`` over each operand's
+        ``(lo, hi)``.  Exact operands' bounds wrap as their values do; an
+        inexact bound that wraps bounds nothing, so one that would leave
+        int64 raises :class:`BoundOverflowError`.
         """
         operands = (self, *others)
         if all(c.hi is c.lo for c in operands):
             value = point(*(c.lo for c in operands))
             return IntervalColumn(value, value, refinable=refinable)
-        return IntervalColumn(*bounds(), refinable=refinable)
+        ends = [(c.lo, c.hi) for c in operands]
+        if not all(c.is_exact for c in operands) and not _fits(bounds, ends):
+            raise BoundOverflowError("an interval bound leaves int64")
+        return IntervalColumn(*bounds(*ends), refinable=refinable)
 
     def add(self, other: "IntervalColumn") -> "IntervalColumn":
         return self._lift(
-            np.add, lambda: (self.lo + other.lo, self.hi + other.hi), other,
+            np.add, lambda a, b: (a[0] + b[0], a[1] + b[1]), other,
             refinable=self.refinable and other.refinable,
         )
 
     def sub(self, other: "IntervalColumn") -> "IntervalColumn":
         return self._lift(
-            np.subtract, lambda: (self.lo - other.hi, self.hi - other.lo), other,
+            np.subtract, lambda a, b: (a[0] - b[1], a[1] - b[0]), other,
             refinable=self.refinable and other.refinable,
         )
 
     def neg(self) -> "IntervalColumn":
         return self._lift(
-            np.negative, lambda: (-self.hi, -self.lo), refinable=self.refinable
+            np.negative, lambda a: (-a[1], -a[0]), refinable=self.refinable
         )
 
     def mul(self, other: "IntervalColumn") -> "IntervalColumn":
@@ -204,11 +213,8 @@ class IntervalColumn:
         device-side data — the cross terms ``a_ap·b_re`` etc. need both
         operands on one device (destructive distributivity, §IV-G).
         """
-        def corners() -> tuple[np.ndarray, np.ndarray]:
-            p1 = self.lo * other.lo
-            p2 = self.lo * other.hi
-            p3 = self.hi * other.lo
-            p4 = self.hi * other.hi
+        def corners(a, b) -> tuple[np.ndarray, np.ndarray]:
+            p1, p2, p3, p4 = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
             return (
                 np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
                 np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)),
@@ -262,13 +268,13 @@ class IntervalColumn:
     def add_scalar(self, value: int) -> "IntervalColumn":
         return self._lift(
             lambda lo: lo + value,
-            lambda: (self.lo + value, self.hi + value),
+            lambda a: (a[0] + value, a[1] + value),
             refinable=self.refinable,
         )
 
     def mul_scalar(self, value: int) -> "IntervalColumn":
-        def bounds() -> tuple[np.ndarray, np.ndarray]:
-            ends = (self.lo * value, self.hi * value)
+        def bounds(a) -> tuple[np.ndarray, np.ndarray]:
+            ends = (a[0] * value, a[1] * value)
             return ends if value >= 0 else ends[::-1]
 
         return self._lift(lambda lo: lo * value, bounds, refinable=self.refinable)
@@ -276,3 +282,26 @@ class IntervalColumn:
     @property
     def nbytes(self) -> int:
         return self.lo.nbytes + self.hi.nbytes
+
+
+def _fits(bounds, ends: list) -> bool:
+    """Whether ``bounds(*ends)`` stays inside int64, taken in Python ints.
+
+    Interval arithmetic is inclusion-monotone, so ``bounds`` over each
+    operand's hull bounds every row: that one row decides almost always,
+    and only a hull that leaves int64 is checked row by row.
+    """
+    if any(lo.size == 0 for lo, _ in ends):
+        return True
+
+    def inside(lo: np.ndarray, hi: np.ndarray) -> bool:
+        return int(lo.min()) >= _INT64.min and int(hi.max()) <= _INT64.max
+
+    hulls = [
+        (np.array([int(lo.min())], dtype=object),
+         np.array([int(hi.max())], dtype=object))
+        for lo, hi in ends
+    ]
+    return inside(*bounds(*hulls)) or inside(
+        *bounds(*[(lo.astype(object), hi.astype(object)) for lo, hi in ends])
+    )

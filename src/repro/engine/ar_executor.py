@@ -52,7 +52,7 @@ from ..core.relax import ValueRange
 from ..device.machine import Machine
 from ..device.model import AccessPattern, OpClass
 from ..device.timeline import Timeline
-from ..errors import ExecutionError, PlanError
+from ..errors import BoundOverflowError, ExecutionError, PlanError
 from ..core.candidates import RunPairCandidates
 from ..plan.expr import ColRef, Expr, Predicate
 from ..plan.logical import Aggregate, Query, ThetaJoin
@@ -145,9 +145,14 @@ class _ExecState:
         #: the pre-grouping re-aligned by narrowing (``_candidate_groups``)
         self.aligned_groups: GroupAssignment | None = None
 
-    def eval_interval(self, expr: Expr) -> IntervalColumn:
-        """Interval bounds of ``expr`` over the candidates' payloads."""
-        return expr.eval_interval(self.interval_resolver, self.interval_memo)
+    def eval_interval(self, expr: Expr) -> IntervalColumn | None:
+        """Interval bounds of ``expr`` over the candidates' payloads, or
+        ``None`` when a bound leaves int64: the exact values then wrap, as
+        classic's do, and only they say what the expression is."""
+        try:
+            return expr.eval_interval(self.interval_resolver, self.interval_memo)
+        except BoundOverflowError:
+            return None
 
     # ------------------------------------------------------------------
     def pair_left_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -640,14 +645,14 @@ class ArExecutor:
         n = len(candidates)
         machine.gpu.reduce(max(n, 1), tl, op=f"agg.{agg.func}.approx({agg.alias})")
 
+        bounds = None  # counting needs no value bounds
         if agg.expr is not None and agg.func != "count":
             needed = agg.expr.columns()
-            if not all(c in candidates.payloads for c in needed):
+            if all(c in candidates.payloads for c in needed):
+                bounds = state.eval_interval(agg.expr)
+            if bounds is None:
                 state.approximate.aggregates[agg.alias] = None
                 return
-            bounds = state.eval_interval(agg.expr)
-        else:
-            bounds = None  # counting needs no value bounds
 
         grouped = state.groups is not None and state.query.group_by
         if agg.func == "count" and not grouped:
@@ -699,6 +704,8 @@ class ArExecutor:
         if len(state.candidates) == 0:
             return
         bounds = state.eval_interval(agg.expr)
+        if bounds is None:
+            return
         certain = self._certainty(state)
         machine.gpu.reduce(len(state.candidates), tl, op=f"agg.minmax.prune({agg.alias})")
         if not certain.any():

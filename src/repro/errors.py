@@ -102,6 +102,15 @@ class ExecutionError(ReproError):
     """An operator failed at run time (type mismatch, misaligned inputs)."""
 
 
+class BoundOverflowError(ExecutionError):
+    """An interval bound left int64, where its arithmetic would wrap.
+
+    Raised by :class:`~repro.core.intervals.IntervalColumn` arithmetic on
+    inexact bounds; the executor then has no bound for that expression and
+    computes its exact value as the classic path does (wrapping included).
+    """
+
+
 class EmptyInputError(ExecutionError):
     """An aggregate has no input to take its value from.
 

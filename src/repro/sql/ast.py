@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Union
 
 
 class AstNode:
@@ -134,6 +134,10 @@ class SelectStmt(AstNode):
     joins: tuple["JoinClause | ThetaJoinClause", ...]
     where: tuple[AstPredicate, ...]
     group_by: tuple[str, ...]
+    #: ``(shape key, literal values)`` when the parser keeps a template for
+    #: the statement's shape (:func:`repro.sql.parser.parse`); the binder
+    #: keys its own templates on it.  Not part of the statement's value.
+    shape: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -143,3 +147,27 @@ class BwDecompose(AstNode):
     table: str
     column: str
     device_bits: int
+
+
+#: The field holding a literal's text, per node type: the slots a statement
+#: shape leaves open (a ``Str`` / ``Like`` holds a string's content).
+LITERAL_FIELDS = {
+    Num: "text", Str: "value", Like: "pattern", ThetaJoinClause: "delta_text",
+}
+
+
+def literals(node) -> Iterator[tuple[AstNode, str]]:
+    """``(node, field)`` of every literal under ``node``, in source order:
+    each node's fields are declared in the order the parser reads them."""
+    if isinstance(node, tuple):
+        for item in node:
+            yield from literals(item)
+    elif isinstance(node, AstNode):
+        slot = LITERAL_FIELDS.get(type(node))
+        for f in fields(node):
+            value = getattr(node, f.name)
+            if f.name == slot:
+                if value is not None:
+                    yield node, slot
+            elif f.compare:
+                yield from literals(value)

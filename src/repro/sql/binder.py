@@ -10,11 +10,18 @@ Responsibilities:
   exactly the paper's Q14 string-predicate optimization (§VI-D),
 * normalize every comparison into a :class:`~repro.core.relax.ValueRange`
   predicate (negated for ``<>``).
+
+A statement the parser rebuilt from a shape template (``stmt.shape``) is
+bound once per shape and catalog epoch: the template redoes only what its
+literals decide — each literal's coercion, with its refusals, and the
+predicates, constants and ``Query`` holding it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import neg
 
 from ..core.relax import CompareOp, ValueRange
 from ..errors import SqlError
@@ -25,23 +32,122 @@ from ..storage.column import ColumnType, DateType, DecimalType, DictionaryType
 from . import ast
 
 
+class _Staged:
+    """A bound value that depends on the statement's literals:
+    ``build(values)`` makes it from their texts (:func:`ast.literals`)."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+
+def _build(make, *args):
+    """``make(*args)``, or a :class:`_Staged` making it when an argument
+    depends on the literals (arguments are made in order)."""
+    for a in args:
+        if isinstance(a, _Staged):
+            break
+    else:
+        return make(*args)
+    staged = [(i, a.build) for i, a in enumerate(args) if isinstance(a, _Staged)]
+    if len(staged) == 1:
+        (i, get), = staged
+        head, tail = args[:i], args[i + 1:]
+        return _Staged(lambda v: make(*head, get(v), *tail))
+
+    def build(v):
+        made = list(args)
+        for i, get in staged:
+            made[i] = get(v)
+        return make(*made)
+
+    return _Staged(build)
+
+
+def _rescale(scale: int, text: str) -> int:
+    """A number literal's digits at ``scale`` fraction digits."""
+    point = text.find(".")
+    if point < 0:
+        return int(text) * 10 ** scale
+    given = len(text) - point - 1
+    digits = int(text.replace(".", ""))
+    if given > scale:
+        if digits % (10 ** (given - scale)):
+            raise SqlError(
+                f"literal {text} has more fractional digits "
+                f"than the column's scale ({scale})"
+            )
+        return digits // (10 ** (given - scale))
+    return digits * (10 ** (scale - given))
+
+
+def _code_of(ctype: DictionaryType, value: str) -> int:
+    try:
+        return int(ctype.dictionary.code_of(value))
+    except KeyError:
+        raise SqlError(f"string {value!r} not in dictionary") from None
+
+
+def _like(column: ColRef, ctype: DictionaryType, pattern: str) -> Predicate:
+    if pattern.endswith("%") and "%" not in pattern[:-1]:
+        lo, hi = ctype.dictionary.prefix_range(pattern[:-1])
+        return Predicate(column, ValueRange(lo, hi))
+    if "%" not in pattern:
+        try:
+            code = ctype.dictionary.code_of(pattern)
+        except KeyError:
+            return Predicate(column, ValueRange.empty())
+        return Predicate(column, ValueRange(code, code))
+    raise SqlError("only prefix patterns ('PREFIX%') are supported in LIKE")
+
+
+def _same_block(
+    query: Query, where: tuple, aggregates: tuple, theta_joins: tuple
+) -> Query:
+    """``query`` with other predicates, aggregates and theta joins over the
+    same columns and aliases, as another statement of its shape binds them.
+    ``Query.__post_init__`` is not run again: its checks read only names,
+    which a literal does not change (``query`` passed them)."""
+    block = object.__new__(Query)
+    block.__dict__.update(
+        query.__dict__, where=where, aggregates=aggregates, theta_joins=theta_joins
+    )
+    return block
+
+
+def _const(text: str) -> Const:
+    return Const(int(text.replace(".", "")))
+
+
 @dataclass
 class _Bound:
-    """A bound expression with its decimal scale."""
+    """A bound expression (maybe :class:`_Staged`) with its decimal scale."""
 
-    expr: Expr
+    expr: Expr | _Staged
     scale: int
     #: the single column type behind a bare ColRef (for literal coercion)
     ctype: ColumnType | None = None
+    #: the expression is a (rescaled) number literal's ``Const``
+    const: bool = False
 
 
 class _Binder:
-    def __init__(self, stmt: ast.SelectStmt, catalog: Catalog) -> None:
+    def __init__(
+        self, stmt: ast.SelectStmt, catalog: Catalog, *, staged: bool = False
+    ) -> None:
         self._stmt = stmt
         self._catalog = catalog
         self._fact = catalog.table(stmt.table)
+        #: literal node -> its place among the statement's literals, while
+        #: binding a template; ``None`` binds this statement alone
+        self._slots = (
+            {id(node): i for i, (node, _) in enumerate(ast.literals(stmt))}
+            if staged else None
+        )
         self._joins: list[FkJoin] = []
-        self._theta: list[ThetaJoin] = []
+        self._theta: list[ThetaJoin | _Staged] = []
+        self._theta_tables: list[str] = []
         for j in stmt.joins:
             if isinstance(j, ast.ThetaJoinClause):
                 self._theta.append(self._bind_theta(j))
@@ -60,6 +166,17 @@ class _Binder:
                         )
                     )
                 )
+
+    def _literal(self, node, coerce, *args):
+        """``coerce(*args, text)`` of the literal ``node`` holds — as a
+        function of the statement's literals while binding a template.
+        This statement's literal is coerced now either way, so a refusal
+        comes where an unstaged bind raises it."""
+        value = coerce(*args, getattr(node, ast.LITERAL_FIELDS[type(node)]))
+        if self._slots is None:
+            return value
+        i = self._slots[id(node)]
+        return _Staged(lambda v: coerce(*args, v[i]))
 
     # ------------------------------------------------------------------
     # Name resolution
@@ -88,7 +205,7 @@ class _Binder:
             and int(keys.max()) == len(dim) - 1
         )
 
-    def _bind_theta(self, j: ast.ThetaJoinClause) -> ThetaJoin:
+    def _bind_theta(self, j: ast.ThetaJoinClause) -> ThetaJoin | _Staged:
         """Resolve a theta join clause: fact column θ right-table column."""
         left = self._strip_fact_prefix(j.left)
         if "." in left:
@@ -111,13 +228,16 @@ class _Binder:
                 f"{lscale}) with {rtable}.{rcol} (scale {rscale}); "
                 "scales must match"
             )
+        self._theta_tables.append(rtable)
         delta = 0
         if j.delta_text is not None:
-            bound = _Bound(ColRef(left), lscale, left_t)
-            delta = self._literal_for(bound, ast.Num(j.delta_text))
-        return ThetaJoin(
-            left_column=left, right_table=rtable, right_column=rcol,
-            op=j.op, delta=delta,
+            delta = self._literal(j, _rescale, lscale)
+        return _build(
+            lambda d: ThetaJoin(
+                left_column=left, right_table=rtable, right_column=rcol,
+                op=j.op, delta=d,
+            ),
+            delta,
         )
 
     def _resolve(self, name: str) -> tuple[str, ColumnType]:
@@ -126,7 +246,7 @@ class _Binder:
         if "." in name:
             table, column = name.split(".", 1)
             if not any(j.dim_table == table for j in self._joins):
-                if any(t.right_table == table for t in self._theta):
+                if table in self._theta_tables:
                     raise SqlError(
                         f"columns of theta-joined table {table!r} cannot be "
                         "referenced; theta blocks aggregate over fact-side "
@@ -147,30 +267,32 @@ class _Binder:
             scale = ctype.scale if isinstance(ctype, DecimalType) else 0
             return _Bound(ColRef(name), scale, ctype)
         if isinstance(node, ast.Num):
-            if node.is_integer:
-                return _Bound(Const(int(node.text)), 0)
-            digits = int(node.text.replace(".", ""))
-            return _Bound(Const(digits), node.fraction_digits)
+            return _Bound(
+                self._literal(node, _const), node.fraction_digits, const=True
+            )
         if isinstance(node, ast.Str):
             raise SqlError(
                 f"string literal {node.value!r} is only valid in comparisons"
             )
         if isinstance(node, ast.Negate):
             inner = self.bind_expr(node.operand)
-            return _Bound(Neg(inner.expr), inner.scale)
+            return _Bound(_build(Neg, inner.expr), inner.scale)
         if isinstance(node, ast.Arith):
             left = self.bind_expr(node.left)
             right = self.bind_expr(node.right)
+            make = partial(BinOp, node.op)
             if node.op == "*":
-                return _Bound(BinOp("*", left.expr, right.expr), left.scale + right.scale)
+                return _Bound(
+                    _build(make, left.expr, right.expr), left.scale + right.scale
+                )
             left, right = self._unify_scales(left, right)
-            return _Bound(BinOp(node.op, left.expr, right.expr), left.scale)
+            return _Bound(_build(make, left.expr, right.expr), left.scale)
         if isinstance(node, ast.CaseWhen):
             pred = self.bind_predicate(node.condition)
             then = self.bind_expr(node.then)
             otherwise = self.bind_expr(node.otherwise)
             then, otherwise = self._unify_scales(then, otherwise)
-            return _Bound(Case(pred, then.expr, otherwise.expr), then.scale)
+            return _Bound(_build(Case, pred, then.expr, otherwise.expr), then.scale)
         raise SqlError(f"cannot bind expression {node!r}")
 
     @staticmethod
@@ -179,24 +301,27 @@ class _Binder:
             return a, b
         lo, hi = (a, b) if a.scale < b.scale else (b, a)
         factor = 10 ** (hi.scale - lo.scale)
-        if isinstance(lo.expr, Const):
-            scaled: Expr = Const(lo.expr.value * factor)
+        if lo.const:
+            scaled = _build(lambda c: Const(c.value * factor), lo.expr)
         else:
-            scaled = BinOp("*", lo.expr, Const(factor))
-        rescaled = _Bound(scaled, hi.scale)
+            scaled = _build(lambda e: BinOp("*", e, Const(factor)), lo.expr)
+        rescaled = _Bound(scaled, hi.scale, const=lo.const)
         return (rescaled, hi) if a.scale < b.scale else (hi, rescaled)
 
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
-    def bind_predicate(self, node: ast.AstPredicate) -> Predicate:
+    def bind_predicate(self, node: ast.AstPredicate) -> Predicate | _Staged:
         if isinstance(node, ast.Like):
             return self._bind_like(node)
         if isinstance(node, ast.Between):
             target = self.bind_expr(node.target)
             lo = self._literal_for(target, node.lo)
             hi = self._literal_for(target, node.hi)
-            return Predicate(target.expr, ValueRange.between(lo, hi))
+            return _build(
+                lambda t, a, b: Predicate(t, ValueRange.between(a, b)),
+                target.expr, lo, hi,
+            )
         if isinstance(node, ast.Compare):
             return self._bind_compare(node)
         raise SqlError(f"cannot bind predicate {node!r}")
@@ -208,7 +333,7 @@ class _Binder:
             return isinstance(node.operand, ast.Num)
         return isinstance(node, (ast.Num, ast.Str))
 
-    def _bind_compare(self, node: ast.Compare) -> Predicate:
+    def _bind_compare(self, node: ast.Compare) -> Predicate | _Staged:
         left_is_literal = self._is_literal(node.left)
         right_is_literal = self._is_literal(node.right)
         if left_is_literal == right_is_literal:
@@ -224,63 +349,45 @@ class _Binder:
             target, literal = self.bind_expr(node.left), node.right
         value = self._literal_for(target, literal)
         if op is CompareOp.NE:
-            return Predicate(target.expr, ValueRange(value, value), negated=True)
-        return Predicate(target.expr, ValueRange.from_comparison(op, value))
+            return _build(
+                lambda t, x: Predicate(t, ValueRange(x, x), negated=True),
+                target.expr, value,
+            )
+        return _build(
+            lambda t, x: Predicate(t, ValueRange.from_comparison(op, x)),
+            target.expr, value,
+        )
 
-    def _bind_like(self, node: ast.Like) -> Predicate:
+    def _bind_like(self, node: ast.Like) -> Predicate | _Staged:
         name, ctype = self._resolve(node.column.name)
         if not isinstance(ctype, DictionaryType):
             raise SqlError(f"LIKE requires a dictionary column, {name!r} is not")
-        pattern = node.pattern
-        if pattern.endswith("%") and "%" not in pattern[:-1]:
-            lo, hi = ctype.dictionary.prefix_range(pattern[:-1])
-            return Predicate(ColRef(name), ValueRange(lo, hi))
-        if "%" not in pattern:
-            try:
-                code = ctype.dictionary.code_of(pattern)
-            except KeyError:
-                return Predicate(ColRef(name), ValueRange.empty())
-            return Predicate(ColRef(name), ValueRange(code, code))
-        raise SqlError("only prefix patterns ('PREFIX%') are supported in LIKE")
+        return self._literal(node, _like, ColRef(name), ctype)
 
-    def _literal_for(self, target: _Bound, literal) -> int:
+    def _literal_for(self, target: _Bound, literal) -> int | _Staged:
         """Coerce a literal to the target expression's storage domain."""
         if isinstance(literal, ast.Str):
             if isinstance(target.ctype, DateType):
-                return DateType.encode_one(literal.value)
+                return self._literal(literal, DateType.encode_one)
             if isinstance(target.ctype, DictionaryType):
-                try:
-                    return int(target.ctype.dictionary.code_of(literal.value))
-                except KeyError:
-                    raise SqlError(
-                        f"string {literal.value!r} not in dictionary"
-                    ) from None
+                return self._literal(literal, _code_of, target.ctype)
             raise SqlError(
                 f"string literal {literal.value!r} compared to a non-string column"
             )
         if isinstance(literal, ast.Num):
-            scale = literal.fraction_digits
-            digits = int(literal.text.replace(".", ""))
-            if scale > target.scale:
-                if digits % (10 ** (scale - target.scale)):
-                    raise SqlError(
-                        f"literal {literal.text} has more fractional digits "
-                        f"than the column's scale ({target.scale})"
-                    )
-                return digits // (10 ** (scale - target.scale))
-            return digits * (10 ** (target.scale - scale))
+            return self._literal(literal, _rescale, target.scale)
         if isinstance(literal, ast.Negate):
-            return -self._literal_for(target, literal.operand)
+            return _build(neg, self._literal_for(target, literal.operand))
         raise SqlError(f"expected a literal, found {literal!r}")
 
     # ------------------------------------------------------------------
     # Statement
     # ------------------------------------------------------------------
-    def bind(self) -> tuple[Query, dict[str, int]]:
+    def bind(self) -> tuple[Query | _Staged, dict[str, int]]:
         group_by = tuple(self._resolve(g)[0] for g in self._stmt.group_by)
-        where = tuple(self.bind_predicate(p) for p in self._stmt.where)
+        where = [self.bind_predicate(p) for p in self._stmt.where]
 
-        aggregates: list[Aggregate] = []
+        aggregates: list[Aggregate | _Staged] = []
         select: list[str] = []
         scales: dict[str, int] = {}
         has_aggs = any(isinstance(i.expr, ast.AggCall) for i in self._stmt.items)
@@ -294,7 +401,9 @@ class _Binder:
                     scales[alias] = 0
                 else:
                     bound = self.bind_expr(call.argument)
-                    aggregates.append(Aggregate(call.func, bound.expr, alias))
+                    aggregates.append(
+                        _build(partial(Aggregate, call.func, alias=alias), bound.expr)
+                    )
                     scales[alias] = 0 if call.func == "count" else bound.scale
             elif isinstance(item.expr, ast.Col):
                 name, ctype = self._resolve(item.expr.name)
@@ -313,18 +422,40 @@ class _Binder:
                     "SELECT list"
                 )
 
-        query = Query(
-            table=self._stmt.table,
-            where=where,
-            joins=tuple(self._joins),
-            group_by=group_by,
-            aggregates=tuple(aggregates),
-            select=tuple(select),
-            theta_joins=tuple(self._theta),
-        )
-        return query, scales
+        joins, table, select = tuple(self._joins), self._stmt.table, tuple(select)
+        n_theta, n_where = len(self._theta), len(self._theta) + len(where)
+        first: list[Query] = []  # a template's first Query passed the checks
+
+        def make(*parts) -> Query:
+            theta, where, aggregates = (
+                parts[:n_theta], parts[n_theta:n_where], parts[n_where:]
+            )
+            if first:
+                return _same_block(first[0], where, aggregates, theta)
+            first.append(Query(
+                table=table, where=where, joins=joins, group_by=group_by,
+                aggregates=aggregates, select=select, theta_joins=theta,
+            ))
+            return first[0]
+
+        return _build(make, *self._theta, *where, *aggregates), scales
 
 
 def bind(stmt: ast.SelectStmt, catalog: Catalog) -> tuple[Query, dict[str, int]]:
-    """Bind a parsed SELECT into a logical Query plus output decimal scales."""
-    return _Binder(stmt, catalog).bind()
+    """Bind a parsed SELECT into a logical Query plus output decimal scales.
+
+    A statement with a shape binds through the catalog's template for that
+    shape at its epoch, built by the shape's first bind there; errors are
+    never kept.  Everything the template holds is either fixed by the shape
+    (names, types, scales) or read from the catalog under its epoch (the
+    FK-vs-theta decision reads the dimension key's base rows).
+    """
+    if stmt.shape is None:
+        return _Binder(stmt, catalog).bind()
+    key, values = stmt.shape
+    query, scales = catalog.bind_templates.get(
+        (key, catalog.epoch), lambda: _Binder(stmt, catalog, staged=True).bind()
+    )
+    if isinstance(query, _Staged):
+        query = query.build(values)
+    return query, dict(scales)

@@ -41,6 +41,7 @@ class Token(NamedTuple):
 def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
+    new = tuple.__new__  # ``Token(...)`` without its Python-level ``__new__``
     for m in _TOKEN.finditer(sql):
         kind = m.lastgroup
         text = m.group(kind)
@@ -51,17 +52,17 @@ def tokenize(sql: str) -> list[Token]:
                 raise SqlSyntaxError(f"unexpected character {head!r}", pos)
             word = text.lower()
             if word in KEYWORDS:
-                append(Token("kw", word, pos))
+                append(new(Token, ("kw", word, pos)))
             else:
-                append(Token("ident", text, pos))
+                append(new(Token, ("ident", text, pos)))
         elif kind == "string":
-            append(Token("string", text, pos - 1))
+            append(new(Token, ("string", text, pos - 1)))
         elif kind == "bad":
             if text == "'":
                 raise SqlSyntaxError("unterminated string literal", pos)
             raise SqlSyntaxError(f"unexpected character {text!r}", pos)
         else:
-            append(Token(kind, text, pos))
+            append(new(Token, (kind, text, pos)))
             if kind == "eof":  # after trailing blanks \Z would match twice
                 break
     return tokens

@@ -1,8 +1,13 @@
-"""Recursive-descent parser for the mini-SQL dialect."""
+"""Recursive-descent parser for the mini-SQL dialect, memoized per shape."""
 
 from __future__ import annotations
 
+import re
+from collections import OrderedDict
+from dataclasses import fields
+
 from ..errors import SqlSyntaxError
+from . import ast
 from .ast import (
     AggCall,
     Arith,
@@ -45,23 +50,28 @@ class _Parser:
         return tok
 
     def _accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self._cur
+        tok = self._tokens[self._i]
         if tok.kind == kind and (text is None or tok.text == text):
-            return self._advance()
+            self._i += 1
+            return tok
         return None
 
     def _expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self._accept(kind, text)
-        if tok is None:
-            want = text or kind
-            raise SqlSyntaxError(
-                f"expected {want!r}, found {self._cur.text or 'end of input'!r}",
-                self._cur.pos,
-            )
-        return tok
+        tok = self._tokens[self._i]
+        if tok.kind == kind and (text is None or tok.text == text):
+            self._i += 1
+            return tok
+        raise SqlSyntaxError(
+            f"expected {text or kind!r}, found {tok.text or 'end of input'!r}",
+            tok.pos,
+        )
 
     def _accept_kw(self, word: str) -> bool:
-        return self._accept("kw", word) is not None
+        tok = self._tokens[self._i]
+        if tok.kind == "kw" and tok.text == word:
+            self._i += 1
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # Entry
@@ -230,22 +240,23 @@ class _Parser:
     def _expr(self) -> AstExpr:
         node = self._term()
         while True:
-            if self._accept("op", "+"):
-                node = Arith("+", node, self._term())
-            elif self._accept("op", "-"):
-                node = Arith("-", node, self._term())
-            else:
+            tok = self._tokens[self._i]
+            if tok.kind != "op" or tok.text not in ("+", "-"):
                 return node
+            self._i += 1
+            node = Arith(tok.text, node, self._term())
 
     def _term(self) -> AstExpr:
         node = self._factor()
         while True:
-            if self._accept("star"):
+            tok = self._tokens[self._i]
+            if tok.kind == "star":
+                self._i += 1
                 node = Arith("*", node, self._factor())
-            elif self._cur.kind == "op" and self._cur.text == "/":
+            elif tok.kind == "op" and tok.text == "/":
                 raise SqlSyntaxError(
                     "division is not supported in expressions; compute ratios "
-                    "over aggregate results instead", self._cur.pos,
+                    "over aggregate results instead", tok.pos,
                 )
             else:
                 return node
@@ -288,6 +299,116 @@ class _Parser:
         return name
 
 
+#: A literal as the lexer reads it: a string, or an ASCII number that does
+#: not continue a word (a digit after a word character is the word's; a
+#: point never is, so ``t.5`` and ``t0.5`` are two shapes).  ``split``
+#: alternates the text between literals — the statement's shape — with the
+#: literals themselves; the lookahead lets the scan skip to the next quote,
+#: digit or point.
+_LITERAL = re.compile(
+    r"((?=[.'0-9])(?:'[^']*'|(?<!\w)[0-9]+(?:\.[0-9]+)?|\.[0-9]+))"
+)
+
+#: Shape key -> template (:func:`_template`), or ``None`` for a shape seen
+#: once or one whose AST literals are not the split's; an LRU, 256 like
+#: ``PlanCache``.  Parsing is a pure function of the text, so the memo is
+#: shared by every session.
+_SHAPES: OrderedDict = OrderedDict()
+_SHAPES_MAX = 256
+_UNSEEN = object()
+
+
+def _kind(literal: str):
+    """A string, or a number's fraction digits, which set its scale."""
+    if literal[0] == "'":
+        return "'"
+    point = literal.find(".")
+    return 0 if point < 0 else len(literal) - point - 1
+
+
 def parse(sql: str):
-    """Parse one statement; returns a SelectStmt or BwDecompose."""
-    return _Parser(tokenize(sql)).parse_statement()
+    """Parse one statement; returns a SelectStmt or BwDecompose.
+
+    A statement whose shape — its text with the literals cut out, plus each
+    literal's kind — was parsed before is rebuilt from that shape's template
+    with its own literals.  A shape keeps a template from its second
+    statement on, so one that never repeats pays for none.
+    """
+    parts = _LITERAL.split(sql)
+    literals = parts[1::2]
+    key = (tuple(parts[0::2]), tuple(map(_kind, literals)))
+    template = _SHAPES.get(key, _UNSEEN)
+    if template is None or template is _UNSEEN:
+        stmt = _Parser(tokenize(sql)).parse_statement()
+        # The shape's first statement stores ``None``; its second, a template.
+        template = None if template is _UNSEEN else _template(stmt, parts)
+        _SHAPES[key] = template
+        if len(_SHAPES) > _SHAPES_MAX:
+            _SHAPES.popitem(last=False)
+        if template is None:
+            return stmt
+    _SHAPES.move_to_end(key)
+    return template(key, [lit[1:-1] if lit[0] == "'" else lit for lit in literals])
+
+
+def _template(stmt, parts):
+    """``(key, values) -> stmt`` with other literal values, or ``None``.
+
+    Kept only when the AST's literals, in source order, are the literals the
+    split cut out; the split reads literals as the lexer does, so every one
+    of them is then an AST literal (``bwdecompose`` bits are not: no
+    template).  Another text of the shape lexes to the same tokens but for
+    the literals' texts, and the parser reads no literal's text.  Every
+    node off a path to a literal is shared with the template.
+    """
+    if not isinstance(stmt, SelectStmt):
+        return None
+    owners = list(ast.literals(stmt))
+    values = [lit[1:-1] if lit[0] == "'" else lit for lit in parts[1::2]]
+    if [getattr(n, f) for n, f in owners] != values:
+        return None
+    slots = {id(node): i for i, (node, _) in enumerate(owners)}
+    env = {"SelectStmt": SelectStmt}
+    args = _args(stmt, slots, env, held=True)
+    return eval(f"lambda key, v: SelectStmt({args}, shape=(key, v))", env)
+
+
+def _args(node, slots, env, held=False):
+    """Source of ``node``'s field values, its literals read from ``v``;
+    ``None`` when it holds none (and ``held`` is false)."""
+    slot = ast.LITERAL_FIELDS.get(type(node))
+    args = []
+    for f in fields(node):
+        if not f.compare:
+            continue
+        value = getattr(node, f.name)
+        if f.name == slot and value is not None:
+            src = f"v[{slots[id(node)]}]"
+        else:
+            src = _source(value, slots, env)
+        held |= src is not None
+        args.append(src or _bind(value, env))
+    return ", ".join(args) if held else None
+
+
+def _source(node, slots, env):
+    """Source of an expression building ``node`` with its literals read
+    from ``v``, or ``None`` when it holds none: the caller then shares it
+    as it is.  No text of the statement enters the source."""
+    if isinstance(node, tuple):
+        items = [_source(item, slots, env) for item in node]
+        if not any(items):
+            return None
+        return "(" + "".join(
+            f"{src or _bind(item, env)}, " for src, item in zip(items, node)
+        ) + ")"
+    if not isinstance(node, ast.AstNode):
+        return None
+    args = _args(node, slots, env)
+    return None if args is None else f"{_bind(type(node), env)}({args})"
+
+
+def _bind(value, env) -> str:
+    name = f"_{len(env)}"
+    env[name] = value
+    return name

@@ -19,6 +19,8 @@ class Catalog:
     """Named relations and their per-column decompositions."""
 
     def __init__(self) -> None:
+        from ..opt.plan_cache import PlanCache
+
         self._tables: dict[str, Relation] = {}
         self._decomposed: dict[tuple[str, str], BwdColumn] = {}
         self._histograms: dict[tuple[str, str], "CodeHistogram"] = {}
@@ -28,9 +30,14 @@ class Catalog:
         #: compaction replays them over base+delta so the rebuilt column is
         #: byte-identical to a bulk load of the same rows.
         self._decompose_args: dict[tuple[str, str], dict] = {}
-        #: Monotonic counter bumped by every successful compaction; plan
-        #: caches and other derived state key their invalidation on it.
+        #: Monotonic counter bumped by every successful compaction and by
+        #: DDL; plan caches and other derived state key their invalidation
+        #: on it.
         self._epoch = 0
+        #: The binder's templates by (statement shape, epoch): they hold
+        #: names, types and the FK decision read from this catalog, so they
+        #: are this catalog's alone (``repro.sql.binder.bind``).
+        self.bind_templates = PlanCache()
 
     # ------------------------------------------------------------------
     # Tables
@@ -39,12 +46,14 @@ class Catalog:
         if relation.name in self._tables:
             raise StorageError(f"table {relation.name!r} already exists")
         self._tables[relation.name] = relation
+        self._epoch += 1  # a name now resolves to other rows
         return relation
 
     def drop(self, name: str) -> None:
         if name not in self._tables:
             raise StorageError(f"no table {name!r}")
         del self._tables[name]
+        self._epoch += 1
         self._deltas.pop(name, None)
         for key in [k for k in self._decomposed if k[0] == name]:
             del self._decomposed[key]
@@ -177,9 +186,9 @@ class Catalog:
     def epoch(self) -> int:
         """Plan-validity epoch.
 
-        Bumps on every successful compaction and on schema-shaping DDL
-        (``bwdecompose`` replacing a column's split); appends do *not*
-        bump it.  Plan caches key on it to invalidate naturally.
+        Bumps on every successful compaction and on DDL (``register`` /
+        ``drop`` of a table, ``bwdecompose`` replacing a column's split);
+        appends do *not* bump it.  Plan caches key on it to invalidate naturally.
         """
         return self._epoch
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.aggregates import grouped_sum_interval
 from repro.core.intervals import Interval, IntervalColumn
-from repro.errors import ExecutionError
+from repro.errors import BoundOverflowError, ExecutionError
 
 
 def column(pairs):
@@ -357,3 +357,36 @@ class TestStructurallyInexact:
         column = decompose_values(np.arange(100), residual_bits=3)
         payload = _payload_from_codes(column, column.approx_codes()[:0])
         assert payload.is_exact and payload.refinable and payload.hi is payload.lo
+
+
+class TestBoundsLeavingInt64:
+    """An inexact bound that would leave int64 raises instead of wrapping;
+    exact operands wrap, as their values do."""
+
+    MAX = int(_INT64.max)
+
+    def test_a_wrapping_bound_raises(self):
+        col = IntervalColumn.inexact(np.array([0, 5]), np.array([10, 9]))
+        with pytest.raises(BoundOverflowError):
+            col.mul_scalar(1 << 62)
+        with pytest.raises(BoundOverflowError):
+            col.add_scalar(self.MAX - 9)
+        with pytest.raises(BoundOverflowError):
+            IntervalColumn.inexact(
+                np.array([_INT64.min]), np.array([0])
+            ).neg()
+        assert col.add_scalar(self.MAX - 10).hi.tolist() == [self.MAX, self.MAX - 1]
+
+    def test_a_hull_past_int64_is_checked_row_by_row(self):
+        a = IntervalColumn.inexact(
+            np.array([self.MAX - 5, 0]), np.array([self.MAX - 4, 1])
+        )
+        b = IntervalColumn.inexact(np.array([-10, 10]), np.array([-9, 11]))
+        total = a.add(b)  # the hulls' sum passes int64, no row's does
+        assert total.lo.tolist() == [self.MAX - 15, 10]
+        assert total.hi.tolist() == [self.MAX - 13, 12]
+
+    def test_exact_operands_wrap(self):
+        values = np.array([self.MAX, 3])
+        twin = IntervalColumn(values, values.copy(), refinable=True)
+        assert twin.add_scalar(1).lo.tolist() == [int(_INT64.min), 4]

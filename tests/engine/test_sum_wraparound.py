@@ -9,6 +9,8 @@ shards' partial sums.  ``avg`` divides that same wrapped sum everywhere.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import IntType, Session
 from repro.core.aggregates import fold, grouped_sum, row_partials
@@ -115,3 +117,73 @@ def test_one_scatter_serves_sum_and_avg():
     assert len(groups.sums) == 1
     values[5] = 4
     assert grouped_sum(values, groups).tolist() == [_wrapped(values[:5]), 4]
+
+
+# ----------------------------------------------------------------------
+# Row bounds that leave int64
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def events():
+    """``value`` in [0, 10 000) at 24 of 32 bits: 8 residual bits, so the
+    device's bounds are inexact and interval arithmetic bounds them."""
+    session = Session()
+    session.create_table(
+        "events", {"value": IntType()},
+        {"value": np.random.default_rng(0).integers(0, 10_000, 10_000)},
+    )
+    session.execute("select bwdecompose(value, 24) from events")
+    return session
+
+
+@pytest.mark.parametrize("sql, want", [
+    ("select sum(value + 9223372036854775000) as s from events", 41_921_897),
+    ("select sum(value * 3000000000000000) as s from events", None),
+    ("select min(value * 3000000000000000) as s from events", None),
+    ("select max(value * 3000000000000000) as s from events", None),
+])
+def test_a_bound_leaving_int64_has_no_interval(events, sql, want):
+    """Regression: the inexact bounds wrapped and ``ar`` / ``approximate``
+    raised "interval with lo > hi" where classic answers.  The aggregate's
+    bound is now ``None`` and ``ar`` recomputes the exact value, wrapping
+    as classic's int64 arithmetic does."""
+    classic = events.execute(sql, mode="classic").scalar("s")
+    if want is not None:
+        assert classic == want
+    ar = events.execute(sql, mode="ar")
+    assert ar.scalar("s") == classic
+    assert ar.approximate.aggregates["s"] is None
+    assert events.execute(sql, mode="approximate").approximate.aggregates["s"] is None
+
+
+@pytest.fixture(scope="module")
+def spread():
+    """Values 256 apart at 24 of 32 bits: every residual bucket holds one
+    row, so ``value = k`` has one candidate and a sum of it can leave
+    int64 only where its row bound does."""
+    session = Session()
+    session.create_table(
+        "events", {"value": IntType()},
+        {"value": np.random.default_rng(1).permutation(10_000) * 256 + 7},
+    )
+    session.execute("select bwdecompose(value, 24) from events")
+    return session
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    op=st.sampled_from(["+", "-", "*"]),
+    c=st.integers(-(2**63 - 1), 2**63 - 1),
+    k=st.integers(0, 9_999),
+)
+def test_ar_sums_value_with_any_constant_as_classic(spread, op, c, k):
+    """One candidate, so only its row bound can leave int64: a *total* that
+    wraps is ROADMAP L's (``Unbounded("int64 wrap")``)."""
+    literal = str(c) if c >= 0 else f"-{-c}"
+    sql = (
+        f"select sum(value {op} {literal}) as s from events "
+        f"where value = {k * 256 + 7}"
+    )
+    ar = spread.execute(sql, mode="ar")
+    assert ar.scalar("s") == spread.execute(sql, mode="classic").scalar("s")
+    bound = ar.approximate.aggregates["s"]
+    assert bound is None or bound.contains(float(ar.scalar("s")))

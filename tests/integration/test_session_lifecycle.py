@@ -119,17 +119,40 @@ class TestMultiTableWorkflows:
                 assert got == baseline, (pushdown, order)
 
     def test_drop_and_recreate_table(self, session):
+        sql = "select count(*) as n, sum(day) as s from sales where day between 10 and 200"
+        for _ in range(3):  # a shape keeps its templates from its second run
+            session.execute(sql)
+            with session.serve() as server:
+                server.submit(_bound(sql, session)).result()
+        epoch = session.catalog.epoch
         session.catalog.drop("sales")
         assert "sales" not in session.catalog
         with pytest.raises(Exception):
             session.execute("select count(*) from sales")
+        # Regression: ``register`` / ``drop`` left the epoch alone, so the
+        # new table was answered from the dropped one's cached plans:
+        # ``PlanError: column 'day' is not decomposed``.
         session.create_table(
-            "sales", {"x": IntType()}, {"x": np.arange(10)}
+            "sales", {"day": IntType(), "x": IntType()},
+            {"day": np.arange(1000) % 365, "x": np.arange(1000)},
         )
+        assert session.catalog.epoch == epoch + 2
+        want = session.execute(sql, mode="classic")
+        with session.serve() as server:
+            served = server.submit(_bound(sql, session)).result()
+        for result in (session.execute(sql), served):
+            assert result.scalar("n") == want.scalar("n")
+            assert result.scalar("s") == want.scalar("s")
         session.bwdecompose("sales", "x", 32)
         assert session.execute("select count(*) from sales where x < 5").scalar(
             "count_0"
         ) == 5
+
+
+def _bound(sql, session):
+    from repro.sql import bind, parse
+
+    return bind(parse(sql), session.catalog)[0]
 
 
 class TestErrorSurface:
