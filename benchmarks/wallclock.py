@@ -25,7 +25,8 @@ after it), the PR-15 code-width entries (``micro.unpack.w12.narrow`` — the
 decode an evicted 12-bit view is rebuilt with; ``scan.selection.evict`` —
 selections cycling over three columns under an 8 MiB view budget;
 ``join.theta.band.selected`` — the band join under a 10 % selection,
-approximate + refine), ``sql.front.hit`` / ``.miss`` (parse + bind of
+approximate + refine; ``join.theta.count.selected`` — its ``count(*)``
+through the session), ``sql.front.hit`` / ``.miss`` (parse + bind of
 256 ``serve.dash`` statements, of one shape or each of a new one), the
 PR-18 ``serve.sumcount.b16`` /
 ``shard.sumcount.s4`` (one fused batch of 16 windowed ``sum, count``
@@ -495,7 +496,8 @@ def _run_theta_band(fx: _Fixtures, size: str = "base") -> None:
 
 def _run_theta_band_selected(fx: _Fixtures) -> None:
     """The large band join under a selection (``left_ids``): approximate +
-    refine over a scrambled tenth of the left side."""
+    refine over a scrambled tenth of the left side, both results dropped
+    unread: that is counting the candidate and the exact pairs."""
     machine = fx.machine
     tl = Timeline()
     theta = Theta(ThetaOp.WITHIN, 64)
@@ -563,6 +565,22 @@ def _run_theta_count_large(fx: _Fixtures) -> None:
         )
     finally:
         RunPairCandidates.materialized = original
+    assert result.row_count == 1
+
+
+def _run_theta_count_selected(fx: _Fixtures) -> None:
+    """``count(*)`` over the large band join under a 10 % ``WHERE``, via
+    the session (A&R mode): the relaxed scan, the candidate count, the
+    exact re-check of the predicate on the surviving left rows and the
+    exact pair count — none of them forms a run."""
+    hi = int(THETA_SELECTED_SHARE * (1 << 22))
+    result = (
+        fx.band.table("bandL")
+        .where("price", between=(0, hi))
+        .band_join("bandR", on="price", delta=64)
+        .count("n")
+        .run(mode="ar")
+    )
     assert result.row_count == 1
 
 
@@ -779,6 +797,7 @@ def build_suite(quick: bool = False, opt_baseline: bool = False) -> dict:
         "join.theta.band.repeat": lambda: _run_theta_repeat(fx),
         "join.theta.band.selected": lambda: _run_theta_band_selected(fx),
         "join.theta.count.large": lambda: _run_theta_count_large(fx),
+        "join.theta.count.selected": lambda: _run_theta_count_selected(fx),
         "join.theta.pipeline.large": lambda: _run_theta_pipeline_large(fx),
         "serve.theta.b16": lambda: _run_served_theta(fx),
         "tpch.q6.ar": lambda: _run_tpch_q6(fx),

@@ -21,12 +21,13 @@ Three candidate shapes exist:
   end of the pipeline.
   And since every charge and the approximate answer read only the pair
   *count*, the runs themselves are **counted first, formed on first read**
-  (:meth:`RunPairCandidates.deferred`): the join decides one run per
-  distinct approximation code, takes the count as that table weighted by
-  how many rows carry each code, and gathers the table out to per-row runs
-  only if an operator reads a row — a ``count(*)`` over a whole-column band
-  join never does, because the refinement takes each row's exact span from
-  the sorted exact values alone (a candidate run can only contain it).
+  (:meth:`RunPairCandidates.deferred`): the join counts its candidates off
+  code arithmetic (one decision per distinct code where the rows outnumber
+  the codes, weighted by how many rows carry each), the refinement counts
+  its exact pairs off the sides' sorted exact values, and a ``WHERE``
+  re-check narrows the left rows a counted set names unformed
+  (:attr:`RunPairCandidates.left_rows`).  Per-row runs are formed only if
+  an operator reads a pair — a ``count(*)`` over a band join never does.
 * :class:`PairCandidates` — the same set exploded to a left/right position
   per pair: what that materialization point returns, in the one
   deterministic (left, right) order, and what the nested-loop test oracle
@@ -377,15 +378,16 @@ class RunPairCandidates:
     whole-column views and memoized permutations without testing for it.
 
     A set built by :meth:`deferred` is *counted but not formed*: ``len()``,
-    ``order``, ``order_key`` and ``whole_left`` — all that the modeled
-    charges, the approximate answer and a whole-column refinement read —
-    are known, while ``left_positions`` / ``starts`` / ``stops`` are
-    produced by its thunk on their first read and kept from then on.
+    ``order_key``, ``whole_left`` and :attr:`left_rows` — all that the
+    modeled charges, the approximate answer, a ``WHERE`` re-check and a
+    counting refinement read — are known, while ``left_positions`` /
+    ``starts`` / ``stops`` / ``order`` are produced by its thunk on their
+    first read and kept from then on.
     """
 
     __slots__ = (
-        "_left_positions", "_starts", "_stops", "order", "order_key",
-        "whole_left", "_total", "_form",
+        "_left_positions", "_starts", "_stops", "_order", "order_key",
+        "whole_left", "_total", "_form", "_rows", "_run_lengths",
     )
 
     def __init__(
@@ -400,14 +402,14 @@ class RunPairCandidates:
         self._left_positions = np.asarray(left_positions, dtype=np.int64)
         self._starts = np.asarray(starts, dtype=np.int64)
         self._stops = np.asarray(stops, dtype=np.int64)
-        self.order = np.asarray(order, dtype=np.int64)
+        self._order = np.asarray(order, dtype=np.int64)
         self.order_key, self.whole_left = order_key, whole_left
-        self._form = None
+        self._form = self._run_lengths = None
         if not (
             self._left_positions.shape == self._starts.shape == self._stops.shape
         ):
             raise ExecutionError("run arrays misaligned")
-        check_runs(self._starts, self._stops, len(self.order))
+        check_runs(self._starts, self._stops, len(self._order))
         self._total = int((self._stops - self._starts).sum())
 
     @classmethod
@@ -416,21 +418,28 @@ class RunPairCandidates:
         count: int,
         form,
         *,
-        order: np.ndarray,
         order_key: str,
         whole_left: bool,
+        rows: np.ndarray | int,
+        run_lengths=None,
     ) -> "RunPairCandidates":
-        """A set of ``count`` pairs over ``order`` whose per-row runs
-        ``form()`` — returning the formed set — produces when first read.
+        """A set of ``count`` pairs whose per-row runs and right-side
+        permutation ``form()`` — returning the formed set — produces when
+        first read.
 
-        ``form`` must not refer back to the set it forms: a deferred set
-        that is dropped unread has to die by reference count alone.
+        ``rows`` names the left rows without forming them: their positions
+        in any order, or — for a ``whole_left`` set — the left column's
+        row count.  ``run_lengths(rows)``, when given, is how many pairs
+        each of those rows has, so :meth:`rows_narrowed` can count a subset
+        without forming it.  ``form`` must not refer back to the set it
+        forms: a deferred set that is dropped unread has to die by
+        reference count alone.
         """
         self = cls.__new__(cls)
-        self._left_positions = self._starts = self._stops = None
-        self.order = np.asarray(order, dtype=np.int64)
+        self._left_positions = self._starts = self._stops = self._order = None
         self.order_key, self.whole_left = order_key, whole_left
         self._total, self._form = count, form
+        self._rows, self._run_lengths = rows, run_lengths
         return self
 
     def _read(self) -> None:
@@ -441,9 +450,9 @@ class RunPairCandidates:
                 f"deferred runs counted {self._total} pairs, "
                 f"formed {len(formed)}"
             )
-        self._left_positions = formed.left_positions
+        self._left_positions, self._order = formed.left_positions, formed.order
         self._starts, self._stops = formed.starts, formed.stops
-        self._form = None
+        self._form = self._rows = self._run_lengths = None
 
     @property
     def left_positions(self) -> np.ndarray:
@@ -462,6 +471,22 @@ class RunPairCandidates:
         if self._form is not None:
             self._read()
         return self._stops
+
+    @property
+    def order(self) -> np.ndarray:
+        if self._form is not None:
+            self._read()
+        return self._order
+
+    @property
+    def left_rows(self) -> np.ndarray:
+        """The left rows as a set — positions in no promised order — read
+        without forming a run: ``left_positions`` once formed."""
+        if self._form is None:
+            return self._left_positions
+        if self.whole_left and not isinstance(self._rows, np.ndarray):
+            return np.arange(self._rows, dtype=np.int64)
+        return self._rows
 
     def __len__(self) -> int:
         return self._total
@@ -522,18 +547,41 @@ class RunPairCandidates:
     def rows_narrowed(self, keep_mask: np.ndarray) -> "RunPairCandidates":
         """Subset selected by a per-*left-row* boolean mask, run-preserving.
 
-        Drops whole runs (a left-side selection refinement); the surviving
-        runs and their permutation — including the ``order_key`` — are
-        untouched, so a later refinement still applies.
+        The mask is aligned with :attr:`left_rows`.  Drops whole runs (a
+        left-side selection refinement); the surviving runs and their
+        permutation — including the ``order_key`` — are untouched, so a
+        later refinement still applies.  A deferred set that knows its
+        rows' run lengths stays deferred: counted from the kept rows, and
+        formed as its own formed runs narrowed.
         """
         keep_mask = np.asarray(keep_mask, dtype=bool)
-        if keep_mask.shape != self.left_positions.shape:
+        rows = self.left_rows
+        if keep_mask.shape != rows.shape:
             raise ExecutionError("row mask misaligned with runs")
         keep = np.flatnonzero(keep_mask)
-        return RunPairCandidates(
-            self.left_positions.take(keep), self.starts.take(keep),
-            self.stops.take(keep), self.order, order_key=self.order_key,
+        if self._form is None:
+            return RunPairCandidates(
+                self._left_positions.take(keep), self._starts.take(keep),
+                self._stops.take(keep), self._order, order_key=self.order_key,
+            )
+        kept, form, lengths = rows.take(keep), self._form, self._run_lengths
+        if lengths is None:
+            self._read()
+            return self._keeping(self, kept)
+        return RunPairCandidates.deferred(
+            int(lengths(kept).sum()),
+            lambda: RunPairCandidates._keeping(form(), kept),
+            order_key=self.order_key, whole_left=False,
+            rows=kept, run_lengths=lengths,
         )
+
+    @staticmethod
+    def _keeping(formed: "RunPairCandidates", kept: np.ndarray):
+        """``formed`` narrowed to the runs of the left rows ``kept``."""
+        rows = formed.left_positions
+        member = np.zeros(int(rows.max(initial=-1)) + 1, dtype=bool)
+        member[kept] = True
+        return formed.rows_narrowed(member[rows])
 
     def left_multiplicities(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-entry ``(left rows, pair multiplicities)`` of this set.

@@ -724,16 +724,17 @@ class ArExecutor:
     def _refine_pair_select(self, pred: Predicate, state: _ExecState) -> None:
         """Exact re-check of a left-side predicate over the candidate pairs.
 
-        The simulation evaluates the predicate once per run and drops
-        failing left rows whole; the modeled host, which received per-pair
-        oids over the bus, re-checks every pair, so the charge is a
-        function of the pair counts only, like every other modeled theta
-        charge.
+        The simulation evaluates the predicate once per left row and drops
+        failing rows whole — rows a counted set names without forming a
+        run, so it stays counted (:meth:`RunPairCandidates.rows_narrowed`);
+        the modeled host, which received per-pair oids over the bus,
+        re-checks every pair, so the charge is a function of the pair
+        counts only, like every other modeled theta charge.
         """
         assert state.pairs is not None
         machine, tl = self._machine, state.timeline
         pairs = state.pairs
-        rows = pairs.left_positions
+        rows = pairs.left_rows
         rel = self._catalog.table(state.query.table)
 
         def resolve(name: str) -> np.ndarray:

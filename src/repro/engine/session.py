@@ -112,6 +112,21 @@ class Session:
         self.machine.gpu.load_column(f"{table}.{column}", bwd, None)
         return bwd
 
+    def drop(self, table: str) -> None:
+        """Drop ``table`` and everything registered for it.
+
+        Its decomposed columns leave device memory first — a table created
+        again under the name loads its approximations under the same
+        labels — then the catalog forgets the table, its decompositions
+        and pending delta, and bumps the epoch.
+        """
+        self.catalog.table(table)  # refuse an unknown table up front
+        gpu = self.machine.gpu
+        for name, _, bwd in self.catalog.decomposed_columns():
+            if name == table and gpu.is_resident(bwd):
+                gpu.evict_column(bwd)
+        self.catalog.drop(table)
+
     # ------------------------------------------------------------------
     # Streaming ingestion (PR 9)
     # ------------------------------------------------------------------

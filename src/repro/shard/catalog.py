@@ -152,6 +152,31 @@ class ShardedCatalog:
         self._build_shard_relations(relation, maps)
         return relation
 
+    def drop(self, table: str) -> None:
+        """Drop ``table`` everywhere it lives.
+
+        Every shard evicts its resident approximations of the table — a
+        table created again under the name loads its own under the same
+        labels — and forgets it; then the global catalog does (bumping the
+        epoch), and so does every partitioning record kept for it.
+        """
+        self.global_catalog.table(table)  # refuse an unknown table up front
+        for shard in self.shards:
+            gpu = shard.machine.gpu
+            for name, _, bwd in shard.catalog.decomposed_columns():
+                if name == table and gpu.is_resident(bwd):
+                    gpu.evict_column(bwd)
+            shard.catalog.drop(table)
+        self.global_catalog.drop(table)
+        self.replicated.discard(table)
+        for registry in (
+            self.row_maps, self.partition_columns, self.band_cuts,
+            self.shard_deltas, self.spill_deltas,
+        ):
+            registry.pop(table, None)
+        for key in [k for k in self._stats if k[0] == table]:
+            del self._stats[key]
+
     def _build_shard_relations(
         self, relation: Relation, maps: list[np.ndarray]
     ) -> None:

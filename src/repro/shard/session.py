@@ -131,6 +131,11 @@ class ShardedSession:
             prefix_compression=prefix_compression,
         )
 
+    def drop(self, table: str) -> None:
+        """Drop ``table`` on every shard and globally; see
+        :meth:`ShardedCatalog.drop`."""
+        self.sharded_catalog.drop(table)
+
     def set_view_budget(
         self, per_shard_nbytes: int | None, *, segment_rows: int | None = None
     ) -> None:

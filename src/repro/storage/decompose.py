@@ -492,13 +492,13 @@ class BwdColumn:
         "decomposition", "length", "_approx_words", "_residual_words",
         "_approx_cache", "_residual_cache",
         "_perm_approx_cache", "_perm_exact_cache", "_sorted_codes_cache",
-        "__weakref__",
+        "_code_offsets_cache", "_sorted_values_cache", "__weakref__",
     )
 
     #: Cache attributes with a per-segment rebuild (the decoded code
     #: streams): the view budget may evict them segment-granularly.  Sort
-    #: permutations and the sorted-code view are global functions of the
-    #: whole column and stay whole-view entries.
+    #: permutations, the sorted codes and values and the code offsets are
+    #: global functions of the whole column and stay whole-view entries.
     SEGMENTED_VIEWS = ("_approx_cache", "_residual_cache")
 
     def __init__(
@@ -517,6 +517,8 @@ class BwdColumn:
         self._perm_approx_cache: np.ndarray | None = None
         self._perm_exact_cache: np.ndarray | None = None
         self._sorted_codes_cache: np.ndarray | None = None
+        self._code_offsets_cache: np.ndarray | None = None
+        self._sorted_values_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -759,6 +761,45 @@ class BwdColumn:
             )
         else:
             _VIEW_BUDGET.touch(self, "_sorted_codes_cache")
+        return view
+
+    def code_offsets(self) -> np.ndarray:
+        """Where each approximation code's rows begin in the code-sorted
+        order (memoized): ``code_offsets()[k]`` rows carry a code below
+        ``k``, for ``k`` in ``0 .. max_code + 1`` (int64).
+
+        The rank of code ``k`` among :meth:`sorted_approx_codes` without a
+        search, and — by ``np.diff`` — how many rows carry each code.  One
+        entry per code, so meant for columns with no more codes than rows.
+        Cached like the sorted codes: whole-view, budget-registered,
+        counted once from the decoded codes after eviction.
+        """
+        view = self._code_offsets_cache
+        if view is None:
+            counts = np.bincount(
+                self.approx_codes(), minlength=self.decomposition.max_code + 1
+            )
+            view = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=view[1:])
+            view = self._seed("_code_offsets_cache", view)
+        else:
+            _VIEW_BUDGET.touch(self, "_code_offsets_cache")
+        return view
+
+    def sorted_values(self) -> np.ndarray:
+        """The reconstructed exact values in ascending order (memoized).
+
+        ``sorted_values() == reconstruct()[sort_permutation("exact")]``:
+        what a theta refinement counts its exact pairs in, with no
+        permutation built or read.  Cached like the sorted codes.
+        """
+        view = self._sorted_values_cache
+        if view is None:
+            view = self.reconstruct()
+            view.sort()
+            view = self._seed("_sorted_values_cache", view)
+        else:
+            _VIEW_BUDGET.touch(self, "_sorted_values_cache")
         return view
 
     def residual_at(self, positions: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ ignored, as the pair contract says.
 import numpy as np
 
 from repro.core.candidates import PairCandidates, RunPairCandidates
+from repro.core.intervals import IntervalColumn
 
 
 def narrowed(pairs: PairCandidates, keep_mask: np.ndarray) -> PairCandidates:
@@ -37,4 +38,14 @@ def set_equals(a, b) -> bool:
     return bool(
         np.array_equal(a.left_positions, b.left_positions)
         and np.array_equal(a.right_positions, b.right_positions)
+    )
+
+
+def bucket_bounds(column, ids=None) -> IntervalColumn:
+    """Approximate value intervals of a decomposed column's rows (all, or
+    ``ids``): the bucket bounds a theta join's nested loop compares."""
+    codes = column.approx_codes() if ids is None else column.approx_at(ids)
+    dec = column.decomposition
+    return IntervalColumn.from_bounds(
+        dec.approx_lower_bounds(codes), dec.approx_upper_bounds(codes)
     )

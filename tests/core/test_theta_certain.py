@@ -14,11 +14,11 @@ from repro.core import theta as theta_module
 from repro.core.theta import (
     Theta,
     ThetaOp,
-    _bounds,
     _certain_pair_count,
     theta_certain_pair_count,
     theta_join_reference,
 )
+from pair_sets import bucket_bounds
 from repro.storage.decompose import decompose_values
 
 ALL_THETAS = [
@@ -41,7 +41,7 @@ class TestCertainPairCount:
     def test_matches_brute_force_certainty(self, columns, op, delta):
         lv, rv, left, right = columns
         theta = Theta(op, delta)
-        left_b, right_b = _bounds(left), _bounds(right)
+        left_b, right_b = bucket_bounds(left), bucket_bounds(right)
         brute = int(theta.certain(
             left_b.lo[:, None], left_b.hi[:, None],
             right_b.lo[None, :], right_b.hi[None, :],
@@ -75,7 +75,7 @@ class TestCertainPairCount:
         left_sub = decompose_values(lv[ids], device_bits=24)
         # Same decomposition domain is not guaranteed for the sliced data,
         # so compare against the brute-force certainty of the sliced bounds.
-        left_b, right_b = _bounds(left), _bounds(right)
+        left_b, right_b = bucket_bounds(left), bucket_bounds(right)
         brute = int(theta.certain(
             left_b.lo[ids][:, None], left_b.hi[ids][:, None],
             right_b.lo[None, :], right_b.hi[None, :],

@@ -16,14 +16,13 @@ from repro.core import theta as theta_module
 from repro.core.theta import (
     Theta,
     ThetaOp,
-    _bounds,
     _certain_pair_count,
     _left_runs,
     _per_code,
 )
 from repro.storage.decompose import decompose_values
 
-from pair_sets import pair_set
+from pair_sets import bucket_bounds, pair_set
 
 N_LEFT, N_RIGHT = 300, 120
 THETAS = [
@@ -67,10 +66,10 @@ def test_runs_equal_the_per_row_sweeps(shape, theta, subset):
     # 5 rows are fewer than any shape's codes: the subset decides per row
     assert _per_code(left, n) == (shape.startswith("per-code") and n >= 200)
 
-    right_b = _bounds(right)
-    runs = _left_runs(left, ids, right_b, theta, right)
+    right_b = bucket_bounds(right)
+    runs = _left_runs(left, ids, theta, right)
     rows = np.arange(N_LEFT) if ids is None else ids
-    left_b = _bounds(left, rows)
+    left_b = bucket_bounds(left, rows)
     possible = theta.possible(
         left_b.lo[:, None], left_b.hi[:, None], right_b.lo[None, :], right_b.hi[None, :],
     )
@@ -91,7 +90,7 @@ def test_certain_count_equals_per_row_and_brute_force(monkeypatch, shape, theta,
     ids = None if subset is None else _subset(np.random.default_rng(subset), subset)
     got = _certain_pair_count(left, right, theta, ids)
 
-    left_b, right_b = _bounds(left, ids), _bounds(right)
+    left_b, right_b = bucket_bounds(left, ids), bucket_bounds(right)
     brute = int(theta.certain(
         left_b.lo[:, None], left_b.hi[:, None], right_b.lo[None, :], right_b.hi[None, :],
     ).sum())
@@ -108,7 +107,7 @@ def test_a_skewed_side_weighs_codes_by_their_rows():
     right = decompose_values(np.arange(0, 1024, 8), residual_bits=3)
     assert _per_code(left, left.length)
     for theta in THETAS:
-        left_b, right_b = _bounds(left), _bounds(right)
+        left_b, right_b = bucket_bounds(left), bucket_bounds(right)
         brute = int(theta.certain(
             left_b.lo[:, None], left_b.hi[:, None],
             right_b.lo[None, :], right_b.hi[None, :],

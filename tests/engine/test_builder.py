@@ -311,46 +311,55 @@ class TestAggregateOnlyFastPath:
         assert len(calls) == 1
 
 
-#: plan shape -> (build on ``orders``, mode, deferred candidate sets that
-#: must form their per-row runs).  Only a selection under the join reads a
-#: candidate row: the refinement of a whole column takes its rows from the
-#: column's own exact order, and everything else reads the pair count.
+#: plan shape -> (build on ``orders``, mode, pair sets that come back
+#: counted, pair sets that must form their per-row runs).  The join, a
+#: ``WHERE`` re-check and the refinement each hand back a counted set; only
+#: an operator reading pairs forms one — the refined set, whose whole-column
+#: runs are formed from the column's own exact order, not the candidates'.
 COUNTED_PLANS = {
     "count, ar": (
-        lambda t: t.band_join("quotes", on="price", delta=25).count("n"), "ar", 0,
+        lambda t: t.band_join("quotes", on="price", delta=25).count("n"),
+        "ar", 2, 0,
     ),
     "count, approximate": (
         lambda t: t.band_join("quotes", on="price", delta=25).count("n"),
-        "approximate", 0,
+        "approximate", 1, 0,
     ),
     "grouped count": (
         lambda t: t.band_join("quotes", on="price", delta=25)
         .group_by("qty").count("n"),
-        "ar", 0,
+        "ar", 2, 1,
     ),
     "right-side sum": (
         lambda t: t.band_join("quotes", on="price", delta=25)
         .agg("sum", "quotes.price", alias="s"),
-        "ar", 0,
+        "ar", 2, 1,
     ),
-    "bare join": (lambda t: t.band_join("quotes", on="price", delta=25), "ar", 0),
+    "bare join": (
+        lambda t: t.band_join("quotes", on="price", delta=25), "ar", 2, 1,
+    ),
     "join under WHERE": (
         lambda t: t.where("price", ">=", 100)
         .band_join("quotes", on="price", delta=25).count("n"),
-        "ar", 1,  # RefinePairSelect re-checks the predicate row by row
+        "ar", 3, 0,  # RefinePairSelect narrows the counted set's rows
+    ),
+    "sum under WHERE": (
+        lambda t: t.where("price", ">=", 100)
+        .band_join("quotes", on="price", delta=25).agg("sum", "qty", alias="s"),
+        "ar", 3, 2,  # the refined set forms, and through it the candidates
     ),
 }
 
 
 class TestCountedFirst:
-    """Candidate pairs decided per distinct code come back counted; their
-    per-row runs form only if an operator reads one — and no reader can
-    tell: Result, approximate answer and ledger equal the per-row sweep's,
-    which forms at once."""
+    """Candidate and refined pairs come back counted; their per-row runs
+    form only if an operator reads one — and no reader can tell: Result,
+    approximate answer and ledger are the same whether the candidates were
+    decided per distinct code or per row."""
 
     @pytest.mark.parametrize("shape", list(COUNTED_PLANS))
     def test_runs_form_iff_a_row_is_read(self, session, monkeypatch, shape):
-        build, mode, expected = COUNTED_PLANS[shape]
+        build, mode, n_deferred, n_formed = COUNTED_PLANS[shape]
         formed = []
         original = RunPairCandidates._read
 
@@ -366,14 +375,14 @@ class TestCountedFirst:
         monkeypatch.setattr(RunPairCandidates, "_read", spy)
         monkeypatch.setattr(RunPairCandidates, "deferred", counting)
         counted = build(session.table("orders")).run(mode=mode)
-        assert len(deferred) == 1 and len(formed) == expected
+        assert len(deferred) == n_deferred
+        assert len(formed) == n_formed
 
         monkeypatch.setattr(
             "repro.core.theta._per_code", lambda column, n_rows: False
         )
         swept = build(session.table("orders")).run(mode=mode)
-        # per-row sweeps form at once: nothing more deferred, nothing to read
-        assert len(deferred) == 1 and len(formed) == expected
+        assert len(deferred) == 2 * n_deferred and len(formed) == 2 * n_formed
         assert counted.columns.keys() == swept.columns.keys()
         for name in counted.columns:
             assert np.array_equal(counted.columns[name], swept.columns[name])

@@ -125,7 +125,7 @@ class TestMultiTableWorkflows:
             with session.serve() as server:
                 server.submit(_bound(sql, session)).result()
         epoch = session.catalog.epoch
-        session.catalog.drop("sales")
+        session.drop("sales")
         assert "sales" not in session.catalog
         with pytest.raises(Exception):
             session.execute("select count(*) from sales")
@@ -147,6 +147,81 @@ class TestMultiTableWorkflows:
         assert session.execute("select count(*) from sales where x < 5").scalar(
             "count_0"
         ) == 5
+
+
+class TestDropRedecompose:
+    """A dropped table's approximations leave the device with it: created
+    again and decomposed again, the table answers as it would in a fresh
+    session — before ``drop`` evicted them, ``bwdecompose`` raised
+    ``DeviceError: buffer 'T.C' already allocated``."""
+
+    SQL = (
+        "select count(*) as n, sum(v) as s from t join q "
+        "on t.v within 40 of q.w where v between 100 and 3000"
+    )
+
+    @staticmethod
+    def load(session, seed, sharded):
+        rng = np.random.default_rng(seed)
+        session.create_table(
+            "t", {"v": IntType(), "g": IntType()},
+            {"v": rng.integers(0, 4_000, 2_000), "g": rng.integers(0, 4, 2_000)},
+        )
+        kwargs = {"partition": False} if sharded else {}
+        session.create_table(
+            "q", {"w": IntType()}, {"w": rng.integers(0, 4_000, 300)}, **kwargs
+        )
+        session.bwdecompose("t", "v", residual_bits=3)
+        session.bwdecompose("t", "g", residual_bits=0)
+        session.bwdecompose("q", "w", residual_bits=2)
+
+    def answers(self, session):
+        solo = session.query(_bound(self.SQL, session))
+        with session.serve() as server:
+            served = server.submit(_bound(self.SQL, session)).result()
+        grouped = session.query(_bound(
+            "select g, count(*) as n from t where v < 2500 group by g", session
+        ))
+        return [
+            {name: column.tolist() for name, column in result.columns.items()}
+            for result in (solo, served, grouped)
+        ]
+
+    @staticmethod
+    def allocated(session) -> list[int]:
+        machines = (
+            [shard.machine for shard in session.sharded_catalog.shards]
+            if hasattr(session, "sharded_catalog") else [session.machine]
+        )
+        return [machine.gpu.pool.allocated for machine in machines]
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["session", "sharded"])
+    def test_drop_recreate_redecompose_equals_a_fresh_session(self, sharded):
+        from repro.shard import ShardedSession
+
+        make = (lambda: ShardedSession(4)) if sharded else Session
+        session = make()
+        empty = self.allocated(session)
+        self.load(session, 1, sharded)
+        self.answers(session)
+        for table in ("t", "q"):
+            session.drop(table)
+            assert table not in session.catalog
+        assert self.allocated(session) == empty
+        self.load(session, 2, sharded)
+
+        fresh = make()
+        self.load(fresh, 2, sharded)
+        assert self.allocated(session) == self.allocated(fresh)
+        assert self.answers(session) == self.answers(fresh)
+
+    def test_dropping_an_unknown_table_is_refused(self):
+        from repro.errors import StorageError
+        from repro.shard import ShardedSession
+
+        for session in (Session(), ShardedSession(2)):
+            with pytest.raises(StorageError):
+                session.drop("nope")
 
 
 def _bound(sql, session):

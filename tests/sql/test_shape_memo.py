@@ -286,7 +286,7 @@ def test_ddl_and_compaction_invalidate_templates():
     sql = "select count(*) as n from f where k < {}"
     for k in range(3):
         assert bind(parse(sql.format(k)), session.catalog)[0].where[0].vrange.hi == k - 1
-    session.catalog.drop("f")
+    session.drop("f")
     session.create_table("f", {"k": DecimalType(8, 1)}, {"k": np.arange(20) / 10})
     assert bind(parse(sql.format(5)), session.catalog)[0].where[0].vrange.hi == 49
 
